@@ -8,7 +8,7 @@ simulated time, emitting FLOW_REMOVED when the entry asked for it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.openflow.actions import Action
 from repro.openflow.constants import OFPFlowModFlags, OFPPort
@@ -76,6 +76,10 @@ class FlowEntry:
                 f"actions={self.actions} pkts={self.packet_count}>")
 
 
+#: ``listener(table, changed)``; see :attr:`FlowTable._change_listeners`.
+ChangeListener = Callable[["FlowTable", Optional[Sequence[FlowEntry]]], None]
+
+
 class FlowTable:
     """An ordered collection of :class:`FlowEntry` objects."""
 
@@ -90,10 +94,12 @@ class FlowTable:
         #: per-table lookup memo on it, so a stale cached resolution can
         #: never survive a flow-mod.
         self.version = 0
-        #: Observers of content changes, called as ``listener(table)``
-        #: after the mutation landed.  Empty (and therefore free) unless a
+        #: Observers of content changes, called as ``listener(table,
+        #: changed)`` after the mutation landed; ``changed`` holds the
+        #: entries it added, removed or modified, or is None when the whole
+        #: table went (``clear``).  Empty (and therefore free) unless a
         #: fluid engine is attached.
-        self._change_listeners: List[Callable[["FlowTable"], None]] = []
+        self._change_listeners: List[ChangeListener] = []
         #: True while any installed entry carries a timeout; lets expire()
         #: return immediately for the common all-permanent-routes table.
         self._may_expire = False
@@ -127,14 +133,14 @@ class FlowTable:
     def is_full(self) -> bool:
         return len(self._entries) >= self.max_entries
 
-    def add_change_listener(self, listener: Callable[["FlowTable"], None]) -> None:
+    def add_change_listener(self, listener: ChangeListener) -> None:
         """Subscribe to content changes (any add/modify/delete/expiry)."""
         self._change_listeners.append(listener)
 
-    def _changed(self) -> None:
+    def _changed(self, changed: Optional[Sequence[FlowEntry]]) -> None:
         self.version += 1
         for listener in self._change_listeners:
-            listener(self)
+            listener(self, changed)
 
     # --------------------------------------------------------------- mutate
     def add(self, entry: FlowEntry, replace_identical: bool = True) -> None:
@@ -146,6 +152,7 @@ class FlowTable:
         append would put it) instead of a full re-sort per flow-mod.
         """
         entries = self._entries
+        changed = (entry,)
         if replace_identical:
             identical = self._by_key.get(entry.identity_key)
             if identical:
@@ -153,6 +160,7 @@ class FlowTable:
                 stale = identical[0]
                 entries.remove(stale)
                 self._unindex(stale)
+                changed = (stale, entry)
         lo, hi = 0, len(entries)
         effective = entry.effective_priority
         while lo < hi:
@@ -174,7 +182,7 @@ class FlowTable:
             level.setdefault((dl_type, network), {})[id(entry)] = entry
         if entry.idle_timeout or entry.hard_timeout:
             self._may_expire = True
-        self._changed()
+        self._changed(changed)
 
     def _unindex(self, entry: FlowEntry) -> None:
         """Drop an entry from the secondary indexes (not from _entries)."""
@@ -203,14 +211,14 @@ class FlowTable:
     def modify(self, match: Match, actions: List[Action], strict: bool,
                priority: int) -> int:
         """Apply MODIFY / MODIFY_STRICT semantics; returns entries touched."""
-        touched = 0
-        for entry in self._entries:
-            if self._selected(entry, match, strict, priority, OFPPort.NONE):
-                entry.actions = list(actions)
-                touched += 1
+        touched = [entry for entry in self._entries
+                   if self._selected(entry, match, strict, priority,
+                                     OFPPort.NONE)]
+        for entry in touched:
+            entry.actions = list(actions)
         if touched:
-            self._changed()
-        return touched
+            self._changed(touched)
+        return len(touched)
 
     def delete(self, match: Match, strict: bool, priority: int,
                out_port: int = OFPPort.NONE) -> List[FlowEntry]:
@@ -239,7 +247,7 @@ class FlowTable:
         for entry in self._entries:
             (removed if id(entry) in dead else remaining).append(entry)
         self._entries = remaining
-        self._changed()
+        self._changed(removed)
         return removed
 
     def _dst_covered(self, dst_key: tuple, out_port: int) -> List[FlowEntry]:
@@ -283,7 +291,7 @@ class FlowTable:
         self._entries = remaining
         self._may_expire = may_expire
         if expired:
-            self._changed()
+            self._changed([entry for entry, _reason in expired])
         return expired
 
     @staticmethod
@@ -342,7 +350,7 @@ class FlowTable:
             self._by_key.clear()
             self._dst_levels.clear()
             self._other.clear()
-            self._changed()
+            self._changed(None)
 
     def __repr__(self) -> str:
         return f"<FlowTable {self.table_id} entries={len(self._entries)}>"

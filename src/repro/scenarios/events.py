@@ -316,9 +316,8 @@ class FailureSchedule:
                 "recovery must fall inside the spacing interval so a link is "
                 f"back up before the next failure (got recovery={recovery}, "
                 f"spacing={spacing})")
-        # Seed directly rather than via SeededRandom.stream(): the stream
-        # derivation hashes a string, which PYTHONHASHSEED salts per process,
-        # and churn schedules must be identical across processes and runs.
+        # Seeded from the integer alone: churn schedules must be identical
+        # across processes and runs, so nothing salted may feed the stream.
         rng = SeededRandom(seed)
         events: List[FailureEvent] = []
         when = start

@@ -14,21 +14,17 @@ T = TypeVar("T")
 
 
 class SeededRandom:
-    """A thin wrapper over :class:`random.Random` with named sub-streams.
+    """A thin wrapper over :class:`random.Random`.
 
-    Components request independent sub-streams (``rng.stream("ospf")``)
-    so that adding randomness to one subsystem does not perturb another —
-    the sub-stream seed is derived from the parent seed and the name.
+    A component that needs a stream of its own seeds a second instance
+    from integers it derives itself (``bus/faults.py`` and
+    ``scenarios/events.py`` do): nothing here hashes a string, so no
+    result depends on ``PYTHONHASHSEED``.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
-
-    def stream(self, name: str) -> "SeededRandom":
-        """Derive an independent, reproducible sub-stream."""
-        derived = hash((self.seed, name)) & 0x7FFFFFFF
-        return SeededRandom(derived)
 
     # Delegations -----------------------------------------------------------
     def uniform(self, a: float, b: float) -> float:

@@ -217,28 +217,35 @@ class TEController:
         return self._apply({})
 
     # ------------------------------------------------------------ view build
-    def _commodity_views(self) -> List[CommodityView]:
-        if self.engine is None:
-            return []
+    def _views(self, commodities) -> List[CommodityView]:
         views: List[CommodityView] = []
-        for (src, dst_int), commodity in self.engine.commodities.items():
-            dst = self.owner_of(dst_int)
+        for commodity in commodities:
+            dst = self.owner_of(commodity.dst)
             if dst is None:
                 continue
             path = commodity.path
-            resolved = tuple(path.dpids) \
-                if path is not None and path.delivered else None
-            views.append(CommodityView(src=src, dst=dst,
-                                       offered_bps=commodity.offered_bps,
-                                       path=resolved))
+            views.append(CommodityView(
+                src=commodity.src_dpid, dst=dst,
+                offered_bps=commodity.offered_bps,
+                path=path.dpids if path is not None and path.delivered
+                else None))
         return views
 
+    def _crossing_views(self, key: Tuple[int, int]) -> List[CommodityView]:
+        return [view for view in self._views(self.engine.crossing(*key))
+                if view.path is not None]
+
     def view(self) -> TEView:
-        return TEView(utilization=dict(self.monitor.utilization),
-                      commodities=self._commodity_views(),
-                      ksp=self.ksp.paths,
-                      steers=dict(self.steers),
-                      now=self.sim.now)
+        engine = self.engine
+        return TEView(
+            utilization=dict(self.monitor.utilization),
+            ksp=self.ksp.paths,
+            steers=dict(self.steers),
+            crossing=(self._crossing_views if engine is not None
+                      else lambda _key: ()),
+            all_commodities=lambda: self._views(
+                engine.commodities.values() if engine is not None else ()),
+            now=self.sim.now)
 
     # ------------------------------------------------------------- the loop
     def _on_sample(self, _monitor: UtilizationMonitor) -> None:

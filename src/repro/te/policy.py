@@ -1,9 +1,10 @@
 """Pluggable TE policies: who moves which destination onto which path.
 
 Every policy sees the same :class:`TEView` — the last utilization
-snapshot, the live commodities with their resolved paths, a bound
-k-shortest-path oracle and the currently applied steers — and returns
-the *complete* desired steer set (one path per steered destination).
+snapshot, who crosses a given link, the live commodities with their
+resolved paths, a bound k-shortest-path oracle and the currently applied
+steers — and returns the *complete* desired steer set (one path per
+steered destination).
 The controller diffs that against what is installed and actuates only
 the changes, so a policy that keeps returning the same answer causes no
 churn.
@@ -29,6 +30,7 @@ Three implementations ship:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim import SeededRandom
@@ -70,12 +72,22 @@ class TEView:
 
     #: canonical (a, b) -> utilization fraction over the last interval.
     utilization: Mapping[LinkKey, float]
-    commodities: Sequence[CommodityView]
     #: Bound k-shortest-path oracle: ``ksp(src, dst) -> [path, ...]``.
     ksp: Callable[[int, int], List[Path]]
     #: Currently applied steers, (ingress, dst) -> path.
     steers: Mapping[SteerKey, Path]
+    #: ``crossing((a, b))``: the routed commodities whose path crosses the
+    #: canonical link, in commodity order, read from the fluid engine's
+    #: link index (a policy chasing a hot link never scans the matrix).
+    crossing: Callable[[LinkKey], Sequence[CommodityView]]
+    #: Builds :attr:`commodities`, which costs one view per commodity and
+    #: so is only made for a policy that reads it.
+    all_commodities: Callable[[], Sequence[CommodityView]]
     now: float = 0.0
+
+    @cached_property
+    def commodities(self) -> Sequence[CommodityView]:
+        return self.all_commodities()
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +182,8 @@ def _crossing_weights(view: TEView,
     """
     grouped: Dict[Tuple[int, int], float] = {}
     paths: Dict[Tuple[int, int], Path] = {}
-    for commodity in view.commodities:
+    for commodity in view.crossing(key):
         path = commodity.path
-        if path is None:
-            continue
         for node_a, node_b in zip(path, path[1:]):
             if (min(node_a, node_b), max(node_a, node_b)) == key:
                 group = (node_a, commodity.dst)

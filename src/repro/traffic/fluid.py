@@ -16,19 +16,27 @@ Everything is recomputed only at **events**:
 * a link or node failure / restore (observed through the emulator's
   failure listeners).
 
-Route churn stays incremental: a table change at datapath *d* marks dirty
-only the commodities whose current path consulted *d*'s table, so the
-re-resolution cost after a reconvergence scales with the demands actually
-crossing the changed switches, not with the total demand count.
+The cost of an event follows the change, not the matrix.  A table change
+at datapath *d* re-walks only the commodities whose walk consulted *d* for
+a destination inside the changed entry's prefix; a failure re-walks the
+commodities crossing the failed interfaces, a restore only the walks that
+ended at the dead hop.  Water-filling runs over the *binding set* only
+(interfaces whose members' summed ceilings exceed capacity); everyone
+else sends at their ceiling.  Rates, loads and totals are pure functions
+of (commodities, paths, capacities): every float sum is taken afresh over
+its members in commodity-insertion order, never carried as an accumulator
+across reallocations, so no result depends on the update history.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.traffic.demand import FlowDemand
-from repro.traffic.resolver import PathResolver
+from repro.traffic.resolver import LINK_DOWN, PathResolver, changed_ranges
 
 LOG = logging.getLogger(__name__)
 
@@ -104,18 +112,32 @@ def max_min_allocation(commodities: Sequence[Tuple[Sequence[Hashable], float, fl
     return rates
 
 
+_SEQ = attrgetter("seq")
+_RATE = attrgetter("rate")
+_OFFERED = attrgetter("offered_bps")
+
+
 class Commodity:
     """All demands sharing one (source datapath, destination) pair."""
 
-    __slots__ = ("src_dpid", "dst", "count", "offered_bps", "path", "links")
+    __slots__ = ("src_dpid", "dst", "seq", "count", "offered_bps", "rate",
+                 "path", "links")
 
-    def __init__(self, src_dpid: int, dst: int) -> None:
+    def __init__(self, src_dpid: int, dst: int, seq: int) -> None:
         self.src_dpid = src_dpid
         self.dst = dst
+        self.seq = seq            # insertion order: the order of every sum
         self.count = 0
         self.offered_bps = 0.0
+        self.rate = 0.0           # allocated rate (bps)
         self.path = None          # ResolvedPath, set by the engine
         self.links = ()           # tx interfaces crossed (capacity units)
+
+    @property
+    def ceiling(self) -> float:
+        """The rate it sends at when no interface on its path binds."""
+        path = self.path
+        return self.offered_bps if path is not None and path.delivered else 0.0
 
 
 class FluidEngine:
@@ -127,14 +149,36 @@ class FluidEngine:
         self.network = network
         self.resolver = PathResolver(network, owner_of=owner_of)
         self.commodities: Dict[Tuple[int, int], Commodity] = {}
-        #: dpid -> commodity keys whose current path consulted that dpid's
-        #: flow table; the invalidation fan-out of a RouteMod.
-        self._dpid_index: Dict[int, Set[Tuple[int, int]]] = {}
-        self._dirty: Set[Tuple[int, int]] = set()
+        self._next_seq = 0
+        #: destination -> its commodities, and the destinations in address
+        #: order.  A changed entry finds the destinations its prefix covers
+        #: by bisection; among the commodities towards them, those whose
+        #: walk consulted the switch are dirty.  (Storing that as a bucket
+        #: per (switch, destination) was measured: 48 MB more and no
+        #: faster, its upkeep on every walk costs what the filter saves.)
+        self._by_dst: Dict[int, List[Commodity]] = {}
+        self._dsts: List[int] = []
+        #: tx interface -> commodities whose walk crossed it (whatever its
+        #: outcome: a walk that ended LINK_DOWN is listed under the dead
+        #: hop), in commodity order.  Serves failure invalidation, the
+        #: per-interface sums and the TE controller's crossing lookup.
+        self._crossing: Dict[object, List[Commodity]] = {}
+        #: (dpid, destination ranges) of the table changes since the last
+        #: reallocation; a burst of them costs one pass per destination.
+        self._rewritten: List[tuple] = []
+        #: Commodities to walk again; dropped ones wait here to be unlinked.
+        self._dirty: Set[Commodity] = set()
+        #: Resolved commodities whose demand set (hence ceiling) changed.
+        self._resized: Set[Commodity] = set()
+        #: Commodities the last allocation water-filled (the rest sit at
+        #: their ceiling).
+        self._bound: List[Commodity] = []
         self._rates_dirty = False
         self._realloc_scheduled = False
         self._attached = False
-        self._initial_resolved = False
+        #: tx interface -> summed ceilings of the delivered commodities
+        #: crossing it; over capacity means the interface can bind.
+        self._iface_ceilings: Dict[object, float] = {}
         #: tx interface -> currently allocated rate (bps), for accrual.
         self._iface_loads: Dict[object, float] = {}
         self.delivered_bps = 0.0
@@ -145,8 +189,8 @@ class FluidEngine:
         self.demand_count = 0
         self.arrivals = 0
         self.expiries = 0
-        #: Commodity re-resolutions caused by invalidation (table change,
-        #: failure event) — *not* counting the initial resolution pass.
+        #: Commodities walked again because a table change or a failure
+        #: event invalidated their path (first walks are not counted).
         self.reresolutions = 0
         #: Demands inside those re-resolved commodities: the "affected
         #: demands" number churn cost must scale with.
@@ -165,36 +209,74 @@ class FluidEngine:
         self._attached = True
         for dpid, switch in self.network.switches.items():
             switch.flow_table.add_change_listener(
-                lambda _table, dpid=dpid: self._on_table_change(dpid))
+                lambda _table, changed, dpid=dpid:
+                self._on_table_change(dpid, changed))
         self.network.add_failure_listener(self._on_failure_event)
 
-    def _on_table_change(self, dpid: int) -> None:
-        self.resolver.invalidate(dpid)
-        affected = self._dpid_index.get(dpid)
-        if affected:
-            self._dirty |= affected
+    def _on_table_change(self, dpid: int, changed) -> None:
+        """Entries of ``dpid``'s table changed: note where and for which
+        destinations (the walks are dirtied in one batch, later)."""
+        ranges = changed_ranges(changed)
+        self.resolver.invalidate(dpid, ranges)
+        self._rewritten.append((dpid, ranges))
         self._mark_stale()
 
-    def _on_failure_event(self, event) -> None:
-        """A physical failure/restore executed: re-resolve the crossers.
+    def _dirty_rewritten(self) -> None:
+        """Dirty the walks the table changes since the last reallocation
+        can have altered: one pass over the commodities towards each
+        destination a changed prefix covers, however many changes hit it."""
+        dsts = self._dsts
+        switches: Dict[int, Set[int]] = {}  # destination -> changed there
+        for dpid, ranges in self._rewritten:
+            covered = dsts if ranges is None else [
+                dst for low, high in ranges
+                for dst in dsts[bisect_left(dsts, low):bisect_right(dsts, high)]]
+            for dst in covered:
+                switches.setdefault(dst, set()).add(dpid)
+        self._rewritten = []
+        for dst, dpids in switches.items():
+            for commodity in self._by_dst[dst]:
+                path = commodity.path
+                if path is not None and not dpids.isdisjoint(path.dpids):
+                    self._dirty.add(commodity)
 
-        Any commodity whose path crosses the failed link visits one of its
-        endpoints, so the dpid index over-approximates the affected set
-        cheaply; re-resolution sorts out who actually changed.
+    def _link_interfaces(self, node_a: int, node_b: int) -> tuple:
+        """Both transmit interfaces of the link between two datapaths."""
+        port_a, port_b = self.network.ports_for_link(node_a, node_b)
+        switches = self.network.switches
+        return (switches[node_a].port(port_a).interface,
+                switches[node_b].port(port_b).interface)
+
+    def _on_failure_event(self, event) -> None:
+        """A physical failure/restore executed: dirty the walks it changes.
+
+        A failure invalidates every walk crossing the dead interfaces.  A
+        restore cannot invalidate a path that did not depend on the link
+        being down, so only walks that ended LINK_DOWN there go again (the
+        table changes of the reconvergence that follows do the rest).
         """
         from repro.scenarios.events import FailureAction
 
         if event.action in FailureAction.LINK_ACTIONS:
-            dpids = [event.node_a, event.node_b]
+            pairs = [(event.node_a, event.node_b)]
         elif event.action in FailureAction.NODE_ACTIONS:
-            dpids = [event.node_a]
+            pairs = self.network.links_of(event.node_a)
         else:
             return
-        for dpid in dpids:
-            affected = self._dpid_index.get(dpid)
-            if affected:
-                self._dirty |= affected
+        restored = event.action in (FailureAction.LINK_UP,
+                                    FailureAction.NODE_UP)
+        for pair in pairs:
+            for iface in self._link_interfaces(*pair):
+                self._dirty.update(
+                    commodity for commodity in self._crossing.get(iface, ())
+                    if not restored or commodity.path.status == LINK_DOWN)
         self._mark_stale()
+
+    def crossing(self, node_a: int, node_b: int) -> List[Commodity]:
+        """Commodities whose walk crosses the link, in commodity order."""
+        forward, backward = (self._crossing.get(iface, ()) for iface
+                             in self._link_interfaces(node_a, node_b))
+        return sorted([*forward, *backward], key=_SEQ)
 
     def _mark_stale(self) -> None:
         self._rates_dirty = True
@@ -218,10 +300,15 @@ class FluidEngine:
         :meth:`reallocate` by hand (the benchmark mode).
         """
         count = 0
+        admitted = False
         for demand in demands:
             count += 1
             if not schedule or demand.start <= 0.0:
-                self._activate(demand)
+                if not admitted:  # once per batch, not once per demand
+                    admitted = True
+                    self._accrue(self.sim.now)
+                    self._mark_stale()
+                self._admit(demand)
             else:
                 self.sim.schedule(demand.start, self._activate, demand,
                                   label="fluid:arrival")
@@ -230,25 +317,33 @@ class FluidEngine:
                                   label="fluid:expiry")
         return count
 
-    def _key(self, demand: FlowDemand) -> Tuple[int, int]:
-        return (demand.src_dpid, demand.dst)
-
     def _activate(self, demand: FlowDemand) -> None:
         self._accrue(self.sim.now)
-        key = self._key(demand)
+        self._admit(demand)
+        self._mark_stale()
+
+    def _admit(self, demand: FlowDemand) -> None:
+        key = (demand.src_dpid, demand.dst)
         commodity = self.commodities.get(key)
         if commodity is None:
-            commodity = Commodity(demand.src_dpid, demand.dst)
+            commodity = Commodity(demand.src_dpid, demand.dst, self._next_seq)
+            self._next_seq += 1
             self.commodities[key] = commodity
-            self._dirty.add(key)
+            peers = self._by_dst.get(commodity.dst)
+            if peers is None:
+                peers = self._by_dst[commodity.dst] = []
+                insort(self._dsts, commodity.dst)
+            peers.append(commodity)
+            self._dirty.add(commodity)
+        elif commodity.path is not None:
+            self._resized.add(commodity)
         commodity.count += 1
         commodity.offered_bps += demand.rate_bps
         self.demand_count += 1
         self.arrivals += 1
-        self._mark_stale()
 
     def _expire(self, demand: FlowDemand) -> None:
-        key = self._key(demand)
+        key = (demand.src_dpid, demand.dst)
         commodity = self.commodities.get(key)
         if commodity is None:
             return
@@ -259,82 +354,115 @@ class FluidEngine:
         self.expiries += 1
         if commodity.count <= 0:
             self._drop_commodity(key, commodity)
-        self._rates_dirty = True
+        else:
+            self._resized.add(commodity)
         self._mark_stale()
 
     def _drop_commodity(self, key: Tuple[int, int], commodity: Commodity) -> None:
-        if commodity.path is not None:
-            for dpid in commodity.path.dpids:
-                members = self._dpid_index.get(dpid)
-                if members is not None:
-                    members.discard(key)
-        self.commodities.pop(key, None)
-        self._dirty.discard(key)
+        del self.commodities[key]
+        peers = self._by_dst[commodity.dst]
+        peers.remove(commodity)
+        if not peers:
+            del self._by_dst[commodity.dst]
+            del self._dsts[bisect_left(self._dsts, commodity.dst)]
+        self._resized.discard(commodity)
+        self._dirty.add(commodity)  # leaves the link index with the batch
 
     # -------------------------------------------------------------- resolution
-    def _resolve(self, key: Tuple[int, int], commodity: Commodity,
-                 initial: bool) -> None:
-        old = commodity.path
-        if old is not None:
-            for dpid in old.dpids:
-                members = self._dpid_index.get(dpid)
-                if members is not None:
-                    members.discard(key)
-        path = self.resolver.resolve(commodity.src_dpid, commodity.dst)
-        commodity.path = path
-        commodity.links = tuple(tx_iface for _link, tx_iface in path.hops
-                                if path.delivered)
-        for dpid in path.dpids:
-            self._dpid_index.setdefault(dpid, set()).add(key)
-        if not initial:
-            self.reresolutions += 1
-            self.affected_demands += commodity.count
-
-    def _resolve_dirty(self) -> None:
-        initial = not self._initial_resolved
-        for key in list(self._dirty):
-            commodity = self.commodities.get(key)
-            if commodity is None:
+    def _resolve_dirty(self) -> Set[object]:
+        """Walk the dirty commodities again and re-index the interfaces
+        they left or joined; returns those interfaces."""
+        moved, self._dirty = self._dirty, set()
+        joined: Dict[object, List[Commodity]] = {}
+        for commodity in sorted(moved, key=_SEQ):
+            old = commodity.path
+            if old is not None:
+                for _link, iface in old.hops:
+                    joined.setdefault(iface, [])
+            if commodity.count <= 0:  # dropped: only leaves
+                commodity.path, commodity.links = None, ()
                 continue
-            self._resolve(key, commodity, initial)
-        self._dirty.clear()
-        self._initial_resolved = True
+            path = self.resolver.resolve(commodity.src_dpid, commodity.dst)
+            commodity.path = path
+            commodity.links = tuple(tx_iface for _link, tx_iface in path.hops
+                                    if path.delivered)
+            for _link, iface in path.hops:
+                joined.setdefault(iface, []).append(commodity)
+            if old is not None:
+                self.reresolutions += 1
+                self.affected_demands += commodity.count
+        for iface, arrivals in joined.items():
+            members = [commodity for commodity in self._crossing.get(iface, ())
+                       if commodity not in moved]
+            members += arrivals
+            members.sort(key=_SEQ)
+            if members:
+                self._crossing[iface] = members
+            else:
+                self._crossing.pop(iface, None)
+        return set(joined)
 
     # -------------------------------------------------------------- allocation
     def reallocate(self) -> None:
-        """Bring rates up to date: resolve dirty commodities, re-run the
-        max-min allocation, refresh the per-interface load map."""
+        """Bring rates up to date: walk the dirty commodities again, water-
+        fill the binding set, refresh the sums of the touched interfaces.
+
+        Capacities are read here and only here: a ``bandwidth_bps`` changed
+        behind the engine's back is honoured the next time something is
+        dirty, as it always was.
+        """
         self._accrue(self.sim.now)
         if not self._rates_dirty and not self._dirty:
             return
-        self._resolve_dirty()
-        keys: List[Tuple[int, int]] = []
-        inputs: List[Tuple[tuple, float, float]] = []
+        self._dirty_rewritten()
+        stale = self._dirty | self._resized
+        stale.update(self._bound)
+        touched = self._resolve_dirty()
+        for commodity in self._resized:
+            touched.update(commodity.links)
+        self._resized = set()
+        crossing = self._crossing
+        for iface in touched:
+            members = crossing.get(iface)
+            if members:  # on a crossed interface, links means delivered
+                self._iface_ceilings[iface] = sum(
+                    commodity.offered_bps for commodity in members
+                    if commodity.links)
+            else:
+                self._iface_ceilings.pop(iface, None)
+        # An interface outside the binding set cannot be a bottleneck: what
+        # it has left is never less than its live members' ceilings, so its
+        # fair share stays at or above the level they freeze at anyway.
         capacities: Dict[object, float] = {}
-        offered = 0.0
-        for key, commodity in self.commodities.items():
-            offered += commodity.offered_bps
-            if commodity.path is None or not commodity.path.delivered:
-                continue
-            keys.append(key)
-            inputs.append((commodity.links, float(commodity.count),
-                           commodity.offered_bps))
-            for iface in commodity.links:
-                if iface not in capacities:
-                    link = iface.link
-                    capacities[iface] = (link.bandwidth_bps
-                                         if link is not None and link.bandwidth_bps
-                                         else float("inf"))
-        rates = max_min_allocation(inputs, capacities)
-        iface_loads: Dict[object, float] = {}
-        delivered = 0.0
-        for key, (links, _weight, _ceiling), rate in zip(keys, inputs, rates):
-            delivered += rate
-            for iface in links:
-                iface_loads[iface] = iface_loads.get(iface, 0.0) + rate
-        self._iface_loads = iface_loads
-        self.delivered_bps = delivered
-        self.offered_bps = offered
+        for iface, ceilings in self._iface_ceilings.items():
+            link = iface.link
+            if (link is not None and link.bandwidth_bps
+                    and ceilings > link.bandwidth_bps):
+                capacities[iface] = link.bandwidth_bps
+        bound = sorted({commodity for iface in capacities
+                        for commodity in crossing[iface] if commodity.links},
+                       key=_SEQ)
+        stale.update(bound)
+        filled = dict(zip(bound, max_min_allocation(
+            [(tuple(iface for iface in commodity.links if iface in capacities),
+              float(commodity.count), commodity.offered_bps)
+             for commodity in bound], capacities)))
+        self._bound = bound
+        for commodity in stale:
+            rate = (filled[commodity] if commodity in filled
+                    else commodity.ceiling)
+            if rate != commodity.rate:
+                commodity.rate = rate
+                touched.update(commodity.links)
+        for iface in touched:
+            members = [commodity for commodity in crossing.get(iface, ())
+                       if commodity.links]
+            if members:
+                self._iface_loads[iface] = sum(map(_RATE, members))
+            else:
+                self._iface_loads.pop(iface, None)
+        self.offered_bps = sum(map(_OFFERED, self.commodities.values()))
+        self.delivered_bps = sum(map(_RATE, self.commodities.values()))
         self._rates_dirty = False
 
     # --------------------------------------------------------------- advancing

@@ -12,13 +12,13 @@ equivalence test in ``tests/test_traffic.py`` enforces this).
 
 Resolution is memoized per (datapath, flow-table version, destination):
 a million demands towards a few hundred service addresses collapse into
-one table lookup per (switch, destination) pair, and a RouteMod that
-bumps a table's version invalidates only that switch's memo entries.
+one table lookup per (switch, destination) pair, and a RouteMod evicts
+only the destinations its prefix covers from that one switch's memo.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.ethernet import EtherType
@@ -30,6 +30,27 @@ DELIVERED = "delivered"      # reached the switch owning the destination
 UNROUTED = "unrouted"        # table miss at a non-owning switch (no route)
 LOOP = "loop"                # revisited a datapath (transient routing loop)
 LINK_DOWN = "link_down"      # the chosen next hop crosses a failed link
+
+
+def changed_ranges(changed) -> Optional[List[Tuple[int, int]]]:
+    """The destination address ranges a flow-table change can re-route.
+
+    ``changed`` is what :class:`~repro.openflow.flow_table.FlowTable`
+    hands its listeners.  A destination-prefix entry can only alter
+    lookups inside its prefix (cover, not equality: real RouteFlow tables
+    hold /32 loopbacks under shorter connected prefixes); None means "any
+    destination": the table was cleared, or an entry matches on more than
+    the destination.
+    """
+    if changed is None:
+        return None
+    ranges = set()
+    for entry in changed:
+        if entry.dst_key is None:
+            return None
+        _dl_type, network, prefix_len = entry.dst_key
+        ranges.add((network, network | (0xFFFFFFFF >> prefix_len)))
+    return sorted(ranges)
 
 
 class ResolvedPath:
@@ -91,15 +112,33 @@ class PathResolver:
             self._adjacency[(node_a, port_a)] = (node_b, iface_a.link, iface_a)
             self._adjacency[(node_b, port_b)] = (node_a, iface_b.link, iface_b)
 
-    def invalidate(self, dpid: int) -> None:
-        """Drop the lookup memo of one datapath (its flow table changed)."""
-        self._memo.pop(dpid, None)
+    def invalidate(self, dpid: int,
+                   ranges: Optional[List[Tuple[int, int]]] = None) -> None:
+        """One mutation of ``dpid``'s flow table landed: evict the memoized
+        lookups inside ``ranges`` (see :func:`changed_ranges`; None = all).
+
+        The memo only moves on to the table's new version when it held the
+        version just before it; told late, or not about every mutation, it
+        is dropped whole.
+        """
+        memo = self._memo.get(dpid)
+        if memo is None:
+            return
+        version = self.network.switches[dpid].flow_table.version
+        if ranges is None or memo[0] != version - 1:
+            del self._memo[dpid]
+            return
+        memo[0] = version
+        cache = memo[1]
+        for low, high in ranges:
+            for dst in [dst for dst in cache if low <= dst <= high]:
+                del cache[dst]
 
     def _lookup(self, dpid: int, dst: int):
         """Memoized flow-table lookup of ``dst`` at ``dpid``.
 
-        The memo is keyed by the table's version counter, so a stale entry
-        can never be returned even if :meth:`invalidate` was missed.
+        The memo is keyed by the table's version counter, so a version
+        :meth:`invalidate` was never told about can never serve an entry.
         """
         table = self.network.switches[dpid].flow_table
         memo = self._memo.get(dpid)

@@ -269,7 +269,7 @@ class TestPeriodicTask:
             sim = Simulator()
             ticks = []
             task = PeriodicTask(sim, 2.0, lambda: ticks.append(sim.now),
-                                jitter=0.5, rng=SeededRandom(42).stream("timer"))
+                                jitter=0.5, rng=SeededRandom(42))
             task.start()
             sim.run(until=30.0)
             return ticks

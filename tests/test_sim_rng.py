@@ -16,20 +16,6 @@ class TestSeededRandom:
         b = SeededRandom(2)
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
-    def test_streams_are_independent_and_reproducible(self):
-        parent_a = SeededRandom(5)
-        parent_b = SeededRandom(5)
-        stream_a = parent_a.stream("ospf")
-        stream_b = parent_b.stream("ospf")
-        assert [stream_a.randint(0, 100) for _ in range(5)] == \
-            [stream_b.randint(0, 100) for _ in range(5)]
-
-    def test_named_streams_differ_from_each_other(self):
-        parent = SeededRandom(5)
-        one = parent.stream("one")
-        two = parent.stream("two")
-        assert [one.random() for _ in range(5)] != [two.random() for _ in range(5)]
-
     def test_uniform_respects_bounds(self):
         rng = SeededRandom(3)
         for _ in range(100):

@@ -163,6 +163,35 @@ class TestMaxMinAllocation:
                 assert any(loads[link] >= caps[link] * (1.0 - 1e-6)
                            for link in links)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(demands=st.lists(
+               st.tuples(st.integers(1, 9), st.integers(1, 9),
+                         st.floats(min_value=1.0, max_value=1e6)),
+               min_size=1, max_size=40),
+           capacities=st.lists(st.floats(min_value=1.0, max_value=1e6),
+                               min_size=18, max_size=18))
+    def test_binding_set_allocation_equals_the_global_one(self, demands,
+                                                          capacities):
+        """The engine water-fills only the commodities crossing an
+        interface that can bind; the answer must be the one a global
+        :func:`max_min_allocation` over every commodity gives."""
+        from repro.traffic import FlowDemand
+
+        _sim, network, _routes, addresses, owners = _TORUS_3X3
+        for link, capacity in zip(network.links, capacities):
+            link.bandwidth_bps = capacity
+        engine = FluidEngine(Simulator(), network, owner_of=owners.get)
+        engine.register([FlowDemand(src, addresses[dst], rate)
+                         for src, dst, rate in demands], schedule=False)
+        engine.reallocate()
+        routed = [c for c in engine.commodities.values() if c.path.delivered]
+        expected = max_min_allocation(
+            [(c.links, float(c.count), c.offered_bps) for c in routed],
+            {iface: iface.link.bandwidth_bps
+             for c in routed for iface in c.links})
+        for commodity, rate in zip(routed, expected):
+            assert commodity.rate == pytest.approx(rate, rel=1e-9, abs=1e-9)
+
     def test_equal_share_on_one_bottleneck(self):
         rates = max_min_allocation(
             [((0,), 1.0, 100.0), ((0,), 1.0, 100.0)], {0: 90.0})
@@ -201,6 +230,11 @@ def _torus_fixture(rows=4, cols=4):
     addresses = {dpid: service_address(dpid) for dpid in network.switches}
     owners = {int(address): dpid for dpid, address in addresses.items()}
     return sim, network, routes, addresses, owners
+
+
+#: Shared by the allocator property: building it per example would cost
+#: more than the property itself.  Engines built on it are never attached.
+_TORUS_3X3 = _torus_fixture(3, 3)
 
 
 class TestPathResolver:
@@ -336,10 +370,10 @@ class TestFluidEngine:
         changed = routes.reroute()
         assert changed > 0
         engine.reallocate()
-        # The 1->2 commodity was re-resolved; whether 15->16 was depends
-        # only on whether its switches' tables changed — they didn't.
-        assert engine.reresolutions >= 1
-        assert engine.affected_demands >= 1
+        # Only the 1->2 commodity walked again: no entry towards 16 changed
+        # at 15, whatever else changed in 15's table.
+        assert engine.reresolutions == 1
+        assert engine.affected_demands == 1
         keys = {(1, int(addresses[2])), (15, int(addresses[16]))}
         assert set(engine.commodities) == keys
         rerouted = engine.commodities[(1, int(addresses[2]))]
@@ -364,6 +398,93 @@ class TestFluidEngine:
         assert commodity.path.status == LINK_DOWN
         assert engine.stats()["delivered_commodities"] == 0
         assert engine.reresolutions == 1
+
+    def _full_mesh(self, rate_bps=100.0):
+        from repro.traffic import FlowDemand
+
+        sim, network, routes, addresses, engine = self._engine()
+        engine.register([FlowDemand(src, addresses[dst], rate_bps)
+                         for src in network.switches
+                         for dst in network.switches if src != dst],
+                        schedule=False)
+        engine.reallocate()
+        assert engine.reresolutions == 0
+        return sim, network, routes, addresses, engine
+
+    def test_steer_reresolves_exactly_the_commodities_through_it(self):
+        from repro.openflow.actions import OutputAction
+        from repro.openflow.flow_table import FlowEntry
+        from repro.openflow.match import Match
+
+        _sim, network, _routes, addresses, engine = self._full_mesh()
+        node, dst = 4, 16  # the BFS tie-break funnels 8 sources through 4
+        through = [commodity for commodity in engine.commodities.values()
+                   if commodity.dst == int(addresses[dst])
+                   and node in commodity.path.dpids]
+        assert len(through) == 8  # some of the 15 towards dst, not all
+        # What a TE steer writes: one entry for one destination prefix, one
+        # priority level above the route it overrides.
+        out_port = engine.resolver._out_port(
+            engine.resolver._lookup(node, int(addresses[dst])))
+        network.switches[node].flow_table.add(FlowEntry(
+            Match.for_destination_prefix(addresses[dst], 24),
+            [OutputAction(out_port)], priority=0x8000 + 25))
+        engine.reallocate()
+        assert engine.reresolutions == len(through)
+        assert engine.affected_demands == sum(c.count for c in through)
+        assert engine.stats()["delivered_commodities"] == 240
+
+    def test_restore_reresolves_nothing_that_was_delivered(self):
+        from repro.scenarios import FailureEvent
+
+        _sim, network, routes, _addresses, engine = self._full_mesh()
+        network.apply_failure_event(FailureEvent(0.0, "link_down", 1, 2))
+        engine.reallocate()
+        dead_ended = [commodity for commodity in engine.commodities.values()
+                      if commodity.path.status == LINK_DOWN]
+        assert engine.reresolutions == len(dead_ended) > 0
+        # Restored before any reroute: only the walks that ended at the
+        # dead hop go again, and every path is delivered once more.
+        network.apply_failure_event(FailureEvent(0.0, "link_up", 1, 2))
+        engine.reallocate()
+        assert engine.reresolutions == 2 * len(dead_ended)
+        assert engine.stats()["delivered_commodities"] == 240
+        # Failed, rerouted around, then restored: everything is delivered
+        # when the link comes back, so the restore itself dirties nothing;
+        # what moves back is moved by the reroute's table changes.
+        network.apply_failure_event(FailureEvent(0.0, "link_down", 1, 2))
+        routes.reroute()
+        engine.reallocate()
+        assert engine.stats()["delivered_commodities"] == 240
+        before = engine.reresolutions
+        network.apply_failure_event(FailureEvent(0.0, "link_up", 1, 2))
+        engine.reallocate()
+        assert engine.reresolutions == before
+        assert routes.reroute() > 0
+        engine.reallocate()
+        assert engine.reresolutions > before
+
+    def test_capacity_change_is_honoured_at_the_next_dirty_reallocate(self):
+        from repro.traffic import FlowDemand
+
+        _sim, network, _routes, addresses, engine = self._full_mesh(1000.0)
+        assert engine.delivered_bps == engine.offered_bps == 240_000.0
+        for link in network.links:  # behind the engine's back
+            link.bandwidth_bps = 2000.0
+        engine.reallocate()  # nothing dirty: rates stand, as they always did
+        assert engine.delivered_bps == 240_000.0
+        engine.register([FlowDemand(1, addresses[2], 1000.0)], schedule=False)
+        engine.reallocate()
+        assert engine.delivered_bps < 0.9 * engine.offered_bps
+        assert all(load <= 2000.0 * (1 + 1e-9)
+                   for load in engine._iface_loads.values())
+        for link in network.links:
+            link.bandwidth_bps = 1e9
+        engine.reallocate()
+        assert engine.delivered_bps < 0.9 * engine.offered_bps
+        engine.register([FlowDemand(1, addresses[2], 1000.0)], schedule=False)
+        engine.reallocate()
+        assert engine.delivered_bps == engine.offered_bps == 242_000.0
 
     def test_inert_without_demands(self):
         sim, network, routes, _addresses, engine = self._engine()
@@ -623,9 +744,24 @@ class TestBenchFluidCases:
         stats = engine.stats()
         assert stats["demands"] == 500
         assert stats["delivered_commodities"] == stats["commodities"]
+        paths = {key: commodity.path.dpids
+                 for key, commodity in engine.commodities.items()}
+        installed = dict(routes._installed)
         network.fail_link(1, 2)
         assert routes.reroute() > 0
         engine.reallocate()
         assert engine.stats()["delivered_commodities"] == \
             engine.stats()["commodities"]
-        assert engine.affected_demands < 500 * 2  # incremental, not global
+        # Exactly the commodities whose walk consulted a (switch,
+        # destination) pair the reroute rewrote; no bystander at a changed
+        # switch, which is what the old per-switch index swept in.
+        changed = {(node, int(addresses[dst]))
+                   for node, dst in set(installed) | set(routes._installed)
+                   if installed.get((node, dst))
+                   != routes._installed.get((node, dst))}
+        expected = [key for key, dpids in paths.items()
+                    if any((node, key[1]) in changed for node in dpids)]
+        assert 0 < len(expected) < len(paths) / 2
+        assert engine.reresolutions == len(expected)
+        assert engine.affected_demands == sum(
+            engine.commodities[key].count for key in expected)
