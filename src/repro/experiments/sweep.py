@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -131,6 +130,10 @@ def run_sweep(scenarios: Union[ScenarioLike, Sequence[ScenarioLike]],
                      result.num_switches, format_seconds(result.auto_seconds))
             results.append(result)
         return results
+    # Imported here: it loads ``multiprocessing``, which every other
+    # ``import repro`` (the CLI, the benchmarks) would pay for unused.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         # ``map`` preserves submission order regardless of completion order.
         results = list(pool.map(run_scenario, specs, chunksize=1))

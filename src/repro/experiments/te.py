@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.experiments.traffic import _horizon
 from repro.scenarios import ScenarioSpec, get
 from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, FlowTableActuator,
                       TEController, TESpec, ZebraActuator, adjacency_of,
@@ -184,18 +185,6 @@ def _resolve_engine(te_spec: TESpec, num_switches: int) -> str:
     if te_spec.engine != "auto":
         return te_spec.engine
     return "zebra" if num_switches <= AUTO_ZEBRA_MAX_SWITCHES else "synthetic"
-
-
-def _horizon(spec: ScenarioSpec, demand_set, window: float) -> float:
-    horizon = spec.failures.duration if spec.failures is not None else 0.0
-    finite_ends = [d.end for d in demand_set if d.duration != float("inf")]
-    if finite_ends:
-        horizon = max([horizon] + finite_ends)
-    elif horizon <= 0.0:
-        horizon = window
-    else:
-        horizon += window
-    return horizon
 
 
 def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,

@@ -38,7 +38,7 @@ from repro.experiments.results import format_seconds, format_table
 from repro.scenarios import ScenarioSpec, get
 from repro.sim import Simulator
 from repro.topology.emulator import EmulatedNetwork
-from repro.traffic import DemandSpec, FluidEngine, generate_demands
+from repro.traffic import DemandSet, DemandSpec, FluidEngine, generate_demands
 
 LOG = logging.getLogger(__name__)
 
@@ -113,6 +113,17 @@ class TrafficResult:
             and self.delivered_commodities == self.commodities
 
 
+def _horizon(spec: ScenarioSpec, demand_set: DemandSet,
+             window: float) -> float:
+    """Simulated length of the traffic phase: to the last expiry or the end
+    of the failure schedule; ``window`` more when every demand is open-ended."""
+    horizon = spec.failures.duration if spec.failures is not None else 0.0
+    last_end = demand_set.last_end()
+    if last_end is not None:
+        return max(horizon, last_end)
+    return horizon + window if horizon > 0.0 else window
+
+
 def run_traffic(scenario: Union[str, ScenarioSpec],
                 demands: Optional[DemandSpec] = None,
                 settle: float = DEFAULT_SETTLE,
@@ -158,23 +169,13 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
     result.demands = engine.register(demand_set)
 
     # -- churn (optional) ----------------------------------------------------
-    horizon = 0.0
     if spec.failures is not None:
         network.add_failure_listener(_mirror_into_routeflow(network,
                                                             framework.bus))
         network.schedule_failures(spec.failures)
-        horizon = spec.failures.duration
-    finite_ends = [d.end for d in demand_set if d.duration != float("inf")]
-    if finite_ends:
-        horizon = max([horizon] + finite_ends)
-    elif horizon <= 0.0:
-        horizon = window
-    else:
-        horizon += window
 
     # -- run and measure -----------------------------------------------------
-    deadline = start + horizon + settle
-    sim.run(until=deadline)
+    sim.run(until=start + _horizon(spec, demand_set, window) + settle)
     engine.finalize()
     elapsed = max(sim.now - start, 1e-12)
     result.duration_seconds = sim.now - start

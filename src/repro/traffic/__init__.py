@@ -1,8 +1,9 @@
 """Flow-level fluid fast path: resolve-once demand routing.
 
-Aggregate traffic is modelled as :class:`FlowDemand` objects (source
-datapath, destination address, offered rate, start, duration).  Each
-demand is resolved **once** against the installed flow tables — the same
+Aggregate traffic is modelled as demands (source datapath, destination
+address, offered rate, start, duration), held column-wise in a
+:class:`DemandSet`; a :class:`FlowDemand` is the per-object view of one.
+Each demand is resolved **once** against the installed flow tables — the same
 lookup the packet pipeline runs per frame — into a concrete path, then
 advanced analytically by :class:`FluidEngine` with per-link max-min fair
 capacity sharing, recomputed only at events (arrival, expiry, route
@@ -12,6 +13,7 @@ with no demands registered the subsystem is fully inert.
 
 from repro.traffic.demand import (
     DEMAND_MODELS,
+    DemandSet,
     DemandSpec,
     FlowDemand,
     generate_demands,
@@ -40,6 +42,7 @@ __all__ = [
     "LOOP",
     "UNROUTED",
     "Commodity",
+    "DemandSet",
     "DemandSpec",
     "FlowDemand",
     "FluidEngine",

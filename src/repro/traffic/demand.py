@@ -9,15 +9,20 @@ flow tables into a concrete path and then advances it analytically.
 :class:`DemandSpec` is the declarative, serializable description of a whole
 demand *set* (how many, which traffic matrix, which seed) that rides on
 :class:`~repro.scenarios.ScenarioSpec` the same way a failure schedule
-does; :func:`generate_demands` turns it into concrete demands against the
-addresses of a configured network.
+does; :func:`generate_demands` turns it into a :class:`DemandSet`, the
+concrete demands held column-wise, against the addresses of a configured
+network.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from itertools import repeat
+from math import inf
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.net.addresses import IPv4Address
 from repro.sim import SeededRandom
@@ -29,14 +34,14 @@ DEMAND_MODELS = ("uniform", "gravity")
 class FlowDemand:
     """One unidirectional traffic aggregate.
 
-    Kept deliberately small (``__slots__``, integer destination): the
-    demand-resolution benchmark holds a million of these at once.
+    The per-object view of one row of a :class:`DemandSet`: what tests
+    build by hand and what an arrival or expiry event carries.
     """
 
     __slots__ = ("src_dpid", "dst", "rate_bps", "start", "duration")
 
     def __init__(self, src_dpid: int, dst: IPv4Address, rate_bps: float,
-                 start: float = 0.0, duration: float = float("inf")) -> None:
+                 start: float = 0.0, duration: float = inf) -> None:
         self.src_dpid = src_dpid
         self.dst = int(dst)
         self.rate_bps = rate_bps
@@ -102,77 +107,140 @@ class DemandSpec:
                    duration=float(payload.get("duration", 0.0)))
 
 
-def _pick_times(rng: SeededRandom, spec: DemandSpec) -> tuple:
-    start = rng.uniform(0.0, spec.start_window) if spec.start_window > 0 else 0.0
-    duration = spec.duration if spec.duration > 0 else float("inf")
-    return start, duration
+class DemandSet:
+    """A demand set held column-wise: one typed array per field.
+
+    What the generators return and the only thing
+    :meth:`FluidEngine.register` admits.  A million demands are a few
+    arrays, not a million objects; a :class:`FlowDemand` exists only where
+    somebody asks for one (iteration, a kernel event).  A rate, start or
+    duration column of one item holds for every demand, which is what the
+    generators produce for each value they do not draw.  The typecodes
+    hold a 64-bit datapath id and a 32-bit address, and a value outside
+    them raises ``OverflowError`` instead of wrapping.
+    """
+
+    __slots__ = ("src_dpids", "dsts", "rates", "starts", "durations")
+
+    def __init__(self) -> None:
+        self.src_dpids = array("Q")
+        self.dsts = array("L")
+        self.rates = array("d")
+        self.starts = array("d")
+        self.durations = array("d")
+
+    @classmethod
+    def from_demands(cls, demands: Iterable[FlowDemand]) -> "DemandSet":
+        """The columns of hand-built demands (a :class:`DemandSet` is
+        returned as it is)."""
+        if isinstance(demands, cls):
+            return demands
+        columns = cls()
+        for demand in demands:
+            columns.src_dpids.append(demand.src_dpid)
+            columns.dsts.append(demand.dst)
+            columns.rates.append(demand.rate_bps)
+            columns.starts.append(demand.start)
+            columns.durations.append(demand.duration)
+        return columns
+
+    def rows(self) -> Iterator[tuple]:
+        """``(src_dpid, dst, rate_bps, start, duration)`` per demand."""
+        count = len(self.src_dpids)
+        return zip(self.src_dpids, self.dsts,
+                   *(repeat(column[0], count) if len(column) == 1 else column
+                     for column in (self.rates, self.starts, self.durations)))
+
+    def __len__(self) -> int:
+        return len(self.src_dpids)
+
+    def __iter__(self) -> Iterator[FlowDemand]:
+        return (FlowDemand(*row) for row in self.rows())
+
+    def last_end(self) -> Optional[float]:
+        """When the last timed demand expires; None if all are open-ended."""
+        return max((start + duration
+                    for _src, _dst, _rate, start, duration in self.rows()
+                    if duration != inf), default=None)
+
+
+def _draw_demands(draw: Callable[[], int], rng: SeededRandom,
+                  addresses: Mapping[int, IPv4Address], count: int,
+                  rate_bps: float, spec: Optional[DemandSpec]) -> DemandSet:
+    """``count`` demands between distinct routers picked by ``draw`` (an
+    index into the sorted datapath ids).
+
+    The order of draws is the seeded contract: source, destination (again
+    until it differs), then the start time if there is a start window.
+    """
+    if spec is None:  # validates count and rate
+        spec = DemandSpec(count=count, rate_bps=rate_bps)
+    dpids = sorted(addresses)
+    dsts = [int(addresses[dpid]) for dpid in dpids]
+    window = spec.start_window
+    demands = DemandSet()
+    demands.rates.append(rate_bps)
+    demands.durations.append(spec.duration if spec.duration > 0 else inf)
+    if window <= 0:
+        demands.starts.append(0.0)
+    add_src, add_dst = demands.src_dpids.append, demands.dsts.append
+    add_start, uniform = demands.starts.append, rng.uniform
+    for _ in range(count):
+        src = draw()
+        dst = draw()
+        while dst == src:
+            dst = draw()
+        add_src(dpids[src])
+        add_dst(dsts[dst])
+        if window > 0:
+            add_start(uniform(0.0, window))
+    return demands
 
 
 def uniform_demands(addresses: Mapping[int, IPv4Address], count: int,
                     rate_bps: float, seed: int = 0,
-                    spec: Optional[DemandSpec] = None) -> List[FlowDemand]:
+                    spec: Optional[DemandSpec] = None) -> DemandSet:
     """``count`` demands between uniformly random distinct router pairs."""
-    rng = SeededRandom(seed)
-    dpids: Sequence[int] = sorted(addresses)
-    if len(dpids) < 2:
+    if len(addresses) < 2:
         raise ValueError("uniform demands need at least two routers")
-    spec = spec if spec is not None else DemandSpec(
-        model="uniform", count=count, rate_bps=rate_bps, seed=seed)
-    last = len(dpids) - 1
-    demands = []
-    for _ in range(count):
-        src = dpids[rng.randint(0, last)]
-        dst = dpids[rng.randint(0, last)]
-        while dst == src:
-            dst = dpids[rng.randint(0, last)]
-        start, duration = _pick_times(rng, spec)
-        demands.append(FlowDemand(src, addresses[dst], rate_bps,
-                                  start=start, duration=duration))
-    return demands
+    rng = SeededRandom(seed)
+    # randint(0, n - 1) is randrange(n) two Python calls down, and a
+    # million demands are two million of these draws; ``SeededRandom`` has
+    # no delegate for it.
+    draw = partial(rng._random.randrange, len(addresses))
+    return _draw_demands(draw, rng, addresses, count, rate_bps, spec)
 
 
 def gravity_demands(addresses: Mapping[int, IPv4Address], count: int,
                     rate_bps: float, seed: int = 0,
-                    spec: Optional[DemandSpec] = None) -> List[FlowDemand]:
+                    spec: Optional[DemandSpec] = None) -> DemandSet:
     """``count`` demands from a seeded gravity model.
 
     Each router gets a random "mass"; the probability of an (s, d) demand
     is proportional to ``mass[s] * mass[d]`` — the classic gravity traffic
     matrix, producing the hot-spot skew uniform sampling lacks.
     """
-    rng = SeededRandom(seed)
-    dpids: Sequence[int] = sorted(addresses)
-    if len(dpids) < 2:
+    if len(addresses) < 2:
         raise ValueError("gravity demands need at least two routers")
-    spec = spec if spec is not None else DemandSpec(
-        model="gravity", count=count, rate_bps=rate_bps, seed=seed)
+    rng = SeededRandom(seed)
     # Heavy-tailed masses (a bounded Pareto draw) so a handful of routers
     # dominate the matrix, like real PoP traffic.
-    masses = [min(100.0, rng.random() ** -0.8) for _ in dpids]
+    masses = [min(100.0, rng.random() ** -0.8) for _ in addresses]
     cumulative = []
     total = 0.0
     for mass in masses:
         total += mass
         cumulative.append(total)
+    last = len(cumulative) - 1
 
     def draw() -> int:
-        return min(bisect_right(cumulative, rng.uniform(0.0, total)),
-                   len(dpids) - 1)
+        return min(bisect_right(cumulative, rng.uniform(0.0, total)), last)
 
-    demands = []
-    for _ in range(count):
-        src = draw()
-        dst = draw()
-        while dst == src:
-            dst = draw()
-        start, duration = _pick_times(rng, spec)
-        demands.append(FlowDemand(dpids[src], addresses[dpids[dst]], rate_bps,
-                                  start=start, duration=duration))
-    return demands
+    return _draw_demands(draw, rng, addresses, count, rate_bps, spec)
 
 
 def generate_demands(spec: DemandSpec,
-                     addresses: Mapping[int, IPv4Address]) -> List[FlowDemand]:
+                     addresses: Mapping[int, IPv4Address]) -> DemandSet:
     """Materialize a :class:`DemandSpec` against a configured address map."""
     generator = uniform_demands if spec.model == "uniform" else gravity_demands
     return generator(addresses, spec.count, spec.rate_bps, seed=spec.seed,

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, bisect_right, insort
-from operator import attrgetter
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from math import inf
+from operator import attrgetter, itemgetter
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
-from repro.traffic.demand import FlowDemand
+from repro.traffic.demand import DemandSet, FlowDemand
 from repro.traffic.resolver import LINK_DOWN, PathResolver, changed_ranges
 
 LOG = logging.getLogger(__name__)
@@ -113,6 +115,7 @@ def max_min_allocation(commodities: Sequence[Tuple[Sequence[Hashable], float, fl
 
 
 _SEQ = attrgetter("seq")
+_TX_IFACE = itemgetter(1)  # of a (link, tx interface) hop
 _RATE = attrgetter("rate")
 _OFFERED = attrgetter("offered_bps")
 
@@ -290,7 +293,7 @@ class FluidEngine:
         self.reallocate()
 
     # ----------------------------------------------------------------- demands
-    def register(self, demands: Iterable[FlowDemand],
+    def register(self, demands: Union[DemandSet, Iterable[FlowDemand]],
                  schedule: bool = True) -> int:
         """Add demands to the engine.
 
@@ -298,49 +301,61 @@ class FluidEngine:
         now) become simulation events; with ``schedule=False`` every
         demand is active immediately and the caller is expected to drive
         :meth:`reallocate` by hand (the benchmark mode).
+
+        This is the one admission loop.  It reads the columns of a
+        :class:`DemandSet` (hand-built demands are turned into one first),
+        and only a demand that gets a kernel event of its own becomes a
+        :class:`FlowDemand`.
         """
-        count = 0
-        admitted = False
-        for demand in demands:
-            count += 1
-            if not schedule or demand.start <= 0.0:
-                if not admitted:  # once per batch, not once per demand
-                    admitted = True
-                    self._accrue(self.sim.now)
-                    self._mark_stale()
-                self._admit(demand)
-            else:
-                self.sim.schedule(demand.start, self._activate, demand,
+        columns = DemandSet.from_demands(demands)
+        admitted_to = self.commodities.get
+        deferred = 0
+        stale = False
+        for src_dpid, dst, rate_bps, start, duration in columns.rows():
+            if schedule and start > 0.0:  # arrives, and expires, by event
+                deferred += 1
+                demand = FlowDemand(src_dpid, dst, rate_bps, start, duration)
+                self.sim.schedule(start, self._activate, demand,
                                   label="fluid:arrival")
-            if schedule and demand.duration != float("inf"):
-                self.sim.schedule(demand.end, self._expire, demand,
-                                  label="fluid:expiry")
-        return count
+                if duration != inf:
+                    self.sim.schedule(start + duration, self._expire, demand,
+                                      label="fluid:expiry")
+                continue
+            if not stale:  # once per batch, not once per demand
+                stale = True
+                self._accrue(self.sim.now)
+                self._mark_stale()
+            commodity = admitted_to((src_dpid, dst))
+            if commodity is None:
+                commodity = self._add_commodity(src_dpid, dst)
+            elif commodity.path is not None:
+                self._resized.add(commodity)
+            commodity.count += 1
+            commodity.offered_bps += rate_bps
+            if schedule and duration != inf:
+                self.sim.schedule(
+                    start + duration, self._expire,
+                    FlowDemand(src_dpid, dst, rate_bps, start, duration),
+                    label="fluid:expiry")
+        admitted = len(columns) - deferred
+        self.demand_count += admitted
+        self.arrivals += admitted
+        return len(columns)
 
     def _activate(self, demand: FlowDemand) -> None:
-        self._accrue(self.sim.now)
-        self._admit(demand)
-        self._mark_stale()
+        self.register((demand,), schedule=False)
 
-    def _admit(self, demand: FlowDemand) -> None:
-        key = (demand.src_dpid, demand.dst)
-        commodity = self.commodities.get(key)
-        if commodity is None:
-            commodity = Commodity(demand.src_dpid, demand.dst, self._next_seq)
-            self._next_seq += 1
-            self.commodities[key] = commodity
-            peers = self._by_dst.get(commodity.dst)
-            if peers is None:
-                peers = self._by_dst[commodity.dst] = []
-                insort(self._dsts, commodity.dst)
-            peers.append(commodity)
-            self._dirty.add(commodity)
-        elif commodity.path is not None:
-            self._resized.add(commodity)
-        commodity.count += 1
-        commodity.offered_bps += demand.rate_bps
-        self.demand_count += 1
-        self.arrivals += 1
+    def _add_commodity(self, src_dpid: int, dst: int) -> Commodity:
+        commodity = Commodity(src_dpid, dst, self._next_seq)
+        self._next_seq += 1
+        self.commodities[(src_dpid, dst)] = commodity
+        peers = self._by_dst.get(dst)
+        if peers is None:
+            peers = self._by_dst[dst] = []
+            insort(self._dsts, dst)
+        peers.append(commodity)
+        self._dirty.add(commodity)
+        return commodity
 
     def _expire(self, demand: FlowDemand) -> None:
         key = (demand.src_dpid, demand.dst)
@@ -374,6 +389,7 @@ class FluidEngine:
         they left or joined; returns those interfaces."""
         moved, self._dirty = self._dirty, set()
         joined: Dict[object, List[Commodity]] = {}
+        known: Dict[int, dict] = {}  # the resolver's memo, for this batch only
         for commodity in sorted(moved, key=_SEQ):
             old = commodity.path
             if old is not None:
@@ -382,11 +398,12 @@ class FluidEngine:
             if commodity.count <= 0:  # dropped: only leaves
                 commodity.path, commodity.links = None, ()
                 continue
-            path = self.resolver.resolve(commodity.src_dpid, commodity.dst)
+            path = self.resolver.resolve(commodity.src_dpid, commodity.dst,
+                                         known)
             commodity.path = path
-            commodity.links = tuple(tx_iface for _link, tx_iface in path.hops
-                                    if path.delivered)
-            for _link, iface in path.hops:
+            crossed = tuple(map(_TX_IFACE, path.hops))
+            commodity.links = crossed if path.delivered else ()
+            for iface in crossed:
                 joined.setdefault(iface, []).append(commodity)
             if old is not None:
                 self.reresolutions += 1

@@ -18,7 +18,7 @@ only the destinations its prefix covers from that one switch's memo.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.ethernet import EtherType
@@ -89,9 +89,10 @@ class PathResolver:
         #: a table miss at the owner — exactly like the packet pipeline,
         #: where that final frame goes to the controller as a PACKET_IN.
         self.owner_of = owner_of if owner_of is not None else (lambda dst: None)
-        #: (dpid, out port) -> (peer dpid, link, tx interface); rebuilt
-        #: lazily when ports change is unnecessary — the emulator never
-        #: re-cables links, it only flips them up/down.
+        #: (dpid, out port) -> (peer dpid, (link, tx interface)): one hop
+        #: tuple per port, shared by every path crossing it.  Never
+        #: rebuilt: the emulator does not re-cable links, it only flips
+        #: them up/down.
         self._adjacency: Dict[Tuple[int, int], tuple] = {}
         #: Per-datapath lookup memo: dpid -> (table version, {dst: entry}).
         self._memo: Dict[int, list] = {}
@@ -109,8 +110,8 @@ class PathResolver:
         for (node_a, node_b), (port_a, port_b) in self.network.link_ports.items():
             iface_a = switches[node_a].port(port_a).interface
             iface_b = switches[node_b].port(port_b).interface
-            self._adjacency[(node_a, port_a)] = (node_b, iface_a.link, iface_a)
-            self._adjacency[(node_b, port_b)] = (node_a, iface_b.link, iface_b)
+            self._adjacency[(node_a, port_a)] = (node_b, (iface_a.link, iface_a))
+            self._adjacency[(node_b, port_b)] = (node_a, (iface_b.link, iface_b))
 
     def invalidate(self, dpid: int,
                    ranges: Optional[List[Tuple[int, int]]] = None) -> None:
@@ -161,36 +162,78 @@ class PathResolver:
                 return action.port
         return None
 
-    def resolve(self, src_dpid: int, dst: int) -> ResolvedPath:
-        """Walk ``dst`` from ``src_dpid`` through the flow tables."""
+    @staticmethod
+    def _ends_like(visited: Set[int], known: ResolvedPath) -> bool:
+        """May a walk that has visited ``visited`` and now steps onto the
+        first datapath of ``known`` end the way ``known`` did?  Not if
+        ``known`` comes back through the walk's own prefix: the plain walk
+        closes that loop earlier than ``known`` did."""
+        return visited.isdisjoint(known.dpids)
+
+    def resolve(self, src_dpid: int, dst: int,
+                known: Optional[Dict[int, Dict[int, ResolvedPath]]] = None,
+                ) -> ResolvedPath:
+        """Walk ``dst`` from ``src_dpid`` through the flow tables.
+
+        ``known`` (destination -> first datapath -> path) is the caller's
+        memo of one batch of walks between which no table and no link
+        changes.  Forwarding is by destination alone, so a walk that steps
+        onto the start of a known one is spliced onto it, whatever its
+        outcome was, and what follows each datapath of a walk is the walk
+        from there.  The result is the plain walk's; a batch costs one step
+        per (datapath, destination) it meets instead of one per hop.
+        """
         self.walks += 1
+        towards = known.setdefault(dst, {}) if known is not None else {}
+        path = towards.get(src_dpid)
+        if path is not None:
+            return path
         dpids = [src_dpid]
-        hops = []
+        hops: list = []
         visited = {src_dpid}
         dpid = src_dpid
         while True:
             entry = self._lookup(dpid, dst)
             if entry is None:
                 status = DELIVERED if self.owner_of(dst) == dpid else UNROUTED
-                return ResolvedPath(status, tuple(dpids), tuple(hops))
+                break
             out_port = self._out_port(entry)
             if out_port is None:
                 # An actionless (drop) or non-output entry terminates the
                 # walk without delivery.
-                return ResolvedPath(UNROUTED, tuple(dpids), tuple(hops))
+                status = UNROUTED
+                break
             neighbor = self._adjacency.get((dpid, out_port))
             if neighbor is None:
                 # Output towards an edge (host-facing) port: the demand
                 # leaves the switching fabric here — delivered.
-                return ResolvedPath(DELIVERED, tuple(dpids), tuple(hops))
-            peer, link, tx_iface = neighbor
+                status = DELIVERED
+                break
+            peer, hop = neighbor
+            hops.append(hop)
+            link = hop[0]
             if link is None or not link.up:
-                hops.append((link, tx_iface))
-                return ResolvedPath(LINK_DOWN, tuple(dpids), tuple(hops))
-            hops.append((link, tx_iface))
+                status = LINK_DOWN
+                break
             if peer in visited:
                 dpids.append(peer)
-                return ResolvedPath(LOOP, tuple(dpids), tuple(hops))
+                status = LOOP
+                break
+            rest = towards.get(peer)
+            if rest is not None and self._ends_like(visited, rest):
+                dpids += rest.dpids
+                hops += rest.hops
+                status = rest.status
+                break
             visited.add(peer)
             dpids.append(peer)
             dpid = peer
+        dpids, hops = tuple(dpids), tuple(hops)
+        path = towards[src_dpid] = ResolvedPath(status, dpids, hops)
+        if known is not None and status != LOOP:
+            # The rest of the walk from each datapath consulted on the way
+            # (all of ``visited``).  Not for a loop: a walk that starts
+            # inside one closes it somewhere else.
+            for at in range(1, len(visited)):
+                towards[dpids[at]] = ResolvedPath(status, dpids[at:], hops[at:])
+        return path

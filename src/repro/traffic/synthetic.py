@@ -30,6 +30,9 @@ from repro.routeflow.rfproxy import ROUTE_PRIORITY_BASE
 #: Synthetic service prefixes are /24s carved out of 10.0.0.0/8.
 SERVICE_PREFIX_LEN = 24
 
+#: The priority RFProxy gives a /24 route.
+ROUTE_PRIORITY = ROUTE_PRIORITY_BASE + SERVICE_PREFIX_LEN
+
 
 def service_prefix(dpid: int) -> IPv4Network:
     """The /24 service prefix owned by router ``dpid`` (``10.<dpid>.0/24``)."""
@@ -64,6 +67,13 @@ class SyntheticRoutes:
             peers.sort()
         #: Current installed state: (node, dst dpid) -> out port.
         self._installed: Dict[Tuple[int, int], int] = {}
+        #: The parts entries have in common, built once: the match per
+        #: destination and the action chain per (node, out port).  Private:
+        #: a :class:`Match` has mutating setters, and nothing here hands
+        #: one out.  :class:`FlowEntry` copies the chain into a list of
+        #: its own, so a ``modify`` of one entry leaves its siblings alone.
+        self._matches: Dict[int, Match] = {}
+        self._actions: Dict[Tuple[int, int], list] = {}
 
     # ----------------------------------------------------------- computation
     def _next_hops(self, dst: int) -> Dict[int, int]:
@@ -89,23 +99,29 @@ class SyntheticRoutes:
         return table
 
     # ----------------------------------------------------------- application
+    def _match(self, dst: int) -> Match:
+        match = self._matches.get(dst)
+        if match is None:
+            match = self._matches[dst] = Match.for_destination_prefix(
+                service_prefix(dst).network, SERVICE_PREFIX_LEN)
+        return match
+
     def _entry(self, node: int, dst: int, out_port: int) -> FlowEntry:
-        prefix = service_prefix(dst)
-        match = Match.for_destination_prefix(prefix.network, SERVICE_PREFIX_LEN)
-        src_iface = self.network.switches[node].port(out_port).interface
-        dst_iface = src_iface.link.peer_of(src_iface) if src_iface.link else None
-        actions = [SetDlSrcAction(src_iface.mac)]
-        if dst_iface is not None:
-            actions.append(SetDlDstAction(dst_iface.mac))
-        actions.append(OutputAction(out_port))
-        return FlowEntry(match, actions,
-                         priority=ROUTE_PRIORITY_BASE + SERVICE_PREFIX_LEN)
+        actions = self._actions.get((node, out_port))
+        if actions is None:
+            src_iface = self.network.switches[node].port(out_port).interface
+            dst_iface = (src_iface.link.peer_of(src_iface)
+                         if src_iface.link else None)
+            actions = self._actions[(node, out_port)] = [
+                SetDlSrcAction(src_iface.mac)]
+            if dst_iface is not None:
+                actions.append(SetDlDstAction(dst_iface.mac))
+            actions.append(OutputAction(out_port))
+        return FlowEntry(self._match(dst), actions, priority=ROUTE_PRIORITY)
 
     def _remove(self, node: int, dst: int) -> None:
-        prefix = service_prefix(dst)
-        match = Match.for_destination_prefix(prefix.network, SERVICE_PREFIX_LEN)
         self.network.switches[node].flow_table.delete(
-            match, strict=True, priority=ROUTE_PRIORITY_BASE + SERVICE_PREFIX_LEN)
+            self._match(dst), strict=True, priority=ROUTE_PRIORITY)
 
     def install(self) -> int:
         """Full install of shortest-path routes; returns entries added."""

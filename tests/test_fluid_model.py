@@ -6,7 +6,8 @@ and restores, capacity changes, arrivals and expiries) and after each
 rule compares it with the naive model: a second engine built from
 scratch on the same network from the demands that are live.  The
 incremental engine may only ever differ from the rebuilt one in float
-rounding.  Two seeded mutants show the machine has teeth.
+rounding, and the rebuilt one makes every walk hop by hop, without the
+batch memo.  Three seeded mutants show the machine has teeth.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from repro.scenarios import FailureEvent  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.topology.emulator import EmulatedNetwork  # noqa: E402
 from repro.topology.generators import torus_topology  # noqa: E402
-from repro.traffic import (FlowDemand, FluidEngine, SyntheticRoutes,  # noqa: E402
-                           max_min_allocation, service_address)
+from repro.traffic import (FlowDemand, FluidEngine, PathResolver,  # noqa: E402
+                           SyntheticRoutes, max_min_allocation,
+                           service_address)
 from repro.traffic import fluid as fluid_module  # noqa: E402
 
 SIDE = 3
@@ -75,6 +77,14 @@ class _WatchedEngine(FluidEngine):
             self.seen_capacity = {link: link.bandwidth_bps
                                   for link in self.network.links}
         super().reallocate()
+
+
+class _PlainWalks(PathResolver):
+    """The model's resolver: every walk is made hop by hop, none is spliced
+    onto another of its batch."""
+
+    def resolve(self, src_dpid, dst, known=None):
+        return super().resolve(src_dpid, dst)
 
 
 class FluidEngineMachine(RuleBasedStateMachine):
@@ -171,6 +181,8 @@ class FluidEngineMachine(RuleBasedStateMachine):
             link.bandwidth_bps = capacity
         reference = FluidEngine(Simulator(), self.network,
                                 owner_of=self.owners.get)
+        reference.resolver = _PlainWalks(self.network,
+                                         owner_of=self.owners.get)
         reference.register([demand for demand, end in self.registered
                             if end > self.sim.now], schedule=False)
         reference.reallocate()
@@ -271,6 +283,16 @@ class TestSeededMutants:
             return [(low, low | 0xFF) for low, _high in ranges]
 
         monkeypatch.setattr(fluid_module, "changed_ranges", mutant)
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(FluidEngineMachine,
+                                      settings=self.SETTINGS)
+
+
+    def test_kills_splicing_without_the_disjointness_check(self, monkeypatch):
+        """A known walk that comes back through the prefix of the walk
+        being made is a loop the plain walk closes earlier."""
+        monkeypatch.setattr(PathResolver, "_ends_like",
+                            staticmethod(lambda visited, known: True))
         with pytest.raises(AssertionError):
             run_state_machine_as_test(FluidEngineMachine,
                                       settings=self.SETTINGS)
