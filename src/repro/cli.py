@@ -28,11 +28,11 @@ regenerated without writing any Python:
   run the same demand set once per traffic-engineering policy and compare
   delivered throughput, loss, path stretch and re-route counts against
   the shortest-path baseline.
-* ``repro bench [--json FILE] [--check BASELINE] [--filter GLOB]`` — the
-  hot-path benchmark suite, with machine-readable output and a
-  perf-regression gate.
 
-Also reachable as ``python -m repro``.
+Also reachable as ``python -m repro``.  Host cost is measured by the
+performance ledger, ``python3 bench/run.py`` (see ``bench/README.md``);
+the exact simulated outputs are pinned by ``tests/test_pinned_outputs.py``
+and ``tests/pinned_outputs_full.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import List, Optional
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager, ManualConfigurationModel
 from repro.experiments import (
     check_load_conservation,
-    check_regressions,
     format_table,
     render_ctlscale_churn,
     render_ctlscale_table,
@@ -55,10 +54,6 @@ from repro.experiments import (
     write_ctlscale_churn_json,
     write_ctlscale_csv,
     write_ctlscale_json,
-    read_bench_json,
-    render_bench_table,
-    run_benchmarks,
-    write_bench_json,
     render_ablation_table,
     render_config_time_table,
     render_demo_report,
@@ -273,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     interdomain.add_argument("--settle", type=float, default=20.0,
                              help="quiet seconds that count as converged "
                                   "(default: 20)")
-    interdomain.add_argument("--profile", action="store_true",
-                             help="report a per-phase wall-time breakdown "
-                                  "(session establishment, decision process, "
-                                  "redistribution, flow install)")
     interdomain.add_argument("--out", metavar="FILE",
                              help="write results as JSON to FILE")
     interdomain.add_argument("--csv", metavar="FILE",
@@ -341,27 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 5)")
     te.add_argument("--out", metavar="FILE",
                     help="write the comparison as JSON to FILE")
-
-    bench = subparsers.add_parser(
-        "bench", help="run the hot-path benchmark suite; optionally write a "
-                      "machine-readable JSON record and check it against a "
-                      "committed baseline")
-    bench.add_argument("--json", metavar="FILE", nargs="?",
-                       const="BENCH_RESULTS.json", default=None,
-                       help="write results as JSON (default file: "
-                            "BENCH_RESULTS.json)")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline BENCH_*.json and "
-                            "exit non-zero on regression")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed fractional slowdown of normalized "
-                            "times in --check mode (default: 0.20)")
-    bench.add_argument("--quick", action="store_true",
-                       help="microbenchmarks only (skip the 64-router "
-                            "convergence scenario)")
-    bench.add_argument("--filter", metavar="GLOB", default=None,
-                       help="run only the benchmark cases whose name matches "
-                            "the glob (e.g. 'demand_*')")
 
     return parser
 
@@ -638,7 +608,7 @@ def _command_interdomain(args: argparse.Namespace) -> int:
         for name in args.scenario:
             results.append(run_interdomain(
                 name, flap=not args.no_flap, flap_link=flap_link,
-                settle=args.settle, profile=args.profile))
+                settle=args.settle))
     except (ScenarioError, TopologyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -712,36 +682,6 @@ def _command_te(args: argparse.Namespace) -> int:
     return 0 if suite.healthy else 1
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    document = run_benchmarks(
-        quick=args.quick,
-        progress=lambda name: print(f"running {name} ...", file=sys.stderr),
-        name_filter=args.filter)
-    if not document["benchmarks"]:
-        print(f"error: no benchmark case matches {args.filter!r}",
-              file=sys.stderr)
-        return 2
-    print(render_bench_table(document))
-    if args.json:
-        print(f"wrote {write_bench_json(document, args.json)}")
-    if args.check:
-        baseline = read_bench_json(args.check)
-        # --quick deliberately skips the slow scenarios, and --filter
-        # narrows further; compare only what actually ran instead of
-        # flagging the rest as missing.
-        only = document["benchmarks"].keys() \
-            if (args.quick or args.filter) else None
-        failures = check_regressions(document, baseline,
-                                     tolerance=args.tolerance, only=only)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression against {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 _COMMANDS = {
     "quickstart": _command_quickstart,
     "fig3": _command_fig3,
@@ -754,7 +694,6 @@ _COMMANDS = {
     "interdomain": _command_interdomain,
     "traffic": _command_traffic,
     "te": _command_te,
-    "bench": _command_bench,
 }
 
 

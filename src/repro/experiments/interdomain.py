@@ -70,89 +70,6 @@ FLAP_DOWN = 90.0
 PathLike = Union[str, Path]
 
 
-class PhaseProfiler:
-    """Per-phase wall-time breakdown of an interdomain run.
-
-    Patches the hot-path entry points at class level while active (zero
-    overhead when off) and attributes wall time *exclusively*: while a
-    patched function calls into another patched one, the inner phase is
-    charged and the outer phase's clock pauses.  Phases:
-
-    * ``session_establishment`` — broker handshakes and the initial
-      Adj-RIB-Out sync a new session triggers;
-    * ``decision_process`` — UPDATE reception and best-path re-evaluation;
-    * ``redistribution`` — FIB-change handling (OSPF↔BGP redistribution
-      and recursive next-hop re-resolution);
-    * ``flow_install`` — RFProxy flow-mod installation.
-    """
-
-    PHASES = ("session_establishment", "decision_process",
-              "redistribution", "flow_install")
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {phase: 0.0 for phase in self.PHASES}
-        self.calls: Dict[str, int] = {phase: 0 for phase in self.PHASES}
-        #: Stack of [phase, resume-timestamp] frames for exclusive timing.
-        self._stack: List[List] = []
-        self._patched: List[Tuple[type, str, object]] = []
-
-    def _enter(self, phase: str) -> None:
-        now = time.perf_counter()
-        if self._stack:
-            top = self._stack[-1]
-            self.seconds[top[0]] += now - top[1]
-        self._stack.append([phase, now])
-        self.calls[phase] += 1
-
-    def _exit(self) -> None:
-        now = time.perf_counter()
-        phase, resume = self._stack.pop()
-        self.seconds[phase] += now - resume
-        if self._stack:
-            self._stack[-1][1] = now
-
-    def _wrap(self, owner: type, name: str, phase: str) -> None:
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            self._enter(phase)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                self._exit()
-
-        wrapper.__wrapped__ = original  # type: ignore[attr-defined]
-        setattr(owner, name, wrapper)
-        self._patched.append((owner, name, original))
-
-    def __enter__(self) -> "PhaseProfiler":
-        from repro.quagga.bgp.daemon import BGPDaemon, BGPSessionBroker
-        from repro.quagga.ospf.daemon import OSPFDaemon
-        from repro.routeflow.rfproxy import RFProxy
-
-        self._wrap(BGPSessionBroker, "_establish", "session_establishment")
-        self._wrap(BGPDaemon, "on_session_established", "session_establishment")
-        self._wrap(BGPDaemon, "receive_announcement", "decision_process")
-        self._wrap(BGPDaemon, "receive_update_batch", "decision_process")
-        self._wrap(BGPDaemon, "_reevaluate", "decision_process")
-        self._wrap(BGPDaemon, "_on_fib_change", "redistribution")
-        self._wrap(OSPFDaemon, "announce_external", "redistribution")
-        self._wrap(OSPFDaemon, "withdraw_external", "redistribution")
-        self._wrap(RFProxy, "_send_flow", "flow_install")
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        for owner, name, original in reversed(self._patched):
-            setattr(owner, name, original)
-        self._patched.clear()
-        return False
-
-    def report(self) -> Dict[str, Dict[str, float]]:
-        return {phase: {"seconds": self.seconds[phase],
-                        "calls": self.calls[phase]}
-                for phase in self.PHASES}
-
-
 @dataclass
 class BorderFlapResult:
     """Measurements of one border-link flap."""
@@ -205,9 +122,6 @@ class InterdomainResult:
     redistribution_violations: List[str] = field(default_factory=list)
     flap: Optional[BorderFlapResult] = None
     wall_seconds: float = 0.0
-    #: Per-phase wall-time breakdown (``--profile``):
-    #: phase -> {"seconds", "calls"}.  None unless profiling was requested.
-    profile: Optional[Dict[str, Dict[str, float]]] = None
 
     @property
     def configured(self) -> bool:
@@ -305,31 +219,14 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
                     flap: bool = True,
                     flap_link: Optional[Tuple[int, int]] = None,
                     settle: float = DEFAULT_SETTLE,
-                    max_extra_time: float = DEFAULT_MAX_EXTRA,
-                    profile: bool = False) -> InterdomainResult:
+                    max_extra_time: float = DEFAULT_MAX_EXTRA) -> InterdomainResult:
     """Configure a multi-AS scenario, verify the interdomain state, and
     (optionally) flap one eBGP border link.
 
     ``flap_link`` picks the border link to bounce (default: the first
     inter-AS link of the topology); ``flap=False`` skips the flap phase
-    (the benchmark suite does, for a pure convergence measurement);
-    ``profile=True`` additionally fills :attr:`InterdomainResult.profile`
-    with the :class:`PhaseProfiler` wall-time breakdown.
+    for a pure convergence measurement.
     """
-    if not profile:
-        return _run_interdomain(scenario, flap, flap_link, settle,
-                                max_extra_time, None)
-    with PhaseProfiler() as profiler:
-        return _run_interdomain(scenario, flap, flap_link, settle,
-                                max_extra_time, profiler)
-
-
-def _run_interdomain(scenario: Union[str, ScenarioSpec],
-                     flap: bool,
-                     flap_link: Optional[Tuple[int, int]],
-                     settle: float,
-                     max_extra_time: float,
-                     profiler: Optional[PhaseProfiler]) -> InterdomainResult:
     started = time.perf_counter()
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     topology = spec.build_topology()
@@ -355,8 +252,6 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
         configured_seconds=configured_at)
     if configured_at is None:
         result.wall_seconds = time.perf_counter() - started
-        if profiler is not None:
-            result.profile = profiler.report()
         return result
 
     # -- settle to the interdomain steady state ------------------------------
@@ -453,8 +348,6 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
             violation for violation in verify_interdomain(control_plane, as_map)
             if violation not in result.redistribution_violations)
     result.wall_seconds = time.perf_counter() - started
-    if profiler is not None:
-        result.profile = profiler.report()
     return result
 
 
@@ -500,16 +393,6 @@ def render_interdomain_table(results: List[InterdomainResult]) -> str:
                 f"{'restored' if flap.flows_restored else 'NOT restored'}")
         notes.extend(f"  ! {violation}"
                      for violation in result.redistribution_violations)
-    for result in results:
-        if result.profile:
-            in_phases = sum(e["seconds"] for e in result.profile.values())
-            notes.append(
-                f"{result.scenario}: phase profile "
-                f"({in_phases:.2f}s of {result.wall_seconds:.2f}s wall)")
-            notes.extend(
-                f"  {phase:<24} {entry['seconds']:8.3f}s"
-                f"  ({int(entry['calls'])} calls)"
-                for phase, entry in result.profile.items())
     report = f"{table}\n\nper-AS breakdown:\n{as_table}"
     if notes:
         report += "\n\n" + "\n".join(notes)
@@ -537,9 +420,6 @@ def _result_payload(result: InterdomainResult) -> Dict[str, object]:
         "redistribution_violations": list(result.redistribution_violations),
         "wall_seconds": result.wall_seconds,
     }
-    if result.profile is not None:
-        payload["profile"] = {phase: dict(entry)
-                              for phase, entry in result.profile.items()}
     if result.flap is not None:
         payload["flap"] = {
             "node_a": result.flap.node_a,

@@ -31,6 +31,14 @@ def format_seconds(seconds: Optional[float]) -> str:
     return f"{minutes / 60.0:.1f} h"
 
 
+def format_bits(bits: float) -> str:
+    """Human-friendly rendering of a bit volume."""
+    for unit, scale in (("Gbit", 1e9), ("Mbit", 1e6), ("kbit", 1e3)):
+        if bits >= scale:
+            return f"{bits / scale:.2f} {unit}"
+    return f"{bits:.0f} bit"
+
+
 @dataclass
 class ConfigTimeResult:
     """One point of the Figure 3 sweep."""

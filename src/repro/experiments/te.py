@@ -372,16 +372,9 @@ def run_te(scenario: Union[str, ScenarioSpec],
     return suite
 
 
-def _format_bits(bits: float) -> str:
-    for unit, scale in (("Gbit", 1e9), ("Mbit", 1e6), ("kbit", 1e3)):
-        if bits >= scale:
-            return f"{bits / scale:.2f} {unit}"
-    return f"{bits:.0f} bit"
-
-
 def render_te_table(suite: TEResult) -> str:
     """ASCII comparison of the policy runs."""
-    from repro.experiments.results import format_table
+    from repro.experiments.results import format_bits, format_table
 
     rows = []
     for result in suite.results:
@@ -391,7 +384,7 @@ def render_te_table(suite: TEResult) -> str:
         rows.append([
             result.policy,
             f"{result.delivered_commodities}/{result.commodities}",
-            _format_bits(result.delivered_bits),
+            format_bits(result.delivered_bits),
             f"{100.0 * result.loss_fraction:.2f}%",
             f"{result.stretch_p99:.2f}",
             result.reroutes,

@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Union
 from repro.core.autoconfig import AutoConfigFramework
 from repro.core.ipam import IPAddressManager
 from repro.experiments.failover import _mirror_into_routeflow
-from repro.experiments.results import format_seconds, format_table
+from repro.experiments.results import (format_bits, format_seconds,
+                                       format_table)
 from repro.scenarios import ScenarioSpec, get
 from repro.sim import Simulator
 from repro.topology.emulator import EmulatedNetwork
@@ -217,14 +218,6 @@ def run_traffic_suite(scenarios, demands: Optional[DemandSpec] = None,
     return results
 
 
-def _format_bits(bits: float) -> str:
-    """Human-friendly rendering of a bit volume."""
-    for unit, scale in (("Gbit", 1e9), ("Mbit", 1e6), ("kbit", 1e3)):
-        if bits >= scale:
-            return f"{bits / scale:.2f} {unit}"
-    return f"{bits:.0f} bit"
-
-
 def render_traffic_table(results: List[TrafficResult]) -> str:
     """ASCII report of a traffic suite: throughput, loss, churn cost."""
     rows = []
@@ -236,8 +229,8 @@ def render_traffic_table(results: List[TrafficResult]) -> str:
             result.scenario,
             result.demands,
             f"{result.delivered_commodities}/{result.commodities}",
-            _format_bits(result.offered_bits),
-            _format_bits(result.delivered_bits),
+            format_bits(result.offered_bits),
+            format_bits(result.delivered_bits),
             f"{100.0 * result.loss_fraction:.2f}%",
             result.reresolutions,
             result.affected_demands,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParser:
@@ -151,3 +156,47 @@ class TestCtlScale:
         assert "per-shard load" in output
         assert "match the single-controller totals" in output
         assert out.exists() and csv_file.exists()
+
+
+_EXPERIMENT_COMMANDS = (
+    ("sweep", ["sweep", "--scenario", "ring-4", "--scenario", "fat-tree-k4"]),
+    ("failover", ["failover", "--scenario", "ring-4", "--link-down", "1:2@10",
+                  "--link-up", "1:2@70"]),
+    ("ctlscale", ["ctlscale", "--scenario", "ring-4", "--controllers", "1",
+                  "2"]),
+    ("interdomain", ["interdomain", "--scenario", "interdomain-3as"]),
+)
+
+
+def _mask_wall_seconds(node):
+    """Drop every host-time ``wall_seconds`` field of a JSON document."""
+    if isinstance(node, dict):
+        if "wall_seconds" in node:
+            assert node.pop("wall_seconds") >= 0.0
+        for value in node.values():
+            _mask_wall_seconds(value)
+    elif isinstance(node, list):
+        for value in node:
+            _mask_wall_seconds(value)
+    return node
+
+
+def _experiments_snapshot(tmp_path, capsys):
+    """stdout, JSON and CSV of one ``repro sweep``, ``failover``,
+    ``ctlscale`` and ``interdomain`` run, host times and the temporary
+    path masked."""
+    snapshot = {}
+    for name, argv in _EXPERIMENT_COMMANDS:
+        out = tmp_path / f"{name}.json"
+        csv_file = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out), "--csv", str(csv_file)]) == 0
+        snapshot[name] = {
+            "stdout": capsys.readouterr().out.replace(str(tmp_path), "TMP"),
+            "json": _mask_wall_seconds(json.loads(out.read_text())),
+            "csv": csv_file.read_text()}
+    return snapshot
+
+
+def test_cli_experiments_output_is_byte_identical(tmp_path, capsys):
+    expected = json.loads((DATA / "cli_experiments_snapshot.json").read_text())
+    assert _experiments_snapshot(tmp_path, capsys) == expected

@@ -50,6 +50,14 @@ class TestLookup:
         table = FlowTable()
         table.add(FlowEntry(prefix_match("192.168.0.0", 16), [OutputAction(1)]))
         assert table.lookup(fields_for("10.0.0.1")) is None
+        # Among 500 disjoint /24s only the one covering the packet matches.
+        for index in range(500):
+            table.add(FlowEntry(
+                Match.for_destination_prefix(
+                    IPv4Address((10 << 24) | (index << 8)), 24),
+                [OutputAction(1)], priority=100 + index % 7))
+        entry = table.lookup(fields_for("10.0.200.4"))
+        assert entry.match == prefix_match("10.0.200.0", 24)
 
     def test_add_replaces_identical_match_and_priority(self):
         table = FlowTable()

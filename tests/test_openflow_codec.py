@@ -246,6 +246,7 @@ class TestMessages:
         assert decoded.idle_timeout == 30 and decoded.hard_timeout == 300
         assert decoded.cookie == 0xdead
         assert decoded.actions == [OutputAction(5)]
+        assert decoded.encode() == message.encode()
 
     def test_flow_removed_roundtrip(self):
         match = Match.for_destination_prefix(IPv4Address("10.2.0.0"), 16)

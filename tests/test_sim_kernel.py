@@ -25,6 +25,12 @@ class TestScheduling:
             sim.schedule(1.0, order.append, label)
         sim.run()
         assert order == ["a", "b", "c", "d"]
+        # A deep heap of ties still dispatches first in, first out.
+        del order[:]
+        for index in range(2_000):
+            sim.schedule(1.0, order.append, index)
+        sim.run()
+        assert order == list(range(2_000))
 
     def test_clock_advances_to_event_time(self, sim):
         seen = []
@@ -146,6 +152,17 @@ class TestRunControl:
         sim.schedule(1.0, reschedule)
         sim.run(max_events=25)
         assert sim.processed_events == 25
+        # 64 self-rescheduling chains stop at exactly the bound too.
+        churn = Simulator()
+
+        def tick():
+            if churn.processed_events < 200_000:
+                churn.schedule(0.001, tick)
+
+        for _ in range(64):
+            churn.schedule(0.001, tick)
+        churn.run(max_events=200_000)
+        assert churn.processed_events == 200_000
 
     def test_peek_reports_next_event_time(self, sim):
         assert sim.peek() is None
@@ -192,6 +209,19 @@ class TestKernelInvariants:
         sim.run()
         assert sim.pending() == 0
         assert sim.processed_events == 5
+        # 5,000 events on 7 instants, half cancelled: 1,000 peek() /
+        # pending() probes neither fire nor drop anything.
+        events = [sim.schedule(float(i % 7) + 1.0, lambda: None)
+                  for i in range(5_000)]
+        for event in events[::2]:
+            event.cancel()
+        probes = 0
+        for _ in range(1_000):
+            sim.peek()
+            probes += sim.pending()
+        assert probes == 2_500_000
+        sim.run()
+        assert sim.processed_events == 5 + 2_500
 
     def test_cancel_after_fire_keeps_pending_consistent(self, sim):
         fired = sim.schedule(1.0, lambda: None)

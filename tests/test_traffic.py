@@ -717,26 +717,9 @@ class TestTrafficExperiment:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchFilter:
-    def test_run_benchmarks_filter(self):
-        from repro.experiments.bench import BENCHMARKS, run_benchmarks
-
-        document = run_benchmarks(quick=True, name_filter="flow_mod_*")
-        assert set(document["benchmarks"]) == {"flow_mod_codec"}
-        assert all(name in BENCHMARKS for name in document["benchmarks"])
-
-    def test_cli_bench_filter_no_match(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--quick", "--filter", "zzz_*"]) == 2
-        assert "no benchmark case" in capsys.readouterr().err
-
-
 class TestBenchFluidCases:
-    def test_fixture_resolves_small_torus(self):
-        from repro.experiments.bench import _torus_fluid_fixture
-
-        _sim, network, routes, engine, addresses = _torus_fluid_fixture(3, 3)
+    def test_fixture_resolves_small_torus(self, torus_fluid_fixture):
+        _sim, network, routes, engine, addresses = torus_fluid_fixture(3, 3)
         assert len(network.switches) == 9
         demands = uniform_demands(addresses, 500, rate_bps=10.0, seed=3)
         engine.register(demands, schedule=False)
