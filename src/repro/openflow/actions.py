@@ -21,6 +21,7 @@ from repro.openflow.constants import OFPActionType, OFPCML_NO_BUFFER
 class Action:
     """Base class for OpenFlow actions."""
 
+    __slots__ = ()
     type: int = -1
 
     def encode(self) -> bytes:  # pragma: no cover - abstract
@@ -45,9 +46,13 @@ class Action:
 
     @staticmethod
     def _decode_one(action_type: int, body: bytes) -> "Action":
-        decoder = _DECODERS.get(action_type)
-        if decoder is None:
+        known = _DECODERS.get(action_type)
+        if known is None:
             return UnknownAction(action_type, body)
+        length, decoder = known
+        if len(body) != length:
+            raise DecodeError(f"action type {action_type} is {len(body)} "
+                              f"bytes, not {length}")
         return decoder(body)
 
     @staticmethod
@@ -66,6 +71,7 @@ class Action:
 class OutputAction(Action):
     """Send the packet out of a port (or to the controller)."""
 
+    __slots__ = ("port", "max_len")
     type = OFPActionType.OUTPUT
 
     def __init__(self, port: int, max_len: int = OFPCML_NO_BUFFER) -> None:
@@ -85,6 +91,7 @@ class OutputAction(Action):
 
 
 class SetVlanVidAction(Action):
+    __slots__ = ("vlan_vid",)
     type = OFPActionType.SET_VLAN_VID
 
     def __init__(self, vlan_vid: int) -> None:
@@ -106,6 +113,7 @@ class SetVlanVidAction(Action):
 
 
 class StripVlanAction(Action):
+    __slots__ = ()
     type = OFPActionType.STRIP_VLAN
 
     def encode(self) -> bytes:
@@ -124,6 +132,7 @@ class StripVlanAction(Action):
 
 
 class SetDlSrcAction(Action):
+    __slots__ = ("mac",)
     type = OFPActionType.SET_DL_SRC
 
     def __init__(self, mac: MACAddress) -> None:
@@ -145,6 +154,7 @@ class SetDlSrcAction(Action):
 
 
 class SetDlDstAction(Action):
+    __slots__ = ("mac",)
     type = OFPActionType.SET_DL_DST
 
     def __init__(self, mac: MACAddress) -> None:
@@ -166,6 +176,7 @@ class SetDlDstAction(Action):
 
 
 class SetNwSrcAction(Action):
+    __slots__ = ("ip",)
     type = OFPActionType.SET_NW_SRC
 
     def __init__(self, ip: IPv4Address) -> None:
@@ -188,6 +199,7 @@ class SetNwSrcAction(Action):
 
 
 class SetNwDstAction(Action):
+    __slots__ = ("ip",)
     type = OFPActionType.SET_NW_DST
 
     def __init__(self, ip: IPv4Address) -> None:
@@ -210,6 +222,7 @@ class SetNwDstAction(Action):
 
 
 class SetTpSrcAction(Action):
+    __slots__ = ("port",)
     type = OFPActionType.SET_TP_SRC
 
     def __init__(self, port: int) -> None:
@@ -233,6 +246,7 @@ class SetTpSrcAction(Action):
 
 
 class SetTpDstAction(Action):
+    __slots__ = ("port",)
     type = OFPActionType.SET_TP_DST
 
     def __init__(self, port: int) -> None:
@@ -258,6 +272,8 @@ class SetTpDstAction(Action):
 class UnknownAction(Action):
     """An action type we do not implement; carried opaquely."""
 
+    __slots__ = ("type", "raw")
+
     def __init__(self, action_type: int, raw: bytes) -> None:
         self.type = action_type
         self.raw = raw
@@ -269,16 +285,17 @@ class UnknownAction(Action):
         return f"<UnknownAction type={self.type}>"
 
 
+#: Action type -> (its OpenFlow 1.0 length, decoder).
 _DECODERS = {
-    OFPActionType.OUTPUT: OutputAction.decode,
-    OFPActionType.SET_VLAN_VID: SetVlanVidAction.decode,
-    OFPActionType.STRIP_VLAN: StripVlanAction.decode,
-    OFPActionType.SET_DL_SRC: SetDlSrcAction.decode,
-    OFPActionType.SET_DL_DST: SetDlDstAction.decode,
-    OFPActionType.SET_NW_SRC: SetNwSrcAction.decode,
-    OFPActionType.SET_NW_DST: SetNwDstAction.decode,
-    OFPActionType.SET_TP_SRC: SetTpSrcAction.decode,
-    OFPActionType.SET_TP_DST: SetTpDstAction.decode,
+    OFPActionType.OUTPUT: (8, OutputAction.decode),
+    OFPActionType.SET_VLAN_VID: (8, SetVlanVidAction.decode),
+    OFPActionType.STRIP_VLAN: (8, StripVlanAction.decode),
+    OFPActionType.SET_DL_SRC: (16, SetDlSrcAction.decode),
+    OFPActionType.SET_DL_DST: (16, SetDlDstAction.decode),
+    OFPActionType.SET_NW_SRC: (8, SetNwSrcAction.decode),
+    OFPActionType.SET_NW_DST: (8, SetNwDstAction.decode),
+    OFPActionType.SET_TP_SRC: (8, SetTpSrcAction.decode),
+    OFPActionType.SET_TP_DST: (8, SetTpDstAction.decode),
 }
 
 

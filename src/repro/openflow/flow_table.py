@@ -4,13 +4,19 @@ Lookup follows the 1.0 semantics: exact-match entries take precedence over
 wildcarded entries; among wildcarded entries the highest priority wins.
 Entries carry idle and hard timeouts which the switch expires against
 simulated time, emitting FLOW_REMOVED when the entry asked for it.
+
+RouteFlow installs one entry per route per switch, so an entry costs one
+slotted object and one slot in each index; the keys come from the entry's
+:class:`Match`, which caches them and may be shared by many entries.
+``tests/test_flow_table_model.py`` holds the table to a list-scan model.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.openflow.actions import Action
+from repro.net.addresses import IPv4Address
+from repro.openflow.actions import Action, OutputAction
 from repro.openflow.constants import OFPFlowModFlags, OFPPort
 from repro.openflow.match import Match, PacketFields
 
@@ -18,11 +24,19 @@ from repro.openflow.match import Match, PacketFields
 class FlowEntry:
     """One installed flow: match, priority, actions, timeouts, counters."""
 
-    def __init__(self, match: Match, actions: List[Action], priority: int = 0x8000,
-                 idle_timeout: int = 0, hard_timeout: int = 0, cookie: int = 0,
-                 flags: int = 0, install_time: float = 0.0) -> None:
+    __slots__ = ("match", "actions", "priority", "idle_timeout",
+                 "hard_timeout", "cookie", "flags", "install_time",
+                 "last_used", "packet_count", "byte_count",
+                 "effective_priority", "seq")
+
+    def __init__(self, match: Match, actions: Sequence[Action],
+                 priority: int = 0x8000, idle_timeout: int = 0,
+                 hard_timeout: int = 0, cookie: int = 0, flags: int = 0,
+                 install_time: float = 0.0) -> None:
         self.match = match
-        self.actions = list(actions)
+        #: An immutable tuple, so entries may share one chain (a tuple
+        #: given is kept as is); ``FlowTable.modify`` swaps in a new one.
+        self.actions: Tuple[Action, ...] = tuple(actions)
         self.priority = priority
         self.idle_timeout = idle_timeout
         self.hard_timeout = hard_timeout
@@ -36,12 +50,6 @@ class FlowEntry:
         #: once: match and priority are fixed for the entry's lifetime, and
         #: the table sorts on this constantly.
         self.effective_priority = 0x10000 if match.is_exact else priority
-        #: Index keys, fixed at construction under the same immutability
-        #: assumption.  identity_key backs identical-replace and strict
-        #: flow-mods; dst_key (None unless the match is destination-prefix
-        #: shaped) backs the non-strict delete index.
-        self.identity_key = (priority, match._key())
-        self.dst_key = match.destination_prefix_key()
         #: Install order within the owning table (assigned by add); breaks
         #: effective-priority ties the way a stable sorted list would.
         self.seq = 0
@@ -67,17 +75,23 @@ class FlowEntry:
         """True if any OUTPUT action targets the given port (for deletes)."""
         if port == OFPPort.NONE:
             return True
-        from repro.openflow.actions import OutputAction
-
         return any(isinstance(a, OutputAction) and a.port == port for a in self.actions)
 
     def __repr__(self) -> str:
         return (f"<FlowEntry prio={self.priority} {self.match!r} "
-                f"actions={self.actions} pkts={self.packet_count}>")
+                f"actions={list(self.actions)} pkts={self.packet_count}>")
 
 
 #: ``listener(table, changed)``; see :attr:`FlowTable._change_listeners`.
 ChangeListener = Callable[["FlowTable", Optional[Sequence[FlowEntry]]], None]
+
+#: A destination cell: its one entry, or a list when several share the
+#: destination (a TE steer one priority above a route, say).
+Cell = Union[FlowEntry, List[FlowEntry]]
+
+
+def _table_order(entry: FlowEntry) -> tuple:
+    return (-entry.effective_priority, entry.seq)
 
 
 class FlowTable:
@@ -103,17 +117,16 @@ class FlowTable:
         #: True while any installed entry carries a timeout; lets expire()
         #: return immediately for the common all-permanent-routes table.
         self._may_expire = False
-        #: (priority, match key) -> entries with that exact identity, for
+        #: Match.identity() -> the one entry with that (priority, match), for
         #: identical-replace on add and the STRICT flow-mod commands.
-        self._by_key: Dict[tuple, List[FlowEntry]] = {}
-        #: Destination-prefix entries bucketed by their own prefix length:
-        #: plen -> (dl_type, masked net) -> id(entry) -> entry.  Non-strict
-        #: deletes are destination-prefix shaped under RouteFlow, so the
-        #: covered set comes from integer prefix compares over these
-        #: buckets instead of a covers() scan of the whole table.
-        self._dst_levels: Dict[int, Dict[Tuple[int, int], Dict[int, FlowEntry]]] = {}
+        self._by_key: Dict[tuple, FlowEntry] = {}
+        #: Destination-prefix entries: (prefix length, dl_type) -> masked
+        #: network -> cell.  A lookup is one probe per level, and non-strict
+        #: commands (destination-prefix shaped under RouteFlow) find what
+        #: they cover by integer prefix compares, not a covers() scan.
+        self._dst_levels: Dict[Tuple[int, int], Dict[int, Cell]] = {}
         #: Entries whose match is not destination-prefix shaped, id -> entry;
-        #: the only ones a shaped non-strict delete still covers()-scans.
+        #: the only ones a lookup or shaped command checks with the match.
         self._other: Dict[int, FlowEntry] = {}
         #: Next entry sequence number (see FlowEntry.seq).
         self._seq = 0
@@ -143,7 +156,7 @@ class FlowTable:
             listener(self, changed)
 
     # --------------------------------------------------------------- mutate
-    def add(self, entry: FlowEntry, replace_identical: bool = True) -> None:
+    def add(self, entry: FlowEntry) -> None:
         """Install an entry, replacing an identical (match, priority) one.
 
         The list is kept permanently sorted by descending effective
@@ -152,15 +165,13 @@ class FlowTable:
         append would put it) instead of a full re-sort per flow-mod.
         """
         entries = self._entries
+        identity = entry.match.identity(entry.priority)
+        stale = self._by_key.get(identity)
         changed = (entry,)
-        if replace_identical:
-            identical = self._by_key.get(entry.identity_key)
-            if identical:
-                # add() always deduplicates, so at most one can exist.
-                stale = identical[0]
-                entries.remove(stale)
-                self._unindex(stale)
-                changed = (stale, entry)
+        if stale is not None:
+            entries.remove(stale)
+            self._unindex(stale)
+            changed = (stale, entry)
         lo, hi = 0, len(entries)
         effective = entry.effective_priority
         while lo < hi:
@@ -172,104 +183,106 @@ class FlowTable:
         entries.insert(lo, entry)
         entry.seq = self._seq
         self._seq += 1
-        self._by_key.setdefault(entry.identity_key, []).append(entry)
-        dst_key = entry.dst_key
+        self._by_key[identity] = entry
+        dst_key = entry.match.destination_prefix_key()
         if dst_key is None:
             self._other[id(entry)] = entry
         else:
             dl_type, network, plen = dst_key
-            level = self._dst_levels.setdefault(plen, {})
-            level.setdefault((dl_type, network), {})[id(entry)] = entry
+            level = self._dst_levels.get((plen, dl_type))
+            if level is None:
+                level = self._dst_levels[(plen, dl_type)] = {}
+            cell = level.get(network)
+            if cell is None:
+                level[network] = entry
+            elif cell.__class__ is list:
+                cell.append(entry)
+            else:
+                level[network] = [cell, entry]
         if entry.idle_timeout or entry.hard_timeout:
             self._may_expire = True
         self._changed(changed)
 
     def _unindex(self, entry: FlowEntry) -> None:
         """Drop an entry from the secondary indexes (not from _entries)."""
-        identical = self._by_key.get(entry.identity_key)
-        if identical is not None:
-            try:
-                identical.remove(entry)
-            except ValueError:
-                pass
-            if not identical:
-                del self._by_key[entry.identity_key]
-        dst_key = entry.dst_key
+        match = entry.match
+        identity = match.identity(entry.priority)
+        if self._by_key.get(identity) is entry:
+            del self._by_key[identity]
+        dst_key = match.destination_prefix_key()
         if dst_key is None:
             self._other.pop(id(entry), None)
-        else:
-            dl_type, network, plen = dst_key
-            level = self._dst_levels.get(plen)
-            group = level.get((dl_type, network)) if level is not None else None
-            if group is not None:
-                group.pop(id(entry), None)
-                if not group:
-                    del level[(dl_type, network)]
-                    if not level:
-                        del self._dst_levels[plen]
+            return
+        dl_type, network, plen = dst_key
+        level = self._dst_levels.get((plen, dl_type))
+        cell = level.get(network) if level is not None else None
+        if cell is entry:
+            del level[network]
+            if not level:
+                del self._dst_levels[(plen, dl_type)]
+        elif cell.__class__ is list and entry in cell:
+            cell.remove(entry)
+            if len(cell) == 1:
+                level[network] = cell[0]
 
-    def modify(self, match: Match, actions: List[Action], strict: bool,
+    def modify(self, match: Match, actions: Sequence[Action], strict: bool,
                priority: int) -> int:
         """Apply MODIFY / MODIFY_STRICT semantics; returns entries touched."""
-        touched = [entry for entry in self._entries
-                   if self._selected(entry, match, strict, priority,
-                                     OFPPort.NONE)]
-        for entry in touched:
-            entry.actions = list(actions)
+        touched = self._select(match, strict, priority, OFPPort.NONE)
         if touched:
+            actions = tuple(actions)
+            for entry in touched:
+                entry.actions = actions
             self._changed(touched)
         return len(touched)
 
     def delete(self, match: Match, strict: bool, priority: int,
                out_port: int = OFPPort.NONE) -> List[FlowEntry]:
         """Apply DELETE / DELETE_STRICT semantics; returns removed entries."""
-        if strict:
-            identical = self._by_key.get((priority, match._key()), ())
-            selected = [e for e in identical if e.outputs_to(out_port)]
-        else:
-            dst_key = match.destination_prefix_key()
-            if dst_key is not None:
-                selected = self._dst_covered(dst_key, out_port)
-                if self._other:
-                    selected.extend(
-                        e for e in self._other.values()
-                        if self._selected(e, match, False, priority, out_port))
-            else:
-                selected = [e for e in self._entries
-                            if self._selected(e, match, False, priority, out_port)]
-        if not selected:
+        removed = self._select(match, strict, priority, out_port)
+        if not removed:
             return []
-        for entry in selected:
+        for entry in removed:
             self._unindex(entry)
-        dead = set(map(id, selected))
-        removed: List[FlowEntry] = []
-        remaining: List[FlowEntry] = []
-        for entry in self._entries:
-            (removed if id(entry) in dead else remaining).append(entry)
-        self._entries = remaining
+        dead = set(map(id, removed))
+        self._entries = [e for e in self._entries if id(e) not in dead]
         self._changed(removed)
         return removed
 
-    def _dst_covered(self, dst_key: tuple, out_port: int) -> List[FlowEntry]:
-        """Destination-prefix entries covered by a shaped delete match."""
-        dl_type, network, plen = dst_key
-        covered: List[FlowEntry] = []
-        if plen:
-            shift = 32 - plen
-            target = network >> shift
-            for entry_plen, level in self._dst_levels.items():
-                if entry_plen < plen:
-                    continue
-                for (entry_dl_type, entry_net), group in level.items():
-                    if entry_dl_type == dl_type and (entry_net >> shift) == target:
-                        covered.extend(group.values())
-        else:
-            for level in self._dst_levels.values():
-                for (entry_dl_type, _net), group in level.items():
-                    if entry_dl_type == dl_type:
-                        covered.extend(group.values())
+    def _select(self, match: Match, strict: bool, priority: int,
+                out_port: int) -> List[FlowEntry]:
+        """The entries a flow-mod command selects, in table order."""
+        if strict:
+            entry = self._by_key.get(match.identity(priority))
+            if entry is None or not entry.outputs_to(out_port):
+                return []
+            return [entry]
+        dst_key = match.destination_prefix_key()
+        if dst_key is None:
+            return [e for e in self._entries
+                    if match.covers(e.match) and e.outputs_to(out_port)]
+        selected = self._dst_covered(dst_key)
+        selected.extend(e for e in self._other.values() if match.covers(e.match))
         if out_port != OFPPort.NONE:
-            covered = [e for e in covered if e.outputs_to(out_port)]
+            selected = [e for e in selected if e.outputs_to(out_port)]
+        selected.sort(key=_table_order)
+        return selected
+
+    def _dst_covered(self, dst_key: tuple) -> List[FlowEntry]:
+        """Destination-prefix entries covered by a shaped command match."""
+        dl_type, network, plen = dst_key
+        shift = 32 - plen
+        target = network >> shift
+        covered: List[FlowEntry] = []
+        for (entry_plen, entry_dl_type), level in self._dst_levels.items():
+            if entry_plen < plen or entry_dl_type != dl_type:
+                continue
+            for entry_net, cell in level.items():
+                if entry_net >> shift == target:
+                    if cell.__class__ is list:
+                        covered.extend(cell)
+                    else:
+                        covered.append(cell)
         return covered
 
     def expire(self, now: float) -> List[tuple]:
@@ -294,42 +307,49 @@ class FlowTable:
             self._changed([entry for entry, _reason in expired])
         return expired
 
-    @staticmethod
-    def _selected(entry: FlowEntry, match: Match, strict: bool, priority: int,
-                  out_port: int) -> bool:
-        if not entry.outputs_to(out_port):
-            return False
-        if strict:
-            return entry.match == match and entry.priority == priority
-        return match.covers(entry.match)
-
     # --------------------------------------------------------------- lookup
     def lookup(self, fields: PacketFields) -> Optional[FlowEntry]:
-        """Find the highest-precedence entry matching the packet fields.
+        """Find the highest-precedence entry matching the packet fields."""
+        return self.lookup_destination(fields.dl_type, int(fields.nw_dst),
+                                       fields)
 
-        Destination-prefix entries are resolved with one bucket probe per
-        prefix length present in the table; only the (normally empty)
-        non-shaped remainder is scanned with the full match predicate.
-        Ties follow the sorted table order: highest effective priority,
-        then earliest installation.
+    def lookup_destination(self, dl_type: int, dst: int,
+                           fields: Optional[PacketFields] = None,
+                           ) -> Optional[FlowEntry]:
+        """Find the highest-precedence entry for a packet towards ``dst``.
+
+        ``fields`` is the whole packet; without it the packet carries
+        ``dl_type`` and ``dst`` and every other field at its default, and
+        is only built if an entry of another shape needs it.
+        Destination-prefix entries are resolved with one cell probe per
+        (prefix length, dl_type) level present in the table; only the
+        (normally empty) remainder is checked with the full match
+        predicate.  Ties follow the sorted table order: highest effective
+        priority, then earliest installation.
         """
         self.lookup_count += 1
         best: Optional[FlowEntry] = None
         best_rank: Optional[tuple] = None
-        dl_type = fields.dl_type
-        dst = int(fields.nw_dst)
-        for plen, level in self._dst_levels.items():
+        for (plen, level_dl_type), level in self._dst_levels.items():
+            if level_dl_type != dl_type:
+                continue
             shift = 32 - plen
-            group = level.get((dl_type, (dst >> shift) << shift if plen else 0))
-            if group:
-                for entry in group.values():
-                    rank = (-entry.effective_priority, entry.seq)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = entry, rank
-        for entry in self._other.values():
-            rank = (-entry.effective_priority, entry.seq)
-            if (best_rank is None or rank < best_rank) and entry.match.matches(fields):
-                best, best_rank = entry, rank
+            cell = level.get(dst >> shift << shift)
+            if cell is None:
+                continue
+            for entry in (cell if cell.__class__ is list else (cell,)):
+                rank = (-entry.effective_priority, entry.seq)
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = entry, rank
+        if self._other:
+            if fields is None:
+                fields = PacketFields()
+                fields.dl_type = dl_type
+                fields.nw_dst = IPv4Address(dst)
+            for entry in self._other.values():
+                rank = (-entry.effective_priority, entry.seq)
+                if (best_rank is None or rank < best_rank) and entry.match.matches(fields):
+                    best, best_rank = entry, rank
         if best is not None:
             self.matched_count += 1
         return best

@@ -113,6 +113,12 @@ class PacketFields:
 class Match:
     """An ``ofp_match``: wildcard bitmap plus concrete field values."""
 
+    __slots__ = (
+        "wildcards", "in_port", "dl_src", "dl_dst", "dl_vlan", "dl_vlan_pcp",
+        "dl_type", "nw_tos", "nw_proto", "nw_src", "nw_dst", "tp_src", "tp_dst",
+        "_key_cache", "_plen_cache", "_dst_cache", "_identity_cache",
+    )
+
     def __init__(
         self,
         wildcards: int = W.ALL,
@@ -145,9 +151,18 @@ class Match:
         # Field-tuple cache backing __eq__/__hash__; flow tables compare
         # matches constantly, so the tuple is built once and dropped by the
         # set_* mutators below.  The prefix-length pair is cached the same
-        # way: covers()/matches() run millions of times per experiment.
+        # way: covers()/matches() run millions of times per experiment.  So
+        # are the flow-table index keys (identity(), destination_prefix_key()):
+        # entries sharing one match share them instead of building their own.
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every cached derivation of the fields (a setter ran)."""
         self._key_cache = None
         self._plen_cache = None
+        # False, not None: "not worked out yet" (the key itself may be None).
+        self._dst_cache = False
+        self._identity_cache = None
 
     # --------------------------------------------------------- constructors
     @classmethod
@@ -184,59 +199,57 @@ class Match:
 
     # --------------------------------------------------------------- setters
     def set_in_port(self, port: int) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.in_port = port
         self.wildcards &= ~W.IN_PORT
         return self
 
     def set_dl_type(self, dl_type: int) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.dl_type = dl_type
         self.wildcards &= ~W.DL_TYPE
         return self
 
     def set_dl_src(self, mac: MACAddress) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.dl_src = MACAddress(mac)
         self.wildcards &= ~W.DL_SRC
         return self
 
     def set_dl_dst(self, mac: MACAddress) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.dl_dst = MACAddress(mac)
         self.wildcards &= ~W.DL_DST
         return self
 
     def set_nw_proto(self, proto: int) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.nw_proto = proto
         self.wildcards &= ~W.NW_PROTO
         return self
 
     def set_nw_src(self, address: IPv4Address, prefix_len: int = 32) -> "Match":
-        self._key_cache = None
-        self._plen_cache = None
+        self._forget()
         self.nw_src = IPv4Address(address)
         self.wildcards &= ~W.NW_SRC_MASK
         self.wildcards |= ((32 - prefix_len) << W.NW_SRC_SHIFT) & W.NW_SRC_MASK
         return self
 
     def set_nw_dst(self, address: IPv4Address, prefix_len: int = 32) -> "Match":
-        self._key_cache = None
-        self._plen_cache = None
+        self._forget()
         self.nw_dst = IPv4Address(address)
         self.wildcards &= ~W.NW_DST_MASK
         self.wildcards |= ((32 - prefix_len) << W.NW_DST_SHIFT) & W.NW_DST_MASK
         return self
 
     def set_tp_src(self, port: int) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.tp_src = port
         self.wildcards &= ~W.TP_SRC
         return self
 
     def set_tp_dst(self, port: int) -> "Match":
-        self._key_cache = None
+        self._forget()
         self.tp_dst = port
         self.wildcards &= ~W.TP_DST
         return self
@@ -358,15 +371,26 @@ class Match:
         the only shape RouteFlow installs.  Flow tables index these for
         O(covered) non-strict deletes instead of scanning every entry.
         """
-        if (self.wildcards | W.NW_DST_MASK) != _DST_SHAPE | W.NW_DST_MASK:
-            return None
-        prefix_len = self._prefix_lens()[1]
-        if prefix_len:
-            shift = 32 - prefix_len
-            network = (int(self.nw_dst) >> shift) << shift
-        else:
-            network = 0
-        return (self.dl_type, network, prefix_len)
+        key = self._dst_cache
+        if key is False:
+            if (self.wildcards | W.NW_DST_MASK) != _DST_SHAPE | W.NW_DST_MASK:
+                key = None
+            else:
+                prefix_len = self._prefix_lens()[1]
+                shift = 32 - prefix_len
+                key = (self.dl_type, int(self.nw_dst) >> shift << shift,
+                       prefix_len)
+            self._dst_cache = key
+        return key
+
+    def identity(self, priority: int) -> tuple:
+        """``(priority, field key)``: equal for exactly the flow entries an
+        OpenFlow table treats as identical (replace on add, STRICT commands).
+        Cached for the last priority asked."""
+        identity = self._identity_cache
+        if identity is None or identity[0] != priority:
+            identity = self._identity_cache = (priority, self._key())
+        return identity
 
     # -------------------------------------------------------------- encoding
     def encode(self) -> bytes:

@@ -5,7 +5,8 @@ The packet pipeline answers "where does this packet go?" per frame:
 consults the flow table, applies the actions.  The fluid fast path asks
 the same question once per *demand* and records the answer as a
 :class:`ResolvedPath`: the resolver walks the network hop by hop, running
-the identical :meth:`FlowTable.lookup` at every switch, following the
+:meth:`FlowTable.lookup_destination` (the probe :meth:`FlowTable.lookup`
+itself makes) at every switch, following the
 ``OUTPUT`` action across the physical link to the next datapath — so a
 fluid path is pinned to exactly what the frames would have done (the
 equivalence test in ``tests/test_traffic.py`` enforces this).
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.net.addresses import IPv4Address
 from repro.net.ethernet import EtherType
 from repro.openflow.actions import OutputAction
-from repro.openflow.match import PacketFields
 
 #: Terminal states of a resolution walk.
 DELIVERED = "delivered"      # reached the switch owning the destination
@@ -46,9 +45,10 @@ def changed_ranges(changed) -> Optional[List[Tuple[int, int]]]:
         return None
     ranges = set()
     for entry in changed:
-        if entry.dst_key is None:
+        key = entry.match.destination_prefix_key()
+        if key is None:
             return None
-        _dl_type, network, prefix_len = entry.dst_key
+        _dl_type, network, prefix_len = key
         ranges.add((network, network | (0xFFFFFFFF >> prefix_len)))
     return sorted(ranges)
 
@@ -98,11 +98,6 @@ class PathResolver:
         self._memo: Dict[int, list] = {}
         self.lookups = 0
         self.walks = 0
-        # One reusable PacketFields, mutated per lookup (lookups are
-        # serialized): the synthetic packet the pipeline would have seen —
-        # IPv4 towards the demand's destination, everything else default.
-        self._fields = PacketFields(in_port=0)
-        self._fields.dl_type = EtherType.IPV4
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:
@@ -149,8 +144,9 @@ class PathResolver:
         cache = memo[1]
         if dst in cache:
             return cache[dst]
-        self._fields.nw_dst = IPv4Address(dst)
-        entry = table.lookup(self._fields)
+        # The packet the pipeline would have seen: IPv4 towards the
+        # demand's destination, every other field at its default.
+        entry = table.lookup_destination(EtherType.IPV4, dst)
         self.lookups += 1
         cache[dst] = entry
         return entry

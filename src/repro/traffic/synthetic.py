@@ -70,10 +70,11 @@ class SyntheticRoutes:
         #: The parts entries have in common, built once: the match per
         #: destination and the action chain per (node, out port).  Private:
         #: a :class:`Match` has mutating setters, and nothing here hands
-        #: one out.  :class:`FlowEntry` copies the chain into a list of
-        #: its own, so a ``modify`` of one entry leaves its siblings alone.
+        #: one out.  The chain is a tuple that every entry towards that
+        #: port keeps; a ``modify`` of one entry swaps in a tuple of its
+        #: own and leaves its siblings alone.
         self._matches: Dict[int, Match] = {}
-        self._actions: Dict[Tuple[int, int], list] = {}
+        self._actions: Dict[Tuple[int, int], tuple] = {}
 
     # ----------------------------------------------------------- computation
     def _next_hops(self, dst: int) -> Dict[int, int]:
@@ -112,11 +113,11 @@ class SyntheticRoutes:
             src_iface = self.network.switches[node].port(out_port).interface
             dst_iface = (src_iface.link.peer_of(src_iface)
                          if src_iface.link else None)
-            actions = self._actions[(node, out_port)] = [
-                SetDlSrcAction(src_iface.mac)]
+            chain = [SetDlSrcAction(src_iface.mac)]
             if dst_iface is not None:
-                actions.append(SetDlDstAction(dst_iface.mac))
-            actions.append(OutputAction(out_port))
+                chain.append(SetDlDstAction(dst_iface.mac))
+            chain.append(OutputAction(out_port))
+            actions = self._actions[(node, out_port)] = tuple(chain)
         return FlowEntry(self._match(dst), actions, priority=ROUTE_PRIORITY)
 
     def _remove(self, node: int, dst: int) -> None:

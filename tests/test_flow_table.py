@@ -65,7 +65,7 @@ class TestLookup:
         table.add(FlowEntry(prefix_match("10.0.0.0", 8), [OutputAction(2)], priority=5))
         assert len(table) == 1
         entry = table.lookup(fields_for("10.2.3.4"))
-        assert entry.actions == [OutputAction(2)]
+        assert entry.actions == (OutputAction(2),)
 
     def test_counters_update_on_use(self, sim):
         table = FlowTable()
@@ -115,7 +115,7 @@ class TestModifyDelete:
         touched = table.modify(prefix_match("10.0.0.0", 8), [OutputAction(3)],
                                strict=False, priority=0)
         assert touched == 1
-        assert entry.actions == [OutputAction(3)]
+        assert entry.actions == (OutputAction(3),)
 
     def test_overlap_detection(self):
         table = FlowTable()

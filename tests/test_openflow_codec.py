@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.net import Ethernet, EtherType, IPv4, IPv4Address, MACAddress, UDP
 from repro.net.ipv4 import IPProtocol
@@ -35,7 +37,7 @@ from repro.openflow import (
     StripVlanAction,
     decode_message,
 )
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, UnknownAction
 from repro.openflow.constants import OFP_VERSION, OFPFlowWildcards
 from repro.openflow.messages import (
     BarrierReply,
@@ -152,6 +154,16 @@ class TestActions:
     def test_bad_length_rejected(self):
         with pytest.raises(DecodeError):
             Action.decode_list(b"\x00\x00\x00\x04")
+
+    def test_known_action_shorter_than_its_type_rejected(self):
+        """An 8-byte SET_DL_SRC used to reach ``struct.unpack`` and raise
+        ``struct.error`` out of ``decode_message``."""
+        raw = bytearray(FlowMod(
+            match=Match.for_destination_prefix(IPv4Address("10.1.2.0"), 24),
+            actions=[SetDlSrcAction(MACAddress(5)), OutputAction(3)]).encode())
+        raw[75] = 0x08  # low byte of the first action's length
+        with pytest.raises(DecodeError):
+            decode_message(bytes(raw))
 
     def test_set_dl_dst_apply_rewrites_frame(self):
         frame = Ethernet.decode(sample_frame())
@@ -309,3 +321,66 @@ class TestMessages:
         decoded = decode_message(message.encode())
         assert decoded.priority == priority and decoded.out_port == out_port
         assert decoded.idle_timeout == idle and decoded.hard_timeout == hard
+
+
+#: Valid messages for the fuzz to mutate: every known action type, a match,
+#: and a frame inside PACKET_OUT and PACKET_IN.
+VALID = [
+    FlowMod(match=Match.for_destination_prefix(IPv4Address("10.1.2.0"), 24),
+            actions=[SetDlSrcAction(MACAddress(5)), SetDlDstAction(MAC),
+                     OutputAction(3)]).encode(),
+    PacketOut(in_port=OFPPort.NONE,
+              actions=[SetVlanVidAction(7), StripVlanAction(),
+                       SetNwSrcAction(IP), SetNwDstAction(IP),
+                       SetTpSrcAction(1), SetTpDstAction(2), OutputAction(2)],
+              data=sample_frame()).encode(),
+    PacketIn(buffer_id=1, in_port=4, reason=0, data=sample_frame()).encode(),
+]
+#: Where the match, the actions and the frames start in those messages.
+OFFSETS = (0, 8, 16, 18, 72)
+
+
+#: Every action type the codec knows, plus two it does not.
+ACTION_TYPES = st.sampled_from(list(range(12)) + [0xFFFF])
+
+
+@st.composite
+def hostile_bytes(draw) -> bytes:
+    """Arbitrary bytes; a FLOW_MOD or PACKET_OUT whose actions are TLVs of
+    any type and length field; or a valid message with bytes changed and
+    cut."""
+    kind = draw(st.sampled_from(("any", "actions", "mutated")))
+    if kind == "any":
+        return draw(st.binary(max_size=160))
+    if kind == "actions":
+        tlvs = b""
+        for action_type, length in draw(st.lists(st.tuples(
+                ACTION_TYPES, st.integers(min_value=0, max_value=24)),
+                max_size=4)):
+            tlvs += struct.pack("!HH", action_type, length) + draw(
+                st.binary(min_size=max(length - 4, 0),
+                          max_size=max(length - 4, 0)))
+        verbatim = [UnknownAction(0, tlvs)]
+        if draw(st.booleans()):
+            return FlowMod(match=Match.wildcard_all(), actions=verbatim).encode()
+        return PacketOut(actions=verbatim, data=sample_frame()).encode()
+    data = bytearray(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        data[draw(st.integers(min_value=0, max_value=len(data) - 1))] = draw(
+            st.integers(min_value=0, max_value=255))
+    return bytes(data[:draw(st.integers(min_value=0, max_value=len(data)))])
+
+
+class TestHostileInput:
+    """No byte sequence from the wire raises anything but DecodeError."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=hostile_bytes())
+    def test_only_decode_errors_escape(self, data):
+        for offset in OFFSETS:
+            for decode in (decode_message, Match.decode, Action.decode_list,
+                           PacketFields.from_frame):
+                try:
+                    decode(data[offset:])
+                except DecodeError:
+                    pass
