@@ -43,17 +43,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager, ManualConfigurationModel
+from repro.core import FrameworkConfig, ManualConfigurationModel
 from repro.experiments import (
+    ScenarioRun,
     check_load_conservation,
     format_table,
     render_ctlscale_churn,
     render_ctlscale_table,
     run_ctlscale,
     run_ctlscale_churn,
-    write_ctlscale_churn_json,
     write_ctlscale_csv,
-    write_ctlscale_json,
     render_ablation_table,
     render_config_time_table,
     render_demo_report,
@@ -65,21 +64,17 @@ from repro.experiments import (
     run_config_time_sweep,
     run_controller_split_ablation,
     run_demo,
-    run_failover_suite,
+    run_failover,
     run_interdomain,
     run_ospf_timer_ablation,
     run_sweep,
     run_te,
-    run_traffic_suite,
+    run_traffic,
     run_vm_latency_ablation,
     write_failover_csv,
-    write_failover_json,
     write_interdomain_csv,
-    write_interdomain_json,
+    write_json,
     write_sweep_csv,
-    write_sweep_json,
-    write_te_json,
-    write_traffic_json,
 )
 from repro.experiments.ctlscale import DEFAULT_CONTROLLER_COUNTS
 from repro.experiments.te import DEFAULT_POLICIES
@@ -90,13 +85,12 @@ from repro.scenarios import (
     FailureSchedule,
     FailureScheduleError,
     ScenarioError,
+    ScenarioSpec,
     all_scenarios,
     get as get_scenario,
     scenario_names,
 )
 from repro.topology.graph import TopologyError
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import ring_topology
 
 
@@ -337,14 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_quickstart(args: argparse.Namespace) -> int:
-    sim = Simulator()
-    ipam = IPAddressManager()
-    config = FrameworkConfig(vm_boot_delay=args.vm_boot_delay,
-                             detect_edge_ports=False)
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, ring_topology(args.switches), ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=7200.0, settle=5.0)
+    run = ScenarioRun(ring_topology(args.switches),
+                      FrameworkConfig(vm_boot_delay=args.vm_boot_delay,
+                                      detect_edge_ports=False))
+    configured_at = run.configure(7200.0, settle=5.0)
+    framework = run.framework
     if configured_at is None:
         print("configuration did not complete within the deadline", file=sys.stderr)
         return 1
@@ -439,22 +430,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
     if args.controllers is not None and args.controllers < 1:
         print("--controllers must be >= 1", file=sys.stderr)
         return 2
-    try:
-        results = run_sweep(names, workers=args.workers,
-                            controllers=args.controllers)
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    results = run_sweep(names, workers=args.workers,
+                        controllers=args.controllers)
     print(render_sweep_table(results))
     if args.out:
-        print(f"wrote {write_sweep_json(results, args.out)}")
+        print(f"wrote {write_json(results, args.out)}")
     if args.csv:
         print(f"wrote {write_sweep_csv(results, args.csv)}")
     return 0 if all(r.configured for r in results) else 1
@@ -491,64 +474,41 @@ def _parse_failure_events(args: argparse.Namespace) -> List[FailureEvent]:
 
 
 def _command_failover(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        specs = [get_scenario(name) for name in args.scenario]
-        explicit = _parse_failure_events(args)
-    except (ScenarioError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    specs = [get_scenario(name) for name in args.scenario]
+    explicit = _parse_failure_events(args)
     results = []
-    try:
-        for spec in specs:
-            # CLI events and churn are *added on top of* whatever schedule
-            # is registered on the scenario itself; run_failover generates
-            # the churn against the topology it actually runs.
-            events = list(spec.failures.events if spec.failures else ())
-            events.extend(explicit)
-            if not events and not args.churn:
-                print(f"error: scenario {spec.name!r} carries no failure "
-                      f"schedule; pass --link-down/--node-down/--churn",
-                      file=sys.stderr)
-                return 2
-            results.extend(run_failover_suite(
-                [spec],
-                schedule=FailureSchedule(tuple(events)) if events else None,
-                settle=args.settle, churn=args.churn,
-                churn_seed=args.churn_seed, churn_spacing=args.churn_spacing,
-                churn_recovery=args.churn_recovery))
-    except (ScenarioError, TopologyError, FailureScheduleError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    for spec in specs:
+        # CLI events and churn are *added on top of* whatever schedule is
+        # registered on the scenario itself; run_failover generates the
+        # churn against the topology it actually runs.
+        events = list(spec.failures.events if spec.failures else ())
+        events.extend(explicit)
+        if not events and not args.churn:
+            raise ValueError(f"scenario {spec.name!r} carries no failure "
+                             f"schedule; pass --link-down/--node-down/--churn")
+        results.append(run_failover(
+            spec, schedule=FailureSchedule(tuple(events)) if events else None,
+            settle=args.settle, churn=args.churn, churn_seed=args.churn_seed,
+            churn_spacing=args.churn_spacing,
+            churn_recovery=args.churn_recovery))
     print(render_failover_table(results))
     if args.out:
-        print(f"wrote {write_failover_json(results, args.out)}")
+        print(f"wrote {write_json(results, args.out)}")
     if args.csv:
         print(f"wrote {write_failover_csv(results, args.csv)}")
     return 0 if all(r.reconverged for r in results) else 1
 
 
 def _command_ctlscale(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
     if args.churn:
         return _command_ctlscale_churn(args)
     counts = args.controllers or list(DEFAULT_CONTROLLER_COUNTS)
-    try:
-        spec = get_scenario(args.scenario)
-        results = run_ctlscale(spec, controller_counts=counts,
-                               partitioner=args.partitioner)
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    results = run_ctlscale(get_scenario(args.scenario),
+                           controller_counts=counts,
+                           partitioner=args.partitioner)
     print(render_ctlscale_table(results))
     if args.out:
-        print(f"wrote {write_ctlscale_json(results, args.out)}")
+        print(f"wrote {write_json(results, args.out)}")
     if args.csv:
         print(f"wrote {write_ctlscale_csv(results, args.csv)}")
     healthy = all(r.configured and not r.invariant_violations for r in results)
@@ -558,127 +518,84 @@ def _command_ctlscale(args: argparse.Namespace) -> int:
 
 def _command_ctlscale_churn(args: argparse.Namespace) -> int:
     if args.csv:
-        print("error: --csv is not supported with --churn (use --out)",
-              file=sys.stderr)
-        return 2
-    controllers = max(args.controllers) if args.controllers else None
-    try:
-        spec = get_scenario(args.scenario)
-        result = run_ctlscale_churn(
-            spec,
-            controllers=controllers,
-            partitioner=args.partitioner,
-            failovers=args.churn_failovers,
-            reshards=args.churn_reshards,
-            link_churn=args.churn_links,
-            churn_seed=args.churn_seed,
-            spacing=args.churn_spacing,
-            settle=args.settle,
-            bus_drop=args.churn_bus_drop,
-            bus_duplicate=args.churn_bus_duplicate,
-            bus_reorder=args.churn_bus_reorder,
-            bus_jitter=args.churn_bus_jitter,
-            bus_fault_seed=args.churn_bus_seed,
-        )
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ValueError("--csv is not supported with --churn (use --out)")
+    result = run_ctlscale_churn(
+        get_scenario(args.scenario),
+        controllers=max(args.controllers) if args.controllers else None,
+        partitioner=args.partitioner,
+        failovers=args.churn_failovers,
+        reshards=args.churn_reshards,
+        link_churn=args.churn_links,
+        churn_seed=args.churn_seed,
+        spacing=args.churn_spacing,
+        settle=args.settle,
+        bus_drop=args.churn_bus_drop,
+        bus_duplicate=args.churn_bus_duplicate,
+        bus_reorder=args.churn_bus_reorder,
+        bus_jitter=args.churn_bus_jitter,
+        bus_fault_seed=args.churn_bus_seed,
+    )
     print(render_ctlscale_churn(result))
     if args.out:
-        print(f"wrote {write_ctlscale_churn_json(result, args.out)}")
+        print(f"wrote {write_json(result, args.out)}")
     return 0 if result.healthy else 1
 
 
 def _command_interdomain(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
     flap_link = None
     if args.flap_link is not None:
         try:
             node_a, node_b = args.flap_link.split(":")
             flap_link = (int(node_a), int(node_b))
         except ValueError:
-            print(f"error: bad --flap-link value {args.flap_link!r} "
-                  f"(expected A:B)", file=sys.stderr)
-            return 2
-    results = []
-    try:
-        for name in args.scenario:
-            results.append(run_interdomain(
-                name, flap=not args.no_flap, flap_link=flap_link,
-                settle=args.settle))
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+            raise ValueError(f"bad --flap-link value {args.flap_link!r} "
+                             f"(expected A:B)") from None
+    results = [run_interdomain(name, flap=not args.no_flap,
+                               flap_link=flap_link, settle=args.settle)
+               for name in args.scenario]
     print(render_interdomain_table(results))
     if args.out:
-        print(f"wrote {write_interdomain_json(results, args.out)}")
+        print(f"wrote {write_json(results, args.out)}")
     if args.csv:
         print(f"wrote {write_interdomain_csv(results, args.csv)}")
     return 0 if all(r.healthy for r in results) else 1
 
 
-def _command_traffic(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        specs = [get_scenario(name) for name in args.scenario]
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _demand_override(spec: ScenarioSpec,
+                     args: argparse.Namespace) -> Optional[DemandSpec]:
+    """The scenario's demand spec with the given demand options applied
+    (None when no option was given: the run uses the scenario's own)."""
     overrides = {"count": args.demands, "model": args.model,
-                 "rate_bps": args.rate, "duration": args.duration,
+                 "rate_bps": args.rate,
+                 "duration": getattr(args, "duration", None),
                  "seed": args.demand_seed}
     overrides = {key: value for key, value in overrides.items()
                  if value is not None}
-    results = []
-    try:
-        for spec in specs:
-            base = spec.demands if spec.demands is not None else DemandSpec()
-            demands = DemandSpec(**{**base.to_dict(), **overrides}) \
-                if overrides else None
-            results.extend(run_traffic_suite([spec], demands=demands,
-                                             settle=args.settle,
-                                             window=args.window))
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if not overrides:
+        return None
+    base = spec.demands if spec.demands is not None else DemandSpec()
+    return DemandSpec(**{**base.to_dict(), **overrides})
+
+
+def _command_traffic(args: argparse.Namespace) -> int:
+    specs = [get_scenario(name) for name in args.scenario]
+    results = [run_traffic(spec, demands=_demand_override(spec, args),
+                           settle=args.settle, window=args.window)
+               for spec in specs]
     print(render_traffic_table(results))
     if args.out:
-        print(f"wrote {write_traffic_json(results, args.out)}")
+        print(f"wrote {write_json(results, args.out)}")
     return 0 if all(r.configured for r in results) else 1
 
 
 def _command_te(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        spec = get_scenario(args.scenario)
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    overrides = {"count": args.demands, "model": args.model,
-                 "rate_bps": args.rate, "seed": args.demand_seed}
-    overrides = {key: value for key, value in overrides.items()
-                 if value is not None}
-    base = spec.demands if spec.demands is not None else DemandSpec()
-    demands = DemandSpec(**{**base.to_dict(), **overrides}) \
-        if overrides else None
-    try:
-        suite = run_te(spec, policies=args.policy, demands=demands,
-                       settle=args.settle, window=args.window)
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    spec = get_scenario(args.scenario)
+    suite = run_te(spec, policies=args.policy,
+                   demands=_demand_override(spec, args),
+                   settle=args.settle, window=args.window)
     print(render_te_table(suite))
     if args.out:
-        print(f"wrote {write_te_json(suite, args.out)}")
+        print(f"wrote {write_json(suite, args.out)}")
     return 0 if suite.healthy else 1
 
 
@@ -698,11 +615,24 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
-    return handler(args)
+    """CLI entry point; returns the process exit code.
+
+    Export paths are checked before any experiment runs, and a bad
+    scenario, topology, schedule or value ends the command with
+    ``error: ...`` on stderr and exit code 2.
+    """
+    args = build_parser().parse_args(argv)
+    export_error = _validate_export_paths(getattr(args, "out", None),
+                                          getattr(args, "csv", None))
+    if export_error is not None:
+        print(export_error, file=sys.stderr)
+        return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except (ScenarioError, TopologyError, FailureScheduleError,
+            ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -21,9 +21,7 @@ from repro.experiments.ctlscale import (
     render_ctlscale_table,
     run_ctlscale,
     run_ctlscale_churn,
-    write_ctlscale_churn_json,
     write_ctlscale_csv,
-    write_ctlscale_json,
 )
 from repro.experiments.demo import render_demo_report, run_demo
 from repro.experiments.interdomain import (
@@ -33,27 +31,18 @@ from repro.experiments.interdomain import (
     run_interdomain,
     verify_interdomain,
     write_interdomain_csv,
-    write_interdomain_json,
 )
 from repro.experiments.export import (
     read_sweep_csv,
     read_sweep_json,
-    write_ablation_csv,
-    write_config_time_csv,
-    write_config_time_json,
-    write_demo_json,
     write_failover_csv,
-    write_failover_json,
-    write_markdown_report,
     write_sweep_csv,
-    write_sweep_json,
 )
 from repro.experiments.failover import (
     FailoverEventResult,
     FailoverResult,
     render_failover_table,
     run_failover,
-    run_failover_suite,
     verify_spf_rib_consistency,
 )
 from repro.experiments.sweep import (
@@ -68,15 +57,12 @@ from repro.experiments.te import (
     TEResult,
     render_te_table,
     run_te,
-    write_te_json,
 )
 from repro.experiments.traffic import (
     LinkUtilization,
     TrafficResult,
     render_traffic_table,
     run_traffic,
-    run_traffic_suite,
-    write_traffic_json,
 )
 from repro.experiments.results import (
     AblationResult,
@@ -84,6 +70,12 @@ from repro.experiments.results import (
     DemoResult,
     format_seconds,
     format_table,
+)
+from repro.experiments.run import (
+    ScenarioRun,
+    mirror_into_routeflow,
+    to_payload,
+    write_json,
 )
 
 __all__ = [
@@ -93,15 +85,14 @@ __all__ = [
     "CtlScaleResult",
     "DEFAULT_RING_SIZES",
     "DemoResult",
+    "ScenarioRun",
     "check_load_conservation",
     "churn_schedule",
     "render_ctlscale_churn",
     "render_ctlscale_table",
     "run_ctlscale",
     "run_ctlscale_churn",
-    "write_ctlscale_churn_json",
     "write_ctlscale_csv",
-    "write_ctlscale_json",
     "BorderFlapResult",
     "FailoverEventResult",
     "FailoverResult",
@@ -112,23 +103,19 @@ __all__ = [
     "TrafficResult",
     "format_seconds",
     "format_table",
+    "mirror_into_routeflow",
     "render_interdomain_table",
     "run_interdomain",
     "verify_interdomain",
     "write_interdomain_csv",
-    "write_interdomain_json",
     "SweepResult",
     "expand_seeds",
     "render_failover_table",
     "render_te_table",
     "render_traffic_table",
     "run_failover",
-    "run_failover_suite",
     "run_te",
     "run_traffic",
-    "run_traffic_suite",
-    "write_te_json",
-    "write_traffic_json",
     "verify_spf_rib_consistency",
     "read_sweep_csv",
     "read_sweep_json",
@@ -144,13 +131,8 @@ __all__ = [
     "run_single_configuration",
     "run_sweep",
     "run_vm_latency_ablation",
-    "write_ablation_csv",
-    "write_config_time_csv",
-    "write_config_time_json",
-    "write_demo_json",
+    "to_payload",
     "write_failover_csv",
-    "write_failover_json",
-    "write_markdown_report",
+    "write_json",
     "write_sweep_csv",
-    "write_sweep_json",
 ]

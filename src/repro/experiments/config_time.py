@@ -12,12 +12,10 @@ from __future__ import annotations
 import logging
 from typing import Iterable, List, Optional
 
-from repro.core.autoconfig import AutoConfigFramework, FrameworkConfig
-from repro.core.ipam import IPAddressManager
+from repro.core.autoconfig import FrameworkConfig
 from repro.core.manual_model import ManualConfigurationModel
 from repro.experiments.results import ConfigTimeResult, format_seconds, format_table
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.experiments.run import ScenarioRun
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
 
@@ -31,22 +29,16 @@ def run_single_configuration(topology: Topology,
                              config: Optional[FrameworkConfig] = None,
                              max_time: float = 3600.0) -> ConfigTimeResult:
     """Configure one topology automatically and measure the time taken."""
-    sim = Simulator()
-    framework_config = config if config is not None else FrameworkConfig(
-        detect_edge_ports=False)
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=framework_config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    auto_seconds = framework.run_until_configured(max_time=max_time)
+    run = ScenarioRun(topology, config if config is not None
+                      else FrameworkConfig(detect_edge_ports=False))
     manual = ManualConfigurationModel()
     return ConfigTimeResult(
         num_switches=topology.num_nodes,
         num_links=topology.num_links,
-        auto_seconds=auto_seconds,
+        auto_seconds=run.configure(max_time),
         manual_seconds=manual.seconds_for(topology.num_nodes),
-        milestones=dict(framework.milestones),
-        link_stats=network.stats(),
+        milestones=dict(run.framework.milestones),
+        link_stats=run.network.stats(),
     )
 
 

@@ -23,25 +23,17 @@ reports, per run:
 from __future__ import annotations
 
 import csv
-import json
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
-from repro.experiments.failover import (
-    _mirror_into_routeflow,
-    verify_spf_rib_consistency,
-)
+from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
+from repro.experiments.run import ScenarioRun
 from repro.scenarios import ScenarioSpec, get
 from repro.scenarios.events import FailureAction, FailureEvent, FailureSchedule
-from repro.sim import Simulator
 from repro.sim.rng import SeededRandom
-from repro.topology.emulator import EmulatedNetwork
 
 LOG = logging.getLogger(__name__)
 
@@ -70,6 +62,10 @@ class CtlScaleResult:
     #: Per-topic bus counters at the end of the run.
     bus_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     wall_seconds: float = 0.0
+
+    #: Derived values the JSON payload carries (see ``run.to_payload``).
+    payload_properties = ("total_route_mods", "total_flow_mods",
+                          "total_flows")
 
     @property
     def configured(self) -> bool:
@@ -105,19 +101,14 @@ def run_ctlscale(scenario: Union[str, ScenarioSpec],
     for count in controller_counts:
         if count < 1:
             raise ValueError(f"controller counts must be >= 1, got {count}")
-        started = time.perf_counter()
         run_spec = spec.with_controllers(count)
         topology = run_spec.build_topology()
         config = run_spec.framework_config(topology)
         if partitioner is not None:
             config.partitioner = partitioner
-        sim = Simulator()
-        ipam = IPAddressManager()
-        framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-        network = EmulatedNetwork(sim, topology, ipam=ipam)
-        framework.attach(network)
-        configured_at = framework.run_until_configured(max_time=run_spec.max_time,
-                                                       settle=settle)
+        run = ScenarioRun(topology, config)
+        configured_at = run.configure(run_spec.max_time, settle=settle)
+        framework = run.framework
         result = CtlScaleResult(
             scenario=spec.name, family=spec.family, seed=spec.seed,
             controllers=count, partitioner=config.partitioner,
@@ -125,7 +116,7 @@ def run_ctlscale(scenario: Union[str, ScenarioSpec],
             configured_seconds=configured_at,
             shard_loads=framework.shard_loads(),
             bus_stats=framework.bus.stats(),
-            wall_seconds=time.perf_counter() - started)
+            wall_seconds=run.wall_seconds)
         if configured_at is not None:
             result.invariant_violations = verify_spf_rib_consistency(
                 framework.control_plane)
@@ -224,6 +215,9 @@ class CtlScaleChurnResult:
     orphaned_route_mods: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
 
+    #: Derived values the JSON payload carries (see ``run.to_payload``).
+    payload_properties = ("flow_loss", "conserved", "healthy")
+
     @property
     def configured(self) -> bool:
         return self.configured_seconds is not None
@@ -291,8 +285,7 @@ def churn_schedule(num_shards: int, dpids: Sequence[int],
     return schedule
 
 
-def _harvest_bus_counters(result: CtlScaleChurnResult,
-                          framework: AutoConfigFramework) -> None:
+def _harvest_bus_counters(result: CtlScaleChurnResult, framework) -> None:
     """Copy the bus's end-of-run reliability counters into the result."""
     stats = framework.bus.stats()
     totals = stats.get("_totals", {})
@@ -347,7 +340,6 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     fault_seed = churn_seed if bus_fault_seed is None else bus_fault_seed
     reference = run_ctlscale(spec, controller_counts=(1,))[0]
 
-    started = time.perf_counter()
     run_spec = spec.with_controllers(count)
     topology = run_spec.build_topology()
     config = run_spec.framework_config(topology)
@@ -356,13 +348,9 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     if bus_faults:
         config.bus_faults = bus_faults
         config.bus_fault_seed = fault_seed
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=run_spec.max_time,
-                                                   settle=5.0)
+    run = ScenarioRun(topology, config)
+    configured_at = run.configure(run_spec.max_time, settle=5.0)
+    sim, framework, network = run.sim, run.framework, run.network
     result = CtlScaleChurnResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         controllers=count, partitioner=config.partitioner,
@@ -374,7 +362,7 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
         bus_fault_seed=fault_seed if bus_faults else 0,
         reliable_ipc=framework.bus.reliable)
     if configured_at is None:
-        result.wall_seconds = time.perf_counter() - started
+        result.wall_seconds = run.wall_seconds
         _harvest_bus_counters(result, framework)
         return result
 
@@ -388,9 +376,8 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
         # the flow count moving — the quiet window must outlast that.
         def signature():
             stats = framework.bus.stats()["_totals"]
-            flows = sum(load["flows_current"]
-                        for load in framework.shard_loads())
-            return (flows, stats["retransmits"], stats["acked"])
+            return (run.total("flows_current"), stats["retransmits"],
+                    stats["acked"])
 
         quiet = signature()
         quiet_since = sim.now
@@ -402,14 +389,9 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
                 quiet, quiet_since = current, sim.now
             elif sim.now - quiet_since >= 6.0:
                 break
-    result.steady_flows = sum(load["flows_current"]
-                              for load in framework.shard_loads())
-    change_times: List[float] = []
-    for vm in plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old: change_times.append(sim.now))
-    network.add_failure_listener(_mirror_into_routeflow(network,
-                                                        framework.bus))
+    result.steady_flows = run.total("flows_current")
+    change_times = run.watch_fib()
+    run.mirror_failures()
     schedule = churn_schedule(
         count, [node.node_id for node in topology.nodes],
         list(network.link_ports), failovers=failovers, reshards=reshards,
@@ -421,19 +403,13 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     armed_at = sim.now
     network.schedule_failures(schedule)
     horizon = armed_at + schedule.duration
-    deadline = horizon + max_extra
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1.0, deadline))
-        last_activity = max([horizon] + change_times[-1:])
-        if sim.now >= last_activity + settle:
-            result.settled = True
-            break
+    result.settled = run.quiesce(change_times, horizon, horizon + max_extra,
+                                 settle)
 
     last_change = max((t for t in change_times if t >= armed_at),
                       default=horizon)
     result.reconvergence_seconds = max(0.0, last_change - horizon)
-    result.final_flows = sum(load["flows_current"]
-                             for load in framework.shard_loads())
+    result.final_flows = run.total("flows_current")
     result.takeovers = plane.takeovers
     result.reshards = plane.reshards
     result.shard_roles = [plane.role_of(shard.shard_id)
@@ -450,7 +426,7 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
         for shard in plane.shards
         for client in shard.rfserver.rfclients.values())
     _harvest_bus_counters(result, framework)
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = run.wall_seconds
     LOG.info("ctlscale churn: %s x%d -> %d takeovers, %d reshards, "
              "flow loss %d, reconverged in %.1fs", spec.name, count,
              result.takeovers, result.reshards, result.flow_loss,
@@ -510,63 +486,6 @@ def render_ctlscale_churn(result: CtlScaleChurnResult) -> str:
     return "\n".join(lines)
 
 
-def churn_result_payload(result: CtlScaleChurnResult) -> Dict[str, object]:
-    """JSON-ready form of a churn run (the ``--churn --out`` schema)."""
-    return {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "controllers": result.controllers,
-        "partitioner": result.partitioner,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "churn_seed": result.churn_seed,
-        "configured_seconds": result.configured_seconds,
-        "reference_flows": result.reference_flows,
-        "steady_flows": result.steady_flows,
-        "final_flows": result.final_flows,
-        "flow_loss": result.flow_loss,
-        "takeovers": result.takeovers,
-        "reshards": result.reshards,
-        "settled": result.settled,
-        "reconvergence_seconds": result.reconvergence_seconds,
-        "schedule": list(result.schedule),
-        "shard_roles": list(result.shard_roles),
-        "shard_loads": list(result.shard_loads),
-        "invariant_violations": list(result.invariant_violations),
-        "ownership_violations": list(result.ownership_violations),
-        "orphaned_route_mods": list(result.orphaned_route_mods),
-        "conserved": result.conserved,
-        "healthy": result.healthy,
-        "bus_faults": {pattern: dict(params)
-                       for pattern, params in result.bus_faults.items()},
-        "bus_fault_seed": result.bus_fault_seed,
-        "reliable_ipc": result.reliable_ipc,
-        "retransmits": result.retransmits,
-        "acked": result.acked,
-        "exhausted": result.exhausted,
-        "dropped_fault": result.dropped_fault,
-        "fault_duplicated": result.fault_duplicated,
-        "fault_reordered": result.fault_reordered,
-        "rx_duplicates": result.rx_duplicates,
-        "rx_out_of_order": result.rx_out_of_order,
-        "rx_out_of_window": result.rx_out_of_window,
-        "stale_announcements": result.stale_announcements,
-        "duplicate_installs": result.duplicate_installs,
-        "client_resyncs": result.client_resyncs,
-        "bus_stats": dict(result.bus_stats),
-        "wall_seconds": result.wall_seconds,
-    }
-
-
-def write_ctlscale_churn_json(result: CtlScaleChurnResult,
-                              path: PathLike) -> Path:
-    target = Path(path)
-    target.write_text(json.dumps(churn_result_payload(result), indent=2,
-                                 sort_keys=True) + "\n")
-    return target
-
-
 def render_ctlscale_table(results: Sequence[CtlScaleResult]) -> str:
     """Per-run summary plus a per-shard load breakdown."""
     rows = []
@@ -603,35 +522,6 @@ def render_ctlscale_table(results: Sequence[CtlScaleResult]) -> str:
     conservation = "\n".join(notes) if notes else \
         "per-shard load sums match the single-controller totals"
     return f"{table}\n\nper-shard load:\n{shard_table}\n\n{conservation}"
-
-
-def _result_payload(result: CtlScaleResult) -> Dict[str, object]:
-    return {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "controllers": result.controllers,
-        "partitioner": result.partitioner,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "configured_seconds": result.configured_seconds,
-        "shard_loads": list(result.shard_loads),
-        "total_route_mods": result.total_route_mods,
-        "total_flow_mods": result.total_flow_mods,
-        "total_flows": result.total_flows,
-        "invariant_violations": list(result.invariant_violations),
-        "bus_stats": dict(result.bus_stats),
-        "wall_seconds": result.wall_seconds,
-    }
-
-
-def write_ctlscale_json(results: Sequence[CtlScaleResult],
-                        path: PathLike) -> Path:
-    """Write a controller-scaling series as JSON (full per-shard detail)."""
-    target = Path(path)
-    target.write_text(json.dumps([_result_payload(r) for r in results],
-                                 indent=2, sort_keys=True) + "\n")
-    return target
 
 
 def write_ctlscale_csv(results: Sequence[CtlScaleResult],

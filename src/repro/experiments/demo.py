@@ -16,12 +16,10 @@ import logging
 from typing import Optional
 
 from repro.app.streaming import VideoStreamClient, VideoStreamServer
-from repro.core.autoconfig import AutoConfigFramework, FrameworkConfig
-from repro.core.ipam import IPAddressManager
+from repro.core.autoconfig import FrameworkConfig
 from repro.core.manual_model import ManualConfigurationModel
 from repro.experiments.results import DemoResult
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.experiments.run import ScenarioRun
 from repro.topology.graph import Topology
 from repro.topology.pan_european import pan_european_topology
 
@@ -40,7 +38,6 @@ def run_demo(topology: Optional[Topology] = None,
              max_time: float = 1800.0,
              extra_run_time: float = 30.0) -> DemoResult:
     """Run the demonstration and report when the video reached the client."""
-    sim = Simulator()
     topo = topology if topology is not None else pan_european_topology()
     if server_node is None:
         server_node = topo.node_by_name(DEFAULT_SERVER_CITY).node_id if topology is None \
@@ -51,21 +48,17 @@ def run_demo(topology: Optional[Topology] = None,
     topo.attach_host("video-server", server_node)
     topo.attach_host("video-client", client_node)
 
-    framework_config = config if config is not None else FrameworkConfig()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=framework_config, ipam=ipam)
-    network = EmulatedNetwork(sim, topo, ipam=ipam)
-    framework.attach(network)
-
-    server_host = network.host("video-server")
-    client_host = network.host("video-client")
+    run = ScenarioRun(topo, config if config is not None else FrameworkConfig())
+    sim, framework = run.sim, run.framework
+    server_host = run.network.host("video-server")
+    client_host = run.network.host("video-client")
     server = VideoStreamServer(sim, server_host, client_ip=client_host.ip)
     client = VideoStreamClient(sim, client_host, server_ip=server_host.ip)
     # The demo starts the stream immediately, before anything is configured.
     server.start()
     client.start()
 
-    configuration_seconds = framework.run_until_configured(max_time=max_time)
+    configuration_seconds = run.configure(max_time)
     # Keep running until the video arrives (or the deadline passes).
     deadline = min(max_time, sim.now + max_time)
     while sim.now < deadline and not client.video_started:

@@ -1,8 +1,7 @@
-"""Export experiment results to CSV, JSON and Markdown.
+"""CSV export of sweeps and failover suites, and reading sweeps back.
 
-The benchmark harness prints tables to the terminal; this module writes the
-same data to files so results can be archived next to EXPERIMENTS.md or
-plotted externally (the CSV columns match the series of Figure 3).
+JSON is written by :func:`repro.experiments.run.write_json`, whose sweep
+documents :func:`read_sweep_json` reads back.
 """
 
 from __future__ import annotations
@@ -10,135 +9,17 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from repro.experiments.failover import FailoverResult
-from repro.experiments.results import AblationResult, ConfigTimeResult, DemoResult
 from repro.experiments.sweep import SweepResult
 
 PathLike = Union[str, Path]
 
 
-def write_config_time_csv(results: Iterable[ConfigTimeResult], path: PathLike) -> Path:
-    """Write the Figure 3 series as CSV (one row per ring size)."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["switches", "links", "auto_seconds", "manual_seconds",
-                         "speedup"])
-        for result in results:
-            writer.writerow([result.num_switches, result.num_links,
-                             _round(result.auto_seconds), _round(result.manual_seconds),
-                             _round(result.speedup)])
-    return target
-
-
-def write_config_time_json(results: Iterable[ConfigTimeResult], path: PathLike) -> Path:
-    """Write the Figure 3 series as JSON, including the per-run milestones."""
-    payload = [
-        {
-            "switches": result.num_switches,
-            "links": result.num_links,
-            "auto_seconds": result.auto_seconds,
-            "manual_seconds": result.manual_seconds,
-            "speedup": result.speedup,
-            "milestones": result.milestones,
-        }
-        for result in results
-    ]
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
-
-
-def write_demo_json(result: DemoResult, path: PathLike) -> Path:
-    """Write the demo outcome (timings, timeline, frame counts) as JSON."""
-    payload = {
-        "topology": result.topology_name,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "video_start_seconds": result.video_start_seconds,
-        "configuration_seconds": result.configuration_seconds,
-        "manual_seconds": result.manual_seconds,
-        "frames_sent": result.frames_sent,
-        "frames_received": result.frames_received,
-        "milestones": result.milestones,
-        "green_timeline": [[when, dpid] for when, dpid in result.green_timeline],
-    }
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
-
-
-def write_ablation_csv(results: Iterable[AblationResult], path: PathLike) -> Path:
-    """Write an ablation series as CSV (parameter, configuration time)."""
-    target = Path(path)
-    results = list(results)
-    label = results[0].label if results else "parameter"
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([label, "auto_seconds"])
-        for result in results:
-            writer.writerow([result.parameter, _round(result.auto_seconds)])
-    return target
-
-
-def write_markdown_report(config_results: List[ConfigTimeResult],
-                          demo: Optional[DemoResult], path: PathLike) -> Path:
-    """Write a compact Markdown report mirroring EXPERIMENTS.md's tables."""
-    lines = ["# Measured results", ""]
-    if config_results:
-        lines += ["## Figure 3 — configuration time (ring topologies)", "",
-                  "| switches | automatic (s) | manual (min) | speed-up |",
-                  "|---|---|---|---|"]
-        for result in config_results:
-            lines.append(
-                f"| {result.num_switches} | {_round(result.auto_seconds)} "
-                f"| {_round(result.manual_seconds / 60.0)} "
-                f"| {_round(result.speedup)} |")
-        lines.append("")
-    if demo is not None:
-        lines += ["## Demonstration — pan-European video delivery", "",
-                  f"* topology: {demo.topology_name} ({demo.num_switches} switches, "
-                  f"{demo.num_links} links)",
-                  f"* video reached the client after: "
-                  f"{_round(demo.video_start_seconds)} s",
-                  f"* full configuration after: {_round(demo.configuration_seconds)} s",
-                  f"* manual baseline: {_round(demo.manual_seconds / 3600.0)} h",
-                  f"* frames received: {demo.frames_received} / {demo.frames_sent}",
-                  ""]
-    target = Path(path)
-    target.write_text("\n".join(lines))
-    return target
-
-
-def write_sweep_json(results: Iterable[SweepResult], path: PathLike) -> Path:
-    """Write a scenario sweep as JSON (round-trips via :func:`read_sweep_json`)."""
-    payload = [
-        {
-            "scenario": result.scenario,
-            "family": result.family,
-            "seed": result.seed,
-            "controllers": result.controllers,
-            "switches": result.num_switches,
-            "links": result.num_links,
-            "auto_seconds": result.auto_seconds,
-            "manual_seconds": result.manual_seconds,
-            "speedup": result.speedup,
-            "milestones": result.milestones,
-            "frames_delivered": result.frames_delivered,
-            "frames_dropped": result.frames_dropped,
-            "wall_seconds": result.wall_seconds,
-        }
-        for result in results
-    ]
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
-
-
 def read_sweep_json(path: PathLike) -> List[SweepResult]:
-    """Load a sweep previously written by :func:`write_sweep_json`."""
+    """Load a sweep previously written by
+    :func:`~repro.experiments.run.write_json`."""
     payload = json.loads(Path(path).read_text())
     return [
         SweepResult(
@@ -204,40 +85,6 @@ def read_sweep_csv(path: PathLike) -> List[SweepResult]:
     return results
 
 
-def write_failover_json(results: Iterable[FailoverResult], path: PathLike) -> Path:
-    """Write a failover suite as JSON (per-event measurements included)."""
-    payload = [
-        {
-            "scenario": result.scenario,
-            "family": result.family,
-            "seed": result.seed,
-            "switches": result.num_switches,
-            "links": result.num_links,
-            "configured_seconds": result.configured_seconds,
-            "settled": result.settled,
-            "events": [
-                {
-                    "index": event.index,
-                    "action": event.action,
-                    "description": event.description,
-                    "at_seconds": event.at_seconds,
-                    "reconverge_seconds": event.reconverge_seconds,
-                    "route_changes": event.route_changes,
-                    "frames_lost": event.frames_lost,
-                }
-                for event in result.events
-            ],
-            "invariant_violations": list(result.invariant_violations),
-            "link_stats": dict(result.link_stats),
-            "wall_seconds": result.wall_seconds,
-        }
-        for result in results
-    ]
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
-
-
 def write_failover_csv(results: Iterable[FailoverResult], path: PathLike) -> Path:
     """Write a failover suite as CSV, one row per injected failure event.
 
@@ -270,9 +117,3 @@ def write_failover_csv(results: Iterable[FailoverResult], path: PathLike) -> Pat
                                  event.route_changes, event.frames_lost,
                                  delivered, dropped])
     return target
-
-
-def _round(value: Optional[float], digits: int = 1) -> Optional[float]:
-    if value is None:
-        return None
-    return round(value, digits)

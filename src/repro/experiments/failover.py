@@ -26,21 +26,14 @@ churn.
 from __future__ import annotations
 
 import logging
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.bus import topics
-from repro.bus.reliable import acquire_publisher
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
 from repro.experiments.results import format_seconds, format_table
+from repro.experiments.run import ScenarioRun, mirror_into_routeflow
 from repro.quagga.rib import RouteSource
-from repro.routeflow.ipc import PortStatusRelay
-from repro.scenarios import FailureAction, FailureSchedule, ScenarioSpec, get
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.scenarios import FailureSchedule, ScenarioSpec, get
 
 LOG = logging.getLogger(__name__)
 
@@ -156,38 +149,9 @@ def verify_spf_rib_consistency(rfserver) -> List[str]:
     return violations
 
 
-def _mirror_into_routeflow(network: EmulatedNetwork, bus):
-    """Build the physical→virtual mirroring listener for failure events.
-
-    The relay rides the control-plane bus (the RFProxy→RFServer
-    port-status hop): each affected link is published as a
-    :class:`~repro.routeflow.ipc.PortStatusRelay` on the
-    :data:`~repro.bus.topics.PORT_STATUS` topic, where the control plane —
-    single RFServer or sharded — mirrors it onto the virtual wires.  On a
-    reliable bus the relay acquires an acknowledged publisher, so a lossy
-    fault profile cannot silently eat a port-status transition.
-    """
-    publisher = acquire_publisher(bus, topics.PORT_STATUS,
-                                  "emulator:port-status")
-
-    def mirror(event) -> None:
-        if event.action in FailureAction.LINK_ACTIONS:
-            pairs = [(event.node_a, event.node_b)]
-        elif event.action in FailureAction.NODE_ACTIONS:
-            pairs = network.links_of(event.node_a)
-        else:
-            return  # shard events carry no physical change to mirror
-        for node_a, node_b in pairs:
-            port_a, port_b = network.ports_for_link(node_a, node_b)
-            # Mirror the *effective* physical state, not the event's
-            # direction: restoring a node must not bring a virtual wire up
-            # while the link (or its other endpoint) is still failed.
-            interface = network.switches[node_a].port(port_a).interface
-            up = interface.link is not None and interface.link.up
-            publisher.publish(
-                PortStatusRelay(node_a, port_a, node_b, port_b, up).to_json())
-
-    return mirror
+# ``bench/workloads.py`` imports the mirror under this name, and the
+# benchmark's files are not edited alongside experiment code.
+_mirror_into_routeflow = mirror_into_routeflow
 
 
 def run_failover(scenario: Union[str, ScenarioSpec],
@@ -205,7 +169,6 @@ def run_failover(scenario: Union[str, ScenarioSpec],
     uses).  At least one failure event must result.  Schedules are
     validated against the topology before any simulation time is spent.
     """
-    started = time.perf_counter()
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     topology = spec.build_topology()
     base = schedule if schedule is not None else spec.failures
@@ -231,46 +194,32 @@ def run_failover(scenario: Union[str, ScenarioSpec],
                             ((link.node_a, link.node_b)
                              for link in topology.links),
                             shards=spec.controllers)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=spec.framework_config(topology),
-                                    ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    run = ScenarioRun(topology, spec.framework_config(topology))
+    configured_at = run.configure(spec.max_time)
     result = FailoverResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         num_switches=topology.num_nodes, num_links=topology.num_links,
         configured_seconds=configured_at)
     if configured_at is None:
-        result.wall_seconds = time.perf_counter() - started
+        result.wall_seconds = run.wall_seconds
         return result
 
     # -- instrumentation -----------------------------------------------------
-    change_times: List[float] = []
-    for vm in framework.control_plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old, _sim=sim: change_times.append(_sim.now))
+    sim, network = run.sim, run.network
+    change_times = run.watch_fib()
     executed: List[Tuple[object, float, Dict[str, int]]] = []
 
     def observe(event) -> None:
         executed.append((event, sim.now, network.stats()))
 
-    network.add_failure_listener(_mirror_into_routeflow(network,
-                                                        framework.bus))
+    run.mirror_failures()
     network.add_failure_listener(observe)
     network.schedule_failures(active)
-    armed_at = sim.now
 
     # -- run to quiescence ---------------------------------------------------
-    horizon = armed_at + active.duration
-    deadline = horizon + max_extra_time
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1.0, deadline))
-        last_activity = max([horizon] + change_times[-1:])
-        if sim.now >= last_activity + settle:
-            result.settled = True
-            break
+    horizon = sim.now + active.duration
+    result.settled = run.quiesce(change_times, horizon,
+                                 horizon + max_extra_time, settle)
     if not result.settled:
         LOG.warning("failover %s: still reconverging when the time budget "
                     "(%.0fs past the last event) ran out", spec.name,
@@ -299,28 +248,13 @@ def run_failover(scenario: Union[str, ScenarioSpec],
             frames_lost=(stats_end["frames_dropped"]
                          - stats_before["frames_dropped"]),
         ))
-    result.invariant_violations = verify_spf_rib_consistency(framework.control_plane)
+    result.invariant_violations = verify_spf_rib_consistency(
+        run.framework.control_plane)
     result.link_stats = final_stats
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = run.wall_seconds
     for violation in result.invariant_violations:
         LOG.warning("failover %s: %s", spec.name, violation)
     return result
-
-
-def run_failover_suite(scenarios, schedule: Optional[FailureSchedule] = None,
-                       settle: float = DEFAULT_SETTLE,
-                       max_extra_time: float = DEFAULT_MAX_EXTRA,
-                       **churn_options) -> List[FailoverResult]:
-    """Run a failover experiment for every scenario, serially."""
-    results = []
-    for scenario in scenarios:
-        result = run_failover(scenario, schedule=schedule, settle=settle,
-                              max_extra_time=max_extra_time, **churn_options)
-        LOG.info("failover: %s -> %d events, worst reconvergence %s",
-                 result.scenario, len(result.events),
-                 format_seconds(result.worst_reconverge_seconds))
-        results.append(result)
-    return results
 
 
 def render_failover_table(results: List[FailoverResult]) -> str:

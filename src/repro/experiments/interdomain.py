@@ -30,25 +30,17 @@ redistribution at the borders — and measures:
 from __future__ import annotations
 
 import csv
-import json
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
-from repro.experiments.failover import (
-    _mirror_into_routeflow,
-    verify_spf_rib_consistency,
-)
+from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
+from repro.experiments.run import ScenarioRun
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import as_map_from_topology
 
 LOG = logging.getLogger(__name__)
@@ -122,6 +114,10 @@ class InterdomainResult:
     redistribution_violations: List[str] = field(default_factory=list)
     flap: Optional[BorderFlapResult] = None
     wall_seconds: float = 0.0
+
+    #: The JSON payload leaves out a flap that did not run (see
+    #: ``run.to_payload``).
+    payload_omit_none = ("flap",)
 
     @property
     def configured(self) -> bool:
@@ -205,11 +201,7 @@ def _session_states(vm, peer_vm) -> List[str]:
     return states
 
 
-def _total(framework: AutoConfigFramework, key: str) -> int:
-    return sum(load[key] for load in framework.shard_loads())
-
-
-def _rfproxies(framework: AutoConfigFramework):
+def _rfproxies(framework):
     if framework.shards:
         return [shard.rfproxy for shard in framework.shards]
     return [framework.rfproxy]
@@ -227,7 +219,6 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
     inter-AS link of the topology); ``flap=False`` skips the flap phase
     for a pure convergence measurement.
     """
-    started = time.perf_counter()
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     topology = spec.build_topology()
     as_map = as_map_from_topology(topology)
@@ -238,12 +229,8 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
         raise ValueError(
             f"scenario {spec.name!r} is not an interdomain scenario "
             f"(set ScenarioSpec.interdomain=True)")
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    run = ScenarioRun(topology, config)
+    configured_at = run.configure(spec.max_time)
     result = InterdomainResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         num_ases=len(set(as_map.values())),
@@ -251,28 +238,17 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
         border_links=len(borders), controllers=spec.controllers,
         configured_seconds=configured_at)
     if configured_at is None:
-        result.wall_seconds = time.perf_counter() - started
+        result.wall_seconds = run.wall_seconds
         return result
 
     # -- settle to the interdomain steady state ------------------------------
-    change_times: List[float] = []
+    sim, framework = run.sim, run.framework
     control_plane = framework.control_plane
-    for vm in control_plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old, _sim=sim: change_times.append(_sim.now))
-
-    def run_to_quiescence(deadline: float) -> bool:
-        anchor = sim.now
-        while sim.now < deadline:
-            sim.run(until=min(sim.now + 1.0, deadline))
-            last = change_times[-1] if change_times else anchor
-            if sim.now >= last + settle:
-                return True
-        return False
-
-    result.settled = run_to_quiescence(configured_at + max_extra_time)
+    change_times = run.watch_fib()
+    result.settled = run.quiesce(change_times, sim.now,
+                                 configured_at + max_extra_time, settle)
     result.converged_seconds = change_times[-1] if change_times else configured_at
-    result.steady_flows = _total(framework, "flows_current")
+    result.steady_flows = run.total("flows_current")
     directed = {"ebgp": 0, "ibgp": 0}
     for vm in control_plane.vms.values():
         if vm.bgp is not None:
@@ -309,25 +285,26 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
                 f"{spec.name} (borders: {borders})")
         vm_a = control_plane.vms[link[0]]
         vm_b = control_plane.vms[link[1]]
-        removed_before = _total(framework, "flow_mods_removed")
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
-        network.schedule_failures(FailureSchedule.single_link_failure(
+        removed_before = run.total("flow_mods_removed")
+        run.mirror_failures()
+        run.network.schedule_failures(FailureSchedule.single_link_failure(
             link[0], link[1], at=FLAP_LEAD, restore_after=FLAP_DOWN))
         down_at = sim.now + FLAP_LEAD
         up_at = down_at + FLAP_DOWN
         # Down window: run to quiescence before the link is restored.
         del change_times[:]
         sim.run(until=down_at)
-        run_to_quiescence(min(up_at, down_at + max_extra_time))
+        run.quiesce(change_times, down_at,
+                    min(up_at, down_at + max_extra_time), settle)
         down_changes = [t for t in change_times if t >= down_at]
         sessions_dropped = all(state != "Established"
                                for state in _session_states(vm_a, vm_b))
-        withdrawn = _total(framework, "flow_mods_removed") - removed_before
+        withdrawn = run.total("flow_mods_removed") - removed_before
         # Restore window.
         del change_times[:]
         sim.run(until=up_at)
-        restored = run_to_quiescence(up_at + max_extra_time)
+        restored = run.quiesce(change_times, up_at, up_at + max_extra_time,
+                               settle)
         restore_changes = [t for t in change_times if t >= up_at]
         result.settled = result.settled and restored
         reestablished = bool(_session_states(vm_a, vm_b)) and all(
@@ -341,13 +318,13 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
             reestablished=reestablished,
             restore_reconverge_seconds=(restore_changes[-1] - up_at)
             if restore_changes else 0.0,
-            flows_restored=_total(framework, "flows_current")
+            flows_restored=run.total("flows_current")
             == result.steady_flows,
         )
         result.redistribution_violations.extend(
             violation for violation in verify_interdomain(control_plane, as_map)
             if violation not in result.redistribution_violations)
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = run.wall_seconds
     return result
 
 
@@ -397,50 +374,6 @@ def render_interdomain_table(results: List[InterdomainResult]) -> str:
     if notes:
         report += "\n\n" + "\n".join(notes)
     return report
-
-
-def _result_payload(result: InterdomainResult) -> Dict[str, object]:
-    payload = {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "ases": result.num_ases,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "border_links": result.border_links,
-        "controllers": result.controllers,
-        "configured_seconds": result.configured_seconds,
-        "converged_seconds": result.converged_seconds,
-        "settled": result.settled,
-        "ebgp_sessions": result.ebgp_sessions,
-        "ibgp_sessions": result.ibgp_sessions,
-        "steady_flows": result.steady_flows,
-        "per_as": {str(asn): dict(report)
-                   for asn, report in result.per_as.items()},
-        "redistribution_violations": list(result.redistribution_violations),
-        "wall_seconds": result.wall_seconds,
-    }
-    if result.flap is not None:
-        payload["flap"] = {
-            "node_a": result.flap.node_a,
-            "node_b": result.flap.node_b,
-            "withdrawn_flow_mods": result.flap.withdrawn_flow_mods,
-            "sessions_dropped": result.flap.sessions_dropped,
-            "down_reconverge_seconds": result.flap.down_reconverge_seconds,
-            "reestablished": result.flap.reestablished,
-            "restore_reconverge_seconds": result.flap.restore_reconverge_seconds,
-            "flows_restored": result.flap.flows_restored,
-        }
-    return payload
-
-
-def write_interdomain_json(results: List[InterdomainResult],
-                           path: PathLike) -> Path:
-    """Write an interdomain suite as JSON (full per-AS and flap detail)."""
-    target = Path(path)
-    target.write_text(json.dumps([_result_payload(r) for r in results],
-                                 indent=2, sort_keys=True) + "\n")
-    return target
 
 
 def write_interdomain_csv(results: List[InterdomainResult],

@@ -48,6 +48,9 @@ class SweepResult:
     #: equality comparisons in the test-suite).
     wall_seconds: float = 0.0
 
+    #: Derived values the JSON payload carries (see ``run.to_payload``).
+    payload_properties = ("speedup",)
+
     @property
     def configured(self) -> bool:
         return self.auto_seconds is not None

@@ -21,14 +21,12 @@ Two actuation engines (see :mod:`repro.te`):
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.traffic import _horizon
+from repro.experiments.traffic import _horizon, loopback_run
 from repro.scenarios import ScenarioSpec, get
 from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, FlowTableActuator,
                       TEController, TESpec, ZebraActuator, adjacency_of,
@@ -78,6 +76,9 @@ class TEPolicyResult:
     #: Delivered-throughput gain over the suite's baseline run (set by
     #: :func:`run_te`; 0.0 for the baseline itself).
     delivered_gain: float = 0.0
+
+    #: Derived values the JSON payload carries (see ``run.to_payload``).
+    payload_properties = ("loss_fraction",)
 
     @property
     def loss_fraction(self) -> float:
@@ -192,31 +193,18 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
                       window: float) -> TEPolicyResult:
     from dataclasses import replace as dc_replace
 
-    from repro.core.autoconfig import AutoConfigFramework
-    from repro.core.ipam import IPAddressManager
-    from repro.experiments.failover import _mirror_into_routeflow
     from repro.net.addresses import IPv4Network
-    from repro.sim import Simulator
-    from repro.topology.emulator import EmulatedNetwork
 
-    started = time.perf_counter()
-    topology = spec.build_topology()
-    config = spec.framework_config(topology)
-    if not config.advertise_loopbacks:
-        config = dc_replace(config, advertise_loopbacks=True)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    run = loopback_run(spec)
+    configured_at = run.configure(spec.max_time)
     result = TEPolicyResult(policy=policy_name,
                             configured_seconds=configured_at)
     if configured_at is None:
-        result.wall_seconds = time.perf_counter() - started
+        result.wall_seconds = run.wall_seconds
         return result
 
-    addresses = {dpid: ipam.router_id(dpid) for dpid in network.switches}
+    sim, framework, network = run.sim, run.framework, run.network
+    addresses = {dpid: run.ipam.router_id(dpid) for dpid in network.switches}
     owners = {int(address): dpid for dpid, address in addresses.items()}
     engine = FluidEngine(sim, network, owner_of=owners.get)
     engine.attach()
@@ -244,8 +232,7 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
     start = sim.now
     result.demands = engine.register(demand_set)
     if spec.failures is not None:
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
+        run.mirror_failures()
         network.schedule_failures(spec.failures)
     sim.run(until=start + _horizon(spec, demand_set, window) + settle)
     engine.finalize()
@@ -253,7 +240,7 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
         controller.stop()
     _collect(result, engine, network, owners.get, controller, sim.now - start)
     result.route_mods = route_mods[0]
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = run.wall_seconds
     return result
 
 
@@ -399,46 +386,3 @@ def render_te_table(suite: TEResult) -> str:
               f"{suite.engine} engine"
               + (f", hot link {suite.hot_link}" if suite.hot_link else ""))
     return header + "\n\n" + table
-
-
-def write_te_json(suite: TEResult, path: Union[str, Path]) -> Path:
-    """Write a TE comparison as JSON (one record per policy run)."""
-    payload = {
-        "scenario": suite.scenario,
-        "family": suite.family,
-        "seed": suite.seed,
-        "switches": suite.num_switches,
-        "links": suite.num_links,
-        "engine": suite.engine,
-        "model": suite.model,
-        "hot_link": suite.hot_link,
-        "policies": [
-            {
-                "policy": result.policy,
-                "configured_seconds": result.configured_seconds,
-                "demands": result.demands,
-                "commodities": result.commodities,
-                "delivered_commodities": result.delivered_commodities,
-                "unrouted_commodities": result.unrouted_commodities,
-                "duration_seconds": result.duration_seconds,
-                "offered_bits": result.offered_bits,
-                "delivered_bits": result.delivered_bits,
-                "loss_fraction": result.loss_fraction,
-                "stretch_mean": result.stretch_mean,
-                "stretch_p99": result.stretch_p99,
-                "reroutes": result.reroutes,
-                "steers": result.steers,
-                "steer_changes": result.steer_changes,
-                "decisions": result.decisions,
-                "samples": result.samples,
-                "pruned_steers": result.pruned_steers,
-                "route_mods": result.route_mods,
-                "delivered_gain": result.delivered_gain,
-                "wall_seconds": result.wall_seconds,
-            }
-            for result in suite.results
-        ],
-    }
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target

@@ -24,24 +24,14 @@ OFPFC_DELETE churn of the reconvergence, not by harness fiat.
 
 from __future__ import annotations
 
-import json
-import logging
-import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
-from repro.experiments.failover import _mirror_into_routeflow
 from repro.experiments.results import (format_bits, format_seconds,
                                        format_table)
+from repro.experiments.run import ScenarioRun
 from repro.scenarios import ScenarioSpec, get
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
 from repro.traffic import DemandSet, DemandSpec, FluidEngine, generate_demands
-
-LOG = logging.getLogger(__name__)
 
 #: Extra simulated seconds past the last demand/failure event, so expiry
 #: and reconvergence fallout lands inside the measured window.
@@ -96,6 +86,9 @@ class TrafficResult:
     top_links: List[LinkUtilization] = field(default_factory=list)
     wall_seconds: float = 0.0
 
+    #: Derived values the JSON payload carries (see ``run.to_payload``).
+    payload_properties = ("loss_fraction",)
+
     @property
     def configured(self) -> bool:
         return self.configured_seconds is not None
@@ -112,6 +105,14 @@ class TrafficResult:
         """Did every commodity find a path (no unrouted/looping demand)?"""
         return self.configured and self.commodities > 0 \
             and self.delivered_commodities == self.commodities
+
+
+def loopback_run(spec: ScenarioSpec) -> ScenarioRun:
+    """A run of the scenario with every router-id /32 advertised, so the
+    loopbacks are routable demand destinations."""
+    topology = spec.build_topology()
+    return ScenarioRun(topology, replace(spec.framework_config(topology),
+                                         advertise_loopbacks=True))
 
 
 def _horizon(spec: ScenarioSpec, demand_set: DemandSet,
@@ -137,31 +138,24 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
     demand is open-ended; with finite demands the phase runs to the last
     expiry (plus ``settle``).
     """
-    started = time.perf_counter()
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     demand_spec = demands if demands is not None else spec.demands
     if demand_spec is None:
         demand_spec = DemandSpec()
-    topology = spec.build_topology()
-    config = spec.framework_config(topology)
-    if not config.advertise_loopbacks:
-        config = replace(config, advertise_loopbacks=True)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    run = loopback_run(spec)
+    configured_at = run.configure(spec.max_time)
     result = TrafficResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
-        num_switches=topology.num_nodes, num_links=topology.num_links,
+        num_switches=run.topology.num_nodes,
+        num_links=run.topology.num_links,
         configured_seconds=configured_at, model=demand_spec.model)
     if configured_at is None:
-        result.wall_seconds = time.perf_counter() - started
+        result.wall_seconds = run.wall_seconds
         return result
 
     # -- demand setup --------------------------------------------------------
-    addresses = {dpid: ipam.router_id(dpid) for dpid in network.switches}
+    sim, network = run.sim, run.network
+    addresses = {dpid: run.ipam.router_id(dpid) for dpid in network.switches}
     owners = {int(address): dpid for dpid, address in addresses.items()}
     engine = FluidEngine(sim, network, owner_of=owners.get)
     engine.attach()
@@ -171,8 +165,7 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
 
     # -- churn (optional) ----------------------------------------------------
     if spec.failures is not None:
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
+        run.mirror_failures()
         network.schedule_failures(spec.failures)
 
     # -- run and measure -----------------------------------------------------
@@ -199,23 +192,8 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
             name=link.name, busy_seconds=stats_["busy_seconds"],
             utilization=min(1.0, busier / elapsed),
             peak_bps=stats_["peak_bps"]))
-    result.wall_seconds = time.perf_counter() - started
+    result.wall_seconds = run.wall_seconds
     return result
-
-
-def run_traffic_suite(scenarios, demands: Optional[DemandSpec] = None,
-                      settle: float = DEFAULT_SETTLE,
-                      window: float = DEFAULT_WINDOW) -> List[TrafficResult]:
-    """Run a traffic experiment for every scenario, serially."""
-    results = []
-    for scenario in scenarios:
-        result = run_traffic(scenario, demands=demands, settle=settle,
-                             window=window)
-        LOG.info("traffic: %s -> %d demands, %.1f%% loss",
-                 result.scenario, result.demands,
-                 100.0 * result.loss_fraction)
-        results.append(result)
-    return results
 
 
 def render_traffic_table(results: List[TrafficResult]) -> str:
@@ -254,44 +232,3 @@ def render_traffic_table(results: List[TrafficResult]) -> str:
                 f"  hot link {link.name}: {100.0 * link.utilization:.1f}% "
                 f"utilized, peak {link.peak_bps / 1e6:.1f} Mbit/s")
     return table + "\n\n" + "\n".join(notes)
-
-
-def write_traffic_json(results: List[TrafficResult],
-                       path: Union[str, Path]) -> Path:
-    """Write a traffic suite as JSON (per-link utilization included)."""
-    payload = [
-        {
-            "scenario": result.scenario,
-            "family": result.family,
-            "seed": result.seed,
-            "switches": result.num_switches,
-            "links": result.num_links,
-            "configured_seconds": result.configured_seconds,
-            "model": result.model,
-            "demands": result.demands,
-            "commodities": result.commodities,
-            "delivered_commodities": result.delivered_commodities,
-            "duration_seconds": result.duration_seconds,
-            "offered_bits": result.offered_bits,
-            "delivered_bits": result.delivered_bits,
-            "loss_fraction": result.loss_fraction,
-            "resolutions": result.resolutions,
-            "lookups": result.lookups,
-            "reresolutions": result.reresolutions,
-            "affected_demands": result.affected_demands,
-            "top_links": [
-                {
-                    "name": link.name,
-                    "busy_seconds": link.busy_seconds,
-                    "utilization": link.utilization,
-                    "peak_bps": link.peak_bps,
-                }
-                for link in result.top_links
-            ],
-            "wall_seconds": result.wall_seconds,
-        }
-        for result in results
-    ]
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target

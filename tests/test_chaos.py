@@ -39,10 +39,8 @@ from typing import List, Sequence, Tuple
 import pytest
 
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager
-from repro.experiments.failover import (
-    _mirror_into_routeflow,
-    verify_spf_rib_consistency,
-)
+from repro.experiments.failover import verify_spf_rib_consistency
+from repro.experiments.run import mirror_into_routeflow
 from repro.scenarios import FailureAction, FailureEvent, FailureSchedule
 from repro.sim import SeededRandom, Simulator
 from repro.topology.emulator import EmulatedNetwork
@@ -264,8 +262,8 @@ def run_chaos(ops: Sequence[ChaosOp], num_switches: int = NUM_SWITCHES,
     for vm in plane.vms.values():
         vm.zebra.add_fib_listener(
             lambda prefix, new, old: change_times.append(sim.now))
-    network.add_failure_listener(_mirror_into_routeflow(network,
-                                                        framework.bus))
+    network.add_failure_listener(mirror_into_routeflow(network,
+                                                       framework.bus))
 
     engine = None
     if te_windows:

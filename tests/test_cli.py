@@ -127,6 +127,14 @@ class TestCommands:
         assert main(["sweep", "--scenario", "ring-4", "--controllers", "0"]) == 2
         assert "--controllers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--demands", "-3"], "error: demand count must be >= 1, got -3"),
+        (["--rate", "-1"], "error: rate_bps must be > 0, got -1.0")])
+    def test_te_bad_demand_option_fails_cleanly(self, capsys, option,
+                                                message):
+        assert main(["te", "--scenario", "ring-4"] + option) == 2
+        assert capsys.readouterr().err.strip() == message
+
 
 class TestCtlScale:
     def test_ctlscale_arguments(self):
@@ -158,13 +166,20 @@ class TestCtlScale:
         assert out.exists() and csv_file.exists()
 
 
+#: (name, argv, writes a CSV); ``ctlscale --churn`` rejects ``--csv``.
 _EXPERIMENT_COMMANDS = (
-    ("sweep", ["sweep", "--scenario", "ring-4", "--scenario", "fat-tree-k4"]),
+    ("sweep", ["sweep", "--scenario", "ring-4", "--scenario", "fat-tree-k4"],
+     True),
     ("failover", ["failover", "--scenario", "ring-4", "--link-down", "1:2@10",
-                  "--link-up", "1:2@70"]),
+                  "--link-up", "1:2@70"], True),
     ("ctlscale", ["ctlscale", "--scenario", "ring-4", "--controllers", "1",
-                  "2"]),
-    ("interdomain", ["interdomain", "--scenario", "interdomain-3as"]),
+                  "2"], True),
+    ("ctlscale-churn", ["ctlscale", "--scenario", "ring-4", "--controllers",
+                        "2", "--churn", "--churn-bus-drop", "0.05",
+                        "--churn-seed", "3"], False),
+    ("interdomain", ["interdomain", "--scenario", "interdomain-3as"], True),
+    ("interdomain-no-flap", ["interdomain", "--scenario", "interdomain-3as",
+                             "--no-flap"], True),
 )
 
 
@@ -182,18 +197,22 @@ def _mask_wall_seconds(node):
 
 
 def _experiments_snapshot(tmp_path, capsys):
-    """stdout, JSON and CSV of one ``repro sweep``, ``failover``,
-    ``ctlscale`` and ``interdomain`` run, host times and the temporary
-    path masked."""
+    """stdout, JSON and (where written) CSV of each command of
+    :data:`_EXPERIMENT_COMMANDS`, host times and the temporary path
+    masked."""
     snapshot = {}
-    for name, argv in _EXPERIMENT_COMMANDS:
+    for name, argv, with_csv in _EXPERIMENT_COMMANDS:
         out = tmp_path / f"{name}.json"
         csv_file = tmp_path / f"{name}.csv"
-        assert main(argv + ["--out", str(out), "--csv", str(csv_file)]) == 0
+        exports = ["--out", str(out)]
+        if with_csv:
+            exports += ["--csv", str(csv_file)]
+        assert main(argv + exports) == 0
         snapshot[name] = {
             "stdout": capsys.readouterr().out.replace(str(tmp_path), "TMP"),
-            "json": _mask_wall_seconds(json.loads(out.read_text())),
-            "csv": csv_file.read_text()}
+            "json": _mask_wall_seconds(json.loads(out.read_text()))}
+        if with_csv:
+            snapshot[name]["csv"] = csv_file.read_text()
     return snapshot
 
 

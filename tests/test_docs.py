@@ -7,6 +7,8 @@ These tests keep the docs tree honest:
 * every backticked repo path (``docs/...``, ``src/...``, ``tests/...``,
   ``examples/...``, ``benchmarks/...``) mentioned in the living docs
   exists;
+* every backticked dotted Python name (``repro.x.y``) mentioned in the
+  living docs imports and resolves;
 * every ``repro`` CLI subcommand is documented in ``docs/experiments.md``;
 * source docstrings that cite a design document point at a file that is
   actually in the tree (the seed shipped a ``DESIGN.md`` citation with no
@@ -20,6 +22,7 @@ named there and is not checked.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -33,6 +36,24 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _BACKTICK_PATH = re.compile(
     r"`((?:docs|src|tests|examples|benchmarks)/[A-Za-z0-9_\-./]+"
     r"\.(?:md|py|json|yml))`")
+_PYTHON_NAME = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then look up the
+    rest as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            node = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(node, attribute):
+                return False
+            node = getattr(node, attribute)
+        return True
+    return False
 
 
 def test_markdown_files_exist():
@@ -65,6 +86,15 @@ def test_backticked_repo_paths_exist():
             if not (REPO_ROOT / reference).exists():
                 missing.append(f"{path.relative_to(REPO_ROOT)} -> {reference}")
     assert not missing, "dangling file references:\n" + "\n".join(missing)
+
+
+def test_backticked_python_names_resolve():
+    names = {(path, name) for path in MARKDOWN_FILES
+             for name in _PYTHON_NAME.findall(path.read_text())}
+    assert names, "expected backticked repro.* names in the living docs"
+    dangling = sorted(f"{path.relative_to(REPO_ROOT)} -> {name}"
+                      for path, name in names if not _resolves(name))
+    assert not dangling, "dangling Python names:\n" + "\n".join(dangling)
 
 
 def test_every_cli_subcommand_is_documented():

@@ -17,7 +17,7 @@ from repro.experiments import (
     run_failover,
     verify_spf_rib_consistency,
     write_failover_csv,
-    write_failover_json,
+    write_json,
 )
 from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, OSPFNetworkStatement, generate_ospfd_conf, generate_zebra_conf
@@ -110,7 +110,7 @@ class TestFailoverMeasurements:
 
     def test_export_round_trip(self, tmp_path):
         result = self.run_ring()
-        json_path = write_failover_json([result], tmp_path / "fo.json")
+        json_path = write_json([result], tmp_path / "fo.json")
         csv_path = write_failover_csv([result], tmp_path / "fo.csv")
         assert json_path.exists()
         with csv_path.open(newline="") as handle:

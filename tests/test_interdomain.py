@@ -7,10 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager
-from repro.experiments.failover import (
-    _mirror_into_routeflow,
-    verify_spf_rib_consistency,
-)
+from repro.experiments.failover import verify_spf_rib_consistency
+from repro.experiments.run import mirror_into_routeflow
 from repro.experiments.interdomain import run_interdomain, verify_interdomain
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
@@ -213,7 +211,7 @@ class TestInterdomainEndToEnd:
         removed_before = sum(load["flow_mods_removed"]
                              for load in framework.shard_loads())
         network.add_failure_listener(
-            _mirror_into_routeflow(network, framework.bus))
+            mirror_into_routeflow(network, framework.bus))
         network.schedule_failures(FailureSchedule.single_link_failure(
             2, 3, at=5.0, restore_after=60.0))
         sim.run(until=sim.now + 35.0)
@@ -269,7 +267,7 @@ class TestInterdomainEndToEnd:
         steady_flows = sum(load["flows_current"]
                            for load in framework.shard_loads())
         network.add_failure_listener(
-            _mirror_into_routeflow(network, framework.bus))
+            mirror_into_routeflow(network, framework.bus))
         from repro.scenarios import FailureAction, FailureEvent
 
         victim = plane.owner_of(2)  # the shard hosting border dpid 2
@@ -314,7 +312,7 @@ class TestInterdomainEndToEnd:
         assert configured is not None
         sim.run(until=configured + 60.0)
         network.add_failure_listener(
-            _mirror_into_routeflow(network, framework.bus))
+            mirror_into_routeflow(network, framework.bus))
         from repro.scenarios import FailureAction, FailureEvent
 
         network.schedule_failures(FailureSchedule((

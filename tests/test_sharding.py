@@ -11,9 +11,9 @@ from repro.experiments.ctlscale import (
     check_load_conservation,
     run_ctlscale,
     write_ctlscale_csv,
-    write_ctlscale_json,
 )
 from repro.experiments.failover import verify_spf_rib_consistency
+from repro.experiments.run import mirror_into_routeflow, write_json
 from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, generate_zebra_conf
 from repro.routeflow import (
@@ -280,9 +280,8 @@ class TestShardFailure:
         network.schedule_failures(schedule)
         # Mirror physical changes into the virtual topology like the
         # failover harness does (over the port-status bus topic).
-        from repro.experiments.failover import _mirror_into_routeflow
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
+        network.add_failure_listener(mirror_into_routeflow(network,
+                                                           framework.bus))
         frozen_route_mods = None
         dead, alive = framework.shards
         sim.run(until=sim.now + 7.0)
@@ -386,7 +385,7 @@ class TestControllersKnob:
     def test_ctlscale_exports_round_trip(self, tmp_path):
         spec = ScenarioSpec("tmp-ctlscale-ring4", "ring", {"num_switches": 4})
         results = run_ctlscale(spec, controller_counts=(1, 2))
-        json_path = write_ctlscale_json(results, tmp_path / "ctl.json")
+        json_path = write_json(results, tmp_path / "ctl.json")
         csv_path = write_ctlscale_csv(results, tmp_path / "ctl.csv")
         import csv as csv_module
         import json as json_module
@@ -442,9 +441,8 @@ class TestTakeoverAndResharding:
             8, 2, partitioner="contiguous")
         assert configured_at is not None
         plane = framework.control_plane
-        from repro.experiments.failover import _mirror_into_routeflow
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
+        network.add_failure_listener(mirror_into_routeflow(network,
+                                                           framework.bus))
         plane.fail_shard(0)
         plane.takeover(0)
         sim.run(until=sim.now + 10.0)

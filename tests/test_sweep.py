@@ -11,8 +11,8 @@ from repro.experiments import (
     render_sweep_table,
     run_scenario,
     run_sweep,
+    write_json,
     write_sweep_csv,
-    write_sweep_json,
 )
 from repro.experiments.sweep import SweepResult
 from repro.scenarios import ScenarioSpec
@@ -90,7 +90,7 @@ class TestRunSweep:
 class TestSweepExport:
     def test_json_round_trip(self, tmp_path):
         results = run_sweep(FAST_SPECS[:2])
-        path = write_sweep_json(results, tmp_path / "sweep.json")
+        path = write_json(results, tmp_path / "sweep.json")
         loaded = read_sweep_json(path)
         assert comparable(loaded) == comparable(results)
 

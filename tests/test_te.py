@@ -429,7 +429,7 @@ class TestTEExperiment:
     def test_run_te_synthetic_compares_policies(self, tmp_path):
         from dataclasses import replace as dc_replace
 
-        from repro.experiments import render_te_table, run_te, write_te_json
+        from repro.experiments import render_te_table, run_te, write_json
         from repro.scenarios import get
         from repro.traffic import DemandSpec
 
@@ -454,7 +454,7 @@ class TestTEExperiment:
         rendered = render_te_table(suite)
         for name in ("none", "static-ecmp", "greedy", "bandit"):
             assert name in rendered
-        target = write_te_json(suite, tmp_path / "te.json")
+        target = write_json(suite, tmp_path / "te.json")
         payload = json.loads(target.read_text())
         assert payload["scenario"] == "te-torus-8x8"
         assert payload["engine"] == "synthetic"

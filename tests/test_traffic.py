@@ -680,7 +680,7 @@ class TestTrafficExperiment:
 
     def test_run_traffic_with_finite_demands_and_json(self, tmp_path):
         from repro.experiments import (render_traffic_table, run_traffic,
-                                       write_traffic_json)
+                                       write_json)
 
         result = run_traffic("ring-4",
                              demands=DemandSpec(count=10, seed=1,
@@ -695,7 +695,7 @@ class TestTrafficExperiment:
         assert result.loss_fraction == pytest.approx(0.0)
         rendered = render_traffic_table([result])
         assert "ring-4" in rendered
-        target = write_traffic_json([result], tmp_path / "traffic.json")
+        target = write_json([result], tmp_path / "traffic.json")
         assert target.exists() and target.read_text().startswith("[")
 
     def test_cli_traffic(self, tmp_path, capsys):
