@@ -50,9 +50,6 @@ class PingApp:
     def start(self) -> None:
         self._task.start(fire_immediately=True)
 
-    def stop(self) -> None:
-        self._task.stop()
-
     def _send_ping(self) -> None:
         self._collect_replies()
         self._sequence += 1

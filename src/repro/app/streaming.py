@@ -120,9 +120,6 @@ class VideoStreamClient:
         """Start watching for the stream and emitting receiver reports."""
         self._report_task.start(fire_immediately=True)
 
-    def stop(self) -> None:
-        self._report_task.stop()
-
     def _on_frame(self, src_ip: IPv4Address, _src_port: int, payload: bytes) -> None:
         if src_ip != self.server_ip or len(payload) < _FRAME_HEADER.size:
             return

@@ -271,10 +271,6 @@ class MessageBus:
     def has_channel(self, topic: str) -> bool:
         return topic in self._channels
 
-    @property
-    def topics(self) -> List[str]:
-        return sorted(self._channels)
-
     def subscribe(self, topic: str, callback: Subscriber,
                   endpoint: Optional[str] = None) -> None:
         """Register a delivery callback; undeclared topics are auto-created

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class Envelope:
     def size_bytes(self) -> int:
         """Payload size as counted by the per-topic byte counters."""
         return len(self.payload)
-
-    def payload_json(self) -> Dict[str, Any]:
-        """Decode the payload as a JSON object (most payloads are one)."""
-        return json.loads(self.payload)
 
     # ---------------------------------------------------------- serialisation
     def to_json(self) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ class ChannelFaults:
         heartbeat that is delayed-but-delivered never looks like silence.
         """
         return self.jitter + (self.reorder_delay if self.reorder else 0.0)
-
-    def to_dict(self) -> Dict[str, float]:
-        return {"drop": self.drop, "duplicate": self.duplicate,
-                "reorder": self.reorder, "jitter": self.jitter,
-                "reorder_delay": self.reorder_delay}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChannelFaults":

@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.bus.bus import ACK_SUFFIX, Channel, Discipline, MessageBus
+from repro.bus.bus import ACK_SUFFIX, Channel, MessageBus
 from repro.bus.envelope import Envelope
 
 LOG = logging.getLogger(__name__)
@@ -164,10 +164,6 @@ class PassthroughPublisher:
     def retarget(self, topic: str) -> None:
         """Repoint at another topic (client migration between shards)."""
         self.topic = topic
-
-    @property
-    def pending(self) -> int:
-        return 0
 
 
 class _PendingSend:

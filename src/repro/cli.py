@@ -424,15 +424,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
     elif args.scenario:
         names = args.scenario
     else:
-        print("no scenarios selected: pass --scenario NAME (repeatable), "
-              "--all, or --list", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.controllers is not None and args.controllers < 1:
-        print("--controllers must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("no scenarios selected: pass --scenario NAME "
+                         "(repeatable), --all, or --list")
     results = run_sweep(names, workers=args.workers,
                         controllers=args.controllers)
     print(render_sweep_table(results))

@@ -23,7 +23,6 @@ from repro.openflow.constants import OFP_NO_BUFFER, OFPPort
 from repro.openflow.actions import Action, OutputAction
 from repro.openflow.match import Match
 from repro.openflow.messages import (
-    BarrierRequest,
     EchoReply,
     EchoRequest,
     ErrorMessage,
@@ -83,9 +82,6 @@ class DatapathConnection:
                           hard_timeout=hard_timeout, cookie=cookie,
                           buffer_id=buffer_id, xid=self.take_xid())
         self.send(message)
-
-    def send_barrier(self) -> None:
-        self.send(BarrierRequest(xid=self.take_xid()))
 
     def __repr__(self) -> str:
         dpid = f"{self.datapath_id:#x}" if self.datapath_id is not None else "?"

@@ -43,9 +43,6 @@ class DiscoveredLink:
     dst_dpid: int
     dst_port: int
 
-    def reversed(self) -> "DiscoveredLink":
-        return DiscoveredLink(self.dst_dpid, self.dst_port, self.src_dpid, self.src_port)
-
     def canonical(self) -> Tuple[int, int, int, int]:
         """Direction-independent identity of the physical link."""
         forward = (self.src_dpid, self.src_port, self.dst_dpid, self.dst_port)
@@ -102,12 +99,6 @@ class TopologyDiscovery(ControllerApp):
         self._expiry_task = PeriodicTask(sim, self.link_timeout / 3.0,
                                          self._expire_links, name="discovery:expire")
         self._expiry_task.start()
-
-    def stop(self) -> None:
-        if self._probe_task is not None:
-            self._probe_task.stop()
-        if self._expiry_task is not None:
-            self._expiry_task.stop()
 
     # ----------------------------------------------------------- switch events
     def on_datapath_join(self, connection: DatapathConnection) -> None:

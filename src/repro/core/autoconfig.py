@@ -22,12 +22,11 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from repro.bus import ChannelFaults, MessageBus, topics
 from repro.bus.reliable import consume
 from repro.controller.base import Controller
-from repro.controller.discovery import TopologyDiscovery
 from repro.core.gui import ConfigurationGUI
 from repro.core.ipam import IPAddressManager
 from repro.core.manual_model import ManualConfigurationModel
 from repro.core.rpc import RPCClient, RPCServer
-from repro.core.topology_controller import TopologyControllerApp, build_topology_controller
+from repro.core.topology_controller import build_topology_controller
 from repro.flowvisor import FlowVisor, build_paper_flowspace, build_sharded_flowspace
 from repro.quagga.bgp.daemon import BGPSessionBroker
 from repro.routeflow.rfproxy import RFProxy
@@ -67,9 +66,6 @@ class FrameworkConfig:
     #: Deploy FlowVisor plus a separate topology controller (the paper's
     #: design) or co-locate discovery on the RF-controller (ablation A1).
     use_flowvisor: bool = True
-    #: Also generate bgpd.conf files (the paper lists bgp.conf among the
-    #: generated files even though the experiments only exercise OSPF).
-    generate_bgp: bool = True
     #: Run bgpd inside the VMs as a first-class interdomain protocol: the
     #: framework creates a shared BGP session broker, the RPC server
     #: generates multi-AS configurations from :attr:`as_map` (eBGP on
@@ -101,11 +97,9 @@ class FrameworkConfig:
     #: 1 reproduces the paper's single RF-controller; > 1 partitions the
     #: datapaths across coordinated shards (requires ``use_flowvisor``).
     controllers: int = 1
-    #: How datapaths map to shards: ``hash``, ``contiguous`` or ``slice``
-    #: (explicit map via :attr:`shard_map`, aligned with FlowVisor slices).
+    #: How datapaths map to shards: ``hash``, ``contiguous`` or ``as``
+    #: (whole autonomous systems per shard, from :attr:`as_map`).
     partitioner: str = "hash"
-    #: Explicit dpid -> shard assignment for the ``slice`` partitioner.
-    shard_map: Optional[Mapping[int, int]] = None
     #: Control-plane bus fault profiles: topic pattern -> fault parameters
     #: (``drop``/``duplicate``/``reorder``/``jitter``/``reorder_delay``,
     #: see :class:`repro.bus.ChannelFaults`).  None/empty leaves the bus a
@@ -194,7 +188,6 @@ class AutoConfigFramework:
         else:
             partitioner = make_partitioner(self.config.partitioner,
                                            num_controllers,
-                                           self.config.shard_map,
                                            as_map=self.config.as_map)
             self.control_plane = ShardedControlPlane(
                 sim, bus=self.bus, partitioner=partitioner,
@@ -211,7 +204,6 @@ class AutoConfigFramework:
         # RPC server (inside the RF-controller) and RPC client.
         self.rpc_server = RPCServer(
             sim, self.control_plane, ipam=self.ipam, event_log=self.event_log,
-            generate_bgp=self.config.generate_bgp,
             ospf_hello_interval=self.config.ospf_hello_interval,
             ospf_dead_interval=self.config.ospf_dead_interval,
             as_map=self.config.as_map if self.config.enable_bgp else None,

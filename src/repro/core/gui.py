@@ -4,7 +4,7 @@ The paper's demo shows "switches with red and green colors in a GUI.  The
 color of a switch remains red until it is configured by the RPC server."
 This module keeps that state machine — per-switch colour plus the time of
 every transition — and renders it as plain text, Graphviz DOT or JSON so
-the examples and benchmarks can show exactly what the demo showed.
+the examples and ``repro demo`` can show exactly what the demo showed.
 """
 
 from __future__ import annotations

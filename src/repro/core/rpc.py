@@ -106,7 +106,7 @@ class RPCServer:
     def __init__(self, sim: Simulator, rfserver: RFServer,
                  ipam: Optional[IPAddressManager] = None,
                  event_log: Optional[EventLog] = None,
-                 generate_bgp: bool = True, bgp_as_base: int = 65000,
+                 bgp_as_base: int = 65000,
                  ospf_hello_interval: int = 10, ospf_dead_interval: int = 40,
                  as_map: Optional[Mapping[int, int]] = None,
                  bgp_keepalive_interval: float = 10.0,
@@ -118,7 +118,6 @@ class RPCServer:
         self.rfserver = rfserver
         self.ipam = ipam if ipam is not None else IPAddressManager()
         self.event_log = event_log if event_log is not None else rfserver.event_log
-        self.generate_bgp = generate_bgp
         self.bgp_as_base = bgp_as_base
         self.ospf_hello_interval = ospf_hello_interval
         self.ospf_dead_interval = ospf_dead_interval
@@ -239,7 +238,7 @@ class RPCServer:
         vm = self.rfserver.vm(message.switch_id)
         if vm is not None:
             vm.stop()
-        self.rfserver.mapping.unmap_vm(message.switch_id)
+        self.rfserver.unmap_vm(message.switch_id)
         self.event_log.record("switch_removed",
                               f"switch {message.switch_id:#x} removed",
                               switch_id=message.switch_id)
@@ -294,7 +293,7 @@ class RPCServer:
                     remote_as=state_a.local_as, relationship=rel_ba,
                     local_pref=RELATIONSHIP_LOCAL_PREF.get(rel_ba)
                     if rel_ba else None))
-        elif self.generate_bgp:
+        else:
             state_a.bgp_neighbors.append(BGPNeighbor(
                 address=IPv4Address(message.address_b),
                 remote_as=self.bgp_as_base + state_b.vm_id))
@@ -392,7 +391,9 @@ class RPCServer:
                 keepalive_interval=self.bgp_keepalive_interval,
                 hold_time=self.bgp_hold_time)
             self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
-        elif self.generate_bgp:
+        else:
+            # The paper lists bgpd.conf among the generated files even
+            # though its experiments only run OSPF.
             bgpd_text = generate_bgpd_conf(
                 hostname=f"{state.hostname}-bgpd",
                 local_as=self.bgp_as_base + state.vm_id,
@@ -401,10 +402,6 @@ class RPCServer:
             self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
 
     # ------------------------------------------------------------------ status
-    @property
-    def configured_switch_ids(self) -> List[int]:
-        return sorted(self._vm_state)
-
     @property
     def configured_link_count(self) -> int:
         return len(self._configured_links)

@@ -144,9 +144,6 @@ class TopologyControllerApp:
     def edge_port_count(self) -> int:
         return len(self._edge_ports)
 
-    def stop(self) -> None:
-        self._edge_task.stop()
-
 
 def build_topology_controller(sim: Simulator, rpc_client: RPCClient,
                               ipam: Optional[IPAddressManager] = None,

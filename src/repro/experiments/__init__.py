@@ -33,8 +33,6 @@ from repro.experiments.interdomain import (
     write_interdomain_csv,
 )
 from repro.experiments.export import (
-    read_sweep_csv,
-    read_sweep_json,
     write_failover_csv,
     write_sweep_csv,
 )
@@ -117,8 +115,6 @@ __all__ = [
     "run_te",
     "run_traffic",
     "verify_spf_rib_consistency",
-    "read_sweep_csv",
-    "read_sweep_json",
     "render_ablation_table",
     "render_config_time_table",
     "render_demo_report",

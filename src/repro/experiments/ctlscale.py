@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import ScenarioRun, check_non_negative
 from repro.scenarios import ScenarioSpec, get
 from repro.scenarios.events import FailureAction, FailureEvent, FailureSchedule
 from repro.sim.rng import SeededRandom
@@ -325,6 +325,8 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     defaults to ``churn_seed`` so a lossy run is deterministic in one
     seed.
     """
+    check_non_negative(failovers=failovers, reshards=reshards,
+                       link_churn=link_churn, spacing=spacing, settle=settle)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     count = controllers if controllers is not None else spec.controllers
     if count < 2:

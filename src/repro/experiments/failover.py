@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import ScenarioRun, mirror_into_routeflow
+from repro.experiments.run import (ScenarioRun, check_non_negative,
+                                   mirror_into_routeflow)
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
 
@@ -169,6 +170,7 @@ def run_failover(scenario: Union[str, ScenarioSpec],
     uses).  At least one failure event must result.  Schedules are
     validated against the topology before any simulation time is spent.
     """
+    check_non_negative(settle=settle)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     topology = spec.build_topology()
     base = schedule if schedule is not None else spec.failures

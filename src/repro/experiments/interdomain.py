@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import ScenarioRun, check_non_negative
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
@@ -219,6 +219,7 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
     inter-AS link of the topology); ``flap=False`` skips the flap phase
     for a pure convergence measurement.
     """
+    check_non_negative(settle=settle)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     topology = spec.build_topology()
     as_map = as_map_from_topology(topology)

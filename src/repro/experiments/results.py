@@ -87,12 +87,6 @@ class DemoResult:
     def video_started(self) -> bool:
         return self.video_start_seconds is not None
 
-    @property
-    def video_start_minutes(self) -> Optional[float]:
-        if self.video_start_seconds is None:
-            return None
-        return self.video_start_seconds / 60.0
-
 
 @dataclass
 class AblationResult:

@@ -65,6 +65,13 @@ def mirror_into_routeflow(network: EmulatedNetwork, bus):
     return mirror
 
 
+def check_non_negative(**values: float) -> None:
+    """Reject a negative phase length or event count before anything runs."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 class ScenarioRun:
     """One topology under one cold automatic-configuration framework.
 

@@ -134,7 +134,8 @@ def run_sweep(scenarios: Union[ScenarioLike, Sequence[ScenarioLike]],
             results.append(result)
         return results
     # Imported here: it loads ``multiprocessing``, which every other
-    # ``import repro`` (the CLI, the benchmarks) would pay for unused.
+    # ``import repro`` (the CLI, the performance ledger) would pay for
+    # unused.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:

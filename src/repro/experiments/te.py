@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.experiments.run import check_non_negative
 from repro.experiments.traffic import _horizon, loopback_run
 from repro.scenarios import ScenarioSpec, get
 from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, FlowTableActuator,
@@ -328,6 +329,7 @@ def run_te(scenario: Union[str, ScenarioSpec],
     the measurement interval, candidate-path count, thresholds and the
     induced hot link shared by every run.
     """
+    check_non_negative(window=window, settle=settle)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     effective_te = te_spec if te_spec is not None else spec.te
     if effective_te is None:

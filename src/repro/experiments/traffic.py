@@ -29,7 +29,7 @@ from typing import List, Optional, Union
 
 from repro.experiments.results import (format_bits, format_seconds,
                                        format_table)
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import ScenarioRun, check_non_negative
 from repro.scenarios import ScenarioSpec, get
 from repro.traffic import DemandSet, DemandSpec, FluidEngine, generate_demands
 
@@ -100,12 +100,6 @@ class TrafficResult:
             return 0.0
         return max(0.0, 1.0 - self.delivered_bits / self.offered_bits)
 
-    @property
-    def delivered(self) -> bool:
-        """Did every commodity find a path (no unrouted/looping demand)?"""
-        return self.configured and self.commodities > 0 \
-            and self.delivered_commodities == self.commodities
-
 
 def loopback_run(spec: ScenarioSpec) -> ScenarioRun:
     """A run of the scenario with every router-id /32 advertised, so the
@@ -138,6 +132,7 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
     demand is open-ended; with finite demands the phase runs to the last
     expiry (plus ``settle``).
     """
+    check_non_negative(window=window, settle=settle)
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     demand_spec = demands if demands is not None else spec.demands
     if demand_spec is None:

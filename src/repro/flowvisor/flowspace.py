@@ -16,8 +16,8 @@ The paper's deployment needs exactly two slices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Set
 
 from repro.net.ethernet import EtherType
 from repro.openflow.match import Match, PacketFields
@@ -64,10 +64,6 @@ class FlowSpace:
         self.add_rule(rule)
         return rule
 
-    @property
-    def rules(self) -> List[FlowSpaceRule]:
-        return list(self._rules)
-
     # ------------------------------------------------------------ evaluation
     def slices_for_packet(self, fields: PacketFields) -> List[str]:
         """All slices entitled to *read* a packet with these fields.
@@ -100,9 +96,6 @@ class FlowSpace:
             if rule.match.covers(match) or match.covers(rule.match):
                 return True
         return False
-
-    def __len__(self) -> int:
-        return len(self._rules)
 
 
 def build_sharded_flowspace(topology_slice: str,

@@ -281,14 +281,6 @@ class IPv4Network:
         self.network = IPv4Address(address._value & _NETMASK_INTS[plen])
         self._hash = hash(("net", self.network._value, plen))
 
-    @staticmethod
-    def netmask_for(prefix_len: int) -> IPv4Address:
-        # Explicit range check: a bare table lookup would let Python's
-        # negative indexing turn e.g. -1 into the /32 mask.
-        if not 0 <= prefix_len <= 32:
-            raise AddressError(f"prefix length out of range: {prefix_len}")
-        return _NETMASKS[prefix_len]
-
     @property
     def netmask(self) -> IPv4Address:
         return _NETMASKS[self.prefix_len]

@@ -115,10 +115,6 @@ class Interface:
             return None
         return IPv4Network((self.ip, self.prefix_len))
 
-    @property
-    def is_connected(self) -> bool:
-        return self.link is not None
-
     # ------------------------------------------------------------------- I/O
     def send(self, frame: bytes) -> bool:
         """Transmit a frame onto the attached link.

@@ -11,7 +11,7 @@ experiments an inventory to report on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.link import Interface
 
@@ -46,10 +46,6 @@ class NetworkNamespace:
         except KeyError:
             raise NamespaceError(f"no interface {name} in namespace {self.name}") from None
 
-    @property
-    def interfaces(self) -> List[Interface]:
-        return list(self._interfaces.values())
-
     def __repr__(self) -> str:
         return f"<NetworkNamespace {self.name} ifaces={len(self._interfaces)}>"
 
@@ -79,5 +75,3 @@ class NamespaceRegistry:
     def __len__(self) -> int:
         return len(self._namespaces)
 
-    def __iter__(self):
-        return iter(self._namespaces.values())

@@ -38,13 +38,6 @@ class Header:
         raise NotImplementedError
 
     # -------------------------------------------------------------- payload
-    def encode_payload(self) -> bytes:
-        """Encode the payload, whatever its type."""
-        if self.payload is None:
-            return b""
-        if isinstance(self.payload, Header):
-            return self.payload.encode()
-        return bytes(self.payload)
 
     def find(self, header_type: Type["Header"]) -> Optional["Header"]:
         """Walk the payload chain looking for a header of the given type."""
@@ -54,12 +47,6 @@ class Header:
                 return current
             current = current.payload if isinstance(current, Header) else None
         return None
-
-    def __len__(self) -> int:
-        return len(self.encode())
-
-    def __bytes__(self) -> bytes:
-        return self.encode()
 
 
 def as_bytes(payload: Payload) -> bytes:

@@ -8,7 +8,7 @@ frame on a port (OUTPUT, handled by the switch).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import List
 
 from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.ethernet import Ethernet
@@ -299,8 +299,3 @@ _DECODERS = {
 }
 
 
-def output_to_controller(max_len: int = OFPCML_NO_BUFFER) -> OutputAction:
-    """Convenience constructor for the common send-to-controller action."""
-    from repro.openflow.constants import OFPPort
-
-    return OutputAction(port=OFPPort.CONTROLLER, max_len=max_len)

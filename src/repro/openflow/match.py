@@ -12,12 +12,10 @@ import struct
 from typing import Optional
 
 from repro.net.addresses import IPv4Address, MACAddress
-from repro.net.arp import ARP
-from repro.net.ethernet import Ethernet, EtherType
+from repro.net.ethernet import EtherType
 from repro.net.fastpath import ethernet_framing, ipv4_framing
-from repro.net.ipv4 import IPProtocol, IPv4
+from repro.net.ipv4 import IPProtocol
 from repro.net.packet import DecodeError
-from repro.net.transport import ICMP, TCP, UDP
 from repro.openflow.constants import OFPFlowWildcards as W
 
 MATCH_LEN = 40
@@ -210,24 +208,6 @@ class Match:
         self.wildcards &= ~W.DL_TYPE
         return self
 
-    def set_dl_src(self, mac: MACAddress) -> "Match":
-        self._forget()
-        self.dl_src = MACAddress(mac)
-        self.wildcards &= ~W.DL_SRC
-        return self
-
-    def set_dl_dst(self, mac: MACAddress) -> "Match":
-        self._forget()
-        self.dl_dst = MACAddress(mac)
-        self.wildcards &= ~W.DL_DST
-        return self
-
-    def set_nw_proto(self, proto: int) -> "Match":
-        self._forget()
-        self.nw_proto = proto
-        self.wildcards &= ~W.NW_PROTO
-        return self
-
     def set_nw_src(self, address: IPv4Address, prefix_len: int = 32) -> "Match":
         self._forget()
         self.nw_src = IPv4Address(address)
@@ -240,12 +220,6 @@ class Match:
         self.nw_dst = IPv4Address(address)
         self.wildcards &= ~W.NW_DST_MASK
         self.wildcards |= ((32 - prefix_len) << W.NW_DST_SHIFT) & W.NW_DST_MASK
-        return self
-
-    def set_tp_src(self, port: int) -> "Match":
-        self._forget()
-        self.tp_src = port
-        self.wildcards &= ~W.TP_SRC
         return self
 
     def set_tp_dst(self, port: int) -> "Match":
@@ -312,13 +286,6 @@ class Match:
         if not w & W.TP_DST and self.tp_dst != fields.tp_dst:
             return False
         return True
-
-    @staticmethod
-    def _prefix_match(pattern: IPv4Address, value: IPv4Address, prefix_len: int) -> bool:
-        if prefix_len <= 0:
-            return True
-        mask = (0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
-        return (int(pattern) & mask) == (int(value) & mask)
 
     def covers(self, other: "Match") -> bool:
         """True when every packet matched by ``other`` is matched by self.

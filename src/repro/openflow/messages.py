@@ -23,8 +23,6 @@ from repro.openflow.constants import (
     OFP_VERSION,
     OFPCapabilities,
     OFPFlowModCommand,
-    OFPPacketInReason,
-    OFPPortConfig,
     OFPPortState,
     OFPType,
 )
@@ -170,10 +168,6 @@ class PhyPort:
     @property
     def is_link_down(self) -> bool:
         return bool(self.state & OFPPortState.LINK_DOWN)
-
-    @property
-    def is_admin_down(self) -> bool:
-        return bool(self.config & OFPPortConfig.PORT_DOWN)
 
     def encode(self) -> bytes:
         name_bytes = self.name.encode()[:15].ljust(16, b"\x00")

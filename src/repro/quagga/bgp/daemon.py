@@ -53,7 +53,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.quagga.configfile import BGPConfig
-from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import Route, RouteSource
 from repro.quagga.zebra import ZebraDaemon
 from repro.sim import PeriodicTask, Simulator
@@ -113,10 +112,6 @@ class BGPAnnouncement:
     as_path: Tuple[int, ...]
     local_pref: int = DEFAULT_LOCAL_PREF
     med: int = 0
-
-    @property
-    def origin_as(self) -> Optional[int]:
-        return self.as_path[-1] if self.as_path else None
 
 
 @dataclass
@@ -266,15 +261,6 @@ class BGPSessionBroker:
             sess.last_keepalive = self.sim.now
         speaker.on_session_established(session, reverse)
         peer.on_session_established(reverse, session)
-
-    def deliver(self, sender: "BGPDaemon", session: BGPPeerSession,
-                announcement: BGPAnnouncement, withdraw: bool = False) -> None:
-        peer = self._speakers.get(session.peer_address)
-        if peer is None:
-            return
-        self.sim.schedule(UPDATE_DELAY, peer.receive_announcement,
-                          session.peer_address, session.local_address,
-                          announcement, withdraw, label="bgp:update")
 
     def deliver_batch(self, sender: "BGPDaemon", session: BGPPeerSession,
                       updates: List[Tuple[BGPAnnouncement, bool]],
@@ -988,11 +974,10 @@ class BGPDaemon:
     def _queue_update(self, session: BGPPeerSession,
                       announcement: BGPAnnouncement,
                       withdraw: bool = False) -> None:
-        if self._batch_depth:
-            self._pending_out.setdefault(session.peer_address, []).append(
-                (announcement, withdraw))
-        else:
-            self.broker.deliver(self, session, announcement, withdraw)
+        # Every caller runs inside a _begin_batch / _end_batch pair, whose
+        # outermost end hands each peer its updates as one batch.
+        self._pending_out.setdefault(session.peer_address, []).append(
+            (announcement, withdraw))
 
     def _begin_batch(self) -> None:
         self._batch_depth += 1
@@ -1032,16 +1017,6 @@ class BGPDaemon:
             if best is not None and self._local_origination(prefix) is None:
                 result[prefix] = best[1]
         return result
-
-    def show_ip_bgp_summary(self) -> str:
-        """A ``show ip bgp summary``-style dump."""
-        lines = [f"{self.hostname}# show ip bgp summary  (AS {self.local_as})"]
-        for session in self.sessions.values():
-            role = "iBGP" if session.is_ibgp else "eBGP"
-            lines.append(f"{str(session.peer_address):<16} {role} "
-                         f"AS{session.remote_as:<6} {session.state:<12} "
-                         f"pfx rcvd {len(session.received)}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (f"<BGPDaemon {self.hostname} AS{self.local_as} "

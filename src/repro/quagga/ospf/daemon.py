@@ -103,7 +103,6 @@ class OSPFDaemon:
         self.spf_runs = 0
         self.lsas_originated = 0
         self.full_adjacency_times: List[float] = []
-        self._state_listeners: List[Callable[[OSPFInterface, Neighbor, int, int], None]] = []
 
     # ---------------------------------------------------------------- control
     def start(self) -> None:
@@ -298,11 +297,6 @@ class OSPFDaemon:
         if self._external_routes.pop(prefix, None) is not None:
             self._schedule_reoriginate()
 
-    @property
-    def external_routes(self) -> Dict[IPv4Network, int]:
-        """The prefixes this router currently redistributes (prefix -> metric)."""
-        return dict(self._external_routes)
-
     def _schedule_reoriginate(self) -> None:
         if self._reoriginate_scheduled or not self.running:
             return
@@ -327,9 +321,6 @@ class OSPFDaemon:
             interface.flood([lsa])
 
     # ------------------------------------------------------------- FSM events
-    def add_state_listener(self, listener: Callable[[OSPFInterface, Neighbor, int, int], None]) -> None:
-        self._state_listeners.append(listener)
-
     def on_neighbor_state_change(self, interface: OSPFInterface, neighbor: Neighbor,
                                  old_state: int, new_state: int) -> None:
         if new_state == NeighborState.FULL:
@@ -338,8 +329,6 @@ class OSPFDaemon:
         elif old_state == NeighborState.FULL:
             # Lost an adjacency: advertise the reduced connectivity.
             self._originate_router_lsa()
-        for listener in self._state_listeners:
-            listener(interface, neighbor, old_state, new_state)
 
     # --------------------------------------------------------------------- SPF
     def schedule_spf(self) -> None:
@@ -425,10 +414,6 @@ class OSPFDaemon:
     @property
     def full_neighbor_count(self) -> int:
         return sum(len(i.full_neighbors) for i in self.interfaces.values())
-
-    @property
-    def neighbor_count(self) -> int:
-        return sum(len(i.neighbors) for i in self.interfaces.values())
 
     def show_ip_ospf_neighbor(self) -> str:
         """A ``show ip ospf neighbor``-style dump."""

@@ -46,9 +46,6 @@ class LSDB:
     def __len__(self) -> int:
         return len(self._lsas)
 
-    def __contains__(self, key: Tuple[int, int, int]) -> bool:
-        return key in self._lsas
-
     def get(self, key: Tuple[int, int, int]) -> Optional[RouterLSA]:
         return self._lsas.get(key)
 

@@ -29,9 +29,5 @@ class Neighbor:
     def state_name(self) -> str:
         return NeighborState.NAMES.get(self.state, str(self.state))
 
-    @property
-    def is_adjacent(self) -> bool:
-        return self.state == NeighborState.FULL
-
     def __repr__(self) -> str:
         return f"<Neighbor {self.router_id} ({self.address}) {self.state_name}>"

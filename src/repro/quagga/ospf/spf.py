@@ -64,12 +64,6 @@ class SPFNode:
         self.distance = distance
         self.first_hop = first_hop
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SPFNode):
-            return NotImplemented
-        return (self.router_id, self.distance, self.first_hop) == \
-            (other.router_id, other.distance, other.first_hop)
-
     def __repr__(self) -> str:
         return (f"SPFNode(router_id={self.router_id!r}, "
                 f"distance={self.distance!r}, first_hop={self.first_hop!r})")

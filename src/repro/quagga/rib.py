@@ -10,8 +10,8 @@ them to the physical switches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.net.addresses import IPv4Address, IPv4Network
 
@@ -213,9 +213,6 @@ class RIB:
     def selected_routes(self) -> List[Route]:
         return sorted(self._selected.values(),
                       key=lambda r: (int(r.prefix.network), r.prefix.prefix_len))
-
-    def routes_from(self, source: str) -> List[Route]:
-        return [r for r in self.selected_routes if r.source == source]
 
     def candidates(self, prefix: IPv4Network) -> List[Route]:
         """All candidate routes for a prefix (selected or not)."""

@@ -2,13 +2,11 @@
 
 Real RouteFlow VMs expose Quagga's vtysh; operators (or the RPC server)
 interact with the routing stack through it.  Our facade provides the same
-role programmatically: ``show``-style inspection commands aggregated across
-zebra/ospfd/bgpd, used by the GUI, the examples and the tests.
+role programmatically: ``show``-style inspection commands over zebra and
+ospfd, used by the examples and the tests.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional
 
 from repro.quagga.zebra import ZebraDaemon
 
@@ -16,10 +14,9 @@ from repro.quagga.zebra import ZebraDaemon
 class Vtysh:
     """Aggregated inspection across the daemons of one VM."""
 
-    def __init__(self, zebra: ZebraDaemon, ospf=None, bgp=None) -> None:
+    def __init__(self, zebra: ZebraDaemon, ospf=None) -> None:
         self.zebra = zebra
         self.ospf = ospf
-        self.bgp = bgp
 
     # --------------------------------------------------------------- commands
     def show_running_config(self) -> str:
@@ -31,11 +28,6 @@ class Vtysh:
             for name, interface in sorted(self.ospf.interfaces.items()):
                 lines.append(f" ! interface {name} cost {interface.cost}")
             lines.append("!")
-        if self.bgp is not None:
-            lines.append(f"router bgp {self.bgp.local_as}")
-            for session in self.bgp.sessions.values():
-                lines.append(f" neighbor {session.peer_address} remote-as {session.remote_as}")
-            lines.append("!")
         return "\n".join(lines)
 
     def show_ip_route(self) -> str:
@@ -46,14 +38,6 @@ class Vtysh:
             return "% OSPF is not running"
         return self.ospf.show_ip_ospf_neighbor()
 
-    def show_ip_bgp_summary(self) -> str:
-        if self.bgp is None:
-            return "% BGP is not running"
-        lines = [f"BGP router identifier {self.bgp.router_id}, local AS number {self.bgp.local_as}"]
-        for session in self.bgp.sessions.values():
-            lines.append(f"{session.peer_address:<16} AS{session.remote_as:<6} {session.state}")
-        return "\n".join(lines)
-
     def execute(self, command: str) -> str:
         """Dispatch a textual command to the matching ``show`` method."""
         normalized = " ".join(command.strip().lower().split())
@@ -61,7 +45,6 @@ class Vtysh:
             "show running-config": self.show_running_config,
             "show ip route": self.show_ip_route,
             "show ip ospf neighbor": self.show_ip_ospf_neighbor,
-            "show ip bgp summary": self.show_ip_bgp_summary,
         }
         handler = dispatch.get(normalized)
         if handler is None:

@@ -17,7 +17,6 @@ from repro.routeflow.sharding import (
     PARTITIONERS,
     ContiguousPartitioner,
     ControllerShard,
-    ExplicitPartitioner,
     HashPartitioner,
     PartitionError,
     Partitioner,
@@ -31,7 +30,6 @@ from repro.routeflow.vm import VirtualMachine, VMState
 __all__ = [
     "ContiguousPartitioner",
     "ControllerShard",
-    "ExplicitPartitioner",
     "FlowSpec",
     "HashPartitioner",
     "HostEntry",

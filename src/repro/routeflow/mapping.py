@@ -85,9 +85,6 @@ class MappingTable:
         return None
 
     # -------------------------------------------------------------- inventory
-    @property
-    def mapped_vms(self) -> List[int]:
-        return sorted(self._vm_to_dpid)
 
     @property
     def mapped_datapaths(self) -> List[int]:

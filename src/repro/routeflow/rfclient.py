@@ -60,10 +60,6 @@ class RFClient:
             endpoint=self._endpoint, on_exhausted=self._on_exhausted)
         vm.zebra.add_fib_listener(self._on_fib_change)
 
-    @property
-    def topic(self) -> str:
-        return self._publisher.topic
-
     def _on_fib_change(self, prefix: IPv4Network, new: Optional[Route],
                        old: Optional[Route]) -> None:
         interface = new.interface if new is not None \

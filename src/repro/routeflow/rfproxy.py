@@ -194,7 +194,7 @@ class RFProxy(ControllerApp):
         if owner is None:
             return
         vm, interface = owner
-        if self.rfserver.dpid_for_vm(vm.vm_id) != connection.datapath_id:
+        if self.rfserver.mapping.dpid_for_vm(vm.vm_id) != connection.datapath_id:
             return  # gateway belongs to a different switch
         reply = ARP.reply(sender_mac=interface.mac, sender_ip=arp.target_ip,
                           target_mac=arp.sender_mac, target_ip=arp.sender_ip)

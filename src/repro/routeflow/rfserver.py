@@ -26,8 +26,7 @@ Every IPC hop runs over an explicit :class:`~repro.bus.MessageBus`:
 
 When several RFServer shards coordinate, a
 :class:`~repro.routeflow.sharding.ShardedControlPlane` provides the
-``peers`` view used to resolve next hops and VM→dpid mappings that live on
-another shard.
+``peers`` view used to resolve next hops that live on another shard.
 """
 
 from __future__ import annotations
@@ -177,6 +176,10 @@ class RFServer:
         vm_id = self.mapping.vm_for_dpid(datapath_id)
         return self.vms.get(vm_id) if vm_id is not None else None
 
+    def unmap_vm(self, vm_id: int) -> None:
+        """Drop a removed switch's VM from the VM<->datapath mapping."""
+        self.mapping.unmap_vm(vm_id)
+
     @property
     def vm_count(self) -> int:
         return len(self.vms)
@@ -242,13 +245,6 @@ class RFServer:
         if self.peers is not None:
             return self.peers.interface_owning_ip(address)
         return None
-
-    def dpid_for_vm(self, vm_id: int) -> Optional[int]:
-        """The datapath mirrored by a VM, wherever the VM is hosted."""
-        dpid = self.mapping.dpid_for_vm(vm_id)
-        if dpid is None and self.peers is not None:
-            dpid = self.peers.dpid_for_vm(vm_id)
-        return dpid
 
     # ----------------------------------------------------------- virtual wiring
     def connect_virtual_link(self, vm_id_a: int, iface_a: str,

@@ -5,16 +5,16 @@ Following the distributed-controller line of work (Yazıcı et al.,
 control plane can be split into :class:`ControllerShard` instances — each
 an OpenFlow controller hosting one RFProxy plus one RFServer — with every
 shard owning a partition of the datapath space.  The partition function is
-pluggable (:data:`PARTITIONERS`): hash, contiguous blocks, or an explicit
-dpid→shard map aligned with the FlowVisor slice definitions.
+pluggable (:data:`PARTITIONERS`): hash, contiguous blocks, or whole
+autonomous systems.
 
 The shards never call each other: all east/west coordination flows over
 the shared control-plane bus.  Each shard publishes
 :class:`~repro.routeflow.ipc.MappingRecord` facts (VM registrations,
 interface addresses) on the :data:`~repro.bus.topics.MAPPING` topic; the
 :class:`ShardedControlPlane` maintains the resulting global directory and
-serves as the ``peers`` view through which a shard resolves next hops and
-VM→dpid mappings owned by another shard.  Port-status relays on the
+serves as the ``peers`` view through which a shard resolves next hops
+owned by another shard.  Port-status relays on the
 :data:`~repro.bus.topics.PORT_STATUS` topic are likewise handled centrally
 because one physical link's endpoints may live on two different shards.
 
@@ -165,58 +165,17 @@ class ASPartitioner(Partitioner):
         return self._shard_of_as[asn]
 
 
-class ExplicitPartitioner(Partitioner):
-    """An explicit dpid→shard map (FlowVisor-slice-aligned sharding).
-
-    Hand it the same dpid→slice assignment the FlowVisor flowspace uses
-    and the control-plane partition follows the slicing exactly.
-    """
-
-    name = "slice"
-
-    def __init__(self, num_shards: int,
-                 assignment: Mapping[int, int]) -> None:
-        super().__init__(num_shards)
-        bad = {dpid: shard for dpid, shard in assignment.items()
-               if not 0 <= shard < num_shards}
-        if bad:
-            raise PartitionError(
-                f"shard indices out of range [0, {num_shards}): {bad}")
-        self._assignment = dict(assignment)
-
-    def seed(self, dpids) -> None:
-        missing = sorted(set(dpids) - set(self._assignment))
-        if missing:
-            raise PartitionError(
-                f"explicit shard map misses datapaths: "
-                + ", ".join(f"{dpid:#x}" for dpid in missing))
-
-    def shard_for(self, dpid: int) -> int:
-        try:
-            return self._assignment[dpid]
-        except KeyError:
-            raise PartitionError(
-                f"dpid {dpid:#x} is not in the explicit shard map") from None
-
-
 #: Partitioner kinds selectable through ``FrameworkConfig.partitioner``.
-PARTITIONERS = ("hash", "contiguous", "slice", "as")
+PARTITIONERS = ("hash", "contiguous", "as")
 
 
 def make_partitioner(kind: str, num_shards: int,
-                     shard_map: Optional[Mapping[int, int]] = None,
                      as_map: Optional[Mapping[int, int]] = None) -> Partitioner:
-    """Build a partitioner by name (``hash``/``contiguous``/``slice``/``as``)."""
+    """Build a partitioner by name (``hash``/``contiguous``/``as``)."""
     if kind == "hash":
         return HashPartitioner(num_shards)
     if kind == "contiguous":
         return ContiguousPartitioner(num_shards)
-    if kind == "slice":
-        if shard_map is None:
-            raise PartitionError(
-                "the slice-aligned partitioner needs an explicit dpid->shard "
-                "map (FrameworkConfig.shard_map)")
-        return ExplicitPartitioner(num_shards, shard_map)
     if kind == "as":
         return ASPartitioner(num_shards, as_map or {})
     raise PartitionError(
@@ -267,37 +226,6 @@ class ControllerShard:
         state = "FAILED" if self.failed else "up"
         return (f"<ControllerShard {self.shard_id} {state} "
                 f"vms={self.rfserver.vm_count}>")
-
-
-class _GlobalMapping:
-    """The :class:`~repro.routeflow.mapping.MappingTable` facade surface
-    the RPC server needs, answered across every shard."""
-
-    def __init__(self, plane: "ShardedControlPlane") -> None:
-        self._plane = plane
-
-    def dpid_for_vm(self, vm_id: int) -> Optional[int]:
-        return self._plane.dpid_for_vm(vm_id)
-
-    def vm_for_dpid(self, datapath_id: int) -> Optional[int]:
-        for shard in self._plane.shards:
-            vm_id = shard.rfserver.mapping.vm_for_dpid(datapath_id)
-            if vm_id is not None:
-                return vm_id
-        return None
-
-    def unmap_vm(self, vm_id: int) -> None:
-        shard = self._plane.shard_of_vm(vm_id)
-        if shard is not None:
-            shard.rfserver.mapping.unmap_vm(vm_id)
-        self._plane._forget_vm(vm_id)
-
-    @property
-    def mapped_datapaths(self) -> List[int]:
-        merged: List[int] = []
-        for shard in self._plane.shards:
-            merged.extend(shard.rfserver.mapping.mapped_datapaths)
-        return sorted(merged)
 
 
 class ShardedControlPlane:
@@ -363,7 +291,6 @@ class ShardedControlPlane:
         #: back to a previous owner.
         self._fence_epoch = 0
         self._dpid_fence: Dict[int, int] = {}
-        self.mapping = _GlobalMapping(self)
         # The plane's bus attachments go through the reliability layer
         # (passthrough on a perfect bus): it consumes the shared topics at
         # the "plane" endpoint and announces ownership changes through one
@@ -435,14 +362,6 @@ class ShardedControlPlane:
         self.mirror_physical_link(relay.dpid_a, relay.port_a,
                                   relay.dpid_b, relay.port_b, relay.up)
 
-    def _forget_vm(self, vm_id: int) -> None:
-        self._vm_shard.pop(vm_id, None)
-        self._vm_dpid.pop(vm_id, None)
-        stale = [address for address, (owner, _) in self._addresses.items()
-                 if owner == vm_id]
-        for address in stale:
-            del self._addresses[address]
-
     # ------------------------------------------------------------ peer lookups
     def interface_owning_ip(self, address: IPv4Address):
         """Resolve an interface address anywhere in the partition (the
@@ -459,8 +378,18 @@ class ShardedControlPlane:
             return None
         return (vm, interface)
 
-    def dpid_for_vm(self, vm_id: int) -> Optional[int]:
-        return self._vm_dpid.get(vm_id)
+    def unmap_vm(self, vm_id: int) -> None:
+        """Unmap a removed switch's VM on its owning shard and drop it
+        from the directory, so no peer resolves its addresses any more."""
+        shard = self.shard_of_vm(vm_id)
+        if shard is not None:
+            shard.rfserver.unmap_vm(vm_id)
+        self._vm_shard.pop(vm_id, None)
+        self._vm_dpid.pop(vm_id, None)
+        stale = [address for address, (owner, _) in self._addresses.items()
+                 if owner == vm_id]
+        for address in stale:
+            del self._addresses[address]
 
     def shard_of_vm(self, vm_id: int) -> Optional[ControllerShard]:
         index = self._vm_shard.get(vm_id)
@@ -613,9 +542,6 @@ class ShardedControlPlane:
         return changed
 
     # ---------------------------------------------------------------- status
-    def configured_switches(self) -> List[int]:
-        return self.mapping.mapped_datapaths
-
     def all_vms_running(self) -> bool:
         vms = self.vms
         return bool(vms) and all(vm.is_running for vm in vms.values())
@@ -623,10 +549,6 @@ class ShardedControlPlane:
     def ospf_converged(self, expected_prefixes: Optional[int] = None) -> bool:
         """RFServer's convergence predicate over the whole partition."""
         return ospf_converged_over(self.vms, expected_prefixes)
-
-    @property
-    def route_mods_received(self) -> int:
-        return sum(shard.rfserver.route_mods_received for shard in self.shards)
 
     # ------------------------------------------------- liveness / heartbeats
     def _publish_heartbeat(self, shard: ControllerShard) -> None:

@@ -13,7 +13,7 @@ disappears.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.link import Interface, Link
 from repro.sim import Simulator
@@ -90,10 +90,6 @@ class RFVirtualSwitch:
 
     def is_connected(self, iface_a: Interface, iface_b: Interface) -> bool:
         return self._key(iface_a, iface_b) in self._links
-
-    @property
-    def links(self) -> List[Link]:
-        return list(self._links.values())
 
     def __len__(self) -> int:
         return len(self._links)

@@ -8,7 +8,7 @@ experiments are reproducible from a single integer seed.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -38,9 +38,6 @@ class SeededRandom:
 
     def expovariate(self, lambd: float) -> float:
         return self._random.expovariate(lambd)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)

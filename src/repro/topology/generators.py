@@ -5,7 +5,7 @@ the other generators are provided so the scenario registry can sweep the
 framework over datacenter- (fat-tree), ISP- (Waxman random geometric),
 WAN- (torus/grid) and congestion-study- (dumbbell) shaped networks, plus
 the simpler families (linear, star, tree, full mesh, random) used by the
-wider test suite and the ablation benchmarks.
+wider test suite and the ablations.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ harness reports on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 class TopologyError(ValueError):
@@ -125,12 +125,6 @@ class Topology:
     @property
     def num_links(self) -> int:
         return len(self._links)
-
-    def node(self, node_id: int) -> TopologyNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise TopologyError(f"no node {node_id} in topology {self.name}") from None
 
     def node_by_name(self, name: str) -> TopologyNode:
         for node in self._nodes.values():

@@ -49,10 +49,6 @@ class FlowDemand:
         self.duration = duration
 
     @property
-    def dst_ip(self) -> IPv4Address:
-        return IPv4Address(self.dst)
-
-    @property
     def end(self) -> float:
         return self.start + self.duration
 

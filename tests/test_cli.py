@@ -73,7 +73,10 @@ class TestCommands:
 
     def test_sweep_without_selection_fails(self, capsys):
         assert main(["sweep"]) == 2
-        assert "no scenarios selected" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: no scenarios selected")
+        assert main(["sweep", "--scenario", "ring-4", "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
 
     def test_sweep_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["sweep", "--scenario", "no-such-thing"]) == 2
@@ -125,15 +128,19 @@ class TestCommands:
 
     def test_sweep_rejects_bad_controllers(self, capsys):
         assert main(["sweep", "--scenario", "ring-4", "--controllers", "0"]) == 2
-        assert "--controllers" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: controllers must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("option, message", [
         (["--demands", "-3"], "error: demand count must be >= 1, got -3"),
-        (["--rate", "-1"], "error: rate_bps must be > 0, got -1.0")])
+        (["--rate", "-1"], "error: rate_bps must be > 0, got -1.0"),
+        (["--window", "-5"], "error: window must be >= 0, got -5.0"),
+        (["--settle", "-100"], "error: settle must be >= 0, got -100.0")])
     def test_te_bad_demand_option_fails_cleanly(self, capsys, option,
                                                 message):
-        assert main(["te", "--scenario", "ring-4"] + option) == 2
-        assert capsys.readouterr().err.strip() == message
+        for command in ("te", "traffic"):
+            assert main([command, "--scenario", "ring-4"] + option) == 2
+            assert capsys.readouterr().err.strip() == message
 
 
 class TestCtlScale:
@@ -153,6 +160,24 @@ class TestCtlScale:
     def test_ctlscale_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["ctlscale", "--scenario", "nope"]) == 2
         assert "no scenario named" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ctlscale", "--churn", "--churn-failovers", "-1"],
+         "error: failovers must be >= 0, got -1"),
+        (["ctlscale", "--churn", "--churn-reshards", "-1"],
+         "error: reshards must be >= 0, got -1"),
+        (["ctlscale", "--churn", "--churn-links", "-2"],
+         "error: link_churn must be >= 0, got -2"),
+        (["ctlscale", "--churn", "--settle", "-1"],
+         "error: settle must be >= 0, got -1.0"),
+        (["failover", "--link-down", "1:2@10", "--settle", "-1"],
+         "error: settle must be >= 0, got -1.0"),
+        (["interdomain", "--settle", "-1"],
+         "error: settle must be >= 0, got -1.0")])
+    def test_negative_counts_and_settles_fail_cleanly(self, capsys, argv,
+                                                      message):
+        assert main(argv + ["--scenario", "ring-4"]) == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_ctlscale_runs_and_exports(self, capsys, tmp_path):
         out = tmp_path / "ctl.json"

@@ -5,8 +5,7 @@ These tests keep the docs tree honest:
 * every intra-repo markdown link (``[text](path)``) in the living docs
   resolves to an existing file;
 * every backticked repo path (``docs/...``, ``src/...``, ``tests/...``,
-  ``examples/...``, ``benchmarks/...``) mentioned in the living docs
-  exists;
+  ``examples/...``, ``bench/...``) mentioned in the living docs exists;
 * every backticked dotted Python name (``repro.x.y``) mentioned in the
   living docs imports and resolves;
 * every ``repro`` CLI subcommand is documented in ``docs/experiments.md``;
@@ -34,7 +33,7 @@ MARKDOWN_FILES = [REPO_ROOT / "README.md"] + sorted(
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _BACKTICK_PATH = re.compile(
-    r"`((?:docs|src|tests|examples|benchmarks)/[A-Za-z0-9_\-./]+"
+    r"`((?:docs|src|tests|examples|bench)/[A-Za-z0-9_\-./]+"
     r"\.(?:md|py|json|yml))`")
 _PYTHON_NAME = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 

@@ -21,6 +21,7 @@ from repro.experiments import (
 )
 from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, OSPFNetworkStatement, generate_ospfd_conf, generate_zebra_conf
+from repro.quagga.ospf.constants import MAX_AGE
 from repro.routeflow import RFVirtualSwitch, VirtualMachine
 from repro.scenarios import FailureSchedule, ScenarioSpec
 from repro.sim import Simulator
@@ -70,6 +71,18 @@ class TestFailoverInvariant:
         down = result.events[0]
         assert down.route_changes > 0
         assert down.frames_lost > 0  # probes blackholed on the dead link
+
+    def test_failure_after_max_age_matches_early_failure(self):
+        """LSRefreshTime keeps every LSA younger than MaxAge in a quiet
+        area, so a failure long after configuration reroutes exactly like
+        the same failure early on — no area-wide flush of aged LSAs."""
+        spec = SCENARIOS[0]
+        early, late = (
+            run_failover(spec, schedule=FailureSchedule.single_link_failure(
+                1, 2, at=at), settle=12.0).events[0]
+            for at in (5.0, MAX_AGE + 100.0))
+        assert late.route_changes == early.route_changes > 0
+        assert late.frames_lost == early.frames_lost
 
 
 class TestFailoverMeasurements:

@@ -154,11 +154,36 @@ class TestFailureHandling:
         sim.run(until=framework.configuration_time + 60.0)
         assert framework.rfserver.all_vms_running()
 
-    def test_switch_connection_loss_reported(self, sim):
+    @staticmethod
+    def lose_switch_2(sim, controllers):
+        """Close switch 2's control channel after configuration and check
+        no controller lists it, and its VM is stopped and unmapped on
+        every shard.  Returns the framework and the VM's addresses."""
         framework, network = build(sim, ring_topology(4),
-                                   fast_config(detect_edge_ports=False))
+                                   fast_config(detect_edge_ports=False,
+                                               controllers=controllers))
         framework.run_until_configured(max_time=300.0)
+        plane = framework.control_plane
+        addresses = [iface.ip for iface in plane.vm(2).interfaces.values()
+                     if iface.ip is not None]
+        assert addresses
         network.control_channel(2).close()
         sim.run(until=framework.configuration_time + 20.0)
-        # The RF-controller no longer lists datapath 2.
-        assert 2 not in framework.rf_controller.connected_datapaths
+        rfservers = [s.rfserver for s in framework.shards] or [framework.rfserver]
+        assert all(2 not in s.rfproxy.controller.connected_datapaths
+                   for s in rfservers)
+        assert [e["data"]["switch_id"]
+                for e in framework.event_log.filter("switch_removed")] == [2]
+        assert not plane.vm(2).is_running
+        assert all(s.mapping.dpid_for_vm(2) is None for s in rfservers)
+        return framework, addresses
+
+    def test_switch_connection_loss_reported(self, sim):
+        self.lose_switch_2(sim, controllers=1)
+
+    def test_switch_connection_loss_reported_sharded(self, sim):
+        framework, addresses = self.lose_switch_2(sim, controllers=2)
+        # The plane's directory forgets the VM: peer shards no longer
+        # resolve next hops to its addresses.
+        for address in addresses:
+            assert framework.control_plane.interface_owning_ip(address) is None

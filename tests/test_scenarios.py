@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -70,6 +71,11 @@ class TestScenarioSpec:
                             framework={"vm_boot_delay": 2.0}, seed=3,
                             max_time=100.0, description="d")
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        # Every registered scenario, its demand, failure and TE specs
+        # included, survives a trip through JSON.
+        for registered in all_scenarios():
+            payload = json.loads(json.dumps(registered.to_dict()))
+            assert ScenarioSpec.from_dict(payload) == registered
 
     def test_specs_are_picklable(self):
         spec = ScenarioSpec("t", "torus", {"rows": 3, "cols": 3},

@@ -18,7 +18,6 @@ from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, generate_zebra_conf
 from repro.routeflow import (
     ContiguousPartitioner,
-    ExplicitPartitioner,
     HashPartitioner,
     PartitionError,
     RFProxy,
@@ -66,28 +65,13 @@ class TestPartitioners:
         with pytest.raises(PartitionError, match="seeded universe"):
             partitioner.shard_for(7)
 
-    def test_explicit_map_is_authoritative(self):
-        partitioner = ExplicitPartitioner(2, {1: 0, 2: 1, 3: 1})
-        assert [partitioner.shard_for(d) for d in (1, 2, 3)] == [0, 1, 1]
-        with pytest.raises(PartitionError, match="explicit shard map"):
-            partitioner.shard_for(9)
-        with pytest.raises(PartitionError, match="misses datapaths"):
-            partitioner.seed([1, 2, 3, 4])
-
-    def test_explicit_map_rejects_out_of_range_shards(self):
-        with pytest.raises(PartitionError, match="out of range"):
-            ExplicitPartitioner(2, {1: 5})
-
     def test_make_partitioner(self):
         assert isinstance(make_partitioner("hash", 2), HashPartitioner)
         assert isinstance(make_partitioner("contiguous", 2),
                           ContiguousPartitioner)
-        assert isinstance(make_partitioner("slice", 2, {1: 0}),
-                          ExplicitPartitioner)
-        with pytest.raises(PartitionError, match="needs an explicit"):
-            make_partitioner("slice", 2)
-        with pytest.raises(PartitionError, match="unknown partitioner"):
-            make_partitioner("round-robin", 2)
+        for unknown in ("round-robin", "slice"):
+            with pytest.raises(PartitionError, match="unknown partitioner"):
+                make_partitioner(unknown, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,25 @@ class TestZebraRerouteLifecycle:
         assert after == before            # byte-identical fallback
 
 
+class TestTESpec:
+    @pytest.mark.parametrize("fields, message", [
+        ({"policy": "fastest"}, "unknown TE policy 'fastest'"),
+        ({"engine": "warp"}, "unknown TE engine 'warp'"),
+        ({"k_paths": 0}, "k_paths must be >= 1"),
+        ({"interval": 0.0}, "interval must be positive"),
+        ({"epsilon": 1.5}, r"epsilon must be within \[0, 1\]"),
+        ({"threshold": -0.1}, r"threshold must be within \[0, 1\]"),
+        ({"max_steers_per_tick": 0}, "max_steers_per_tick must be >= 1"),
+        ({"hot_link": "1-2"}, "hot_link must look like 'a:b', got '1-2'"),
+        ({"hot_capacity_scale": 0.0},
+         r"hot_capacity_scale must be within \(0, 1\]")])
+    def test_invalid_field_rejected(self, fields, message):
+        from repro.te import TESpec
+
+        with pytest.raises(ValueError, match=message):
+            TESpec(**fields)
+
+
 class TestNoTEGating:
     def test_scenarios_without_te_carry_no_te_spec(self):
         from repro.scenarios import get
