@@ -20,6 +20,7 @@ messages they acknowledge.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -48,11 +49,12 @@ class ChannelFaults:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"fault probability {name} must be in [0, 1], got {value}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.reorder_delay < 0.0:
-            raise ValueError(
-                f"reorder_delay must be >= 0, got {self.reorder_delay}")
+        for name in ("jitter", "reorder_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def active(self) -> bool:

@@ -1,39 +1,22 @@
-"""The paper's contribution: automatic configuration of RouteFlow."""
+"""The paper's contribution: automatic configuration of RouteFlow.
 
-from repro.core.autoconfig import AutoConfigFramework, FrameworkConfig
-from repro.core.config_messages import (
-    ConfigMessage,
-    ConfigMessageError,
-    EdgePortConfigMessage,
-    LinkConfigMessage,
-    SwitchConfigMessage,
-    SwitchRemovedMessage,
-)
-from repro.core.gui import ConfigurationGUI, SwitchColor, SwitchView
-from repro.core.ipam import EdgeAddressing, IPAddressManager, IPAMError, LinkAddressing
-from repro.core.manual_model import ManualConfigurationModel
-from repro.core.rpc import RPCClient, RPCServer
-from repro.core.topology_controller import TopologyControllerApp, build_topology_controller
+The root is lazy (see :func:`repro._lazy_exports`): ``repro.core.ipam``,
+which the topology emulator imports, must not drag in
+:mod:`repro.core.autoconfig`, which imports the emulator.
+"""
 
-__all__ = [
-    "AutoConfigFramework",
-    "ConfigMessage",
-    "ConfigMessageError",
-    "ConfigurationGUI",
-    "EdgeAddressing",
-    "EdgePortConfigMessage",
-    "FrameworkConfig",
-    "IPAMError",
-    "IPAddressManager",
-    "LinkAddressing",
-    "LinkConfigMessage",
-    "ManualConfigurationModel",
-    "RPCClient",
-    "RPCServer",
-    "SwitchColor",
-    "SwitchConfigMessage",
-    "SwitchRemovedMessage",
-    "SwitchView",
-    "TopologyControllerApp",
-    "build_topology_controller",
-]
+from repro import _lazy_exports
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "autoconfig": ("AutoConfigFramework", "FrameworkConfig"),
+    "config_messages": ("ConfigMessage", "ConfigMessageError",
+                        "EdgePortConfigMessage", "LinkConfigMessage",
+                        "SwitchConfigMessage", "SwitchRemovedMessage"),
+    "gui": ("ConfigurationGUI", "SwitchColor", "SwitchView"),
+    "ipam": ("EdgeAddressing", "IPAddressManager", "IPAMError",
+             "LinkAddressing"),
+    "manual_model": ("ManualConfigurationModel",),
+    "rpc": ("RPCClient", "RPCServer"),
+    "topology_controller": ("TopologyControllerApp",
+                            "build_topology_controller"),
+})

@@ -16,6 +16,7 @@ compares the two.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -149,6 +150,11 @@ class AutoConfigFramework:
             self.bus.enable_reliability()
         for pattern, params in (self.config.bus_faults or {}).items():
             self.bus.configure_faults(pattern, ChannelFaults.from_dict(params))
+        vm_boot_delay = self.config.vm_boot_delay
+        if not math.isfinite(vm_boot_delay):
+            raise ValueError(f"vm_boot_delay must be finite, got {vm_boot_delay}")
+        if vm_boot_delay < 0:
+            raise ValueError(f"vm_boot_delay must be >= 0, got {vm_boot_delay}")
         num_controllers = self.config.controllers
         if num_controllers < 1:
             raise ValueError(f"controllers must be >= 1, got {num_controllers}")

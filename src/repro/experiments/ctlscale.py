@@ -22,7 +22,6 @@ reports, per run:
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import ScenarioRun, check_non_negative
+from repro.experiments.run import (PathLike, ScenarioRun,
+                                   check_non_negative, write_csv)
 from repro.scenarios import ScenarioSpec, get
 from repro.scenarios.events import FailureAction, FailureEvent, FailureSchedule
 from repro.sim.rng import SeededRandom
@@ -39,8 +39,6 @@ LOG = logging.getLogger(__name__)
 
 #: Shard counts swept by default (1 is the conservation reference).
 DEFAULT_CONTROLLER_COUNTS = (1, 2, 4)
-
-PathLike = Union[str, Path]
 
 
 @dataclass
@@ -529,28 +527,18 @@ def render_ctlscale_table(results: Sequence[CtlScaleResult]) -> str:
 def write_ctlscale_csv(results: Sequence[CtlScaleResult],
                        path: PathLike) -> Path:
     """Write a controller-scaling series as CSV, one row per shard."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "family", "seed", "controllers",
-                         "partitioner", "switches", "links",
-                         "configured_seconds", "shard", "shard_switches",
-                         "route_mods", "flow_mods_installed",
-                         "flow_mods_removed", "flows_current",
-                         "bgp_updates_sent", "bgp_withdrawals_sent",
-                         "bgp_updates_received"])
-        for result in results:
-            for load in result.shard_loads:
-                writer.writerow([
-                    result.scenario, result.family, result.seed,
-                    result.controllers, result.partitioner,
-                    result.num_switches, result.num_links,
-                    result.configured_seconds, load["shard"],
-                    load["switches"], load["route_mods"],
-                    load["flow_mods_installed"], load["flow_mods_removed"],
-                    load["flows_current"],
-                    load.get("bgp_updates_sent", 0),
-                    load.get("bgp_withdrawals_sent", 0),
-                    load.get("bgp_updates_received", 0),
-                ])
-    return target
+    return write_csv(path, [
+        "scenario", "family", "seed", "controllers", "partitioner",
+        "switches", "links", "configured_seconds", "shard", "shard_switches",
+        "route_mods", "flow_mods_installed", "flow_mods_removed",
+        "flows_current", "bgp_updates_sent", "bgp_withdrawals_sent",
+        "bgp_updates_received"], (
+        [result.scenario, result.family, result.seed, result.controllers,
+         result.partitioner, result.num_switches, result.num_links,
+         result.configured_seconds, load["shard"], load["switches"],
+         load["route_mods"], load["flow_mods_installed"],
+         load["flow_mods_removed"], load["flows_current"],
+         load.get("bgp_updates_sent", 0),
+         load.get("bgp_withdrawals_sent", 0),
+         load.get("bgp_updates_received", 0)]
+        for result in results for load in result.shard_loads))

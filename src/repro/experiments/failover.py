@@ -28,11 +28,13 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import (ScenarioRun, check_non_negative,
-                                   mirror_into_routeflow)
+from repro.experiments.run import (PathLike, ScenarioRun,
+                                   check_non_negative, mirror_into_routeflow,
+                                   write_csv)
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
 
@@ -297,3 +299,30 @@ def render_failover_table(results: List[FailoverResult]) -> str:
         notes.extend(f"  ! {violation}"
                      for violation in result.invariant_violations)
     return table + "\n\n" + "\n".join(notes)
+
+
+def write_failover_csv(results: List[FailoverResult], path: PathLike) -> Path:
+    """Write a failover suite as CSV, one row per injected failure event.
+
+    The per-run delivery/drop totals ride on every row so the file stays
+    flat (same shape as the sweep CSV).
+    """
+    def rows():
+        for result in results:
+            head = [result.scenario, result.family, result.seed,
+                    result.num_switches, result.num_links,
+                    result.configured_seconds]
+            tail = [result.link_stats.get("frames_delivered", 0),
+                    result.link_stats.get("frames_dropped", 0)]
+            if not result.events:
+                yield head + [""] * 7 + tail
+            for event in result.events:
+                yield head + [event.index, event.action, event.description,
+                              event.at_seconds, event.reconverge_seconds,
+                              event.route_changes, event.frames_lost] + tail
+
+    return write_csv(path, [
+        "scenario", "family", "seed", "switches", "links",
+        "configured_seconds", "event_index", "action", "event",
+        "at_seconds", "reconverge_seconds", "route_changes", "frames_lost",
+        "frames_delivered", "frames_dropped"], rows())

@@ -29,7 +29,6 @@ redistribution at the borders — and measures:
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +36,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.results import format_seconds, format_table
-from repro.experiments.run import ScenarioRun, check_non_negative
+from repro.experiments.run import (PathLike, ScenarioRun,
+                                   check_non_negative, write_csv)
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
@@ -58,8 +58,6 @@ FLAP_LEAD = 10.0
 
 #: Seconds the flapped border link stays down.
 FLAP_DOWN = 90.0
-
-PathLike = Union[str, Path]
 
 
 @dataclass
@@ -380,25 +378,18 @@ def render_interdomain_table(results: List[InterdomainResult]) -> str:
 def write_interdomain_csv(results: List[InterdomainResult],
                           path: PathLike) -> Path:
     """Write an interdomain suite as CSV, one row per AS."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "family", "seed", "ases", "switches",
-                         "links", "border_links", "controllers",
-                         "configured_seconds", "converged_seconds",
-                         "ebgp_sessions", "ibgp_sessions", "steady_flows",
-                         "asn", "as_switches", "as_flows",
-                         "as_bgp_fib_routes", "as_external_fib_routes"])
-        for result in results:
-            for asn, report in sorted(result.per_as.items()):
-                writer.writerow([
-                    result.scenario, result.family, result.seed,
-                    result.num_ases, result.num_switches, result.num_links,
-                    result.border_links, result.controllers,
-                    result.configured_seconds, result.converged_seconds,
-                    result.ebgp_sessions, result.ibgp_sessions,
-                    result.steady_flows, asn, report["switches"],
-                    report["flows"], report["bgp_fib_routes"],
-                    report["external_fib_routes"],
-                ])
-    return target
+    return write_csv(path, [
+        "scenario", "family", "seed", "ases", "switches", "links",
+        "border_links", "controllers", "configured_seconds",
+        "converged_seconds", "ebgp_sessions", "ibgp_sessions",
+        "steady_flows", "asn", "as_switches", "as_flows",
+        "as_bgp_fib_routes", "as_external_fib_routes"], (
+        [result.scenario, result.family, result.seed, result.num_ases,
+         result.num_switches, result.num_links, result.border_links,
+         result.controllers, result.configured_seconds,
+         result.converged_seconds, result.ebgp_sessions,
+         result.ibgp_sessions, result.steady_flows, asn,
+         report["switches"], report["flows"], report["bgp_fib_routes"],
+         report["external_fib_routes"]]
+        for result in results
+        for asn, report in sorted(result.per_as.items())))

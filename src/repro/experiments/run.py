@@ -9,16 +9,19 @@ mirror for failure events.  What an experiment measures after that
 in its own module.
 
 :func:`to_payload` turns any result dataclass into the JSON document the
-``--out`` options write, and :func:`write_json` writes it.
+``--out`` options write, and :func:`write_json` writes it;
+:func:`write_csv` writes the flat tables of the ``--csv`` options.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.bus import topics
 from repro.bus.reliable import acquire_publisher
@@ -29,6 +32,8 @@ from repro.scenarios import FailureAction
 from repro.sim import Simulator
 from repro.topology.emulator import EmulatedNetwork
 from repro.topology.graph import Topology
+
+PathLike = Union[str, Path]
 
 
 def mirror_into_routeflow(network: EmulatedNetwork, bus):
@@ -66,8 +71,11 @@ def mirror_into_routeflow(network: EmulatedNetwork, bus):
 
 
 def check_non_negative(**values: float) -> None:
-    """Reject a negative phase length or event count before anything runs."""
+    """Reject a negative or non-finite phase length or event count before
+    anything runs (an infinite or NaN phase would never end)."""
     for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -175,9 +183,20 @@ def to_payload(value):
     return value
 
 
-def write_json(obj, path: Union[str, Path]) -> Path:
+def write_json(obj, path: PathLike) -> Path:
     """Write :func:`to_payload` of ``obj`` as sorted, indented JSON."""
     target = Path(path)
     target.write_text(json.dumps(to_payload(obj), indent=2, sort_keys=True)
                       + "\n")
+    return target
+
+
+def write_csv(path: PathLike, header: Sequence[str],
+              rows: Iterable[Sequence]) -> Path:
+    """Write ``header`` and then ``rows`` as one CSV file."""
+    target = Path(path)
+    with target.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
     return target

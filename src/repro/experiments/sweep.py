@@ -14,10 +14,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.experiments.config_time import run_single_configuration
 from repro.experiments.results import format_seconds, format_table
+from repro.experiments.run import PathLike, write_csv
 from repro.scenarios import ScenarioSpec, resolve
 
 LOG = logging.getLogger(__name__)
@@ -167,3 +169,16 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
     return format_table(
         ["scenario", "switches", "links", "automatic", "manual (paper model)",
          "speedup"], rows)
+
+
+def write_sweep_csv(results: Iterable[SweepResult], path: PathLike) -> Path:
+    """Write a scenario sweep as CSV (one row per scenario, no milestones)."""
+    return write_csv(path, [
+        "scenario", "family", "seed", "controllers", "switches", "links",
+        "auto_seconds", "manual_seconds", "speedup", "frames_delivered",
+        "frames_dropped"], (
+        [result.scenario, result.family, result.seed, result.controllers,
+         result.num_switches, result.num_links, result.auto_seconds,
+         result.manual_seconds, result.speedup, result.frames_delivered,
+         result.frames_dropped]
+        for result in results))

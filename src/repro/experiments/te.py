@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.experiments.run import check_non_negative
 from repro.experiments.traffic import _horizon, loopback_run
 from repro.scenarios import ScenarioSpec, get
-from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, FlowTableActuator,
-                      TEController, TESpec, ZebraActuator, adjacency_of,
-                      make_policy)
+from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, POLICY_NAMES,
+                      FlowTableActuator, TEController, TESpec, ZebraActuator,
+                      adjacency_of, make_policy)
 from repro.traffic import DemandSpec, FluidEngine, generate_demands
 
 LOG = logging.getLogger(__name__)
@@ -43,8 +43,9 @@ DEFAULT_SETTLE = 5.0
 DEFAULT_WINDOW = 30.0
 
 #: The default policy sweep: the untouched shortest-path plane first
-#: (the baseline every other row's ``delivered_gain`` is relative to).
-DEFAULT_POLICIES = ("none", "static-ecmp", "greedy", "bandit")
+#: (the baseline every other row's ``delivered_gain`` is relative to),
+#: then every TE policy.
+DEFAULT_POLICIES = ("none",) + POLICY_NAMES
 
 
 @dataclass

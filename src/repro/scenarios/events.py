@@ -17,6 +17,7 @@ generates a reproducible bounce sequence for resilience sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,6 +94,9 @@ class FailureEvent:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise FailureScheduleError(
+                f"event time must be finite, got {self.time}")
         if self.time < 0:
             raise FailureScheduleError(
                 f"event time must be >= 0, got {self.time}")

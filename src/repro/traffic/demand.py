@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from math import inf
+from math import inf, isfinite
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.net.addresses import IPv4Address
@@ -85,8 +85,14 @@ class DemandSpec:
                              f"known models: {', '.join(DEMAND_MODELS)}")
         if self.count < 1:
             raise ValueError(f"demand count must be >= 1, got {self.count}")
-        if self.rate_bps <= 0:
-            raise ValueError(f"rate_bps must be > 0, got {self.rate_bps}")
+        for name in ("rate_bps", "start_window", "duration"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name == "rate_bps" and value <= 0:
+                raise ValueError(f"rate_bps must be > 0, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"model": self.model, "count": self.count,

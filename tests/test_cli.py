@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -57,6 +58,14 @@ class TestCommands:
         assert "ospf_converged" in output
         assert "configured 3/3 switches" in output
         assert "automatic:" in output
+
+    def test_quickstart_past_its_deadline_exits_1(self, capsys):
+        # Three 3,000 s VM boots in series miss the 7,200 s deadline.
+        assert main(["quickstart", "--switches", "3",
+                     "--vm-boot-delay", "3000"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "configuration did not complete within the deadline\n")
 
     def test_fig3_command_prints_table(self, capsys):
         assert main(["fig3", "--sizes", "4"]) == 0
@@ -173,11 +182,35 @@ class TestCtlScale:
         (["failover", "--link-down", "1:2@10", "--settle", "-1"],
          "error: settle must be >= 0, got -1.0"),
         (["interdomain", "--settle", "-1"],
-         "error: settle must be >= 0, got -1.0")])
+         "error: settle must be >= 0, got -1.0"),
+        (["traffic", "--rate", "nan"], "error: rate_bps must be finite, "
+                                       "got nan"),
+        (["traffic", "--duration", "-4"], "error: duration must be >= 0, "
+                                          "got -4.0"),
+        (["failover", "--link-down", "1:2@nan"],
+         "error: bad --link-down value '1:2@nan' (expected A:B@T): event "
+         "time must be finite, got nan"),
+        (["failover", "--link-down", "1:2@10", "--settle", "nan"],
+         "error: settle must be finite, got nan"),
+        (["quickstart", "--vm-boot-delay", "-3"],
+         "error: vm_boot_delay must be >= 0, got -3.0"),
+        (["ctlscale", "--controllers", "2", "--churn", "--churn-bus-jitter",
+          "inf"], "error: jitter must be finite, got inf")])
     def test_negative_counts_and_settles_fail_cleanly(self, capsys, argv,
                                                       message):
-        assert main(argv + ["--scenario", "ring-4"]) == 2
+        if argv[0] != "quickstart":
+            argv = argv + ["--scenario", "ring-4"]
+        assert main(argv) == 2
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_phase_lengths_are_rejected(self, value):
+        # `repro traffic --window nan` (or inf) used to run forever.
+        from repro.experiments.run import check_non_negative
+
+        with pytest.raises(ValueError, match="window must be finite"):
+            check_non_negative(window=value)
 
     def test_ctlscale_runs_and_exports(self, capsys, tmp_path):
         out = tmp_path / "ctl.json"
@@ -244,3 +277,62 @@ def _experiments_snapshot(tmp_path, capsys):
 def test_cli_experiments_output_is_byte_identical(tmp_path, capsys):
     expected = json.loads((DATA / "cli_experiments_snapshot.json").read_text())
     assert _experiments_snapshot(tmp_path, capsys) == expected
+
+
+#: The paper's own commands (name, argv); they print and export nothing.
+_PAPER_COMMANDS = (
+    ("manual", ["manual"]),
+    ("quickstart", ["quickstart", "--switches", "4"]),
+    ("fig3", ["fig3", "--sizes", "4", "8"]),
+)
+
+
+def _paper_snapshot(capsys):
+    """stdout of each command of :data:`_PAPER_COMMANDS`."""
+    snapshot = {}
+    for name, argv in _PAPER_COMMANDS:
+        assert main(argv) == 0
+        snapshot[name] = capsys.readouterr().out
+    return snapshot
+
+
+def test_cli_paper_output_is_byte_identical(capsys):
+    expected = json.loads((DATA / "cli_paper_snapshot.json").read_text())
+    assert _paper_snapshot(capsys) == expected
+
+
+def _parser_snapshot():
+    """Every subcommand's arguments as data: option strings, dest,
+    default, type, choices, nargs, required, metavar and help.
+
+    The structure is pinned rather than the help text, whose wording
+    differs across Python versions.
+    """
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    def plain(value):
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        return getattr(value, "__name__", value)
+
+    def arguments(subparser):
+        return [{"kind": type(action).__name__,
+                 **{field: plain(getattr(action, field))
+                    for field in ("option_strings", "dest", "default",
+                                  "type", "choices", "nargs", "required",
+                                  "metavar", "help")}}
+                for action in subparser._actions]
+
+    return {"prog": parser.prog, "description": parser.description,
+            "dest": commands.dest, "required": commands.required,
+            "commands": [{"name": choice.dest, "help": choice.help,
+                          "arguments": arguments(
+                              commands.choices[choice.dest])}
+                         for choice in commands._choices_actions]}
+
+
+def test_parser_structure_is_unchanged():
+    expected = json.loads((DATA / "cli_parser_snapshot.json").read_text())
+    assert _parser_snapshot() == expected
