@@ -493,8 +493,6 @@ class ReliableConsumer:
             return
         src = message["src"]
         incarnation = message["inc"]
-        seq = message["seq"]
-        channel = self._channel()
         stream = self._streams.get(src)
         if stream is None or incarnation > stream.incarnation:
             if stream is not None and stream.buffer:
@@ -506,8 +504,17 @@ class ReliableConsumer:
             stream = _Stream(incarnation, message["base"])
             self._streams[src] = stream
         elif incarnation < stream.incarnation:
-            channel.rx_stale += 1
+            self._channel().rx_stale += 1
             return
+        self._accept(envelope, message, stream)
+
+    def _accept(self, envelope: Envelope, message: Dict,
+                stream: _Stream) -> None:
+        """Deduplicate, reorder and acknowledge one wrapped message."""
+        src = message["src"]
+        incarnation = message["inc"]
+        seq = message["seq"]
+        channel = self._channel()
         if seq < stream.expected:
             channel.rx_duplicates += 1
             self._ack(src, incarnation, seq)
@@ -550,28 +557,10 @@ class _SeqConsumer(ReliableConsumer):
     duplicate messages are dropped.
     """
 
-    def _on_message(self, envelope: Envelope) -> None:
-        if self.active is not None and not self.active():
-            return
-        try:
-            message = json.loads(envelope.payload)
-        except (TypeError, ValueError):
-            message = None
-        if (not isinstance(message, dict)
-                or message.get("kind") != RMSG_KIND):
-            self.callback(envelope)
-            return
-        src = message["src"]
-        incarnation = message["inc"]
+    def _accept(self, envelope: Envelope, message: Dict,
+                stream: _Stream) -> None:
         seq = message["seq"]
         channel = self._channel()
-        stream = self._streams.get(src)
-        if stream is None or incarnation > stream.incarnation:
-            stream = _Stream(incarnation, message["base"])
-            self._streams[src] = stream
-        elif incarnation < stream.incarnation:
-            channel.rx_stale += 1
-            return
         if seq < stream.expected:
             channel.rx_duplicates += 1
             return

@@ -22,21 +22,16 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.bus import ChannelFaults, MessageBus, topics
 from repro.bus.reliable import consume
-from repro.controller.base import Controller
 from repro.core.gui import ConfigurationGUI
 from repro.core.ipam import IPAddressManager
 from repro.core.manual_model import ManualConfigurationModel
 from repro.core.rpc import RPCClient, RPCServer
 from repro.core.topology_controller import build_topology_controller
 from repro.flowvisor import FlowVisor, build_paper_flowspace, build_sharded_flowspace
-from repro.quagga.bgp.daemon import BGPSessionBroker
-from repro.routeflow.rfproxy import RFProxy
-from repro.routeflow.rfserver import RFServer
-from repro.routeflow.sharding import (
-    ControllerShard,
-    ShardedControlPlane,
-    make_partitioner,
-)
+from repro.quagga.bgp.session import BGPSessionBroker
+from repro.routeflow.membership import PartitionError, make_partitioner
+from repro.routeflow.rfserver import ControllerShard, RFServer
+from repro.routeflow.sharding import ShardedControlPlane
 from repro.sim import EventLog, PeriodicTask, Simulator
 from repro.topology.emulator import EmulatedNetwork
 
@@ -174,23 +169,20 @@ class AutoConfigFramework:
             BGPSessionBroker(sim) if self.config.enable_bgp else None)
 
         if num_controllers == 1:
-            # RF-controller: the OpenFlow controller hosting RouteFlow's proxy.
-            self.rf_controller = Controller(sim, name="rf-controller")
-            self.rfproxy = RFProxy()
-            self.rf_controller.register_app(self.rfproxy)
-            self.rfserver = RFServer(
-                sim, self.rfproxy,
+            # RF-controller: the OpenFlow controller hosting RouteFlow.
+            first = ControllerShard(
+                sim, 0, self.bus, self.event_log, name="rf-controller",
                 vm_boot_delay=self.config.vm_boot_delay,
-                event_log=self.event_log,
                 serialize_vm_creation=self.config.serialize_vm_creation,
-                bus=self.bus, bgp_broker=self.bgp_broker)
+                bgp_broker=self.bgp_broker)
             #: The RFServer-shaped object the RPC server and the milestone
             #: monitor talk to; a ShardedControlPlane when controllers > 1.
-            self.control_plane: Union[RFServer, ShardedControlPlane] = self.rfserver
+            self.control_plane: Union[RFServer, ShardedControlPlane] = \
+                first.rfserver
             self.shards: List[ControllerShard] = []
-            consume(self.bus, topics.PORT_STATUS, self.rfserver._on_port_status,
-                    endpoint=self.rfserver._endpoint,
-                    active=lambda: self.rfserver.active)
+            consume(self.bus, topics.PORT_STATUS, first.rfserver._on_port_status,
+                    endpoint=first.rfserver._endpoint,
+                    active=lambda: first.rfserver.active)
         else:
             partitioner = make_partitioner(self.config.partitioner,
                                            num_controllers,
@@ -202,10 +194,11 @@ class AutoConfigFramework:
                 serialize_vm_creation=self.config.serialize_vm_creation,
                 bgp_broker=self.bgp_broker)
             self.shards = self.control_plane.shards
-            # Compatibility aliases point at shard 0 (the coordinator host).
-            self.rf_controller = self.shards[0].controller
-            self.rfproxy = self.shards[0].rfproxy
-            self.rfserver = self.shards[0].rfserver
+            first = self.shards[0]
+        # The RF-controller, or with shards the coordinator host, shard 0.
+        self.rf_controller = first.controller
+        self.rfproxy = first.rfproxy
+        self.rfserver = first.rfserver
 
         # RPC server (inside the RF-controller) and RPC client.
         self.rpc_server = RPCServer(
@@ -253,7 +246,8 @@ class AutoConfigFramework:
                     self.flowvisor.add_slice(
                         slice_name, shard.controller,
                         datapaths=lambda dpid, shard_id=shard.shard_id:
-                            self.control_plane.owner_of(dpid) == shard_id)
+                            self.control_plane.membership.owner_of(dpid)
+                            == shard_id)
                 self.control_plane.on_ownership_change = \
                     self.flowvisor.rehome_datapath
         else:
@@ -284,17 +278,12 @@ class AutoConfigFramework:
         self.network = network
         self._expected_switches = network.num_switches
         self._expected_links = network.num_links
-        if isinstance(self.control_plane, ShardedControlPlane):
-            # Partitioners that need the datapath universe (contiguous,
-            # explicit) get it from the topology, before any switch connects;
-            # shard_down/shard_up failure events reach the control plane
-            # through a network failure listener.
-            self.control_plane.seed_partitioner(
+        if self.shards:
+            # Partitioners that need the datapath universe (contiguous) get
+            # it from the topology, before any switch connects.
+            self.control_plane.membership.seed(
                 node.node_id for node in network.topology.nodes)
-            network.add_failure_listener(self.control_plane.failure_listener())
-        # Bus perturbation events (bus_degrade / bus_partition / bus_heal)
-        # act on the framework's bus directly, in every deployment shape.
-        network.add_failure_listener(self._bus_failure_listener)
+        network.add_failure_listener(self._failure_listener)
         for node in network.topology.nodes:
             self.gui.add_switch(node.node_id, label=node.name)
         for link in network.topology.links:
@@ -317,10 +306,14 @@ class AutoConfigFramework:
         partner = "plane" if event.node_b is None else f"shard:{event.node_b}"
         return f"shard:{event.node_a}", partner
 
-    def _bus_failure_listener(self, event) -> None:
-        """Execute bus perturbation events from a failure schedule."""
+    def _failure_listener(self, event) -> None:
+        """Execute a failure schedule's bus events (in every deployment)
+        and shard events (on a sharded control plane).  A ``reshard`` onto
+        a shard failed by then is logged, not raised: the schedule was
+        generated against an earlier shard state."""
         from repro.scenarios.events import FailureAction
 
+        plane = self.control_plane
         if event.action == FailureAction.BUS_DEGRADE:
             params = event.params_dict
             patterns = str(params.pop("topics", "routeflow.*"))
@@ -340,6 +333,22 @@ class AutoConfigFramework:
             else:
                 self.bus.heal_partition(*self._bus_endpoint_pair(event))
             self.event_log.record("bus_healed", event.describe())
+        elif not self.shards:
+            return
+        elif event.action == FailureAction.SHARD_DOWN:
+            plane.fail_shard(event.node_a)
+        elif event.action == FailureAction.SHARD_UP:
+            plane.restore_shard(event.node_a)
+        elif event.action == FailureAction.SHARD_FAILOVER:
+            plane.fail_shard(event.node_a)
+            plane.takeover(event.node_a, reason="injected failover")
+        elif event.action == FailureAction.RESHARD:
+            try:
+                plane.reshard(event.node_a, event.node_b,
+                              reason="injected reshard")
+            except PartitionError as exc:
+                self.event_log.record("reshard_rejected", str(exc),
+                                      dpid=event.node_a, shard=event.node_b)
 
     # -------------------------------------------------------------- milestones
     def _sample_milestones(self) -> None:
@@ -394,9 +403,7 @@ class AutoConfigFramework:
     def shard_loads(self) -> List[Dict[str, int]]:
         """Per-shard control-plane load counters (one entry for an unsharded
         deployment, so ``repro ctlscale`` reports a uniform shape)."""
-        if isinstance(self.control_plane, ShardedControlPlane):
-            return self.control_plane.shard_loads()
-        return [self.rfserver.load()]
+        return [s.rfserver.load() for s in self.shards] or [self.rfserver.load()]
 
     def summary(self) -> Dict[str, object]:
         """A serialisable summary of the configuration run."""

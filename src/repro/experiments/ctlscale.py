@@ -54,7 +54,7 @@ class CtlScaleResult:
     num_links: int
     configured_seconds: Optional[float]
     #: One entry per shard: switches, vms, route_mods, flow_mods_installed,
-    #: flow_mods_removed, flows_current (see ``ControllerShard.load``).
+    #: flow_mods_removed, flows_current (see ``RFServer.load``).
     shard_loads: List[Dict[str, int]] = field(default_factory=list)
     invariant_violations: List[str] = field(default_factory=list)
     #: Per-topic bus counters at the end of the run.
@@ -255,24 +255,20 @@ def churn_schedule(num_shards: int, dpids: Sequence[int],
             f"controller churn needs >= 2 shards, got {num_shards}")
     rng = SeededRandom(seed)
     events: List[FailureEvent] = []
-    failed: set = set()
+    # Each failed shard is restored before the next event, so every shard
+    # is live whenever a victim or a reshard target is drawn.
+    shards = list(range(num_shards))
     when = start
     for _ in range(failovers):
-        live = [s for s in range(num_shards) if s not in failed]
-        if len(live) < 2:
-            break
-        victim = rng.choice(live)
+        victim = rng.choice(shards)
         events.append(FailureEvent(when, FailureAction.SHARD_FAILOVER, victim))
-        failed.add(victim)
         when += spacing
         events.append(FailureEvent(when, FailureAction.SHARD_UP, victim))
-        failed.discard(victim)
         when += spacing
     ordered_dpids = sorted(dpids)
     for _ in range(reshards):
-        live = [s for s in range(num_shards) if s not in failed]
         dpid = rng.choice(ordered_dpids)
-        target = rng.choice(live)
+        target = rng.choice(shards)
         events.append(FailureEvent(when, FailureAction.RESHARD, dpid, target))
         when += spacing
     schedule = FailureSchedule(tuple(events))
@@ -412,7 +408,7 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     result.final_flows = run.total("flows_current")
     result.takeovers = plane.takeovers
     result.reshards = plane.reshards
-    result.shard_roles = [plane.role_of(shard.shard_id)
+    result.shard_roles = [plane.membership.role_of(shard.shard_id)
                           for shard in plane.shards]
     result.shard_loads = framework.shard_loads()
     result.invariant_violations = verify_spf_rib_consistency(plane)

@@ -199,12 +199,6 @@ def _session_states(vm, peer_vm) -> List[str]:
     return states
 
 
-def _rfproxies(framework):
-    if framework.shards:
-        return [shard.rfproxy for shard in framework.shards]
-    return [framework.rfproxy]
-
-
 def run_interdomain(scenario: Union[str, ScenarioSpec],
                     flap: bool = True,
                     flap_link: Optional[Tuple[int, int]] = None,
@@ -255,9 +249,10 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
                 directed["ibgp" if session.is_ibgp else "ebgp"] += 1
     result.ebgp_sessions = directed["ebgp"] // 2
     result.ibgp_sessions = directed["ibgp"] // 2
+    proxies = [s.rfproxy for s in framework.shards] or [framework.rfproxy]
     for asn in sorted(set(as_map.values())):
         members = {dpid for dpid, owner in as_map.items() if owner == asn}
-        flows = sum(1 for proxy in _rfproxies(framework)
+        flows = sum(1 for proxy in proxies
                     for (dpid, _prefix) in proxy.installed_flows
                     if dpid in members)
         bgp_fib = external_fib = 0

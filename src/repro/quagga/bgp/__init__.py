@@ -1,8 +1,8 @@
 """BGP-4 speaker: eBGP/iBGP roles, per-peer policy, redistribution, flaps."""
 
-from repro.quagga.bgp.daemon import (
+from repro.quagga.bgp.daemon import BGPDaemon
+from repro.quagga.bgp.session import (
     BGPAnnouncement,
-    BGPDaemon,
     BGPPeerSession,
     BGPSessionBroker,
     BGPSessionState,

@@ -12,18 +12,17 @@ from repro.routeflow.ipc import (
 from repro.routeflow.mapping import MappingError, MappingTable, PortMapping
 from repro.routeflow.rfclient import RFClient
 from repro.routeflow.rfproxy import FlowSpec, HostEntry, RFProxy
-from repro.routeflow.rfserver import RFServer
-from repro.routeflow.sharding import (
+from repro.routeflow.membership import (
     PARTITIONERS,
     ContiguousPartitioner,
-    ControllerShard,
     HashPartitioner,
     PartitionError,
     Partitioner,
     ShardRole,
-    ShardedControlPlane,
     make_partitioner,
 )
+from repro.routeflow.rfserver import ControllerShard, RFServer
+from repro.routeflow.sharding import ShardedControlPlane
 from repro.routeflow.virtual_switch import RFVirtualSwitch
 from repro.routeflow.vm import VirtualMachine, VMState
 

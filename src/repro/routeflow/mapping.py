@@ -35,7 +35,8 @@ class MappingTable:
         self._port_mappings: Dict[Tuple[int, int], PortMapping] = {}
 
     # --------------------------------------------------------------- switches
-    def map_vm(self, vm_id: int, datapath_id: int) -> None:
+    def map_vm(self, vm_id: int, datapath_id: int, num_ports: int = 0) -> None:
+        """Map a VM to a switch and its eth1..ethN to ports 1..N."""
         existing = self._vm_to_dpid.get(vm_id)
         if existing is not None and existing != datapath_id:
             raise MappingError(f"VM {vm_id} already mapped to dpid {existing:#x}")
@@ -44,6 +45,8 @@ class MappingTable:
             raise MappingError(f"dpid {datapath_id:#x} already mapped to VM {existing_vm}")
         self._vm_to_dpid[vm_id] = datapath_id
         self._dpid_to_vm[datapath_id] = vm_id
+        for port in range(1, num_ports + 1):
+            self.map_port(vm_id, f"eth{port}", datapath_id, port)
 
     def unmap_vm(self, vm_id: int) -> None:
         dpid = self._vm_to_dpid.pop(vm_id, None)

@@ -27,6 +27,8 @@ Every IPC hop runs over an explicit :class:`~repro.bus.MessageBus`:
 When several RFServer shards coordinate, a
 :class:`~repro.routeflow.sharding.ShardedControlPlane` provides the
 ``peers`` view used to resolve next hops that live on another shard.
+Both present the same :class:`VirtualEnvironment` surface to the RPC
+server and the milestone monitor.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bus import Discipline, Envelope, MessageBus, topics
 from repro.bus.reliable import acquire_publisher, consume
+from repro.controller.base import Controller
 from repro.net.addresses import IPv4Address, IPv4Network, MACAddress
 from repro.net.link import Interface
 from repro.routeflow.ipc import MappingRecord, PortStatusRelay, RouteMod, RouteModType
@@ -49,7 +52,106 @@ from repro.sim import EventLog, Simulator
 LOG = logging.getLogger(__name__)
 
 
-class RFServer:
+class VirtualEnvironment:
+    """The VMs and their wiring as the RPC server and the framework see
+    them, written over the ``vm`` / ``vm_for_dpid`` / ``vms`` / ``rfvs`` /
+    ``event_log`` of one RFServer or of N coordinated shards."""
+
+    #: A fail-stopped holder processes no bus traffic.
+    active = True
+
+    def write_config_file(self, vm_id: int, filename: str, text: str) -> None:
+        """Write a Quagga configuration file into a VM (RPC-server helper)."""
+        vm = self.vm(vm_id)
+        if vm is None:
+            raise KeyError(vm_id)
+        vm.write_config_file(filename, text)
+        self.event_log.record("config_file", f"{filename} written to {vm.name}",
+                              vm_id=vm_id, filename=filename, size=len(text))
+
+    def connect_virtual_link(self, vm_id_a: int, iface_a: str,
+                             vm_id_b: int, iface_b: str) -> None:
+        """Wire two VM interfaces together, mirroring a physical link (the
+        two VMs may live on two shards)."""
+        vm_a = self.vm(vm_id_a)
+        vm_b = self.vm(vm_id_b)
+        if vm_a is None or vm_b is None:
+            raise KeyError(vm_id_a if vm_a is None else vm_id_b)
+        self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
+        self.event_log.record(
+            "virtual_link",
+            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
+            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
+
+    def _on_port_status(self, envelope: Envelope) -> None:
+        """Bus delivery of a relayed port-status change."""
+        if not self.active:
+            return
+        relay = PortStatusRelay.from_json(envelope.payload)
+        self.mirror_physical_link(relay.dpid_a, relay.port_a,
+                                  relay.dpid_b, relay.port_b, relay.up)
+
+    def mirror_physical_link(self, dpid_a: int, port_a: int,
+                             dpid_b: int, port_b: int, up: bool) -> bool:
+        """Mirror a physical link state change into the virtual topology.
+
+        In RouteFlow the RFProxy relays switch port-status messages to the
+        RFServer, which takes the corresponding virtual wire down (or back
+        up) so the routing engines see the same topology the data plane
+        has.  Returns False if either end is not (yet) mapped to a VM
+        interface or no virtual wire connects them.
+        """
+        vm_a = self.vm_for_dpid(dpid_a)
+        vm_b = self.vm_for_dpid(dpid_b)
+        if vm_a is None or vm_b is None:
+            return False
+        iface_a = vm_a.interfaces.get(f"eth{port_a}")
+        iface_b = vm_b.interfaces.get(f"eth{port_b}")
+        if iface_a is None or iface_b is None:
+            return False
+        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
+        if changed:
+            self.event_log.record(
+                "link_state",
+                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
+                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
+                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
+                up=up)
+        return changed
+
+    @property
+    def vm_count(self) -> int:
+        return len(self.vms)
+
+    def all_vms_running(self) -> bool:
+        vms = self.vms
+        return bool(vms) and all(vm.is_running for vm in vms.values())
+
+    def ospf_converged(self, expected_prefixes: Optional[int] = None) -> bool:
+        """Has every VM learned a route to every OSPF-enabled prefix?
+
+        When ``expected_prefixes`` is None it is derived as the number of
+        distinct prefixes configured across the virtual environment.
+        """
+        vms = self.vms
+        if not vms:
+            return False
+        prefixes = {IPv4Network((iface.ip, iface.prefix_len)).network
+                    for vm in vms.values()
+                    for iface in vm.interfaces.values() if iface.ip is not None}
+        expected = expected_prefixes if expected_prefixes is not None \
+            else len(prefixes)
+        if expected == 0:
+            return False
+        for vm in vms.values():
+            if not vm.is_running:
+                return False
+            if len(vm.zebra.fib) < expected:
+                return False
+        return True
+
+
+class RFServer(VirtualEnvironment):
     """RouteFlow's central server (one per controller shard)."""
 
     #: Latency of the RFServer -> RFProxy IPC hop.
@@ -151,9 +253,7 @@ class RFServer:
                             hello_interval=self.hello_interval,
                             bgp_broker=self.bgp_broker)
         self.vms[vm_id] = vm
-        self.mapping.map_vm(vm_id, dpid)
-        for port in range(1, num_ports + 1):
-            self.mapping.map_port(vm_id, f"eth{port}", dpid, port)
+        self.mapping.map_vm(vm_id, dpid, num_ports)
         vm.add_address_listener(self._on_vm_address_change)
         self.rfclients[vm_id] = RFClient(self.sim, vm, self)
         if self.serialize_vm_creation:
@@ -179,10 +279,6 @@ class RFServer:
     def unmap_vm(self, vm_id: int) -> None:
         """Drop a removed switch's VM from the VM<->datapath mapping."""
         self.mapping.unmap_vm(vm_id)
-
-    @property
-    def vm_count(self) -> int:
-        return len(self.vms)
 
     # ------------------------------------------------------------- addressing
     def assign_interface_address(self, vm_id: int, interface_name: str,
@@ -245,61 +341,6 @@ class RFServer:
         if self.peers is not None:
             return self.peers.interface_owning_ip(address)
         return None
-
-    # ----------------------------------------------------------- virtual wiring
-    def connect_virtual_link(self, vm_id_a: int, iface_a: str,
-                             vm_id_b: int, iface_b: str) -> None:
-        """Wire two VM interfaces together, mirroring a physical link."""
-        vm_a = self.vms[vm_id_a]
-        vm_b = self.vms[vm_id_b]
-        self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
-        self.event_log.record(
-            "virtual_link",
-            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
-            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
-
-    def mirror_physical_link(self, dpid_a: int, port_a: int,
-                             dpid_b: int, port_b: int, up: bool) -> bool:
-        """Mirror a physical link state change into the virtual topology.
-
-        In RouteFlow the RFProxy relays switch port-status messages to the
-        RFServer, which takes the corresponding virtual wire down (or back
-        up) so the routing engines see the same topology the data plane
-        has.  Returns False if either end is not (yet) mapped to a VM
-        interface or no virtual wire connects them.
-        """
-        vm_a = self.vm_for_dpid(dpid_a)
-        vm_b = self.vm_for_dpid(dpid_b)
-        if vm_a is None or vm_b is None:
-            return False
-        iface_a = vm_a.interfaces.get(f"eth{port_a}")
-        iface_b = vm_b.interfaces.get(f"eth{port_b}")
-        if iface_a is None or iface_b is None:
-            return False
-        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
-        if changed:
-            self.event_log.record(
-                "link_state",
-                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
-                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
-                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
-                up=up)
-        return changed
-
-    def _on_port_status(self, envelope: Envelope) -> None:
-        """Bus delivery of a relayed port-status change."""
-        if not self.active:
-            return
-        relay = PortStatusRelay.from_json(envelope.payload)
-        self.mirror_physical_link(relay.dpid_a, relay.port_a,
-                                  relay.dpid_b, relay.port_b, relay.up)
-
-    def write_config_file(self, vm_id: int, filename: str, text: str) -> None:
-        """Write a Quagga configuration file into a VM (RPC-server helper)."""
-        vm = self.vms[vm_id]
-        vm.write_config_file(filename, text)
-        self.event_log.record("config_file", f"{filename} written to {vm.name}",
-                              vm_id=vm_id, filename=filename, size=len(text))
 
     # --------------------------------------------------------------- RouteMods
     def receive_route_mod(self, payload: str) -> None:
@@ -415,17 +456,6 @@ class RFServer:
         """Datapaths that have a mirroring VM (the GUI's green switches)."""
         return sorted(self.mapping.mapped_datapaths)
 
-    def all_vms_running(self) -> bool:
-        return bool(self.vms) and all(vm.is_running for vm in self.vms.values())
-
-    def ospf_converged(self, expected_prefixes: Optional[int] = None) -> bool:
-        """Has every VM learned a route to every OSPF-enabled prefix?
-
-        When ``expected_prefixes`` is None it is derived as the number of
-        distinct prefixes configured across the virtual environment.
-        """
-        return ospf_converged_over(self.vms, expected_prefixes)
-
     def load(self) -> Dict[str, int]:
         """This server's control-plane load counters (one ctlscale row)."""
         bgp_updates_sent = 0
@@ -455,25 +485,36 @@ class RFServer:
         return f"<RFServer vms={len(self.vms)} routes={self.route_mods_received}>"
 
 
-def ospf_converged_over(vms: Dict[int, VirtualMachine],
-                        expected_prefixes: Optional[int] = None) -> bool:
-    """The convergence predicate over a VM population.
+class ControllerShard:
+    """One RF-controller host: an RFServer + RFProxy pair on its own
+    OpenFlow controller.  A sharded control plane runs N of them, each
+    owning a partition of the datapaths; a single-controller deployment
+    runs one, named plainly ``rf-controller``."""
 
-    Shared by :meth:`RFServer.ospf_converged` and the sharded control
-    plane (which applies it to the merged VM view), so single-controller
-    and sharded runs converge under the same criterion.
-    """
-    if not vms:
-        return False
-    prefixes = {IPv4Network((iface.ip, iface.prefix_len)).network
-                for vm in vms.values()
-                for iface in vm.interfaces.values() if iface.ip is not None}
-    expected = expected_prefixes if expected_prefixes is not None else len(prefixes)
-    if expected == 0:
-        return False
-    for vm in vms.values():
-        if not vm.is_running:
-            return False
-        if len(vm.zebra.fib) < expected:
-            return False
-    return True
+    def __init__(self, sim: Simulator, shard_id: int, bus: MessageBus,
+                 event_log: EventLog,
+                 rfvs: Optional[RFVirtualSwitch] = None,
+                 vm_boot_delay: float = 5.0,
+                 serialize_vm_creation: bool = True,
+                 hello_interval: Optional[int] = None,
+                 bgp_broker=None, name: Optional[str] = None) -> None:
+        self.shard_id = shard_id
+        self.controller = Controller(
+            sim, name=name or f"rf-controller-{shard_id}")
+        self.rfproxy = RFProxy()
+        self.controller.register_app(self.rfproxy)
+        self.rfserver = RFServer(
+            sim, self.rfproxy, vm_boot_delay=vm_boot_delay,
+            event_log=event_log, hello_interval=hello_interval,
+            serialize_vm_creation=serialize_vm_creation, bus=bus,
+            shard_id=shard_id, rfvs=rfvs, bgp_broker=bgp_broker)
+
+    @property
+    def failed(self) -> bool:
+        """Fail-stopped: the shard's RFServer processes nothing."""
+        return not self.rfserver.active
+
+    def __repr__(self) -> str:
+        state = "FAILED" if self.failed else "up"
+        return (f"<ControllerShard {self.shard_id} {state} "
+                f"vms={self.rfserver.vm_count}>")

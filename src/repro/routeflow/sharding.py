@@ -4,9 +4,10 @@ Following the distributed-controller line of work (Yazıcı et al.,
 "Controlling a Software-Defined Network via Distributed Controllers"), the
 control plane can be split into :class:`ControllerShard` instances — each
 an OpenFlow controller hosting one RFProxy plus one RFServer — with every
-shard owning a partition of the datapath space.  The partition function is
-pluggable (:data:`PARTITIONERS`): hash, contiguous blocks, or whole
-autonomous systems.
+shard owning a partition of the datapath space.  Who owns what, who is
+alive and which ownership changes may apply is the bus-free state machine
+of :mod:`repro.routeflow.membership`; this module is the glue that feeds
+it and carries out its decisions.
 
 The shards never call each other: all east/west coordination flows over
 the shared control-plane bus.  Each shard publishes
@@ -18,42 +19,36 @@ owned by another shard.  Port-status relays on the
 :data:`~repro.bus.topics.PORT_STATUS` topic are likewise handled centrally
 because one physical link's endpoints may live on two different shards.
 
-The :class:`ShardedControlPlane` duck-types the :class:`RFServer` surface
-the RPC server and the framework use (``create_vm``,
-``assign_interface_address``, ``connect_virtual_link``, milestones, …), so
-the rest of the system is oblivious to the shard count.
+The :class:`ShardedControlPlane` presents the RFServer surface the RPC
+server and the framework use, so the rest of the system is oblivious to
+the shard count.
 
-Shards carry master/standby roles over the dpid partition: every shard is
-the *master* of the datapaths it owns and the *standby* of the previous
-live shard in ring order.  Liveness is tracked with heartbeats on the
-:data:`~repro.bus.topics.HEARTBEAT` topic; a master silent past the
-failure timeout has its whole partition adopted by its standby, announced
-as a :class:`~repro.routeflow.ipc.TakeoverAnnouncement` on the mapping
-topic so every shard applies the same ownership flip.  The same migration
-path implements live re-balancing (:meth:`ShardedControlPlane.reshard`):
-a dpid moves between two healthy shards without its installed flows ever
-leaving the switch.
+Shards beat on the :data:`~repro.bus.topics.HEARTBEAT` topic.  A
+takeover (a silent master's partition to its standby) and a live reshard
+(one dpid between two healthy shards) travel as a
+:class:`~repro.routeflow.ipc.TakeoverAnnouncement` on the mapping topic,
+so every shard applies the same ownership flip; the dpids migrate without
+their installed flows ever leaving the switch.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus import Envelope, MessageBus, topics
 from repro.bus.reliable import acquire_publisher, consume
-from repro.controller.base import Controller
 from repro.net.addresses import IPv4Address
 from repro.routeflow.ipc import (
     MappingRecord,
-    PortStatusRelay,
     ShardHeartbeat,
     TakeoverAnnouncement,
     payload_kind,
 )
+from repro.routeflow.membership import Membership, Partitioner, PartitionError
 from repro.routeflow.rfproxy import RFProxy
-from repro.routeflow.rfserver import RFServer, ospf_converged_over
+from repro.routeflow.rfserver import ControllerShard, VirtualEnvironment
 from repro.routeflow.virtual_switch import RFVirtualSwitch
 from repro.routeflow.vm import VirtualMachine
 from repro.sim import EventLog, PeriodicTask, Simulator
@@ -61,174 +56,7 @@ from repro.sim import EventLog, PeriodicTask, Simulator
 LOG = logging.getLogger(__name__)
 
 
-class PartitionError(ValueError):
-    """Raised when a datapath cannot be assigned to a shard."""
-
-
-class ShardRole:
-    """The role a shard currently plays in the partition."""
-
-    MASTER = "master"    # owns at least one datapath
-    STANDBY = "standby"  # live, owns nothing; adopts a dead master's dpids
-    FAILED = "failed"    # fail-stopped; processes nothing
-
-
-class Partitioner:
-    """Maps datapath ids to shard indices.  Subclasses are pure functions
-    of the dpid (plus optional seeding), so every component that asks gets
-    the same answer."""
-
-    name = "abstract"
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise PartitionError(f"need at least one shard, got {num_shards}")
-        self.num_shards = num_shards
-
-    def seed(self, dpids) -> None:
-        """Give the partitioner the universe of datapaths (optional)."""
-
-    def shard_for(self, dpid: int) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} shards={self.num_shards}>"
-
-
-class HashPartitioner(Partitioner):
-    """``dpid % num_shards`` — stateless, uniform for dense dpid spaces."""
-
-    name = "hash"
-
-    def shard_for(self, dpid: int) -> int:
-        return dpid % self.num_shards
-
-
-class ContiguousPartitioner(Partitioner):
-    """Sorted dpids split into ``num_shards`` contiguous blocks.
-
-    Needs :meth:`seed` with the full dpid universe first (the framework
-    seeds it from the topology at attach time).  Contiguous blocks keep
-    neighbouring switches of regularly-numbered fabrics on one shard, so
-    fewer links cross the partition.
-    """
-
-    name = "contiguous"
-
-    def __init__(self, num_shards: int) -> None:
-        super().__init__(num_shards)
-        self._assignment: Dict[int, int] = {}
-
-    def seed(self, dpids) -> None:
-        ordered = sorted(set(dpids))
-        if not ordered:
-            return
-        block = -(-len(ordered) // self.num_shards)  # ceil division
-        self._assignment = {dpid: min(index // block, self.num_shards - 1)
-                            for index, dpid in enumerate(ordered)}
-
-    def shard_for(self, dpid: int) -> int:
-        try:
-            return self._assignment[dpid]
-        except KeyError:
-            raise PartitionError(
-                f"dpid {dpid:#x} is not in the seeded universe of the "
-                f"contiguous partitioner (seed() it from the topology "
-                f"first)") from None
-
-
-class ASPartitioner(Partitioner):
-    """Shard per autonomous system: every switch of an AS lands on the
-    same controller shard (ASes are dealt round-robin over the shards in
-    ascending AS-number order).  Interdomain deployments use this so each
-    shard hosts whole routing domains and only eBGP border traffic crosses
-    the partition."""
-
-    name = "as"
-
-    def __init__(self, num_shards: int, as_map: Mapping[int, int]) -> None:
-        super().__init__(num_shards)
-        if not as_map:
-            raise PartitionError(
-                "the AS partitioner needs a dpid->AS map "
-                "(FrameworkConfig.as_map, set by interdomain scenarios)")
-        self._as_map = dict(as_map)
-        ases = sorted(set(self._as_map.values()))
-        self._shard_of_as = {asn: index % num_shards
-                             for index, asn in enumerate(ases)}
-
-    def shard_for(self, dpid: int) -> int:
-        asn = self._as_map.get(dpid)
-        if asn is None:
-            raise PartitionError(
-                f"dpid {dpid:#x} has no AS assignment in the as_map")
-        return self._shard_of_as[asn]
-
-
-#: Partitioner kinds selectable through ``FrameworkConfig.partitioner``.
-PARTITIONERS = ("hash", "contiguous", "as")
-
-
-def make_partitioner(kind: str, num_shards: int,
-                     as_map: Optional[Mapping[int, int]] = None) -> Partitioner:
-    """Build a partitioner by name (``hash``/``contiguous``/``as``)."""
-    if kind == "hash":
-        return HashPartitioner(num_shards)
-    if kind == "contiguous":
-        return ContiguousPartitioner(num_shards)
-    if kind == "as":
-        return ASPartitioner(num_shards, as_map or {})
-    raise PartitionError(
-        f"unknown partitioner {kind!r}; known kinds: " + ", ".join(PARTITIONERS))
-
-
-class ControllerShard:
-    """One controller instance: an RFServer + RFProxy pair on its own
-    OpenFlow controller, owning a partition of the datapaths."""
-
-    def __init__(self, sim: Simulator, shard_id: int, bus: MessageBus,
-                 rfvs: RFVirtualSwitch, event_log: EventLog,
-                 vm_boot_delay: float = 5.0,
-                 serialize_vm_creation: bool = True,
-                 hello_interval: Optional[int] = None,
-                 bgp_broker=None) -> None:
-        self.shard_id = shard_id
-        self.controller = Controller(sim, name=f"rf-controller-{shard_id}")
-        self.rfproxy = RFProxy()
-        self.controller.register_app(self.rfproxy)
-        self.rfserver = RFServer(
-            sim, self.rfproxy, vm_boot_delay=vm_boot_delay,
-            event_log=event_log, hello_interval=hello_interval,
-            serialize_vm_creation=serialize_vm_creation, bus=bus,
-            shard_id=shard_id, rfvs=rfvs, bgp_broker=bgp_broker)
-        self.failed = False
-        #: Incarnation counter, bumped on every restore; heartbeats carry
-        #: it so beats of a previous life are distinguishable.
-        self.epoch = 0
-
-    def fail(self) -> None:
-        """Fail-stop the shard's control processing (the VMs it created
-        keep running — in RouteFlow terms the controller process dies,
-        not the virtualised routing environment)."""
-        self.failed = True
-        self.rfserver.active = False
-
-    def restore(self) -> None:
-        self.failed = False
-        self.epoch += 1
-        self.rfserver.active = True
-
-    def load(self) -> Dict[str, int]:
-        """Per-shard control-plane load counters (the ctlscale export)."""
-        return self.rfserver.load()
-
-    def __repr__(self) -> str:
-        state = "FAILED" if self.failed else "up"
-        return (f"<ControllerShard {self.shard_id} {state} "
-                f"vms={self.rfserver.vm_count}>")
-
-
-class ShardedControlPlane:
+class ShardedControlPlane(VirtualEnvironment):
     """N coordinated controller shards behind the RFServer interface."""
 
     #: Seconds between shard heartbeats on the heartbeat topic.
@@ -249,7 +77,6 @@ class ShardedControlPlane:
                  bgp_broker=None) -> None:
         self.sim = sim
         self.bus = bus
-        self.partitioner = partitioner
         self.event_log = event_log if event_log is not None else EventLog(sim)
         #: One virtual environment spans all shards: the VM-to-VM wires of
         #: cross-shard physical links terminate on one shared RFVS.  The
@@ -257,7 +84,7 @@ class ShardedControlPlane:
         #: shard partition like any other control-plane state.
         self.rfvs = RFVirtualSwitch(sim)
         self.shards: List[ControllerShard] = [
-            ControllerShard(sim, shard_id, bus, self.rfvs, self.event_log,
+            ControllerShard(sim, shard_id, bus, self.event_log, rfvs=self.rfvs,
                             vm_boot_delay=vm_boot_delay,
                             serialize_vm_creation=serialize_vm_creation,
                             hello_interval=hello_interval,
@@ -272,25 +99,17 @@ class ShardedControlPlane:
         #: ``vm_mapped`` records, so a standby can rebuild a dead
         #: master's mapping table without reading its memory.
         self._vm_ports: Dict[int, int] = {}
-        #: Ownership map: dpid -> owning shard.  Lazily seeded from the
-        #: partitioner; diverges from it after takeovers and resharding.
-        self._owner: Dict[int, int] = {}
-        self._universe: List[int] = []
+        #: Roles, liveness, the ownership map (lazily seeded from the
+        #: partitioner, diverging from it after takeovers and resharding)
+        #: and the takeover fence.
+        self.membership = Membership(partitioner, now=sim.now)
         #: Hook called with a dpid after its owner changed; the framework
         #: points it at :meth:`FlowVisor.rehome_datapath` so the slice
         #: channels follow the partition.
         self.on_ownership_change: Optional[Callable[[int], None]] = None
+        #: Takeover and reshard announcements applied.
         self.takeovers = 0
         self.reshards = 0
-        #: Takeover announcements discarded by the fencing check (stale
-        #: or duplicated replays on a lossy bus).
-        self.stale_announcements = 0
-        #: Fencing: every announced ownership change carries a strictly
-        #: increasing epoch, and each dpid remembers the highest epoch
-        #: applied to it — a replayed announcement can never roll a dpid
-        #: back to a previous owner.
-        self._fence_epoch = 0
-        self._dpid_fence: Dict[int, int] = {}
         # The plane's bus attachments go through the reliability layer
         # (passthrough on a perfect bus): it consumes the shared topics at
         # the "plane" endpoint and announces ownership changes through one
@@ -306,8 +125,6 @@ class ShardedControlPlane:
             shard.rfserver.peers = self
         # Liveness: every shard beats on the heartbeat topic; the detector
         # declares a silent master dead and hands its partition over.
-        self._last_heartbeat: Dict[int, float] = {
-            shard.shard_id: sim.now for shard in self.shards}
         consume(bus, topics.HEARTBEAT, self._on_heartbeat,
                 endpoint="plane")
         self._heartbeat_pubs = {
@@ -341,7 +158,7 @@ class ShardedControlPlane:
             self._vm_dpid[record.vm_id] = record.datapath_id
             if record.num_ports:
                 self._vm_ports[record.vm_id] = record.num_ports
-            self._owner.setdefault(record.datapath_id, record.shard)
+            self.membership.owner.setdefault(record.datapath_id, record.shard)
             return
         address = record.address_value
         if address is None:
@@ -356,11 +173,6 @@ class ShardedControlPlane:
         # on any other shard.
         for shard in self.shards:
             shard.rfserver.replay_pending_next_hop(address)
-
-    def _on_port_status(self, envelope: Envelope) -> None:
-        relay = PortStatusRelay.from_json(envelope.payload)
-        self.mirror_physical_link(relay.dpid_a, relay.port_a,
-                                  relay.dpid_b, relay.port_b, relay.up)
 
     # ------------------------------------------------------------ peer lookups
     def interface_owning_ip(self, address: IPv4Address):
@@ -403,74 +215,16 @@ class ShardedControlPlane:
                 return shard
         return None
 
-    def owner_of(self, datapath_id: int) -> int:
-        """The shard index currently owning a dpid.
-
-        First contact consults the static partitioner and memoises the
-        answer; takeovers and resharding then move entries around without
-        ever touching the partitioner (which stays the *initial* layout).
-        """
-        owner = self._owner.get(datapath_id)
-        if owner is None:
-            owner = self.partitioner.shard_for(datapath_id)
-            self._owner[datapath_id] = owner
-        return owner
-
-    def shard_for_dpid(self, datapath_id: int) -> ControllerShard:
-        return self.shards[self.owner_of(datapath_id)]
-
-    def known_datapaths(self) -> List[int]:
-        """Every dpid the plane has heard of (topology seed, ownership
-        map, VM registrations), ascending."""
-        known = set(self._universe) | set(self._owner)
-        known.update(self._vm_dpid.values())
-        return sorted(known)
-
-    def owned_dpids(self, shard_id: int) -> List[int]:
-        """The dpids a shard currently owns (its partition), ascending."""
-        return [dpid for dpid in self.known_datapaths()
-                if self.owner_of(dpid) == shard_id]
-
-    def role_of(self, shard_id: int) -> str:
-        """The shard's current role (:class:`ShardRole`): a live shard
-        owning datapaths is a master, a live shard owning none is a
-        standby, a fail-stopped shard is neither."""
-        shard = self._shard_by_index(shard_id)
-        if shard.failed:
-            return ShardRole.FAILED
-        return (ShardRole.MASTER if self.owned_dpids(shard_id)
-                else ShardRole.STANDBY)
-
-    def standby_for(self, shard_id: int) -> Optional[int]:
-        """The shard that adopts ``shard_id``'s partition if it dies: the
-        next live shard in ring order (None if no other shard is live)."""
-        count = len(self.shards)
-        for offset in range(1, count):
-            candidate = (shard_id + offset) % count
-            if not self.shards[candidate].failed:
-                return candidate
-        return None
-
-    def seed_partitioner(self, dpids) -> None:
-        self._universe = sorted(set(dpids))
-        self.partitioner.seed(self._universe)
-
     # ------------------------------------------------ RFServer facade surface
     def create_vm(self, vm_id: int, num_ports: int,
                   datapath_id: Optional[int] = None) -> VirtualMachine:
         dpid = datapath_id if datapath_id is not None else vm_id
-        return self.shard_for_dpid(dpid).rfserver.create_vm(
+        return self.shards[self.membership.owner_of(dpid)].rfserver.create_vm(
             vm_id, num_ports, datapath_id=dpid)
 
     def vm(self, vm_id: int) -> Optional[VirtualMachine]:
         shard = self.shard_of_vm(vm_id)
-        if shard is not None:
-            return shard.rfserver.vms.get(vm_id)
-        for candidate in self.shards:  # pre-directory fallback
-            vm = candidate.rfserver.vms.get(vm_id)
-            if vm is not None:
-                return vm
-        return None
+        return shard.rfserver.vms.get(vm_id) if shard is not None else None
 
     def vm_for_dpid(self, datapath_id: int) -> Optional[VirtualMachine]:
         for shard in self.shards:
@@ -487,10 +241,6 @@ class ShardedControlPlane:
             merged.update(shard.rfserver.vms)
         return merged
 
-    @property
-    def vm_count(self) -> int:
-        return sum(shard.rfserver.vm_count for shard in self.shards)
-
     def assign_interface_address(self, vm_id: int, interface_name: str,
                                  address: IPv4Address, prefix_len: int) -> None:
         shard = self.shard_of_vm(vm_id)
@@ -499,75 +249,18 @@ class ShardedControlPlane:
         shard.rfserver.assign_interface_address(vm_id, interface_name,
                                                 address, prefix_len)
 
-    def connect_virtual_link(self, vm_id_a: int, iface_a: str,
-                             vm_id_b: int, iface_b: str) -> None:
-        """Wire two VM interfaces together, possibly across shards."""
-        vm_a = self.vm(vm_id_a)
-        vm_b = self.vm(vm_id_b)
-        if vm_a is None or vm_b is None:
-            missing = vm_id_a if vm_a is None else vm_id_b
-            raise KeyError(missing)
-        self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
-        self.event_log.record(
-            "virtual_link",
-            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
-            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
-
-    def write_config_file(self, vm_id: int, filename: str, text: str) -> None:
-        shard = self.shard_of_vm(vm_id)
-        if shard is None:
-            raise KeyError(vm_id)
-        shard.rfserver.write_config_file(vm_id, filename, text)
-
-    def mirror_physical_link(self, dpid_a: int, port_a: int,
-                             dpid_b: int, port_b: int, up: bool) -> bool:
-        """Mirror a physical link state change (endpoints may be on two
-        different shards; the shared RFVS holds the wire)."""
-        vm_a = self.vm_for_dpid(dpid_a)
-        vm_b = self.vm_for_dpid(dpid_b)
-        if vm_a is None or vm_b is None:
-            return False
-        iface_a = vm_a.interfaces.get(f"eth{port_a}")
-        iface_b = vm_b.interfaces.get(f"eth{port_b}")
-        if iface_a is None or iface_b is None:
-            return False
-        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
-        if changed:
-            self.event_log.record(
-                "link_state",
-                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
-                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
-                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
-                up=up)
-        return changed
-
-    # ---------------------------------------------------------------- status
-    def all_vms_running(self) -> bool:
-        vms = self.vms
-        return bool(vms) and all(vm.is_running for vm in vms.values())
-
-    def ospf_converged(self, expected_prefixes: Optional[int] = None) -> bool:
-        """RFServer's convergence predicate over the whole partition."""
-        return ospf_converged_over(self.vms, expected_prefixes)
-
     # ------------------------------------------------- liveness / heartbeats
     def _publish_heartbeat(self, shard: ControllerShard) -> None:
-        if shard.failed:
+        shard_id = shard.shard_id
+        if self.membership.failed[shard_id]:
             return  # a fail-stopped controller process emits nothing
-        self._heartbeat_pubs[shard.shard_id].publish(
-            ShardHeartbeat(shard_id=shard.shard_id, sent_at=self.sim.now,
-                           epoch=shard.epoch).to_json())
+        self._heartbeat_pubs[shard_id].publish(
+            ShardHeartbeat(shard_id=shard_id, sent_at=self.sim.now,
+                           epoch=self.membership.epochs[shard_id]).to_json())
 
     def _on_heartbeat(self, envelope: Envelope) -> None:
         beat = ShardHeartbeat.from_json(envelope.payload)
-        if not 0 <= beat.shard_id < len(self.shards):
-            return
-        if beat.epoch != self.shards[beat.shard_id].epoch:
-            # A beat from a previous life of the shard, delayed on a lossy
-            # bus past a fail/restore cycle: it proves nothing about the
-            # shard's *current* incarnation being alive.
-            return
-        self._last_heartbeat[beat.shard_id] = self.sim.now
+        self.membership.beat(beat.shard_id, beat.epoch, self.sim.now)
 
     @property
     def effective_failure_timeout(self) -> float:
@@ -587,15 +280,14 @@ class ShardedControlPlane:
         """The failure detector tick: any master silent past the timeout
         loses its partition to its standby.  Idempotent — after a takeover
         the dead shard owns nothing, so it is not flagged again."""
-        deadline = self.effective_failure_timeout
-        for shard in self.shards:
-            silence = self.sim.now - self._last_heartbeat[shard.shard_id]
-            if silence <= deadline:
-                continue
-            if not self.owned_dpids(shard.shard_id):
-                continue
-            self.takeover(shard.shard_id,
-                          reason=f"no heartbeat for {silence:.1f}s")
+        for shard_id, silence in self.membership.tick(
+                self.sim.now, self.effective_failure_timeout):
+            self.takeover(shard_id, reason=f"no heartbeat for {silence:.1f}s")
+
+    @property
+    def stale_announcements(self) -> int:
+        """Announcements the fence discarded (replays on a lossy bus)."""
+        return self.membership.stale_announcements
 
     # ------------------------------------------------ takeover / re-balancing
     def takeover(self, shard_id: int, to_shard: Optional[int] = None,
@@ -608,10 +300,11 @@ class ShardedControlPlane:
         index, or None when the shard owned nothing or no live standby
         exists (logged and retried by the next detector tick).
         """
-        datapaths = self.owned_dpids(shard_id)
+        datapaths = self.membership.owned(shard_id)
         if not datapaths:
             return None
-        target = to_shard if to_shard is not None else self.standby_for(shard_id)
+        target = to_shard if to_shard is not None \
+            else self.membership.standby_for(shard_id)
         if target is None:
             self.event_log.record(
                 "takeover_aborted",
@@ -624,11 +317,10 @@ class ShardedControlPlane:
                 f"shard {target}")
         if target == shard_id:
             return None
-        self._fence_epoch += 1
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=shard_id,
             to_shard=target, datapaths=datapaths, reason=reason,
-            epoch=self._fence_epoch).to_json())
+            epoch=self.membership.announce()).to_json())
         return target
 
     def reshard(self, datapath_id: int, to_shard: int,
@@ -644,32 +336,20 @@ class ShardedControlPlane:
             raise PartitionError(
                 f"cannot reshard dpid {datapath_id:#x} onto failed shard "
                 f"{to_shard}")
-        from_shard = self.owner_of(datapath_id)
+        from_shard = self.membership.owner_of(datapath_id)
         if from_shard == to_shard:
             return False
-        self._fence_epoch += 1
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.RESHARD, from_shard=from_shard,
             to_shard=to_shard, datapaths=[datapath_id],
-            reason=reason, epoch=self._fence_epoch).to_json())
+            reason=reason, epoch=self.membership.announce()).to_json())
         return True
 
     def _apply_takeover(self, announcement: TakeoverAnnouncement) -> None:
-        datapaths = announcement.datapaths
-        if announcement.epoch:
-            # Fencing: apply only dpids whose recorded fence is older than
-            # this announcement.  A duplicated or delayed replay (lossy
-            # bus) is filtered wholesale — it must not bump the takeover
-            # counters, let alone roll ownership backwards.  Unfenced
-            # (epoch 0) announcements apply unconditionally for
-            # compatibility with hand-built payloads.
-            datapaths = [dpid for dpid in datapaths
-                         if announcement.epoch > self._dpid_fence.get(dpid, 0)]
-            if not datapaths:
-                self.stale_announcements += 1
-                return
-            for dpid in datapaths:
-                self._dpid_fence[dpid] = announcement.epoch
+        datapaths = self.membership.admit(announcement.epoch,
+                                          announcement.datapaths)
+        if datapaths is None:
+            return
         source = self._shard_by_index(announcement.from_shard)
         target = self._shard_by_index(announcement.to_shard)
         migrated = [dpid for dpid in datapaths
@@ -702,7 +382,7 @@ class ShardedControlPlane:
         """
         if source is target:
             return False
-        self._owner[dpid] = target.shard_id
+        self.membership.owner[dpid] = target.shard_id
         vm_id = self._vm_dpid_reverse(dpid)
         if vm_id is None:
             # No VM registered for this dpid yet: the ownership flip is
@@ -718,11 +398,8 @@ class ShardedControlPlane:
         source.rfserver.mapping.unmap_vm(vm_id)
         target.rfserver.vms[vm_id] = vm
         if target.rfserver.mapping.dpid_for_vm(vm_id) is None:
-            target.rfserver.mapping.map_vm(vm_id, dpid)
-            num_ports = self._vm_ports.get(vm_id) or vm.num_ports
-            for port in range(1, num_ports + 1):
-                target.rfserver.mapping.map_port(vm_id, f"eth{port}",
-                                                 dpid, port)
+            target.rfserver.mapping.map_vm(
+                vm_id, dpid, self._vm_ports.get(vm_id) or vm.num_ports)
         # 2. The RFClient keeps watching the same zebra FIB but now
         #    publishes on the new master's RouteMod topic.
         client = source.rfserver.rfclients.pop(vm_id, None)
@@ -800,7 +477,7 @@ class ShardedControlPlane:
         """Post-migration reconciliation on the adopting master: drop
         adopted flow records whose route has left the VM's FIB, then have
         the RFClient re-announce the full FIB (idempotent overwrites)."""
-        if shard.failed:
+        if self.membership.failed[shard.shard_id]:
             return
         client = shard.rfserver.rfclients.get(vm_id)
         if client is None or client.rfserver is not shard.rfserver:
@@ -841,7 +518,7 @@ class ShardedControlPlane:
         shard holding a VM mapping for a dpid must be that owner.
         """
         problems: List[str] = []
-        if all(shard.failed for shard in self.shards):
+        if all(self.membership.failed):
             return ["every controller shard is failed"]
         mapped_on: Dict[int, int] = {}
         for shard in self.shards:
@@ -851,9 +528,9 @@ class ShardedControlPlane:
                         f"dpid {dpid:#x} is mapped on shards "
                         f"{mapped_on[dpid]} and {shard.shard_id}")
                 mapped_on[dpid] = shard.shard_id
-        for dpid in self.known_datapaths():
-            owner = self.owner_of(dpid)
-            if self.shards[owner].failed:
+        for dpid in self.membership.known():
+            owner = self.membership.owner_of(dpid)
+            if self.membership.failed[owner]:
                 problems.append(
                     f"dpid {dpid:#x} is owned by failed shard {owner}")
             mapped = mapped_on.get(dpid)
@@ -882,17 +559,18 @@ class ShardedControlPlane:
 
     # -------------------------------------------------------- failure control
     def fail_shard(self, shard_id: int) -> None:
-        self._shard_by_index(shard_id).fail()
+        """Fail-stop the shard's control processing (the VMs it created
+        keep running — in RouteFlow terms the controller process dies,
+        not the virtualised routing environment)."""
+        self._shard_by_index(shard_id).rfserver.active = False
+        self.membership.fail(shard_id)
         self.event_log.record("shard_failed",
                               f"controller shard {shard_id} failed",
                               shard=shard_id)
 
     def restore_shard(self, shard_id: int) -> None:
-        self._shard_by_index(shard_id).restore()
-        # A restored shard starts a new epoch as a standby: it owns
-        # nothing until resharding hands it datapaths, and its heartbeat
-        # clock restarts now.
-        self._last_heartbeat[shard_id] = self.sim.now
+        self._shard_by_index(shard_id).rfserver.active = True
+        self.membership.restore(shard_id, self.sim.now)
         self.event_log.record("shard_restored",
                               f"controller shard {shard_id} restored",
                               shard=shard_id)
@@ -903,40 +581,6 @@ class ShardedControlPlane:
                 f"no controller shard {shard_id} (have {len(self.shards)})")
         return self.shards[shard_id]
 
-    def failure_listener(self) -> Callable[[object], None]:
-        """A network failure listener executing shard events.
-
-        Wire it via :meth:`EmulatedNetwork.add_failure_listener` so
-        ``shard_down``/``shard_up``/``shard_failover``/``reshard`` entries
-        of a :class:`~repro.scenarios.FailureSchedule` reach the control
-        plane.  A ``reshard`` whose target shard is failed at execution
-        time is rejected and logged rather than crashing the run (the
-        schedule was generated against an earlier shard state).
-        """
-        from repro.scenarios.events import FailureAction
-
-        def dispatch(event) -> None:
-            if event.action == FailureAction.SHARD_DOWN:
-                self.fail_shard(event.node_a)
-            elif event.action == FailureAction.SHARD_UP:
-                self.restore_shard(event.node_a)
-            elif event.action == FailureAction.SHARD_FAILOVER:
-                self.fail_shard(event.node_a)
-                self.takeover(event.node_a, reason="injected failover")
-            elif event.action == FailureAction.RESHARD:
-                try:
-                    self.reshard(event.node_a, event.node_b,
-                                 reason="injected reshard")
-                except PartitionError as exc:
-                    self.event_log.record("reshard_rejected", str(exc),
-                                          dpid=event.node_a,
-                                          shard=event.node_b)
-
-        return dispatch
-
-    def shard_loads(self) -> List[Dict[str, int]]:
-        return [shard.load() for shard in self.shards]
-
     def __repr__(self) -> str:
         return (f"<ShardedControlPlane shards={len(self.shards)} "
-                f"vms={self.vm_count} partitioner={self.partitioner.name}>")
+                f"vms={self.vm_count} partitioner={self.membership.partitioner.name}>")

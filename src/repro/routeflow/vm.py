@@ -25,7 +25,7 @@ from repro.net.fastpath import ethernet_framing, ipv4_framing
 from repro.net.ipv4 import IPProtocol
 from repro.net.link import Interface
 from repro.net.packet import DecodeError
-from repro.quagga.bgp.daemon import BGPDaemon, BGPSessionBroker
+from repro.quagga.bgp import BGPDaemon, BGPSessionBroker
 from repro.quagga.configfile import (
     InterfaceConfig,
     OSPFConfig,

@@ -429,7 +429,7 @@ def transit_stub_topology(num_stubs: int, stub_size: int = 3,
 
 #: Ingress LOCAL_PREF encoding the Gao-Rexford route preference: customer
 #: routes beat peer routes beat provider routes.  The customer value doubles
-#: as the valley-free export marker (see ``repro.quagga.bgp.daemon``).
+#: as the valley-free export marker (see ``repro.quagga.bgp.policy``).
 RELATIONSHIP_LOCAL_PREF = {"customer": 200, "peer": 100, "provider": 50}
 
 

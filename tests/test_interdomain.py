@@ -12,7 +12,7 @@ from repro.experiments.run import mirror_into_routeflow
 from repro.experiments.interdomain import run_interdomain, verify_interdomain
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
-from repro.routeflow.sharding import PartitionError, make_partitioner
+from repro.routeflow.membership import PartitionError, make_partitioner
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
 from repro.sim import Simulator
 from repro.topology.emulator import EmulatedNetwork
@@ -270,7 +270,7 @@ class TestInterdomainEndToEnd:
             mirror_into_routeflow(network, framework.bus))
         from repro.scenarios import FailureAction, FailureEvent
 
-        victim = plane.owner_of(2)  # the shard hosting border dpid 2
+        victim = plane.membership.owner_of(2)  # shard hosting border dpid 2
         survivor = 1 - victim
         network.schedule_failures(FailureSchedule((
             FailureEvent(5.0, FailureAction.LINK_DOWN, 2, 3),
@@ -284,7 +284,7 @@ class TestInterdomainEndToEnd:
         # Run past the hold-timer expiry (~35s after the link drop).
         sim.run(until=sim.now + 60.0)
         assert plane.takeovers == 1
-        assert plane.owner_of(2) == survivor
+        assert plane.membership.owner_of(2) == survivor
         dead_installed = dead_proxy.flows_installed
         dead_removed = dead_proxy.flows_removed
         vm2 = plane.vms[2]

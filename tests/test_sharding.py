@@ -407,10 +407,10 @@ class TestTakeoverAndResharding:
         assert plane.takeover(0, reason="test") == 1
         sim.run(until=sim.now + 10.0)
         assert plane.takeovers == 1
-        assert plane.role_of(0) == ShardRole.FAILED
-        assert plane.role_of(1) == ShardRole.MASTER
-        assert plane.owned_dpids(0) == []
-        assert plane.owned_dpids(1) == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert plane.membership.role_of(0) == ShardRole.FAILED
+        assert plane.membership.role_of(1) == ShardRole.MASTER
+        assert plane.membership.owned(0) == []
+        assert plane.membership.owned(1) == [1, 2, 3, 4, 5, 6, 7, 8]
         assert sum(len(switch.flow_table)
                    for switch in network.switches.values()) == flows_before
         assert plane.ownership_violations() == []
@@ -452,24 +452,24 @@ class TestTakeoverAndResharding:
         sim.run(until=sim.now + plane.FAILURE_TIMEOUT
                 + 2 * plane.HEARTBEAT_INTERVAL + 1.0)
         assert plane.takeovers == 1
-        assert plane.owned_dpids(0) == []
+        assert plane.membership.owned(0) == []
         assert plane.ownership_violations() == []
 
     def test_standby_is_next_live_shard_in_ring_order(self):
         sim, framework, network, configured_at = configure_ring(8, 3)
         assert configured_at is not None
         plane = framework.control_plane
-        assert plane.standby_for(0) == 1
-        assert plane.standby_for(2) == 0
+        assert plane.membership.standby_for(0) == 1
+        assert plane.membership.standby_for(2) == 0
         plane.fail_shard(1)
-        assert plane.standby_for(0) == 2
-        assert plane.role_of(1) == ShardRole.FAILED
+        assert plane.membership.standby_for(0) == 2
+        assert plane.membership.role_of(1) == ShardRole.FAILED
         plane.takeover(1)
         plane.restore_shard(1)
         # Its partition was taken over, so the restored shard owns
         # nothing: it comes back as a standby.
-        assert plane.owned_dpids(1) == []
-        assert plane.role_of(1) == ShardRole.STANDBY
+        assert plane.membership.owned(1) == []
+        assert plane.membership.role_of(1) == ShardRole.STANDBY
 
     def test_reshard_moves_one_dpid_without_flow_loss(self):
         sim, framework, network, configured_at = configure_ring(
@@ -481,7 +481,7 @@ class TestTakeoverAndResharding:
         assert plane.reshard(3, 1) is True
         sim.run(until=sim.now + 10.0)
         assert plane.reshards == 1
-        assert plane.owner_of(3) == 1
+        assert plane.membership.owner_of(3) == 1
         assert 3 in framework.shards[1].rfserver.mapping.mapped_datapaths
         assert 3 not in framework.shards[0].rfserver.mapping.mapped_datapaths
         assert sum(len(switch.flow_table)
@@ -568,7 +568,7 @@ class TestFailureDetectorOnLossyBus:
         sim.run(until=sim.now + plane.effective_failure_timeout
                 + 2 * plane.HEARTBEAT_INTERVAL + 1.0)
         assert plane.takeovers == 1
-        assert plane.owned_dpids(0) == []
+        assert plane.membership.owned(0) == []
 
     def test_replayed_takeover_announcement_is_fenced(self):
         """A duplicated or delayed TakeoverAnnouncement (lossy bus) must
@@ -577,12 +577,12 @@ class TestFailureDetectorOnLossyBus:
             8, 2, partitioner="contiguous")
         assert configured_at is not None
         plane = framework.control_plane
-        partition = plane.owned_dpids(0)
+        partition = plane.membership.owned(0)
         plane.fail_shard(0)
         plane.takeover(0, reason="test")
         sim.run(until=sim.now + 5.0)
         assert plane.takeovers == 1
-        owned = plane.owned_dpids(1)
+        owned = plane.membership.owned(1)
         stale_before = plane.stale_announcements
         replay = TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=0, to_shard=1,
@@ -591,7 +591,7 @@ class TestFailureDetectorOnLossyBus:
                               sender="plane")
         assert plane.takeovers == 1                  # not double-applied
         assert plane.stale_announcements == stale_before + 1
-        assert plane.owned_dpids(1) == owned
+        assert plane.membership.owned(1) == owned
         assert plane.ownership_violations() == []
 
     def test_stale_epoch_cannot_roll_ownership_backwards(self):
@@ -603,19 +603,19 @@ class TestFailureDetectorOnLossyBus:
         plane = framework.control_plane
         assert plane.reshard(3, 1) is True           # epoch 1: dpid 3 -> shard 1
         sim.run(until=sim.now + 5.0)
-        assert plane.owner_of(3) == 1
+        assert plane.membership.owner_of(3) == 1
         rollback = TakeoverAnnouncement(
             event=TakeoverAnnouncement.RESHARD, from_shard=1, to_shard=0,
             datapaths=[3], reason="delayed duplicate", epoch=1)
         framework.bus.publish("routeflow.mapping", rollback.to_json(),
                               sender="plane")
-        assert plane.owner_of(3) == 1                # still with shard 1
+        assert plane.membership.owner_of(3) == 1                # still with shard 1
         assert plane.stale_announcements == 1
         assert plane.reshards == 1
         # A genuinely newer epoch still moves it.
         assert plane.reshard(3, 0) is True
         sim.run(until=sim.now + 5.0)
-        assert plane.owner_of(3) == 0
+        assert plane.membership.owner_of(3) == 0
 
 
 class TestReshardEvents:
@@ -657,5 +657,5 @@ class TestReshardEvents:
         sim.run(until=sim.now + 40.0)
         assert plane.takeovers == 1
         assert plane.reshards == 1
-        assert plane.owner_of(5) == 0
+        assert plane.membership.owner_of(5) == 0
         assert plane.ownership_violations() == []
