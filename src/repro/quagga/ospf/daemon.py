@@ -32,8 +32,9 @@ from repro.quagga.ospf.constants import (
 from repro.quagga.ospf.interface import OSPFInterface
 from repro.quagga.ospf.lsdb import LSDB
 from repro.quagga.ospf.neighbor import Neighbor
-from repro.quagga.ospf.packets import OSPFPacket, RouterLSA, RouterLink
-from repro.quagga.ospf.spf import compute_routes
+from repro.quagga.ospf.packets import (LSUpdatePacket, OSPFPacket, RouterLSA,
+                                       RouterLink)
+from repro.quagga.ospf.spf import route_table
 from repro.quagga.rib import Route, RouteSource
 from repro.quagga.zebra import ZebraDaemon
 from repro.sim import PeriodicTask, Simulator
@@ -315,10 +316,18 @@ class OSPFDaemon:
         self.schedule_spf()
 
     def _flood(self, lsa: RouterLSA, exclude: Optional[OSPFInterface]) -> None:
+        """Send an LS Update carrying ``lsa`` out of every interface but
+        ``exclude``; the update is encoded once per area, not per interface."""
+        wires: Dict[IPv4Address, bytes] = {}
         for interface in self.interfaces.values():
-            if interface is exclude:
+            if interface is exclude or not interface.floods:
                 continue
-            interface.flood([lsa])
+            wire = wires.get(interface.area_id)
+            if wire is None:
+                wire = wires[interface.area_id] = LSUpdatePacket(
+                    router_id=self.router_id, lsas=[lsa],
+                    area_id=interface.area_id).encode()
+            self.send_bytes(interface.name, wire)
 
     # ------------------------------------------------------------- FSM events
     def on_neighbor_state_change(self, interface: OSPFInterface, neighbor: Neighbor,
@@ -351,15 +360,14 @@ class OSPFDaemon:
         from the installed snapshot are reused when unchanged, so the
         caller can compare snapshots cheaply (mostly by identity).
         """
-        routes = compute_routes(self.lsdb, self.router_id)
         new_routes: Dict[IPv4Network, Route] = {}
         # Neighbor states cannot change while this event runs, so each
         # distinct first hop resolves once per SPF run, not once per route.
-        resolutions: Dict[IPv4Address, Optional[tuple]] = {}
-        for spf_route in routes:
-            if spf_route.first_hop is None:
+        resolutions: Dict[int, Optional[tuple]] = {}
+        for prefix, cost, first_hop, _adv, external in route_table(
+                self.lsdb, int(self.router_id)):
+            if first_hop is None:
                 continue  # local stub, covered by a connected route
-            first_hop = spf_route.first_hop
             if first_hop in resolutions:
                 resolution = resolutions[first_hop]
             else:
@@ -367,18 +375,17 @@ class OSPFDaemon:
             if resolution is None:
                 continue
             next_hop, interface_name = resolution
-            prefix = spf_route.prefix
-            tag = EXTERNAL_ROUTE_TAG if spf_route.external else 0
+            tag = EXTERNAL_ROUTE_TAG if external else 0
             installed = self._installed_routes.get(prefix)
-            if installed is not None and installed.next_hop == next_hop \
+            if installed is not None and installed.metric == cost \
+                    and installed.tag == tag \
                     and installed.interface == interface_name \
-                    and installed.metric == spf_route.cost \
-                    and installed.tag == tag:
+                    and installed.next_hop == next_hop:
                 new_routes[prefix] = installed
             else:
                 new_routes[prefix] = Route(
                     prefix=prefix, next_hop=next_hop, interface=interface_name,
-                    source=RouteSource.OSPF, metric=spf_route.cost, tag=tag)
+                    source=RouteSource.OSPF, metric=cost, tag=tag)
         return new_routes
 
     def _run_spf(self) -> None:
@@ -402,7 +409,7 @@ class OSPFDaemon:
             self.zebra.replace_routes(RouteSource.OSPF, list(new_routes.values()))
         self._installed_routes = new_routes
 
-    def _resolve_next_hop(self, first_hop_router: IPv4Address):
+    def _resolve_next_hop(self, first_hop_router: int):
         """Map a first-hop router id to (next-hop IP, outgoing interface)."""
         for interface in self.interfaces.values():
             neighbor = interface.neighbors.get(IPv4Address(first_hop_router))

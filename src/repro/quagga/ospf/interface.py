@@ -270,15 +270,12 @@ class OSPFInterface:
         if neighbor is not None:
             self._maybe_full(neighbor)
 
-    def flood(self, lsas: List) -> None:
-        """Send an LS Update carrying the given LSAs out of this interface."""
-        if not self.up:
-            return
-        if not any(n.state >= NeighborState.EXCHANGE for n in self.neighbors.values()):
-            return
-        update = LSUpdatePacket(router_id=self.daemon.router_id, lsas=list(lsas),
-                                area_id=self.area_id)
-        self.daemon.send_packet(self.name, update)
+    @property
+    def floods(self) -> bool:
+        """Whether flooding sends an LS Update out of this interface: it is
+        up and some neighbor has reached Exchange."""
+        return self.up and any(n.state >= NeighborState.EXCHANGE
+                               for n in self.neighbors.values())
 
     # ------------------------------------------------------------- FSM events
     def _set_state(self, neighbor: Neighbor, new_state: int) -> None:

@@ -1,21 +1,46 @@
-"""The link-state database (LSDB) of an OSPF daemon."""
+"""The link-state database (LSDB) of an OSPF daemon.
+
+Besides the LSAs themselves the database keeps what the SPF module needs
+to share work across routers (see :mod:`repro.quagga.ospf.spf`):
+
+* the wire bytes of every stored LSA, and an order-free 64-bit digest of
+  them (CRC-32 and Adler-32 side by side, summed per LSA), kept up to
+  date through install, remove and flush.  No ``hash()`` enters, so the
+  digest is the same under every hash seed and in every process;
+* :attr:`LSDB.spf_base`, a strong reference to the SPF base built for the
+  current content.  The process-wide base map holds bases weakly, so the
+  live LSDBs alone bound its memory; any mutation drops the reference;
+* :meth:`LSDB.arrival_rank`, the position of each LSA in this database's
+  iteration order.  Routers holding the same content may have received it
+  in different orders, and SPF's equal-cost tie-break between stub
+  advertisers follows this order, so it is per LSDB and not part of the
+  shared base.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+import zlib
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.quagga.ospf.constants import MAX_AGE
 from repro.quagga.ospf.packets import LSAHeader, RouterLSA
+
+#: The digest is kept modulo 2**64.
+_DIGEST_MASK = (1 << 64) - 1
+
+
+def lsa_digest(wire: bytes) -> int:
+    """64-bit content digest of one LSA's wire bytes."""
+    return (zlib.crc32(wire) << 32) | zlib.adler32(wire)
 
 
 class LSDB:
     """Router LSAs indexed by (type, link-state id, advertising router).
 
     The database carries a monotonically increasing :attr:`version` that
-    bumps on every mutation.  Consumers (the SPF module) key derived data —
-    the router graph, the stub-prefix list — on it, so an unchanged database
-    never triggers a recomputation.  A secondary index by advertising router
+    bumps on every mutation.  A secondary index by advertising router
     keeps :meth:`router_lsa` and :meth:`remove_from` O(1) in the database
     size instead of scanning every LSA.
 
@@ -25,7 +50,8 @@ class LSDB:
       the stored copy it supersedes instead of being installed (premature
       aging, used by a daemon withdrawing its own LSA on shutdown);
     * :meth:`expire_aged` retires LSAs whose age — origination age plus
-      time spent in this database — has crossed ``MAX_AGE``.
+      time spent in this database — has crossed ``MAX_AGE``.  It scans the
+      database only once ``now`` reaches the earliest deadline.
     """
 
     def __init__(self) -> None:
@@ -36,12 +62,54 @@ class LSDB:
         #: the caller gave no clock: the LSA then never accrues residence
         #: age and only its origination age counts towards MaxAge).
         self._installed_at: Dict[Tuple[int, int, int], Optional[float]] = {}
+        #: key -> wire bytes of every stored LSA the digest covers.
+        self._wires: Dict[Tuple[int, int, int], bytes] = {}
+        #: Keys of stored LSAs the digest does not cover yet.  Their bytes
+        #: are taken when the digest is next read, so an LSA superseded
+        #: before any SPF run is never encoded.
+        self._unsettled: Set[Tuple[int, int, int]] = set()
         self._version = 0
+        self._digest = 0
+        #: No LSA reaches MaxAge before this time (a lower bound: removals
+        #: leave it in place, the next scan recomputes it).
+        self._expiry_due = math.inf
+        self._rank: Optional[Dict[Tuple[int, int, int], int]] = None
+        #: The SPF base of the current content; None until SPF builds or
+        #: finds one, and again after every mutation.
+        self.spf_base = None
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter; equal versions mean identical content."""
         return self._version
+
+    @property
+    def digest(self) -> int:
+        """Order-free digest of the stored LSAs' wire bytes."""
+        self._settle()
+        return self._digest
+
+    @property
+    def wires(self) -> Dict[Tuple[int, int, int], bytes]:
+        """key -> wire bytes of every stored LSA (read-only)."""
+        self._settle()
+        return self._wires
+
+    def _settle(self) -> None:
+        """Bring the digest and the wires up to date with the LSAs."""
+        if self._unsettled:
+            digest = self._digest
+            for key in self._unsettled:
+                wire = self._wires[key] = self._lsas[key].encode()
+                digest += lsa_digest(wire)
+            self._digest = digest & _DIGEST_MASK
+            self._unsettled.clear()
+
+    def _unsettle(self, key: Tuple[int, int, int]) -> None:
+        """Take a key's wire bytes out of the digest."""
+        wire = self._wires.pop(key, None)
+        if wire is not None:
+            self._digest = (self._digest - lsa_digest(wire)) & _DIGEST_MASK
 
     def __len__(self) -> int:
         return len(self._lsas)
@@ -64,6 +132,23 @@ class LSDB:
     def headers(self) -> List[LSAHeader]:
         return [lsa.header for lsa in self._lsas.values()]
 
+    def arrival_rank(self) -> Dict[Tuple[int, int, int], int]:
+        """key -> position in this database's iteration order.
+
+        A replaced LSA keeps the position of the copy it replaced; a removed
+        and re-installed one moves to the end.  Built on demand and kept
+        until the next mutation.
+        """
+        if self._rank is None:
+            self._rank = {key: position
+                          for position, key in enumerate(self._lsas)}
+        return self._rank
+
+    def _mutated(self) -> None:
+        self._version += 1
+        self._rank = None
+        self.spf_base = None
+
     def install(self, lsa: RouterLSA, now: Optional[float] = None) -> bool:
         """Install an LSA if it is newer than what we hold.
 
@@ -78,30 +163,44 @@ class LSDB:
 
         Returns True when the database changed (new, fresher, or flushed).
         """
-        existing = self._lsas.get(lsa.key)
-        if lsa.header.age >= MAX_AGE:
-            if existing is None or not lsa.header.is_newer_than(existing.header):
+        key = lsa.key
+        existing = self._lsas.get(key)
+        header = lsa.header
+        if header.age >= MAX_AGE:
+            if existing is None or not header.is_newer_than(existing.header):
                 return False
-            return self.remove(lsa.key)
-        if existing is not None and not lsa.header.is_newer_than(existing.header):
+            return self.remove(key)
+        if existing is not None and not header.is_newer_than(existing.header):
             return False
-        self._lsas[lsa.key] = lsa
-        self._by_adv.setdefault(int(lsa.header.advertising_router), {})[lsa.key] = lsa
-        self._installed_at[lsa.key] = now
-        self._version += 1
+        self._unsettle(key)
+        self._unsettled.add(key)
+        self._lsas[key] = lsa
+        self._by_adv.setdefault(key[2], {})[key] = lsa
+        self._installed_at[key] = now
+        if now is not None:
+            deadline = now + (MAX_AGE - header.age)
+            if deadline < self._expiry_due:
+                self._expiry_due = deadline
+        self._mutated()
         return True
+
+    def _forget(self, key: Tuple[int, int, int]) -> None:
+        """Drop a key from the per-key maps and the digest."""
+        self._installed_at.pop(key, None)
+        self._unsettled.discard(key)
+        self._unsettle(key)
 
     def remove(self, key: Tuple[int, int, int]) -> bool:
         lsa = self._lsas.pop(key, None)
         if lsa is None:
             return False
-        bucket = self._by_adv.get(int(lsa.header.advertising_router))
+        bucket = self._by_adv.get(key[2])
         if bucket is not None:
             bucket.pop(key, None)
             if not bucket:
-                del self._by_adv[int(lsa.header.advertising_router)]
-        self._installed_at.pop(key, None)
-        self._version += 1
+                del self._by_adv[key[2]]
+        self._forget(key)
+        self._mutated()
         return True
 
     def remove_from(self, advertising_router: IPv4Address) -> int:
@@ -112,8 +211,8 @@ class LSDB:
             return 0
         for key in bucket:
             del self._lsas[key]
-            self._installed_at.pop(key, None)
-        self._version += 1
+            self._forget(key)
+        self._mutated()
         return len(bucket)
 
     def age_of(self, key: Tuple[int, int, int], now: float) -> Optional[float]:
@@ -130,12 +229,21 @@ class LSDB:
         """Retire every LSA whose effective age reached ``MAX_AGE``.
 
         Returns the removed keys (callers re-originate their own LSA and
-        re-run SPF when anything expired).
+        re-run SPF when anything expired).  Before the earliest deadline
+        nothing can expire and nothing is scanned; the gate opens a second
+        early, so a float rounding difference between the deadline and the
+        exact :meth:`age_of` test below can never skip an expiry.
         """
+        if now < self._expiry_due - 1.0:
+            return []
         expired = [key for key in self._lsas
                    if self.age_of(key, now) >= MAX_AGE]
         for key in expired:
             self.remove(key)
+        self._expiry_due = min(
+            (installed_at + (MAX_AGE - self._lsas[key].header.age)
+             for key, installed_at in self._installed_at.items()
+             if installed_at is not None), default=math.inf)
         return expired
 
     def missing_or_older_than(self, headers: List[LSAHeader]) -> List[LSAHeader]:

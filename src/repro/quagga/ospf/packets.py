@@ -26,6 +26,9 @@ LSA_HEADER_LEN = 20
 
 _ZERO_ADDR = bytes(4)
 
+#: One Router LSA link: link id, link data, type, TOS count, metric.
+_ROUTER_LINK = struct.Struct("!IIBBH")
+
 #: Wire-bytes -> decoded RouterLSA intern table (see RouterLSA.decode).
 #: Bounded so a long-running simulation cannot grow it without limit.
 _DECODED_LSAS: dict = {}
@@ -120,8 +123,8 @@ class RouterLink:
         return cls(network, netmask, RouterLinkType.EXTERNAL, metric)
 
     def encode(self) -> bytes:
-        return (self.link_id.packed + self.link_data.packed
-                + struct.pack("!BBH", self.link_type, 0, self.metric))
+        return _ROUTER_LINK.pack(self.link_id._value, self.link_data._value,
+                                 self.link_type, 0, self.metric)
 
     @classmethod
     def decode(cls, data: bytes) -> "RouterLink":

@@ -6,18 +6,38 @@ bidirectional connectivity check) — computes shortest paths from the
 calculating router, and derives one candidate route per stub network
 advertised anywhere in the area.
 
-Derived data is cached on the LSDB and keyed by its version counter: the
-router graph and the flattened stub-prefix list are rebuilt only when the
-database actually changed, so the N routers of an area flooding N LSAs no
-longer cost N² from-scratch graph builds.  Adjacency lists are stored
-pre-sorted by neighbor id, which keeps the Dijkstra visit order (and
-therefore every tie-break) exactly as it was when the inner loop sorted on
-every pop.
+Everything that does not depend on the calculating router lives in an
+:class:`SPFBase`: the router graph (adjacency pre-sorted by neighbor id, so
+the Dijkstra visit order and every tie-break are those of a sorted scan)
+and the stub candidates grouped per prefix in final route order.  A base
+is a pure function of the database *content*, and every router of an
+area converges on the same content, so bases are shared by content
+across all LSDBs of the process:
+
+* the base map is keyed by :attr:`LSDB.digest`, an order-free integer
+  digest of the LSAs' wire bytes (no hash seed enters);
+* a digest hit is confirmed exactly, by comparing every key's wire bytes
+  with those the base was built from, so a digest collision costs a
+  rebuild, never a wrong route;
+* the map holds bases weakly and each LSDB holds its current base
+  strongly, so memory is bounded by the live LSDBs.
+
+One input stays per LSDB: when two advertisers give a prefix the same
+``(external, cost)``, the winner is the one that comes first in *this*
+router's LSDB iteration order (arrival position, then link position).
+Routers holding the same content can have received it in different
+orders, so the shared base cannot carry that order;
+:meth:`LSDB.arrival_rank` is consulted only on such a tie.
+
+The per-root work runs on integer router ids: Dijkstra fills ``dist`` /
+``first_hop`` dicts and :func:`route_table` walks the grouped stubs once.
+:func:`compute_routes` dresses that table as :class:`SPFRoute` tuples.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import IPv4Address, IPv4Network, PREFIXLEN_FROM_NETMASK
@@ -31,6 +51,16 @@ from repro.quagga.ospf.lsdb import LSDB
 #: address intern tables.
 _NETWORK_CACHE: Dict[Tuple[int, int], IPv4Network] = {}
 _NETWORK_CACHE_LIMIT = 1 << 16
+
+#: One advertiser's candidate for a stub prefix: (advertising router,
+#: metric, external, prefix, LSA key, link position).  The last two are
+#: the tie-break inputs: the key is ranked by arrival in each LSDB.  A
+#: plain tuple: a base holds one per stub link of every LSA.
+Stub = Tuple[int, int, bool, IPv4Network, Tuple[int, int, int], int]
+
+#: One row of :func:`route_table`: (prefix, cost, first-hop router id or
+#: None for a local stub, advertising router id, external).
+TableRow = Tuple[IPv4Network, int, Optional[int], int, bool]
 
 
 class SPFRoute(NamedTuple):
@@ -54,7 +84,7 @@ class SPFRoute(NamedTuple):
 
 
 class SPFNode:
-    """Per-router result of the Dijkstra run."""
+    """Per-router result of the Dijkstra run (see :func:`shortest_paths`)."""
 
     __slots__ = ("router_id", "distance", "first_hop")
 
@@ -69,66 +99,50 @@ class SPFNode:
                 f"distance={self.distance!r}, first_hop={self.first_hop!r})")
 
 
-def build_router_graph(lsdb: LSDB) -> Dict[int, Dict[int, int]]:
-    """Adjacency map {router -> {neighbor -> cost}} with bidirectional check.
+class SPFBase:
+    """What SPF derives from one LSDB content, whichever router computes."""
 
-    Cached per LSDB version; the returned mapping is shared, so callers must
-    treat it as read-only.  Neighbor iteration order is ascending router id.
-    """
-    cached = getattr(lsdb, "_spf_graph", None)
-    if cached is not None and lsdb._spf_graph_version == lsdb.version:
-        return cached
+    __slots__ = ("wires", "graph", "stubs", "__weakref__")
+
+    def __init__(self, wires: Dict[Tuple[int, int, int], bytes],
+                 graph: Dict[int, Dict[int, int]],
+                 stubs: List[Tuple[Stub, ...]]) -> None:
+        #: key -> wire bytes of the LSAs the base was built from.
+        self.wires = wires
+        #: {router -> {neighbor -> cost}}, neighbors in ascending id order.
+        self.graph = graph
+        #: Stub candidates per prefix, prefixes in ascending (network,
+        #: length) order, candidates in (LSA key, link position) order.
+        self.stubs = stubs
+
+
+#: digest -> base, held weakly (each LSDB holds its current base).
+_BASES: "weakref.WeakValueDictionary[int, SPFBase]" = \
+    weakref.WeakValueDictionary()
+
+
+def _same_content(base: SPFBase, lsdb: LSDB) -> bool:
+    """Confirm a digest hit exactly: every key's wire bytes are equal."""
+    return base.wires == lsdb.wires
+
+
+def _build_base(lsdb: LSDB) -> SPFBase:
+    wires = lsdb.wires
     advertised: Dict[int, Dict[int, int]] = {}
-    for lsa in lsdb.lsas:
-        router = int(lsa.header.advertising_router)
-        edges = advertised.setdefault(router, {})
-        # The parsed point-to-point link list rides on the (immutable,
-        # interned) LSA itself: extracted once, shared by every router that
-        # holds the LSA in its database.
-        p2p = getattr(lsa, "_spf_p2p", None)
-        if p2p is None:
-            p2p = lsa._spf_p2p = [
-                (int(link.link_id), link.metric) for link in lsa.links
-                if link.link_type == RouterLinkType.POINT_TO_POINT]
-        for neighbor, cost in p2p:
-            if neighbor not in edges or cost < edges[neighbor]:
-                edges[neighbor] = cost
-    graph: Dict[int, Dict[int, int]] = {}
-    for router, edges in advertised.items():
-        graph[router] = {
-            neighbor: edges[neighbor]
-            for neighbor in sorted(edges)
-            if neighbor in advertised and router in advertised[neighbor]
-        }
-    lsdb._spf_graph = graph
-    lsdb._spf_graph_version = lsdb.version
-    return graph
-
-
-def _stub_links(lsdb: LSDB) -> List[Tuple[int, IPv4Network, int, bool]]:
-    """Flattened ``(advertising router, prefix, metric, external)`` stubs.
-
-    Covers plain STUB links and the EXTERNAL (redistributed-prefix) links,
-    distinguished by the trailing flag.  Cached per LSDB version so the
-    per-SPF cost of rebuilding every stub's :class:`IPv4Network` (including
-    the netmask → prefix-length conversion) is paid once per database
-    change, not once per SPF run.
-    """
-    cached = getattr(lsdb, "_spf_stubs", None)
-    if cached is not None and lsdb._spf_stubs_version == lsdb.version:
-        return cached
-    stubs: List[Tuple[int, IPv4Network, int, bool]] = []
+    groups: Dict[Tuple[int, int], List[Stub]] = {}
     networks = _NETWORK_CACHE
-    for lsa in lsdb.lsas:
-        # Like the p2p list in build_router_graph, the parsed stub list is
-        # cached on the shared LSA object itself.
-        lsa_stubs = getattr(lsa, "_spf_stubs", None)
-        if lsa_stubs is None:
-            lsa_stubs = []
-            for link in lsa.links:
-                if link.link_type not in (RouterLinkType.STUB,
-                                          RouterLinkType.EXTERNAL):
-                    continue
+    # Sorted keys: the base is a function of the content alone, never of
+    # the arrival order of whichever LSDB built it first.
+    for key in sorted(wires):
+        router = key[2]
+        edges = advertised.setdefault(router, {})
+        for position, link in enumerate(lsdb.get(key).links):
+            kind = link.link_type
+            if kind == RouterLinkType.POINT_TO_POINT:
+                neighbor, cost = int(link.link_id), link.metric
+                if neighbor not in edges or cost < edges[neighbor]:
+                    edges[neighbor] = cost
+            elif kind in (RouterLinkType.STUB, RouterLinkType.EXTERNAL):
                 netmask = int(link.link_data)
                 prefix_len = PREFIXLEN_FROM_NETMASK.get(netmask)
                 if prefix_len is None:  # non-contiguous mask: count the bits
@@ -139,45 +153,107 @@ def _stub_links(lsdb: LSDB) -> List[Tuple[int, IPv4Network, int, bool]]:
                     prefix = IPv4Network((link.link_id, prefix_len))
                     if len(networks) < _NETWORK_CACHE_LIMIT:
                         networks[network_key] = prefix
-                lsa_stubs.append((prefix, link.metric,
-                                  link.link_type == RouterLinkType.EXTERNAL))
-            lsa._spf_stubs = lsa_stubs
-        adv = int(lsa.header.advertising_router)
-        for prefix, metric, external in lsa_stubs:
-            stubs.append((adv, prefix, metric, external))
-    lsdb._spf_stubs = stubs
-    lsdb._spf_stubs_version = lsdb.version
-    return stubs
+                groups.setdefault(
+                    (prefix.network._value, prefix.prefix_len), []).append(
+                    (router, link.metric, kind == RouterLinkType.EXTERNAL,
+                     prefix, key, position))
+    graph = {
+        router: {neighbor: edges[neighbor] for neighbor in sorted(edges)
+                 if neighbor in advertised and router in advertised[neighbor]}
+        for router, edges in advertised.items()}
+    return SPFBase(dict(wires), graph,
+                   [tuple(groups[prefix]) for prefix in sorted(groups)])
+
+
+def spf_base(lsdb: LSDB) -> SPFBase:
+    """The shared base of the database's current content."""
+    base = lsdb.spf_base
+    if base is None:
+        digest = lsdb.digest
+        base = _BASES.get(digest)
+        if base is None or not _same_content(base, lsdb):
+            base = _BASES[digest] = _build_base(lsdb)
+        lsdb.spf_base = base
+    return base
+
+
+def build_router_graph(lsdb: LSDB) -> Dict[int, Dict[int, int]]:
+    """Adjacency map {router -> {neighbor -> cost}} with bidirectional check.
+
+    Shared between every LSDB of the same content, so callers must treat it
+    as read-only.  Neighbor iteration order is ascending router id.
+    """
+    return spf_base(lsdb).graph
+
+
+def _dijkstra(graph: Dict[int, Dict[int, int]], root: int
+              ) -> Tuple[Dict[int, int], Dict[int, Optional[int]]]:
+    """(distance, first-hop router) per reachable router, integer ids."""
+    dist: Dict[int, int] = {root: 0}
+    first: Dict[int, Optional[int]] = {root: None}
+    if root not in graph:
+        return dist, first
+    # Heap entries are (distance, router).  A router is pushed again only
+    # at a strictly shorter distance, so no two entries tie and the entry
+    # that matches dist[router] is its one final visit; metrics are
+    # unsigned, so a visited router is never improved again.
+    heap = [(0, root)]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while heap:
+        distance, router = heappop(heap)
+        if distance > dist[router]:
+            continue  # superseded entry
+        first_hop = first[router]
+        for neighbor, cost in graph[router].items():
+            candidate = distance + cost
+            existing = dist.get(neighbor)
+            if existing is None or candidate < existing:
+                dist[neighbor] = candidate
+                # The first hop of a direct neighbor of the root is that
+                # neighbor.
+                first[neighbor] = neighbor if router == root else first_hop
+                heappush(heap, (candidate, neighbor))
+    return dist, first
 
 
 def shortest_paths(lsdb: LSDB, root: IPv4Address) -> Dict[int, SPFNode]:
     """Dijkstra from ``root``; result keyed by integer router id."""
-    graph = build_router_graph(lsdb)
-    root_id = int(IPv4Address(root))
-    if root_id not in graph:
-        return {root_id: SPFNode(IPv4Address(root), 0, None)}
-    distances: Dict[int, SPFNode] = {root_id: SPFNode(IPv4Address(root), 0, None)}
-    # heap entries: (distance, router_id, first_hop_router_id or None)
-    heap: List[Tuple[int, int, Optional[int]]] = [(0, root_id, None)]
-    visited: set = set()
-    while heap:
-        distance, router, first_hop = heapq.heappop(heap)
-        if router in visited:
-            continue
-        visited.add(router)
-        # Adjacency lists come out of build_router_graph pre-sorted.
-        for neighbor, cost in graph[router].items():
-            if neighbor in visited:
-                continue
-            candidate = distance + cost
-            # The first hop of a direct neighbor of the root is that neighbor.
-            hop = neighbor if router == root_id else first_hop
-            existing = distances.get(neighbor)
-            if existing is None or candidate < existing.distance:
-                distances[neighbor] = SPFNode(IPv4Address(neighbor), candidate,
-                                              IPv4Address(hop) if hop is not None else None)
-                heapq.heappush(heap, (candidate, neighbor, hop))
-    return distances
+    dist, first = _dijkstra(spf_base(lsdb).graph, int(IPv4Address(root)))
+    return {router: SPFNode(IPv4Address(router), distance,
+                            None if first[router] is None
+                            else IPv4Address(first[router]))
+            for router, distance in dist.items()}
+
+
+def route_table(lsdb: LSDB, root: int) -> List[TableRow]:
+    """The SPF result from router id ``root``, in ascending prefix order.
+
+    Per prefix, the cheapest reachable advertiser wins, intra-area stubs
+    before external ones whatever the cost; equal ``(external, cost)``
+    goes to the advertiser first in this LSDB's arrival order.
+    """
+    base = spf_base(lsdb)
+    dist, first = _dijkstra(base.graph, root)
+    table: List[TableRow] = []
+    for group in base.stubs:
+        best = None
+        best_cost = 0
+        for stub in group:
+            distance = dist.get(stub[0])
+            if distance is None:
+                continue  # advertising router unreachable
+            cost = distance + stub[1]
+            if best is None or (stub[2], cost) < (best[2], best_cost):
+                best, best_cost = stub, cost
+            elif cost == best_cost and stub[2] == best[2]:
+                rank = lsdb.arrival_rank()
+                if (rank[stub[4]], stub[5]) < (rank[best[4]], best[5]):
+                    best = stub
+        if best is not None:
+            router = best[0]
+            table.append((best[3], best_cost, first[router], router,
+                          best[2]))
+    return table
 
 
 def compute_routes(lsdb: LSDB, root: IPv4Address) -> List[SPFRoute]:
@@ -188,29 +264,10 @@ def compute_routes(lsdb: LSDB, root: IPv4Address) -> List[SPFRoute]:
     RIB.  For every other stub, the route cost is the distance to its
     advertising router plus the stub metric; when several routers advertise
     the same prefix (the two ends of a point-to-point link do), the cheapest
-    wins.
+    wins.  Routes come in ascending (network, prefix length) order.
     """
-    root_id = IPv4Address(root)
-    root_int = int(root_id)
-    nodes = shortest_paths(lsdb, root_id)
-    # Keyed by (network value, prefix length) — the tuple doubles as the
-    # final sort key, so the result ordering costs one C-level tuple sort
-    # instead of a per-route lambda.
-    best: Dict[Tuple[int, int], SPFRoute] = {}
-    for adv_int, prefix, metric, external in _stub_links(lsdb):
-        node = nodes.get(adv_int)
-        if node is None:
-            continue  # advertising router unreachable
-        cost = node.distance + metric
-        key = (prefix.network._value, prefix.prefix_len)
-        existing = best.get(key)
-        # Intra-area stubs beat external (redistributed) prefixes no matter
-        # the cost; within a class, the cheapest wins.
-        if existing is None or (external, cost) < (existing.external,
-                                                   existing.cost):
-            best[key] = SPFRoute(
-                prefix=prefix, cost=cost,
-                first_hop=node.first_hop if adv_int != root_int else None,
-                advertising_router=IPv4Address(adv_int),
-                external=external)
-    return [route for _, route in sorted(best.items())]
+    return [SPFRoute(prefix, cost,
+                     None if first_hop is None else IPv4Address(first_hop),
+                     IPv4Address(adv), external)
+            for prefix, cost, first_hop, adv, external
+            in route_table(lsdb, int(IPv4Address(root)))]

@@ -85,6 +85,14 @@ class Route:
 RouteChangeListener = Callable[[IPv4Network, Optional[Route], Optional[Route]], None]
 
 
+#: Index marker: the source has several candidates for the prefix.
+_MANY = object()
+
+
+def _prefix_order(prefix: IPv4Network):
+    return (prefix.network._value, prefix.prefix_len)
+
+
 class RIB:
     """Candidate routes per prefix with best-path selection."""
 
@@ -92,6 +100,9 @@ class RIB:
         self._routes: Dict[IPv4Network, List[Route]] = {}
         self._selected: Dict[IPv4Network, Route] = {}
         self._listeners: List[RouteChangeListener] = []
+        #: source -> {prefix -> the source's sole candidate, or _MANY when
+        #: it has several}; a prefix is listed iff the source has one.
+        self._by_source: Dict[str, Dict[IPv4Network, object]] = {}
 
     # -------------------------------------------------------------- listeners
     def add_listener(self, listener: RouteChangeListener) -> None:
@@ -106,6 +117,7 @@ class RIB:
                          if not (r.source == route.source and r.next_hop == route.next_hop
                                  and r.interface == route.interface)]
         candidates.append(route)
+        self._index(route.source, route.prefix, candidates)
         return self._reselect(route.prefix)
 
     def remove_route(self, prefix: IPv4Network, source: str,
@@ -123,6 +135,7 @@ class RIB:
             self._routes[prefix] = remaining
         else:
             del self._routes[prefix]
+        self._index(source, prefix, remaining)
         return self._reselect(prefix)
 
     def remove_all_from(self, source: str) -> List[IPv4Network]:
@@ -147,6 +160,10 @@ class RIB:
 
         Returns the prefixes whose selected route changed, in ascending
         prefix order (listeners fire in the same deterministic order).
+
+        The per-source index makes the diff cost one identity check per
+        unchanged prefix; only the changed prefixes are sorted and
+        reselected.
         """
         new_by_prefix: Dict[IPv4Network, Route] = {}
         for route in routes:
@@ -154,24 +171,27 @@ class RIB:
                 raise ValueError(
                     f"route {route} does not belong to source {source!r}")
             new_by_prefix[route.prefix] = route
-        affected = set(new_by_prefix)
-        for prefix, candidates in self._routes.items():
-            if any(r.source == source for r in candidates):
-                affected.add(prefix)
+        index = self._by_source.setdefault(source, {})
+        affected = []
+        for prefix, new in new_by_prefix.items():
+            sole = index.get(prefix)
+            # Unchanged when the source's only candidate equals the new one.
+            if sole is not new and (sole is None or sole is _MANY
+                                    or sole != new):
+                affected.append(prefix)
+        affected.extend(prefix for prefix in index
+                        if prefix not in new_by_prefix)
         changed: List[IPv4Network] = []
-        for prefix in sorted(affected,
-                             key=lambda p: (int(p.network), p.prefix_len)):
+        for prefix in sorted(affected, key=_prefix_order):
             candidates = self._routes.get(prefix)
+            remaining = [r for r in candidates if r.source != source] \
+                if candidates else []
             new = new_by_prefix.get(prefix)
-            if candidates:
-                existing = [r for r in candidates if r.source == source]
-                if new is not None and len(existing) == 1 and existing[0] == new:
-                    continue  # unchanged: skip the reselect round trip
-                remaining = [r for r in candidates if r.source != source]
-            else:
-                remaining = []
             if new is not None:
                 remaining.append(new)
+                index[prefix] = new
+            else:
+                index.pop(prefix, None)
             if remaining:
                 self._routes[prefix] = remaining
             else:
@@ -179,6 +199,16 @@ class RIB:
             if self._reselect(prefix):
                 changed.append(prefix)
         return changed
+
+    def _index(self, source: str, prefix: IPv4Network,
+               candidates: List[Route]) -> None:
+        """Re-derive the index entry of ``source`` at ``prefix``."""
+        mine = [r for r in candidates if r.source == source]
+        index = self._by_source.setdefault(source, {})
+        if not mine:
+            index.pop(prefix, None)
+        else:
+            index[prefix] = mine[0] if len(mine) == 1 else _MANY
 
     # -------------------------------------------------------------- selection
     def _reselect(self, prefix: IPv4Network) -> bool:

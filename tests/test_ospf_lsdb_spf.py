@@ -186,6 +186,24 @@ class TestMaxAge:
         assert lsdb.expire_aged(now=float(MAX_AGE) * 10) == []
         assert len(lsdb) == 3
 
+    def test_expire_aged_scans_only_once_a_deadline_is_due(self, monkeypatch):
+        lsdb = LSDB()
+        lsdb.install(lsa(rid(1), [stub("10.0.0.0", 24)]), now=0.0)
+        refreshed = lsa(rid(1), [stub("10.0.0.0", 24)], sequence=0x80000002)
+        lsdb.install(refreshed, now=1800.0)
+        scans = []
+        age_of = LSDB.age_of
+        monkeypatch.setattr(LSDB, "age_of", lambda db, key, now: (
+            scans.append(now), age_of(db, key, now))[1])
+        assert lsdb.expire_aged(now=1000.0) == [] and scans == []
+        # The replaced copy's deadline still opens one scan, which finds
+        # the refreshed copy young and moves the deadline to its own.
+        assert lsdb.expire_aged(now=float(MAX_AGE)) == []
+        assert scans == [float(MAX_AGE)]
+        assert lsdb.expire_aged(now=float(MAX_AGE) + 100.0) == []
+        assert scans == [float(MAX_AGE)]
+        assert lsdb.expire_aged(now=1800.0 + MAX_AGE) == [refreshed.key]
+
     def test_expiry_bumps_the_version_for_spf_caches(self):
         lsdb = LSDB()
         lsdb.install(lsa(rid(1), [p2p(rid(2), "172.16.0.1"),
