@@ -8,7 +8,7 @@ and *subscribe* callbacks to them, and every hop is measurable (per-topic
 message/byte counters) and modelled (per-channel latency and queueing
 discipline) in one place.
 
-Three queueing disciplines cover every hop in the reproduction:
+Two queueing disciplines cover every hop in the reproduction:
 
 ``direct``
     Synchronous delivery inside the publish call.  Used for co-located
@@ -22,12 +22,6 @@ Three queueing disciplines cover every hop in the reproduction:
     simulated time arrive in publish order because the kernel breaks
     timestamp ties by schedule order.  This matches the seed's
     ``sim.schedule(IPC_DELAY, ...)`` hops exactly.
-
-``fifo``
-    A serialising queue: a message may not be delivered before the one
-    published ahead of it on the same channel, so a burst spaced closer
-    than the channel latency drains one-by-one.  Models a single-reader
-    IPC endpoint; no seed hop uses it, experiments can opt in.
 
 The bus is a perfect transport by default.  A per-channel
 :class:`~repro.bus.faults.ChannelFaults` model (seeded drop/duplicate/
@@ -70,9 +64,8 @@ class Discipline:
 
     DIRECT = "direct"
     DELAY = "delay"
-    FIFO = "fifo"
 
-    ALL = (DIRECT, DELAY, FIFO)
+    ALL = (DIRECT, DELAY)
 
 
 class Subscription:
@@ -112,8 +105,6 @@ class Channel:
         #: the first explicit :meth:`MessageBus.channel` call refines it.
         self.configured = configured
         self.subscribers: List[Subscription] = []
-        #: FIFO bookkeeping: simulated time the queue head frees up.
-        self._busy_until = 0.0
         #: Fault model in force (None = perfect channel) and its RNG.
         self.faults: Optional[ChannelFaults] = None
         self._fault_rng: Optional[SeededRandom] = None
@@ -397,7 +388,7 @@ class MessageBus:
         ``label`` overrides the channel's kernel-event label for this one
         message (the seed's hop labels are per-publisher, e.g.
         ``rfclient:<vm>:routemod``, and the golden traces pin them).
-        ``latency`` overrides the channel latency for delay/fifo channels.
+        ``latency`` overrides the channel latency for delay channels.
         ``endpoint`` names the publishing component for partition purposes
         (default: the sender label).
         """
@@ -434,20 +425,9 @@ class MessageBus:
         hop_latency = channel.latency if latency is None else latency
         event_label = label if label is not None else channel.label
         for _ in range(copies):
-            extra = self._fault_delay(channel)
-            if channel.discipline == Discipline.FIFO:
-                # One message in service at a time: each delivery occupies
-                # the channel for the hop latency, so a burst drains
-                # serially; fault jitter lands on top of the queue slot.
-                deliver_at = max(self.sim.now, channel._busy_until) + hop_latency
-                channel._busy_until = deliver_at
-                self.sim.schedule_at(deliver_at + extra, self._deliver,
-                                     channel, envelope, source,
-                                     label=event_label)
-            else:
-                self.sim.schedule(hop_latency + extra, self._deliver,
-                                  channel, envelope, source,
-                                  label=event_label)
+            self.sim.schedule(hop_latency + self._fault_delay(channel),
+                              self._deliver, channel, envelope, source,
+                              label=event_label)
         return envelope
 
     def _fault_delay(self, channel: Channel) -> float:

@@ -57,12 +57,10 @@ class DiscoveredLink:
 class TopologyDiscovery(ControllerApp):
     """Periodic LLDP probing and link inference."""
 
-    def __init__(self, probe_interval: float = 5.0, link_timeout: float = 15.0,
-                 send_initial_burst: bool = True) -> None:
+    def __init__(self, probe_interval: float = 5.0, link_timeout: float = 15.0) -> None:
         super().__init__(name="topology-discovery")
         self.probe_interval = probe_interval
         self.link_timeout = link_timeout
-        self.send_initial_burst = send_initial_burst
         self.switches: Dict[int, DatapathConnection] = {}
         #: directional link -> last time an LLDP refresh was seen
         self.links: Dict[DiscoveredLink, float] = {}
@@ -108,8 +106,7 @@ class TopologyDiscovery(ControllerApp):
         LOG.info("discovery: switch %#x joined (ports %s)", dpid, ports)
         for callback in self._switch_callbacks:
             callback(dpid, ports)
-        if self.send_initial_burst:
-            self._probe_switch(connection)
+        self._probe_switch(connection)
 
     def on_datapath_leave(self, connection: DatapathConnection) -> None:
         dpid = connection.datapath_id

@@ -57,8 +57,6 @@ class FrameworkConfig:
     edge_port_grace: float = 12.0
     #: Whether to look for edge (host-facing) ports at all.
     detect_edge_ports: bool = True
-    #: One-way latency of the RPC client -> RPC server transport.
-    rpc_network_delay: float = 0.01
     #: Deploy FlowVisor plus a separate topology controller (the paper's
     #: design) or co-locate discovery on the RF-controller (ablation A1).
     use_flowvisor: bool = True
@@ -71,9 +69,6 @@ class FrameworkConfig:
     #: Datapath id -> AS number.  Interdomain scenarios derive it from the
     #: topology's per-node AS assignment (``as_map_from_topology``).
     as_map: Optional[Mapping[int, int]] = None
-    #: BGP keepalive/hold timers written into every generated bgpd.conf.
-    bgp_keepalive_interval: float = 10.0
-    bgp_hold_time: float = 30.0
     #: Gao-Rexford relationships between ASes, ``(asn_a, asn_b) ->
     #: "customer"|"peer"|"provider"`` read from asn_a's perspective.
     #: When set, the RPC server emits valley-free per-peer policies on
@@ -206,16 +201,12 @@ class AutoConfigFramework:
             ospf_hello_interval=self.config.ospf_hello_interval,
             ospf_dead_interval=self.config.ospf_dead_interval,
             as_map=self.config.as_map if self.config.enable_bgp else None,
-            bgp_keepalive_interval=self.config.bgp_keepalive_interval,
-            bgp_hold_time=self.config.bgp_hold_time,
             as_relationships=(self.config.as_relationships
                               if self.config.enable_bgp else None),
             ibgp_route_reflector=self.config.ibgp_route_reflector,
             advertise_loopbacks=self.config.advertise_loopbacks)
         self.rpc_server.on_switch_configured(self.gui.mark_configured)
-        self.rpc_client = RPCClient(sim, self.rpc_server,
-                                    network_delay=self.config.rpc_network_delay,
-                                    bus=self.bus)
+        self.rpc_client = RPCClient(sim, self.rpc_server, bus=self.bus)
 
         # Topology controller (discovery + configuration-message generation).
         if self.config.use_flowvisor:

@@ -94,14 +94,14 @@ class ConfigurationGUI:
                 if color == SwitchColor.GREEN]
 
     # --------------------------------------------------------------- rendering
-    def render_text(self, columns: int = 7) -> str:
-        """ASCII rendering: one cell per switch, [label*] green, [label ] red."""
+    def render_text(self) -> str:
+        """ASCII rendering, seven switches a row: [label*] green, [label ] red."""
         cells = []
         for dpid in sorted(self.switches):
             view = self.switches[dpid]
             marker = "*" if view.color == SwitchColor.GREEN else " "
             cells.append(f"[{view.label:>4}{marker}]")
-        rows = [" ".join(cells[i:i + columns]) for i in range(0, len(cells), columns)]
+        rows = [" ".join(cells[i:i + 7]) for i in range(0, len(cells), 7)]
         header = (f"t={self.sim.now:8.1f}s  configured "
                   f"{len(self.green_switches)}/{len(self.switches)} switches")
         return "\n".join([header] + rows)

@@ -50,11 +50,9 @@ class IPAddressManager:
     """Deterministic allocator over administrator-provided ranges."""
 
     def __init__(self, link_range: str = "172.16.0.0/16",
-                 edge_range: str = "192.168.0.0/16",
-                 router_id_base: str = "10.0.0.0") -> None:
+                 edge_range: str = "192.168.0.0/16") -> None:
         self.link_range = IPv4Network(link_range)
         self.edge_range = IPv4Network(edge_range)
-        self.router_id_base = IPv4Address(router_id_base)
         if self.link_range.prefix_len > 30:
             raise IPAMError("link range must be at least a /30")
         if self.edge_range.prefix_len > 24:
@@ -123,10 +121,10 @@ class IPAddressManager:
 
     # ------------------------------------------------------------- router ids
     def router_id(self, vm_id: int) -> IPv4Address:
-        """A unique, stable router id per VM (derived from the VM/switch id)."""
+        """A unique, stable router id per VM: 10.0.0.0 plus the VM/switch id."""
         if vm_id <= 0:
             raise IPAMError(f"VM ids must be positive, got {vm_id}")
-        return IPv4Address((int(self.router_id_base) + vm_id) & 0xFFFFFFFF)
+        return IPv4Address((0x0A000000 + vm_id) & 0xFFFFFFFF)
 
     # ------------------------------------------------------------------ stats
     @property

@@ -40,25 +40,31 @@ from repro.topology.generators import RELATIONSHIP_LOCAL_PREF
 
 LOG = logging.getLogger(__name__)
 
+#: One-way latency of the RPC client -> RPC server transport (seconds).
+RPC_NETWORK_DELAY = 0.01
+#: A VM's AS number outside an AS map is this base plus its id.
+BGP_AS_BASE = 65000
+#: BGP keepalive/hold timers written into every interdomain bgpd.conf.
+BGP_KEEPALIVE_INTERVAL = 10.0
+BGP_HOLD_TIME = 30.0
+
 
 class RPCClient:
     """Forwards configuration messages from the topology controller.
 
     The transport is the control-plane bus: messages are published on the
     :data:`repro.bus.topics.CONFIG` delay channel (one-way latency
-    ``network_delay``) and delivered to :meth:`RPCServer.receive`.  The
+    :data:`RPC_NETWORK_DELAY`) and delivered to :meth:`RPCServer.receive`.  The
     client wires the server subscription itself, so one bus carries at
     most one RPC client/server pair.
     """
 
     def __init__(self, sim: Simulator, server: "RPCServer",
-                 network_delay: float = 0.01,
                  bus: Optional[MessageBus] = None) -> None:
         self.sim = sim
         self.server = server
-        self.network_delay = network_delay
         self.bus = bus if bus is not None else MessageBus(sim, name="rpc-bus")
-        self.bus.channel(topics.CONFIG, latency=network_delay,
+        self.bus.channel(topics.CONFIG, latency=RPC_NETWORK_DELAY,
                          discipline=Discipline.DELAY, label="rpc:deliver")
         # Pub/sub runs through the reliability layer: a passthrough shim on
         # a perfect bus, acknowledged retransmission when the framework
@@ -106,11 +112,8 @@ class RPCServer:
     def __init__(self, sim: Simulator, rfserver: RFServer,
                  ipam: Optional[IPAddressManager] = None,
                  event_log: Optional[EventLog] = None,
-                 bgp_as_base: int = 65000,
                  ospf_hello_interval: int = 10, ospf_dead_interval: int = 40,
                  as_map: Optional[Mapping[int, int]] = None,
-                 bgp_keepalive_interval: float = 10.0,
-                 bgp_hold_time: float = 30.0,
                  as_relationships: Optional[Mapping[Tuple[int, int], str]] = None,
                  ibgp_route_reflector: bool = False,
                  advertise_loopbacks: bool = False) -> None:
@@ -118,7 +121,6 @@ class RPCServer:
         self.rfserver = rfserver
         self.ipam = ipam if ipam is not None else IPAddressManager()
         self.event_log = event_log if event_log is not None else rfserver.event_log
-        self.bgp_as_base = bgp_as_base
         self.ospf_hello_interval = ospf_hello_interval
         self.ospf_dead_interval = ospf_dead_interval
         #: dpid -> AS number.  When set, the server generates *interdomain*
@@ -126,8 +128,6 @@ class RPCServer:
         #: of one AS form an iBGP full mesh over their loopbacks, and the
         #: generated ospfd.conf/bgpd.conf redistribute into each other.
         self.as_map: Optional[Dict[int, int]] = dict(as_map) if as_map else None
-        self.bgp_keepalive_interval = bgp_keepalive_interval
-        self.bgp_hold_time = bgp_hold_time
         #: ``(as_a, as_b) -> "customer"|"peer"|"provider"`` (as_b's role seen
         #: from as_a).  When set, inter-AS neighbors carry the relationship
         #: and a matching ingress LOCAL_PREF so the daemons implement
@@ -194,7 +194,7 @@ class RPCServer:
             vm_id=vm_id, num_ports=message.num_ports,
             hostname=f"VM-{vm_id:016x}", router_id=self.ipam.router_id(vm_id))
         if self.as_map is not None:
-            state.local_as = self.as_map.get(vm_id, self.bgp_as_base + vm_id)
+            state.local_as = self.as_map.get(vm_id, BGP_AS_BASE + vm_id)
             hub = self._rr_hub.get(state.local_as)
             # iBGP per AS, peered over the router-id loopbacks.  Default is
             # a full mesh: the new router and every already-configured
@@ -296,10 +296,10 @@ class RPCServer:
         else:
             state_a.bgp_neighbors.append(BGPNeighbor(
                 address=IPv4Address(message.address_b),
-                remote_as=self.bgp_as_base + state_b.vm_id))
+                remote_as=BGP_AS_BASE + state_b.vm_id))
             state_b.bgp_neighbors.append(BGPNeighbor(
                 address=IPv4Address(message.address_a),
-                remote_as=self.bgp_as_base + state_a.vm_id))
+                remote_as=BGP_AS_BASE + state_a.vm_id))
         self._write_configs(state_a)
         self._write_configs(state_b)
         self.event_log.record(
@@ -388,15 +388,15 @@ class RPCServer:
                 hostname=f"{state.hostname}-bgpd", local_as=state.local_as,
                 router_id=state.router_id, neighbors=state.bgp_neighbors,
                 redistribute_ospf=border, redistribute_connected=border,
-                keepalive_interval=self.bgp_keepalive_interval,
-                hold_time=self.bgp_hold_time)
+                keepalive_interval=BGP_KEEPALIVE_INTERVAL,
+                hold_time=BGP_HOLD_TIME)
             self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
         else:
             # The paper lists bgpd.conf among the generated files even
             # though its experiments only run OSPF.
             bgpd_text = generate_bgpd_conf(
                 hostname=f"{state.hostname}-bgpd",
-                local_as=self.bgp_as_base + state.vm_id,
+                local_as=BGP_AS_BASE + state.vm_id,
                 router_id=state.router_id, neighbors=state.bgp_neighbors,
                 redistribute_ospf=True)
             self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)

@@ -31,13 +31,16 @@ from repro.sim import PeriodicTask, Simulator
 
 LOG = logging.getLogger(__name__)
 
+#: How often (seconds) link-less ports are checked against the edge grace.
+EDGE_SCAN_INTERVAL = 2.0
+
 
 class TopologyControllerApp:
     """Glue between the discovery module, the IPAM and the RPC client."""
 
     def __init__(self, sim: Simulator, discovery: TopologyDiscovery,
                  rpc_client: RPCClient, ipam: Optional[IPAddressManager] = None,
-                 edge_port_grace: float = 12.0, edge_scan_interval: float = 2.0,
+                 edge_port_grace: float = 12.0,
                  detect_edge_ports: bool = True) -> None:
         self.sim = sim
         self.discovery = discovery
@@ -53,7 +56,7 @@ class TopologyControllerApp:
         discovery.on_switch_discovered(self._on_switch)
         discovery.on_switch_lost(self._on_switch_lost)
         discovery.on_link_discovered(self._on_link)
-        self._edge_task = PeriodicTask(sim, edge_scan_interval, self._scan_edge_ports,
+        self._edge_task = PeriodicTask(sim, EDGE_SCAN_INTERVAL, self._scan_edge_ports,
                                        name="topoctl:edge-scan")
         if detect_edge_ports:
             self._edge_task.start()
@@ -149,7 +152,6 @@ def build_topology_controller(sim: Simulator, rpc_client: RPCClient,
                               ipam: Optional[IPAddressManager] = None,
                               probe_interval: float = 5.0,
                               edge_port_grace: float = 12.0,
-                              controller_name: str = "topology-controller",
                               controller: Optional[Controller] = None,
                               detect_edge_ports: bool = True
                               ) -> Tuple[Controller, TopologyDiscovery, TopologyControllerApp]:
@@ -159,7 +161,7 @@ def build_topology_controller(sim: Simulator, rpc_client: RPCClient,
     instead of creating a dedicated one (used by the single-controller
     ablation).
     """
-    owner = controller if controller is not None else Controller(sim, name=controller_name)
+    owner = controller if controller is not None else Controller(sim, name="topology-controller")
     discovery = TopologyDiscovery(probe_interval=probe_interval)
     owner.register_app(discovery)
     app = TopologyControllerApp(sim=sim, discovery=discovery, rpc_client=rpc_client,

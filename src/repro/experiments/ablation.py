@@ -18,14 +18,13 @@ design parameters worth isolating:
 from __future__ import annotations
 
 import logging
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.core.autoconfig import FrameworkConfig
 from repro.experiments.config_time import run_single_configuration
 from repro.experiments.results import AblationResult, format_seconds, format_table
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
-from repro.topology.pan_european import pan_european_topology
 
 LOG = logging.getLogger(__name__)
 
@@ -67,7 +66,6 @@ def run_vm_latency_ablation(boot_delays: Iterable[float] = (1.0, 5.0, 10.0, 30.0
 
 
 def run_ospf_timer_ablation(hello_intervals: Iterable[int] = (1, 5, 10),
-                            use_pan_european: bool = False,
                             num_switches: int = 12,
                             max_time: float = 3600.0) -> List[AblationResult]:
     """A3: configuration time as a function of the OSPF hello interval."""
@@ -76,9 +74,8 @@ def run_ospf_timer_ablation(hello_intervals: Iterable[int] = (1, 5, 10),
         config = FrameworkConfig(ospf_hello_interval=hello,
                                  ospf_dead_interval=4 * hello,
                                  detect_edge_ports=False)
-        topology = pan_european_topology() if use_pan_european \
-            else ring_topology(num_switches)
-        results.append(_measure(topology, config, label="hello_interval_s",
+        results.append(_measure(ring_topology(num_switches), config,
+                                label="hello_interval_s",
                                 parameter=hello, max_time=max_time))
     return results
 

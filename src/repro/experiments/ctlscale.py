@@ -39,6 +39,12 @@ LOG = logging.getLogger(__name__)
 
 #: Shard counts swept by default (1 is the conservation reference).
 DEFAULT_CONTROLLER_COUNTS = (1, 2, 4)
+#: Seconds a configuration runs past convergence before loads are sampled.
+CONFIGURE_SETTLE = 5.0
+#: Churn timing: the first event fires this long after arming, and the run
+#: gets this much simulated time past the last event to reconverge.
+CHURN_START = 5.0
+CHURN_MAX_EXTRA = 900.0
 
 
 @dataclass
@@ -85,14 +91,11 @@ class CtlScaleResult:
 
 def run_ctlscale(scenario: Union[str, ScenarioSpec],
                  controller_counts: Iterable[int] = DEFAULT_CONTROLLER_COUNTS,
-                 partitioner: Optional[str] = None,
-                 settle: float = 5.0) -> List[CtlScaleResult]:
+                 partitioner: Optional[str] = None) -> List[CtlScaleResult]:
     """Configure one scenario under every shard count, in given order.
 
     ``partitioner`` overrides the scenario's partitioner kind (default:
-    whatever the scenario's framework overrides say, i.e. ``hash``);
-    ``settle`` runs each simulation a little past convergence so trailing
-    flow installations land before the loads are sampled.
+    whatever the scenario's framework overrides say, i.e. ``hash``).
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else get(scenario)
     results: List[CtlScaleResult] = []
@@ -105,7 +108,7 @@ def run_ctlscale(scenario: Union[str, ScenarioSpec],
         if partitioner is not None:
             config.partitioner = partitioner
         run = ScenarioRun(topology, config)
-        configured_at = run.configure(run_spec.max_time, settle=settle)
+        configured_at = run.configure(run_spec.max_time, settle=CONFIGURE_SETTLE)
         framework = run.framework
         result = CtlScaleResult(
             scenario=spec.name, family=spec.family, seed=spec.seed,
@@ -244,8 +247,7 @@ class CtlScaleChurnResult:
 def churn_schedule(num_shards: int, dpids: Sequence[int],
                    links: Sequence[tuple], failovers: int = 1,
                    reshards: int = 1, link_churn: int = 2, seed: int = 0,
-                   spacing: float = 30.0,
-                   start: float = 5.0) -> FailureSchedule:
+                   spacing: float = 30.0) -> FailureSchedule:
     """A seeded controller-churn schedule: shard failovers (each later
     restored), live reshards onto random live shards, interleaved with
     random link churn.  At least two shards stay live at all times, so a
@@ -258,7 +260,7 @@ def churn_schedule(num_shards: int, dpids: Sequence[int],
     # Each failed shard is restored before the next event, so every shard
     # is live whenever a victim or a reshard target is drawn.
     shards = list(range(num_shards))
-    when = start
+    when = CHURN_START
     for _ in range(failovers):
         victim = rng.choice(shards)
         events.append(FailureEvent(when, FailureAction.SHARD_FAILOVER, victim))
@@ -274,7 +276,7 @@ def churn_schedule(num_shards: int, dpids: Sequence[int],
     schedule = FailureSchedule(tuple(events))
     if link_churn:
         schedule = schedule.extended(FailureSchedule.random_churn(
-            list(links), link_churn, seed=seed + 1, start=start + spacing / 2,
+            list(links), link_churn, seed=seed + 1, start=CHURN_START + spacing / 2,
             spacing=spacing, recovery=spacing / 2).events)
     return schedule
 
@@ -296,7 +298,6 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
                        failovers: int = 1, reshards: int = 1,
                        link_churn: int = 2, churn_seed: int = 0,
                        spacing: float = 30.0, settle: float = 15.0,
-                       max_extra: float = 900.0,
                        bus_drop: float = 0.0, bus_duplicate: float = 0.0,
                        bus_reorder: float = 0.0, bus_jitter: float = 0.0,
                        bus_fault_seed: Optional[int] = None
@@ -345,7 +346,7 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
         config.bus_faults = bus_faults
         config.bus_fault_seed = fault_seed
     run = ScenarioRun(topology, config)
-    configured_at = run.configure(run_spec.max_time, settle=5.0)
+    configured_at = run.configure(run_spec.max_time, settle=CONFIGURE_SETTLE)
     sim, framework, network = run.sim, run.framework, run.network
     result = CtlScaleChurnResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
@@ -399,8 +400,8 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     armed_at = sim.now
     network.schedule_failures(schedule)
     horizon = armed_at + schedule.duration
-    result.settled = run.quiesce(change_times, horizon, horizon + max_extra,
-                                 settle)
+    result.settled = run.quiesce(change_times, horizon,
+                                 horizon + CHURN_MAX_EXTRA, settle)
 
     last_change = max((t for t in change_times if t >= armed_at),
                       default=horizon)

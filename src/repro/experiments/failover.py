@@ -47,7 +47,7 @@ DEFAULT_SETTLE = 15.0
 
 #: Extra simulated time allowed past the schedule's last event before the
 #: run is declared non-convergent.
-DEFAULT_MAX_EXTRA = 1800.0
+MAX_EXTRA_TIME = 1800.0
 
 
 @dataclass
@@ -160,7 +160,6 @@ _mirror_into_routeflow = mirror_into_routeflow
 def run_failover(scenario: Union[str, ScenarioSpec],
                  schedule: Optional[FailureSchedule] = None,
                  settle: float = DEFAULT_SETTLE,
-                 max_extra_time: float = DEFAULT_MAX_EXTRA,
                  churn: int = 0, churn_seed: int = 0,
                  churn_spacing: float = 60.0,
                  churn_recovery: float = 30.0) -> FailoverResult:
@@ -223,11 +222,11 @@ def run_failover(scenario: Union[str, ScenarioSpec],
     # -- run to quiescence ---------------------------------------------------
     horizon = sim.now + active.duration
     result.settled = run.quiesce(change_times, horizon,
-                                 horizon + max_extra_time, settle)
+                                 horizon + MAX_EXTRA_TIME, settle)
     if not result.settled:
         LOG.warning("failover %s: still reconverging when the time budget "
                     "(%.0fs past the last event) ran out", spec.name,
-                    max_extra_time)
+                    MAX_EXTRA_TIME)
     final_stats = network.stats()
 
     # -- per-event measurements ----------------------------------------------

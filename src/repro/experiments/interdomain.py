@@ -51,7 +51,7 @@ LOG = logging.getLogger(__name__)
 DEFAULT_SETTLE = 20.0
 
 #: Extra simulated time allowed for settling / flap reconvergence.
-DEFAULT_MAX_EXTRA = 600.0
+MAX_EXTRA_TIME = 600.0
 
 #: Seconds between arming the flap and the border link going down.
 FLAP_LEAD = 10.0
@@ -202,8 +202,7 @@ def _session_states(vm, peer_vm) -> List[str]:
 def run_interdomain(scenario: Union[str, ScenarioSpec],
                     flap: bool = True,
                     flap_link: Optional[Tuple[int, int]] = None,
-                    settle: float = DEFAULT_SETTLE,
-                    max_extra_time: float = DEFAULT_MAX_EXTRA) -> InterdomainResult:
+                    settle: float = DEFAULT_SETTLE) -> InterdomainResult:
     """Configure a multi-AS scenario, verify the interdomain state, and
     (optionally) flap one eBGP border link.
 
@@ -239,7 +238,7 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
     control_plane = framework.control_plane
     change_times = run.watch_fib()
     result.settled = run.quiesce(change_times, sim.now,
-                                 configured_at + max_extra_time, settle)
+                                 configured_at + MAX_EXTRA_TIME, settle)
     result.converged_seconds = change_times[-1] if change_times else configured_at
     result.steady_flows = run.total("flows_current")
     directed = {"ebgp": 0, "ibgp": 0}
@@ -289,7 +288,7 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
         del change_times[:]
         sim.run(until=down_at)
         run.quiesce(change_times, down_at,
-                    min(up_at, down_at + max_extra_time), settle)
+                    min(up_at, down_at + MAX_EXTRA_TIME), settle)
         down_changes = [t for t in change_times if t >= down_at]
         sessions_dropped = all(state != "Established"
                                for state in _session_states(vm_a, vm_b))
@@ -297,7 +296,7 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
         # Restore window.
         del change_times[:]
         sim.run(until=up_at)
-        restored = run.quiesce(change_times, up_at, up_at + max_extra_time,
+        restored = run.quiesce(change_times, up_at, up_at + MAX_EXTRA_TIME,
                                settle)
         restore_changes = [t for t in change_times if t >= up_at]
         result.settled = result.settled and restored

@@ -95,9 +95,9 @@ class FlowVisor:
     #: Latency of the proxy-to-controller channels it creates.
     SLICE_CHANNEL_LATENCY = 0.002
 
-    def __init__(self, sim: Simulator, flowspace: FlowSpace, name: str = "flowvisor") -> None:
+    def __init__(self, sim: Simulator, flowspace: FlowSpace) -> None:
         self.sim = sim
-        self.name = name
+        self.name = "flowvisor"
         self._route_label = f"{self.name}:route"
         self.flowspace = flowspace
         self.slices: Dict[str, Slice] = {}

@@ -83,17 +83,18 @@ class DDFlags:
 DEFAULT_HELLO_INTERVAL = 10
 DEFAULT_DEAD_INTERVAL = 40
 DEFAULT_RETRANSMIT_INTERVAL = 5
-DEFAULT_SPF_DELAY = 1.0
-DEFAULT_SPF_HOLDTIME = 5.0
+#: SPF throttle (seconds): delay before a run and minimum gap between runs.
+SPF_DELAY = 1.0
+SPF_HOLDTIME = 5.0
 
-#: Default interface cost (Quagga: reference bandwidth 100 Mb/s over the
-#: link bandwidth; our emulated gigabit links round up to 1, we keep 10 to
+#: Interface cost (Quagga: reference bandwidth 100 Mb/s over the link
+#: bandwidth; our emulated gigabit links round up to 1, we keep 10 to
 #: match the pan-European reference studies).
-DEFAULT_INTERFACE_COST = 10
+INTERFACE_COST = 10
 
-#: Default metric of a redistributed (AS-external) prefix, matching the
-#: classic type-2 external default.
-DEFAULT_EXTERNAL_METRIC = 20
+#: Metric of a redistributed (AS-external) prefix, matching the classic
+#: type-2 external default.
+EXTERNAL_METRIC = 20
 #: Debounce applied to Router-LSA re-origination triggered by external
 #: route changes (a border router learning a BGP table would otherwise
 #: flood one LSA per redistributed prefix) — a small MinLSInterval.

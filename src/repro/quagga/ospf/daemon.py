@@ -11,22 +11,22 @@ routes to the physical switch.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.net.packet import DecodeError
 from repro.quagga.configfile import InterfaceConfig, OSPFConfig
 from repro.quagga.ospf.constants import (
     ALL_SPF_ROUTERS,
-    DEFAULT_EXTERNAL_METRIC,
-    DEFAULT_INTERFACE_COST,
-    DEFAULT_SPF_DELAY,
-    DEFAULT_SPF_HOLDTIME,
     EXTERNAL_LSA_DELAY,
+    EXTERNAL_METRIC,
     EXTERNAL_ROUTE_TAG,
     INITIAL_SEQUENCE,
+    INTERFACE_COST,
     LS_REFRESH_TIME,
     MAX_AGE,
+    SPF_DELAY,
+    SPF_HOLDTIME,
     NeighborState,
 )
 from repro.quagga.ospf.interface import OSPFInterface
@@ -51,9 +51,7 @@ class OSPFDaemon:
 
     def __init__(self, sim: Simulator, zebra: ZebraDaemon, config: OSPFConfig,
                  interfaces: List[InterfaceConfig], send_callback: SendCallback,
-                 hostname: str = "", spf_delay: float = DEFAULT_SPF_DELAY,
-                 spf_holdtime: float = DEFAULT_SPF_HOLDTIME,
-                 interface_cost: int = DEFAULT_INTERFACE_COST) -> None:
+                 hostname: str = "") -> None:
         if config.router_id is None:
             raise ValueError("OSPF configuration must carry a router id")
         self.sim = sim
@@ -62,9 +60,6 @@ class OSPFDaemon:
         self.router_id = IPv4Address(config.router_id)
         self.hostname = hostname or config.hostname
         self.send_callback = send_callback
-        self.spf_delay = spf_delay
-        self.spf_holdtime = spf_holdtime
-        self.interface_cost = interface_cost
         self._spf_label = f"ospf:{self.hostname}:spf"
         #: RFC 2328 LSRefreshTime: re-originate our Router LSA periodically
         #: so it never reaches MaxAge in the area while we are alive —
@@ -79,13 +74,12 @@ class OSPFDaemon:
         self._sequence = INITIAL_SEQUENCE
         #: Passive (loopback) interfaces: advertised as stub prefixes in the
         #: Router LSA but running no hello machinery — interface name ->
-        #: (network address, netmask, cost).  Empty outside interdomain
-        #: deployments.
-        self._passive_prefixes: Dict[str, tuple] = {}
+        #: prefix.  Empty outside interdomain deployments.
+        self._passive_prefixes: Dict[str, IPv4Network] = {}
         #: Redistributed AS-external prefixes (``redistribute bgp`` /
-        #: ``redistribute connected``): prefix -> metric.  Carried as
-        #: EXTERNAL stub links in the Router LSA (the type-5 stand-in).
-        self._external_routes: Dict[IPv4Network, int] = {}
+        #: ``redistribute connected``), carried at :data:`EXTERNAL_METRIC`
+        #: as EXTERNAL stub links in the Router LSA (the type-5 stand-in).
+        self._external_routes: Set[IPv4Network] = set()
         #: Interface name -> prefix for externals that came from
         #: ``redistribute connected`` (an eBGP border link): withdrawn on
         #: carrier loss, re-announced on restore.
@@ -115,14 +109,14 @@ class OSPFDaemon:
         self._originate_router_lsa()
         self._refresh_task.start()
 
-    def stop(self, flush: bool = True) -> None:
+    def stop(self) -> None:
         """Shut the daemon down.
 
-        ``flush`` floods a MaxAge copy of our Router LSA first (RFC 2328
-        premature aging), so the rest of the area withdraws our routes
-        immediately instead of waiting out its dead intervals.
+        A running daemon floods a MaxAge copy of our Router LSA first
+        (RFC 2328 premature aging), so the rest of the area withdraws our
+        routes immediately instead of waiting out its dead intervals.
         """
-        if flush and self.running and self.interfaces:
+        if self.running and self.interfaces:
             flush_lsa = RouterLSA.originate(
                 router_id=self.router_id, sequence=self._next_sequence(),
                 links=[], age=MAX_AGE)
@@ -154,10 +148,8 @@ class OSPFDaemon:
             # Loopbacks are passive: no hellos, no adjacencies — just a stub
             # prefix in the Router LSA (when a network statement covers it).
             if self.config.covers(iface.network):
-                entry = (iface.network.network, iface.network.netmask,
-                         self.interface_cost)
-                if self._passive_prefixes.get(iface.name) != entry:
-                    self._passive_prefixes[iface.name] = entry
+                if self._passive_prefixes.get(iface.name) != iface.network:
+                    self._passive_prefixes[iface.name] = iface.network
                     self._originate_router_lsa()
             return None
         if not self.config.covers(iface.network):
@@ -170,7 +162,7 @@ class OSPFDaemon:
             return None
         interface = OSPFInterface(
             daemon=self, name=iface.name, ip=iface.ip, prefix_len=iface.prefix_len,
-            cost=self.interface_cost, hello_interval=self.config.hello_interval,
+            cost=INTERFACE_COST, hello_interval=self.config.hello_interval,
             dead_interval=self.config.dead_interval)
         self.interfaces[iface.name] = interface
         interface.start()
@@ -256,14 +248,15 @@ class OSPFDaemon:
                 netmask=interface.netmask,
                 metric=interface.cost))
         for name in sorted(self._passive_prefixes):
-            network, netmask, cost = self._passive_prefixes[name]
-            links.append(RouterLink.stub(network=network, netmask=netmask,
-                                         metric=cost))
+            prefix = self._passive_prefixes[name]
+            links.append(RouterLink.stub(network=prefix.network,
+                                         netmask=prefix.netmask,
+                                         metric=INTERFACE_COST))
         for prefix in sorted(self._external_routes,
                              key=lambda p: (int(p.network), p.prefix_len)):
             links.append(RouterLink.external(
                 network=prefix.network, netmask=prefix.netmask,
-                metric=self._external_routes[prefix]))
+                metric=EXTERNAL_METRIC))
         lsa = RouterLSA.originate(router_id=self.router_id,
                                   sequence=self._next_sequence(), links=links)
         self.lsdb.install(lsa, now=self.sim.now)
@@ -277,8 +270,7 @@ class OSPFDaemon:
             self._originate_router_lsa()
 
     # ------------------------------------------------------- external routes
-    def announce_external(self, prefix: IPv4Network,
-                          metric: int = DEFAULT_EXTERNAL_METRIC) -> None:
+    def announce_external(self, prefix: IPv4Network) -> None:
         """Redistribute an AS-external prefix into the area.
 
         The prefix rides in our Router LSA as an EXTERNAL stub link (the
@@ -288,14 +280,14 @@ class OSPFDaemon:
         border router importing a whole BGP table floods one LSA, not one
         per prefix.  Safe to call before :meth:`start`.
         """
-        if self._external_routes.get(prefix) == metric:
-            return
-        self._external_routes[prefix] = metric
-        self._schedule_reoriginate()
+        if prefix not in self._external_routes:
+            self._external_routes.add(prefix)
+            self._schedule_reoriginate()
 
     def withdraw_external(self, prefix: IPv4Network) -> None:
         """Stop redistributing an AS-external prefix."""
-        if self._external_routes.pop(prefix, None) is not None:
+        if prefix in self._external_routes:
+            self._external_routes.remove(prefix)
             self._schedule_reoriginate()
 
     def _schedule_reoriginate(self) -> None:
@@ -344,11 +336,11 @@ class OSPFDaemon:
         """Schedule an SPF run, honouring the delay/holdtime throttle."""
         if self._spf_scheduled or not self.running:
             return
-        delay = self.spf_delay
+        delay = SPF_DELAY
         if self._last_spf_time is not None:
             since_last = self.sim.now - self._last_spf_time
-            if since_last < self.spf_holdtime:
-                delay = max(delay, self.spf_holdtime - since_last)
+            if since_last < SPF_HOLDTIME:
+                delay = max(delay, SPF_HOLDTIME - since_last)
         self._spf_scheduled = True
         self.sim.schedule(delay, self._run_spf, label=self._spf_label)
 

@@ -165,8 +165,8 @@ class TakeoverAnnouncement:
     reason: str = ""
     #: Fencing epoch: the coordinator stamps a strictly increasing value
     #: (>= 1) so a duplicated or stale announcement replayed by a lossy
-    #: bus can never roll ownership backwards.  0 = unfenced (legacy
-    #: payloads and hand-built announcements apply unconditionally).
+    #: bus can never roll ownership backwards.  The default 0 is older
+    #: than every fence: such an announcement is never applied.
     epoch: int = 0
 
     TAKEOVER = "takeover"

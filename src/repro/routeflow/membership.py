@@ -240,10 +240,8 @@ class Membership:
         """The dpids of an announcement at ``epoch`` that may change owner:
         those whose fence is older, which is raised to ``epoch``.  None
         when the fence filters every dpid (a duplicated or delayed replay
-        must not count as a takeover).  Unfenced (epoch 0) announcements
-        apply whole, for hand-built payloads."""
-        if not epoch:
-            return dpids
+        must not count as a takeover).  :meth:`announce` stamps epochs from
+        1, so an epoch-0 payload is older than every fence: always filtered."""
         admitted = [dpid for dpid in dpids
                     if epoch > self.dpid_fence.get(dpid, 0)]
         if not admitted:

@@ -127,20 +127,16 @@ class VirtualEnvironment:
         vms = self.vms
         return bool(vms) and all(vm.is_running for vm in vms.values())
 
-    def ospf_converged(self, expected_prefixes: Optional[int] = None) -> bool:
-        """Has every VM learned a route to every OSPF-enabled prefix?
-
-        When ``expected_prefixes`` is None it is derived as the number of
-        distinct prefixes configured across the virtual environment.
-        """
+    def ospf_converged(self) -> bool:
+        """Has every VM learned a route to every OSPF-enabled prefix (as many
+        FIB entries as distinct prefixes configured across the VMs)?"""
         vms = self.vms
         if not vms:
             return False
         prefixes = {IPv4Network((iface.ip, iface.prefix_len)).network
                     for vm in vms.values()
                     for iface in vm.interfaces.values() if iface.ip is not None}
-        expected = expected_prefixes if expected_prefixes is not None \
-            else len(prefixes)
+        expected = len(prefixes)
         if expected == 0:
             return False
         for vm in vms.values():
@@ -159,7 +155,6 @@ class RFServer(VirtualEnvironment):
 
     def __init__(self, sim: Simulator, rfproxy: RFProxy, vm_boot_delay: float = 5.0,
                  event_log: Optional[EventLog] = None,
-                 hello_interval: Optional[int] = None,
                  serialize_vm_creation: bool = True,
                  bus: Optional[MessageBus] = None,
                  shard_id: int = 0,
@@ -168,7 +163,6 @@ class RFServer(VirtualEnvironment):
         self.sim = sim
         self.rfproxy = rfproxy
         self.vm_boot_delay = vm_boot_delay
-        self.hello_interval = hello_interval
         #: BGP session broker handed to every VM (interdomain deployments);
         #: None leaves the VMs OSPF-only.
         self.bgp_broker = bgp_broker
@@ -250,7 +244,6 @@ class RFServer(VirtualEnvironment):
         dpid = datapath_id if datapath_id is not None else vm_id
         vm = VirtualMachine(sim=self.sim, vm_id=vm_id, num_ports=num_ports,
                             boot_delay=self.vm_boot_delay,
-                            hello_interval=self.hello_interval,
                             bgp_broker=self.bgp_broker)
         self.vms[vm_id] = vm
         self.mapping.map_vm(vm_id, dpid, num_ports)
@@ -496,7 +489,6 @@ class ControllerShard:
                  rfvs: Optional[RFVirtualSwitch] = None,
                  vm_boot_delay: float = 5.0,
                  serialize_vm_creation: bool = True,
-                 hello_interval: Optional[int] = None,
                  bgp_broker=None, name: Optional[str] = None) -> None:
         self.shard_id = shard_id
         self.controller = Controller(
@@ -505,7 +497,7 @@ class ControllerShard:
         self.controller.register_app(self.rfproxy)
         self.rfserver = RFServer(
             sim, self.rfproxy, vm_boot_delay=vm_boot_delay,
-            event_log=event_log, hello_interval=hello_interval,
+            event_log=event_log,
             serialize_vm_creation=serialize_vm_creation, bus=bus,
             shard_id=shard_id, rfvs=rfvs, bgp_broker=bgp_broker)
 

@@ -73,7 +73,6 @@ class ShardedControlPlane(VirtualEnvironment):
                  partitioner: Partitioner, event_log: Optional[EventLog] = None,
                  vm_boot_delay: float = 5.0,
                  serialize_vm_creation: bool = True,
-                 hello_interval: Optional[int] = None,
                  bgp_broker=None) -> None:
         self.sim = sim
         self.bus = bus
@@ -87,7 +86,6 @@ class ShardedControlPlane(VirtualEnvironment):
             ControllerShard(sim, shard_id, bus, self.event_log, rfvs=self.rfvs,
                             vm_boot_delay=vm_boot_delay,
                             serialize_vm_creation=serialize_vm_creation,
-                            hello_interval=hello_interval,
                             bgp_broker=bgp_broker)
             for shard_id in range(partitioner.num_shards)
         ]
@@ -290,8 +288,7 @@ class ShardedControlPlane(VirtualEnvironment):
         return self.membership.stale_announcements
 
     # ------------------------------------------------ takeover / re-balancing
-    def takeover(self, shard_id: int, to_shard: Optional[int] = None,
-                 reason: str = "") -> Optional[int]:
+    def takeover(self, shard_id: int, reason: str = "") -> Optional[int]:
         """Hand a (dead) master's whole dpid partition to its standby.
 
         The change is announced on the shared mapping topic so every
@@ -303,19 +300,12 @@ class ShardedControlPlane(VirtualEnvironment):
         datapaths = self.membership.owned(shard_id)
         if not datapaths:
             return None
-        target = to_shard if to_shard is not None \
-            else self.membership.standby_for(shard_id)
+        target = self.membership.standby_for(shard_id)
         if target is None:
             self.event_log.record(
                 "takeover_aborted",
                 f"no live standby to adopt shard {shard_id}'s partition",
                 shard=shard_id)
-            return None
-        if self._shard_by_index(target).failed:
-            raise PartitionError(
-                f"cannot hand shard {shard_id}'s partition to failed "
-                f"shard {target}")
-        if target == shard_id:
             return None
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=shard_id,

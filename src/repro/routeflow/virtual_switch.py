@@ -27,9 +27,9 @@ class RFVirtualSwitch:
     #: Latency of a virtual wire (VM-to-VM traffic stays on one server).
     VIRTUAL_LINK_DELAY = 0.0002
 
-    def __init__(self, sim: Simulator, name: str = "rfvs") -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
+        self.name = "rfvs"
         #: canonical (id(min side), id(max side)) -> Link
         self._links: Dict[Tuple[str, str], Link] = {}
 

@@ -58,17 +58,15 @@ class VirtualMachine:
     DAEMON_START_DELAY = 1.0
 
     def __init__(self, sim: Simulator, vm_id: int, num_ports: int,
-                 name: str = "", boot_delay: float = 5.0,
-                 hello_interval: Optional[int] = None,
+                 boot_delay: float = 5.0,
                  bgp_broker: Optional[BGPSessionBroker] = None) -> None:
         self.sim = sim
         self.vm_id = vm_id
-        self.name = name or f"VM-{vm_id:016x}"
+        self.name = f"VM-{vm_id:016x}"
         self.boot_delay = boot_delay
         self.state = VMState.CREATED
         self.created_at = sim.now
         self.running_since: Optional[float] = None
-        self.hello_interval_override = hello_interval
         #: The session broker bgpd peers through; None leaves bgpd.conf
         #: configuration-complete but unwired (the OSPF-only deployments).
         self.bgp_broker = bgp_broker
@@ -268,9 +266,6 @@ class VirtualMachine:
 
     def _apply_ospfd_config(self, text: str) -> None:
         config = parse_ospfd_conf(text)
-        if self.hello_interval_override is not None:
-            config.hello_interval = self.hello_interval_override
-            config.dead_interval = 4 * self.hello_interval_override
         if self.ospf is None:
             self.ospf = OSPFDaemon(
                 sim=self.sim, zebra=self.zebra, config=config,

@@ -273,8 +273,6 @@ class PeriodicTask:
         interval: float,
         callback: Callable[[], Any],
         name: str = "",
-        jitter: float = 0.0,
-        rng=None,
     ) -> None:
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
@@ -282,8 +280,6 @@ class PeriodicTask:
         self.interval = interval
         self.callback = callback
         self.name = name or getattr(callback, "__qualname__", "periodic")
-        self.jitter = jitter
-        self.rng = rng
         self._event: Optional[Event] = None
         self._running = False
 
@@ -306,14 +302,8 @@ class PeriodicTask:
             self._event.cancel()
             self._event = None
 
-    def _next_delay(self) -> float:
-        delay = self.interval
-        if self.jitter and self.rng is not None:
-            delay += self.rng.uniform(-self.jitter, self.jitter)
-        return max(delay, 1e-9)
-
     def _schedule_next(self) -> None:
-        self._event = self.sim.schedule(self._next_delay(), self._fire, label=self.name)
+        self._event = self.sim.schedule(self.interval, self._fire, label=self.name)
 
     def _fire(self) -> None:
         if not self._running:

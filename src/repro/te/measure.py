@@ -100,11 +100,9 @@ class UtilizationMonitor:
         key = (min(node_a, node_b), max(node_a, node_b))
         return self.utilization.get(key, 0.0)
 
-    def hottest(self, count: int = 1,
-                floor: float = 0.0) -> List[Tuple[float, LinkKey]]:
-        """The ``count`` hottest links at or above ``floor``, hot first."""
+    def hottest(self, count: int = 1) -> List[Tuple[float, LinkKey]]:
+        """The ``count`` hottest links, hot first."""
         ranked = sorted(((value, key)
-                         for key, value in self.utilization.items()
-                         if value >= floor),
+                         for key, value in self.utilization.items()),
                         key=lambda item: (-item[0], item[1]))
         return ranked[:count]

@@ -138,18 +138,16 @@ class EmulatedNetwork:
 
     # ---------------------------------------------------------- control plane
     def connect_control_plane(self, accept_channel: Callable[[ControlChannel], None],
-                              endpoint: object,
-                              latency: Optional[float] = None) -> None:
+                              endpoint: object) -> None:
         """Connect every switch to the control plane.
 
         ``endpoint`` is the controller-side channel endpoint (a FlowVisor or a
         Controller); ``accept_channel`` is the method that registers a new
         switch-facing channel on it.  Switch connections are staggered.
         """
-        channel_latency = latency if latency is not None else self.CONTROL_CHANNEL_LATENCY
         for offset, node_id in enumerate(sorted(self.switches)):
             switch = self.switches[node_id]
-            channel = ControlChannel(self.sim, latency=channel_latency,
+            channel = ControlChannel(self.sim, latency=self.CONTROL_CHANNEL_LATENCY,
                                      name=f"ctl:{switch.name}")
             channel.connect(switch, endpoint)
             self._control_channels[node_id] = channel

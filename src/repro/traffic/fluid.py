@@ -34,8 +34,8 @@ import logging
 from bisect import bisect_left, bisect_right, insort
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Dict, Hashable, Iterable, List, Mapping, Sequence,
+                    Set, Tuple, Union)
 
 from repro.traffic.demand import DemandSet, FlowDemand
 from repro.traffic.resolver import LINK_DOWN, PathResolver, changed_ranges
@@ -499,10 +499,10 @@ class FluidEngine:
                         if link is not None and link.bandwidth_bps else 0.0)
             iface.account_rate(rate, dt, capacity)
 
-    def finalize(self, now: Optional[float] = None) -> None:
-        """Flush accrual through ``now`` (end of the experiment)."""
+    def finalize(self) -> None:
+        """Flush accrual through the current time (end of the experiment)."""
         self.reallocate()
-        self._accrue(now if now is not None else self.sim.now)
+        self._accrue(self.sim.now)
 
     # ------------------------------------------------------------------- stats
     @property

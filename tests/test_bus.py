@@ -64,19 +64,8 @@ class TestDelivery:
         assert seen == [0.0]          # delivered inside the publish call
         assert sim.pending() == 0     # and no kernel event was scheduled
 
-    def test_fifo_channel_serialises_bursts(self, sim, bus):
-        """A burst on a fifo channel drains one message per latency."""
-        bus.channel("f", latency=1.0, discipline=Discipline.FIFO)
-        seen = []
-        bus.subscribe("f", lambda env: seen.append((sim.now, env.payload)))
-        bus.publish("f", "a")
-        bus.publish("f", "b")
-        bus.publish("f", "c")
-        sim.run()
-        assert seen == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
-
     def test_delay_channel_same_burst_arrives_together(self, sim, bus):
-        """Contrast with fifo: independent delays all land at t+latency."""
+        """Independent delays: a burst all lands at t+latency."""
         bus.channel("t", latency=1.0, discipline=Discipline.DELAY)
         seen = []
         bus.subscribe("t", lambda env: seen.append(sim.now))
@@ -189,7 +178,7 @@ class TestConfiguration:
         with pytest.raises(BusError, match="conflicting"):
             bus.channel("t", latency=0.7, discipline=Discipline.DELAY)
         with pytest.raises(BusError, match="conflicting"):
-            bus.channel("t", latency=0.5, discipline=Discipline.FIFO)
+            bus.channel("t", latency=0.5, discipline=Discipline.DIRECT)
         # Identical redeclaration returns the same channel.
         assert bus.channel("t", latency=0.5,
                            discipline=Discipline.DELAY) is bus.channel(
@@ -201,7 +190,7 @@ class TestConfiguration:
         bus.channel("t", latency=0.5, discipline=Discipline.DELAY,
                     label="rfserver:ipc")
         with pytest.raises(BusError) as excinfo:
-            bus.channel("t", latency=0.7, discipline=Discipline.FIFO,
+            bus.channel("t", latency=0.7, discipline=Discipline.DELAY,
                         label="rfproxy:ipc")
         message = str(excinfo.value)
         assert "rfserver:ipc" in message and "rfproxy:ipc" in message
@@ -212,8 +201,9 @@ class TestConfiguration:
             bus.channel("t", latency=0.5, discipline=Discipline.DIRECT)
 
     def test_unknown_discipline_rejected(self, sim, bus):
-        with pytest.raises(BusError, match="discipline"):
-            bus.channel("t", discipline="priority")
+        for discipline in ("priority", "fifo"):
+            with pytest.raises(BusError, match="discipline"):
+                bus.channel("t", discipline=discipline)
 
     def test_subscribe_auto_creates_direct_channel(self, sim, bus):
         bus.subscribe("auto", lambda env: None)

@@ -174,3 +174,13 @@ class TestSeededMutants:
                 MembershipMachine,
                 settings=settings(MACHINE_SETTINGS, phases=(Phase.generate,),
                                   report_multiple_bugs=False))
+
+
+def test_epoch_zero_is_never_admitted():
+    """The fence is unconditional: an unstamped (epoch 0) announcement is
+    older than every fence and counts as stale, even on a fresh core."""
+    core = Membership(HashPartitioner(SHARDS))
+    assert core.admit(0, [1, 2]) is None
+    assert core.stale_announcements == 1
+    assert core.dpid_fence == {}
+    assert core.admit(core.announce(), [1, 2]) == [1, 2]

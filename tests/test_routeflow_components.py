@@ -60,15 +60,6 @@ class TestVirtualMachine:
         assert vm.ospf.running
         assert "eth1" in vm.ospf.interfaces
 
-    def test_hello_interval_override(self, sim):
-        vm = VirtualMachine(sim, vm_id=1, num_ports=1, boot_delay=0.5, hello_interval=2)
-        vm.start()
-        vm.write_config_file("ospfd.conf", generate_ospfd_conf(
-            "o", IPv4Address("1.1.1.1"), [], hello_interval=10))
-        sim.run(until=3.0)
-        assert vm.ospf.config.hello_interval == 2
-        assert vm.ospf.config.dead_interval == 8
-
     def test_unknown_config_file_ignored(self, sim):
         vm = VirtualMachine(sim, vm_id=1, num_ports=1, boot_delay=0.1)
         vm.start()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.controller import Controller, TopologyDiscovery
 from repro.core import IPAddressManager, RPCClient, RPCServer
+from repro.core.rpc import BGP_AS_BASE
 from repro.core.config_messages import (
     EdgePortConfigMessage,
     LinkConfigMessage,
@@ -26,7 +27,7 @@ def rpc_stack(sim):
     rfproxy = RFProxy()
     rfserver = RFServer(sim, rfproxy, vm_boot_delay=0.5)
     rpc_server = RPCServer(sim, rfserver, ipam=IPAddressManager())
-    rpc_client = RPCClient(sim, rpc_server, network_delay=0.01)
+    rpc_client = RPCClient(sim, rpc_server)
     return rfserver, rpc_server, rpc_client
 
 
@@ -139,7 +140,7 @@ class TestRPCServer:
         from repro.quagga import parse_bgpd_conf
 
         bgp_a = parse_bgpd_conf(rfserver.vm(1).config_files["bgpd.conf"])
-        assert bgp_a.local_as == rpc_server.bgp_as_base + 1
+        assert bgp_a.local_as == BGP_AS_BASE + 1
         assert any(n.address == IPv4Address("172.16.0.2") for n in bgp_a.neighbors)
 
     def test_event_log_records_configuration_steps(self, sim, rpc_stack):
