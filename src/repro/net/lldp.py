@@ -111,10 +111,12 @@ class LLDP(Header):
                 if not value:
                     raise DecodeError("empty chassis TLV")
                 text = value[1:].decode(errors="replace")
-                if text.startswith("dpid:"):
-                    chassis_id = int(text[5:], 16)
-                else:
+                if not text.startswith("dpid:"):
                     raise DecodeError(f"unrecognised chassis id: {text!r}")
+                try:
+                    chassis_id = int(text[5:], 16)
+                except ValueError as exc:
+                    raise DecodeError("unparseable chassis id") from exc
             elif tlv_type == LLDPTLVType.PORT_ID:
                 if not value:
                     raise DecodeError("empty port TLV")

@@ -7,7 +7,18 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import Ethernet, EtherType, IPv4, IPv4Address, MACAddress, UDP
+from repro.net import (
+    ARP,
+    ICMP,
+    LLDP,
+    TCP,
+    UDP,
+    Ethernet,
+    EtherType,
+    IPv4,
+    IPv4Address,
+    MACAddress,
+)
 from repro.net.ipv4 import IPProtocol
 from repro.net.packet import DecodeError
 from repro.openflow import (
@@ -48,6 +59,9 @@ from repro.openflow.messages import (
     StatsReply,
     StatsRequest,
 )
+from repro.quagga.ospf.packets import HelloPacket
+from repro.routeflow.vm import VirtualMachine, VMState
+from repro.sim import Simulator
 
 MAC = MACAddress("02:00:00:00:00:0a")
 IP = IPv4Address("10.1.2.3")
@@ -384,3 +398,157 @@ class TestHostileInput:
                     decode(data[offset:])
                 except DecodeError:
                     pass
+
+
+def _base_frames():
+    """(kind, frame, offset of the layer-3 header): one valid frame per
+    payload kind, without and with an 802.1Q tag."""
+    l4_of = {
+        "udp": (IPProtocol.UDP, UDP(1234, 53, b"x")),
+        "tcp": (IPProtocol.TCP, TCP(179, 40000, seq=7, ack=9)),
+        "icmp": (IPProtocol.ICMP, ICMP(ICMP.ECHO_REQUEST, 0, 3, 4, b"p")),
+        "ospf": (IPProtocol.OSPF, HelloPacket(
+            IPv4Address("1.1.1.1"), IPv4Address("255.255.255.252"), 10, 40,
+            neighbors=[IPv4Address("2.2.2.2")])),
+    }
+    for vlan in (None, 5):
+        for kind, (protocol, l4) in l4_of.items():
+            yield kind, vlan, EtherType.IPV4, IPv4(
+                src=IPv4Address("10.0.0.1"), dst=IPv4Address("10.0.0.2"),
+                protocol=protocol, payload=l4, tos=0x13)
+        yield "arp", vlan, EtherType.ARP, ARP(
+            ARP.REQUEST, MAC, IPv4Address("10.0.0.1"), MACAddress(0),
+            IPv4Address("10.0.0.2"))
+        yield "lldp", vlan, EtherType.LLDP, LLDP(chassis_id=9, port_id=2)
+
+
+def _edited_frames():
+    """Every base frame, and copies with one header field the decoders
+    check set to each value around its limits."""
+    frames = []
+    for kind, vlan, ethertype, payload in _base_frames():
+        frame = Ethernet(src=MAC, dst=MACAddress(2), ethertype=ethertype,
+                         payload=payload, vlan=vlan, vlan_pcp=3).encode()
+        l3 = 14 if vlan is None else 18
+        edits = [(l3 - 2, "!H", value) for value in (
+            EtherType.IPV4, EtherType.ARP, EtherType.LLDP, 0x86DD)]
+        if ethertype == EtherType.IPV4:
+            edits += [(l3, "!B", value) for value in (0x44, 0x46, 0x55)]
+            edits += [(l3 + 2, "!H", value)
+                      for value in list(range(49)) + [0xFFFF]]
+            if kind == "udp":
+                edits += [(l3 + 24, "!H", value) for value in range(13)]
+            if kind == "tcp":
+                edits += [(l3 + 32, "!B", value << 4) for value in range(16)]
+        if kind == "arp":
+            edits += [(l3, "!H", 6), (l3 + 2, "!H", 0x86DD),
+                      (l3 + 4, "!B", 8), (l3 + 5, "!B", 16)]
+        frames.append(frame)
+        for offset, field, value in edits:
+            edited = bytearray(frame)
+            struct.pack_into(field, edited, offset, value)
+            frames.append(bytes(edited))
+    return frames
+
+
+EDITED_FRAMES = _edited_frames()
+
+
+@st.composite
+def hostile_frames(draw) -> bytes:
+    """An edited frame with bytes changed and cut anywhere."""
+    data = bytearray(draw(st.sampled_from(EDITED_FRAMES)))
+    # sampled_from draws positions uniformly; integers() favours the ends.
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        data[draw(st.sampled_from(range(len(data))))] = draw(
+            st.integers(min_value=0, max_value=255))
+    return bytes(data[:draw(st.sampled_from(range(len(data) + 1)))])
+
+
+def fields_from_header_tree(data: bytes, in_port: int) -> PacketFields:
+    """The flow-match fields of a frame, read off ``Ethernet.decode``'s
+    header tree: the reference model of ``PacketFields.from_frame``."""
+    fields = PacketFields(in_port=in_port)
+    try:
+        frame = Ethernet.decode(data)
+    except DecodeError:
+        return fields
+    if frame.vlan is not None:
+        fields.dl_vlan, fields.dl_vlan_pcp = frame.vlan, frame.vlan_pcp
+    fields.dl_src, fields.dl_dst = frame.src, frame.dst
+    fields.dl_type = frame.ethertype
+    packet = frame.payload
+    if isinstance(packet, IPv4):
+        fields.nw_tos, fields.nw_proto = packet.tos, packet.protocol
+        fields.nw_src, fields.nw_dst = packet.src, packet.dst
+        segment = packet.payload
+        if isinstance(segment, (UDP, TCP)):
+            fields.tp_src, fields.tp_dst = segment.src_port, segment.dst_port
+        elif isinstance(segment, ICMP):
+            fields.tp_src, fields.tp_dst = segment.icmp_type, segment.code
+    elif isinstance(packet, ARP):
+        fields.nw_proto = packet.opcode
+        fields.nw_src, fields.nw_dst = packet.sender_ip, packet.target_ip
+    return fields
+
+
+def assert_fields_match_the_codec(data: bytes) -> None:
+    actual = PacketFields.from_frame(data, in_port=3)
+    expected = fields_from_header_tree(data, in_port=3)
+    assert ({slot: getattr(actual, slot) for slot in PacketFields.__slots__}
+            == {slot: getattr(expected, slot)
+                for slot in PacketFields.__slots__}), data
+
+
+class _OSPFRecorder:
+    """Stands in for a VM's ospfd and keeps what it was handed."""
+
+    def __init__(self) -> None:
+        self.received = []
+
+    def receive_packet(self, interface_name, src, payload) -> None:
+        self.received.append((interface_name, src, payload))
+
+
+def assert_vm_hands_ospfd_what_the_codec_decodes(data: bytes) -> None:
+    """``VirtualMachine._on_frame`` passes ospfd a packet exactly when
+    ``Ethernet.decode`` yields IPv4 carrying OSPF, and passes that."""
+    vm = VirtualMachine(Simulator(), vm_id=1, num_ports=1)
+    vm.state = VMState.RUNNING
+    vm.ospf = recorder = _OSPFRecorder()
+    vm._on_frame(vm.interfaces["eth1"], data)
+    try:
+        packet = Ethernet.decode(data).payload
+    except DecodeError:
+        packet = None
+    if not (isinstance(packet, IPv4) and packet.protocol == IPProtocol.OSPF):
+        assert recorder.received == [], data
+        return
+    [(interface_name, src, payload)] = recorder.received
+    assert (interface_name, src) == ("eth1", packet.src)
+    assert type(payload) is type(packet.payload)
+    if isinstance(payload, bytes):
+        assert payload == packet.payload
+    else:
+        assert payload.encode() == packet.payload.encode()
+
+
+class TestFrameReference:
+    """Every per-hop frame reader agrees with the header tree the codec
+    builds, on valid, edited, mutated and truncated frames."""
+
+    def test_every_edit_and_cut_matches_the_codec(self):
+        for frame in EDITED_FRAMES:
+            for cut in range(len(frame) + 1):
+                assert_fields_match_the_codec(frame[:cut])
+                assert_vm_hands_ospfd_what_the_codec_decodes(frame[:cut])
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=hostile_frames())
+    def test_packet_fields_match_the_codec(self, data):
+        assert_fields_match_the_codec(data)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=hostile_frames())
+    def test_vm_hands_ospfd_what_the_codec_decodes(self, data):
+        assert_vm_hands_ospfd_what_the_codec_decodes(data)

@@ -275,6 +275,12 @@ class TestLLDP:
         with pytest.raises(DecodeError):
             LLDP.decode(raw)
 
+    def test_non_hex_dpid_rejected(self):
+        # A byte changed inside the dpid digits, as TestFrameReference found.
+        raw = LLDP(chassis_id=1, port_id=1).encode().replace(b"dpid:0", b"dpid:\x00")
+        with pytest.raises(DecodeError):
+            LLDP.decode(raw)
+
     @given(st.integers(min_value=0, max_value=2**64 - 1),
            st.integers(min_value=0, max_value=65535),
            st.integers(min_value=0, max_value=65535))
