@@ -2,8 +2,8 @@
 
 from repro.app.ping import PingApp, PingStats
 from repro.app.streaming import (
-    DEFAULT_REPORT_PORT,
-    DEFAULT_STREAM_PORT,
+    REPORT_PORT,
+    STREAM_PORT,
     StreamStats,
     VideoStreamClient,
     VideoStreamServer,
@@ -12,11 +12,11 @@ from repro.app.traffic import ConstantBitRateSource, PoissonSource, SinkStats, U
 
 __all__ = [
     "ConstantBitRateSource",
-    "DEFAULT_REPORT_PORT",
-    "DEFAULT_STREAM_PORT",
     "PingApp",
     "PingStats",
     "PoissonSource",
+    "REPORT_PORT",
+    "STREAM_PORT",
     "SinkStats",
     "StreamStats",
     "UDPSink",

@@ -22,10 +22,10 @@ from repro.sim import PeriodicTask, Simulator
 
 LOG = logging.getLogger(__name__)
 
-#: Default RTP-ish port the stream is sent to.
-DEFAULT_STREAM_PORT = 5004
+#: RTP-ish port the stream is sent to.
+STREAM_PORT = 5004
 #: Port used for the client's receiver reports.
-DEFAULT_REPORT_PORT = 5005
+REPORT_PORT = 5005
 
 _FRAME_HEADER = struct.Struct("!IdI")  # sequence, send time, payload length
 
@@ -62,20 +62,17 @@ class VideoStreamServer:
     """Constant-bit-rate UDP video source."""
 
     def __init__(self, sim: Simulator, host: Host, client_ip: IPv4Address,
-                 frame_rate: float = 25.0, frame_size: int = 1200,
-                 port: int = DEFAULT_STREAM_PORT,
-                 report_port: int = DEFAULT_REPORT_PORT) -> None:
+                 frame_rate: float = 25.0, frame_size: int = 1200) -> None:
         self.sim = sim
         self.host = host
         self.client_ip = IPv4Address(client_ip)
         self.frame_rate = frame_rate
         self.frame_size = frame_size
-        self.port = port
         self.frames_sent = 0
         self.reports_received = 0
         self._task = PeriodicTask(sim, 1.0 / frame_rate, self._send_frame,
                                   name=f"stream:{host.name}")
-        host.bind_udp(report_port, self._on_report)
+        host.bind_udp(REPORT_PORT, self._on_report)
 
     def start(self) -> None:
         """Start streaming immediately (t=0 of the demo)."""
@@ -88,7 +85,8 @@ class VideoStreamServer:
         payload_len = max(0, self.frame_size - _FRAME_HEADER.size)
         header = _FRAME_HEADER.pack(self.frames_sent, self.sim.now, payload_len)
         frame = header + bytes(payload_len)
-        self.host.send_udp(self.client_ip, self.port, frame, src_port=self.port)
+        self.host.send_udp(self.client_ip, STREAM_PORT, frame,
+                           src_port=STREAM_PORT)
         self.frames_sent += 1
 
     def _on_report(self, src_ip: IPv4Address, _src_port: int, _payload: bytes) -> None:
@@ -102,17 +100,13 @@ class VideoStreamClient:
     """Receives the stream, measures when the video "reaches" the client."""
 
     def __init__(self, sim: Simulator, host: Host, server_ip: IPv4Address,
-                 port: int = DEFAULT_STREAM_PORT,
-                 report_port: int = DEFAULT_REPORT_PORT,
                  report_interval: float = 2.0) -> None:
         self.sim = sim
         self.host = host
         self.server_ip = IPv4Address(server_ip)
-        self.port = port
-        self.report_port = report_port
         self.stats = StreamStats()
         self.reports_sent = 0
-        host.bind_udp(port, self._on_frame)
+        host.bind_udp(STREAM_PORT, self._on_frame)
         self._report_task = PeriodicTask(sim, report_interval, self._send_report,
                                          name=f"stream-client:{host.name}")
 
@@ -142,8 +136,8 @@ class VideoStreamClient:
     def _send_report(self) -> None:
         report = struct.pack("!IdI", self.stats.frames_received, self.sim.now,
                              self.stats.lost_frames)
-        self.host.send_udp(self.server_ip, self.report_port, report,
-                           src_port=self.report_port)
+        self.host.send_udp(self.server_ip, REPORT_PORT, report,
+                           src_port=REPORT_PORT)
         self.reports_sent += 1
 
     @property

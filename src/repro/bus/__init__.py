@@ -1,7 +1,8 @@
-"""The explicit control-plane message bus (topics, envelopes, channels)."""
+"""The explicit control-plane message bus (topics, envelopes, channels)
+and the one codec of the messages it carries."""
 
 from repro.bus.bus import BusError, Channel, Discipline, MessageBus
-from repro.bus.envelope import Envelope
+from repro.bus.envelope import Envelope, Message, decode
 from repro.bus.faults import ChannelFaults
 from repro.bus.reliable import (
     DEFAULT_POLICIES,
@@ -21,6 +22,7 @@ __all__ = [
     "DEFAULT_POLICIES",
     "Discipline",
     "Envelope",
+    "Message",
     "MessageBus",
     "PassthroughPublisher",
     "ReliableConsumer",
@@ -28,5 +30,6 @@ __all__ = [
     "ReliablePublisher",
     "acquire_publisher",
     "consume",
+    "decode",
     "topics",
 ]

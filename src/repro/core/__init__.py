@@ -9,9 +9,9 @@ from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "autoconfig": ("AutoConfigFramework", "FrameworkConfig"),
-    "config_messages": ("ConfigMessage", "ConfigMessageError",
-                        "EdgePortConfigMessage", "LinkConfigMessage",
-                        "SwitchConfigMessage", "SwitchRemovedMessage"),
+    "config_messages": ("ConfigMessage", "EdgePortConfigMessage",
+                        "LinkConfigMessage", "SwitchConfigMessage",
+                        "SwitchRemovedMessage"),
     "gui": ("ConfigurationGUI", "SwitchColor", "SwitchView"),
     "ipam": ("EdgeAddressing", "IPAddressManager", "IPAMError",
              "LinkAddressing"),

@@ -27,7 +27,7 @@ from repro.core.ipam import IPAddressManager
 from repro.core.manual_model import ManualConfigurationModel
 from repro.core.rpc import RPCClient, RPCServer
 from repro.core.topology_controller import build_topology_controller
-from repro.flowvisor import FlowVisor, build_paper_flowspace, build_sharded_flowspace
+from repro.flowvisor import FlowVisor, build_flowspace
 from repro.quagga.bgp.session import BGPSessionBroker
 from repro.routeflow.membership import PartitionError, make_partitioner
 from repro.routeflow.rfserver import ControllerShard, RFServer
@@ -217,16 +217,15 @@ class AutoConfigFramework:
                 edge_port_grace=self.config.edge_port_grace,
                 detect_edge_ports=self.config.detect_edge_ports)
             if num_controllers == 1:
-                flowspace = build_paper_flowspace(self.TOPOLOGY_SLICE,
-                                                  self.ROUTEFLOW_SLICE)
+                flowspace = build_flowspace(self.TOPOLOGY_SLICE,
+                                            [self.ROUTEFLOW_SLICE])
                 self.flowvisor: Optional[FlowVisor] = FlowVisor(sim, flowspace)
                 self.flowvisor.add_slice(self.TOPOLOGY_SLICE, self.topology_controller)
                 self.flowvisor.add_slice(self.ROUTEFLOW_SLICE, self.rf_controller)
             else:
                 slice_names = [f"{self.ROUTEFLOW_SLICE}-{shard.shard_id}"
                                for shard in self.shards]
-                flowspace = build_sharded_flowspace(self.TOPOLOGY_SLICE,
-                                                    slice_names)
+                flowspace = build_flowspace(self.TOPOLOGY_SLICE, slice_names)
                 self.flowvisor = FlowVisor(sim, flowspace)
                 self.flowvisor.add_slice(self.TOPOLOGY_SLICE, self.topology_controller)
                 # Slice membership follows the control plane's *ownership*

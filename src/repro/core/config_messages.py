@@ -4,46 +4,20 @@ RPC server.
 The paper defines two message contents explicitly — "the ID of the switch
 and the number of switch ports" on switch detection, and the computed
 interface addresses on link detection — and we add the analogous message
-for edge (host-facing) ports.  Messages serialise to JSON, which is what
-the RPC transport actually carries.
+for edge (host-facing) ports.  Messages serialise to JSON (each is a
+:class:`~repro.bus.envelope.Message`), which is what the RPC transport
+actually carries.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Dict, Type
+from dataclasses import dataclass
+
+from repro.bus.envelope import Message
 
 
-class ConfigMessageError(ValueError):
-    """Raised when a configuration message cannot be parsed."""
-
-
-@dataclass
-class ConfigMessage:
-    """Base class providing JSON (de)serialisation via a ``kind`` tag."""
-
-    KIND = "base"
-
-    def to_json(self) -> str:
-        payload = {"kind": self.KIND}
-        payload.update(asdict(self))
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ConfigMessage":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigMessageError(f"malformed JSON: {exc}") from exc
-        kind = data.pop("kind", None)
-        klass = _MESSAGE_KINDS.get(kind)
-        if klass is None:
-            raise ConfigMessageError(f"unknown configuration message kind: {kind!r}")
-        try:
-            return klass(**data)
-        except TypeError as exc:
-            raise ConfigMessageError(f"bad fields for {kind}: {exc}") from exc
+class ConfigMessage(Message):
+    """The family of configuration messages (``from_json`` accepts any)."""
 
 
 @dataclass
@@ -91,10 +65,3 @@ class SwitchRemovedMessage(ConfigMessage):
 
     switch_id: int
 
-
-_MESSAGE_KINDS: Dict[str, Type[ConfigMessage]] = {
-    SwitchConfigMessage.KIND: SwitchConfigMessage,
-    LinkConfigMessage.KIND: LinkConfigMessage,
-    EdgePortConfigMessage.KIND: EdgePortConfigMessage,
-    SwitchRemovedMessage.KIND: SwitchRemovedMessage,
-}

@@ -4,8 +4,7 @@ from repro.flowvisor.flowspace import (
     FlowSpace,
     FlowSpaceRule,
     Permission,
-    build_paper_flowspace,
-    build_sharded_flowspace,
+    build_flowspace,
 )
 from repro.flowvisor.proxy import FlowVisor, Slice
 
@@ -15,6 +14,5 @@ __all__ = [
     "FlowVisor",
     "Permission",
     "Slice",
-    "build_paper_flowspace",
-    "build_sharded_flowspace",
+    "build_flowspace",
 ]

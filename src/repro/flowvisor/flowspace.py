@@ -98,12 +98,13 @@ class FlowSpace:
         return False
 
 
-def build_sharded_flowspace(topology_slice: str,
-                            routeflow_slices: List[str]) -> FlowSpace:
-    """The flowspace for a sharded RouteFlow deployment.
+def build_flowspace(topology_slice: str,
+                    routeflow_slices: List[str]) -> FlowSpace:
+    """The flowspace of the framework's FlowVisor.
 
-    LLDP still belongs to the topology controller; every routeflow shard
-    slice holds read/write on everything else.  The per-slice *datapath*
+    LLDP belongs to the topology controller; every RouteFlow slice (one
+    in the paper's deployment, one per shard in a sharded one) holds
+    read/write on everything else.  A shard slice's *datapath*
     restriction lives on the FlowVisor slice registration
     (:meth:`~repro.flowvisor.proxy.FlowVisor.add_slice`), not in the
     flowspace — matches on packet fields cannot see the dpid.
@@ -115,18 +116,4 @@ def build_sharded_flowspace(topology_slice: str,
     for slice_name in routeflow_slices:
         flowspace.add(everything, slice_name, Permission.READ_WRITE,
                       priority=100)
-    return flowspace
-
-
-def build_paper_flowspace(topology_slice: str, routeflow_slice: str) -> FlowSpace:
-    """The two-slice flowspace used by the paper's framework.
-
-    LLDP goes to the topology controller; every other ethertype belongs to
-    the RF-controller.
-    """
-    flowspace = FlowSpace()
-    lldp = Match.wildcard_all().set_dl_type(EtherType.LLDP)
-    flowspace.add(lldp, topology_slice, Permission.READ_WRITE, priority=200)
-    everything = Match.wildcard_all()
-    flowspace.add(everything, routeflow_slice, Permission.READ_WRITE, priority=100)
     return flowspace

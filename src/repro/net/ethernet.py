@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.addresses import MACAddress
 from repro.net.packet import DecodeError, Header, Payload, as_bytes
+
+#: (inner ethertype, payload offset, vlan id or None, vlan pcp)
+EthernetFraming = Tuple[int, int, Optional[int], int]
 
 
 class EtherType:
@@ -18,14 +21,34 @@ class EtherType:
     LLDP = 0x88CC
 
 
+def ethernet_framing(data: bytes) -> Optional[EthernetFraming]:
+    """The Ethernet II framing (with optional 802.1Q tag) of a frame, or
+    None for one too short to hold it.
+
+    This is the whole header check of :meth:`Ethernet.decode`; per-hop
+    readers that only dispatch on the framing (the switch pipeline's
+    :meth:`~repro.openflow.match.PacketFields.from_frame`, the VM's OSPF
+    receive path) call it instead of building the header tree.
+    """
+    length = len(data)
+    if length < 14:
+        return None
+    ethertype = (data[12] << 8) | data[13]
+    if ethertype != EtherType.VLAN:
+        return ethertype, 14, None, 0
+    if length < 18:
+        return None
+    tci = (data[14] << 8) | data[15]
+    inner = (data[16] << 8) | data[17]
+    return inner, 18, tci & 0x0FFF, (tci >> 13) & 0x7
+
+
 class Ethernet(Header):
     """An Ethernet II frame.
 
     The payload is decoded into the matching upper-layer header when the
     EtherType is known (IPv4, ARP, LLDP); otherwise it is kept as raw bytes.
     """
-
-    HEADER_LEN = 14
 
     def __init__(
         self,
@@ -59,24 +82,13 @@ class Ethernet(Header):
 
     @classmethod
     def decode(cls, data: bytes) -> "Ethernet":
-        if len(data) < cls.HEADER_LEN:
+        framing = ethernet_framing(data)
+        if framing is None:
             raise DecodeError(f"Ethernet frame too short: {len(data)} bytes")
-        dst = MACAddress(data[0:6])
-        src = MACAddress(data[6:12])
-        (ethertype,) = struct.unpack("!H", data[12:14])
-        offset = 14
-        vlan = None
-        vlan_pcp = 0
-        if ethertype == EtherType.VLAN:
-            if len(data) < 18:
-                raise DecodeError("truncated 802.1Q tag")
-            (tci, ethertype) = struct.unpack("!HH", data[14:18])
-            vlan = tci & 0x0FFF
-            vlan_pcp = (tci >> 13) & 0x7
-            offset = 18
-        payload: Payload = data[offset:]
-        payload = cls._decode_payload(ethertype, data[offset:])
-        return cls(src=src, dst=dst, ethertype=ethertype, payload=payload,
+        ethertype, offset, vlan, vlan_pcp = framing
+        return cls(dst=MACAddress(data[0:6]), src=MACAddress(data[6:12]),
+                   ethertype=ethertype,
+                   payload=cls._decode_payload(ethertype, data[offset:]),
                    vlan=vlan, vlan_pcp=vlan_pcp)
 
     @staticmethod

@@ -85,11 +85,11 @@ class Host:
         self._send_ip(packet)
 
     # ------------------------------------------------------------------ ICMP
-    def ping(self, dst_ip: IPv4Address, sequence: int = 1, data: bytes = b"") -> int:
+    def ping(self, dst_ip: IPv4Address, sequence: int = 1) -> int:
         """Send an ICMP echo request; returns the identifier used."""
         ident = self._next_ident
         self._next_ident += 1
-        icmp = ICMP.echo_request(identifier=ident, sequence=sequence, data=data)
+        icmp = ICMP.echo_request(identifier=ident, sequence=sequence)
         packet = IPv4(src=self.ip, dst=dst_ip, protocol=IPProtocol.ICMP, payload=icmp)
         self._send_ip(packet)
         return ident

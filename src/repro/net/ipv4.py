@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import struct
+from typing import Optional, Tuple
 
 from repro.net.addresses import IPv4Address, checksum16
 from repro.net.packet import DecodeError, Header, Payload, as_bytes
+
+#: (protocol, body sliced per total_length)
+IPv4Framing = Tuple[int, bytes]
 
 
 class IPProtocol:
@@ -15,6 +19,25 @@ class IPProtocol:
     TCP = 6
     UDP = 17
     OSPF = 89
+
+
+def ipv4_framing(ip: bytes) -> Optional[IPv4Framing]:
+    """The IPv4 header framing of a packet, or None for one that is too
+    short or has a bad version or IHL.
+
+    This is the whole header check of :meth:`IPv4.decode`, which also
+    slices the body by ``total_length`` through it.
+    """
+    if len(ip) < 20:
+        return None
+    version_ihl = ip[0]
+    header_len = (version_ihl & 0x0F) * 4
+    if version_ihl >> 4 != 4 or header_len < 20 or len(ip) < header_len:
+        return None
+    total_length = (ip[2] << 8) | ip[3]
+    body = (ip[header_len:total_length] if total_length >= header_len
+            else ip[header_len:])
+    return ip[9], body
 
 
 class IPv4(Header):
@@ -66,29 +89,17 @@ class IPv4(Header):
 
     @classmethod
     def decode(cls, data: bytes) -> "IPv4":
-        if len(data) < cls.HEADER_LEN:
-            raise DecodeError(f"IPv4 packet too short: {len(data)} bytes")
-        version_ihl, tos, total_length, identification, flags_frag, ttl, protocol, _csum = (
-            struct.unpack("!BBHHHBBH", data[0:12])
-        )
-        version = version_ihl >> 4
-        ihl = version_ihl & 0x0F
-        if version != 4:
-            raise DecodeError(f"not an IPv4 packet (version={version})")
-        if ihl < 5:
-            raise DecodeError(f"invalid IHL: {ihl}")
-        header_len = ihl * 4
-        if len(data) < header_len:
-            raise DecodeError("truncated IPv4 header")
-        src = IPv4Address(data[12:16])
-        dst = IPv4Address(data[16:20])
-        body = data[header_len:total_length] if total_length >= header_len else data[header_len:]
-        payload = cls._decode_payload(protocol, body)
+        framing = ipv4_framing(data)
+        if framing is None:
+            raise DecodeError(f"malformed IPv4 header ({len(data)} bytes)")
+        protocol, body = framing
+        _version_ihl, tos, _total, identification, flags_frag, ttl = (
+            struct.unpack("!BBHHHB", data[0:9]))
         return cls(
-            src=src,
-            dst=dst,
+            src=IPv4Address(data[12:16]),
+            dst=IPv4Address(data[16:20]),
             protocol=protocol,
-            payload=payload,
+            payload=cls._decode_payload(protocol, body),
             ttl=ttl,
             tos=tos,
             identification=identification,

@@ -97,8 +97,7 @@ def _table_order(entry: FlowEntry) -> tuple:
 class FlowTable:
     """An ordered collection of :class:`FlowEntry` objects."""
 
-    def __init__(self, table_id: int = 0, max_entries: int = 65536) -> None:
-        self.table_id = table_id
+    def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = max_entries
         self._entries: List[FlowEntry] = []
         self.lookup_count = 0
@@ -373,4 +372,4 @@ class FlowTable:
             self._changed(None)
 
     def __repr__(self) -> str:
-        return f"<FlowTable {self.table_id} entries={len(self._entries)}>"
+        return f"<FlowTable entries={len(self._entries)}>"

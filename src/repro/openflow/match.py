@@ -12,9 +12,8 @@ import struct
 from typing import Optional
 
 from repro.net.addresses import IPv4Address, MACAddress
-from repro.net.ethernet import EtherType
-from repro.net.fastpath import ethernet_framing, ipv4_framing
-from repro.net.ipv4 import IPProtocol
+from repro.net.ethernet import EtherType, ethernet_framing
+from repro.net.ipv4 import IPProtocol, ipv4_framing
 from repro.net.packet import DecodeError
 from repro.openflow.constants import OFPFlowWildcards as W
 
@@ -57,12 +56,15 @@ class PacketFields:
     def from_frame(cls, data: bytes, in_port: int = 0) -> "PacketFields":
         """Extract match fields from an encoded Ethernet frame.
 
-        This is the per-packet fast path of every switch pipeline, so the
-        fields are pulled straight out of the byte string instead of
-        decoding the whole header-object tree (which would parse OSPF LSA
-        payloads just to read two port numbers).  Validation mirrors the
-        codec classes exactly: any condition that would make a decoder
-        raise leaves the corresponding fields at their defaults.
+        This is the per-packet path of every switch pipeline, so it runs
+        the Ethernet and IPv4 codecs' own header checks
+        (:func:`~repro.net.ethernet.ethernet_framing`,
+        :func:`~repro.net.ipv4.ipv4_framing`) and reads the rest straight
+        out of the bytes instead of decoding the whole header-object tree
+        (which would parse OSPF LSA payloads just to read two port
+        numbers).  A header the codec would reject leaves its fields at
+        their defaults; ``TestFrameReference`` holds the L4 and ARP reads
+        to the decoded tree.
         """
         fields = cls(in_port=in_port)
         framing = ethernet_framing(data)
@@ -80,7 +82,7 @@ class PacketFields:
             ip_framing = ipv4_framing(ip)
             if ip_framing is None:
                 return fields
-            protocol, _header_len, body = ip_framing
+            protocol, body = ip_framing
             fields.nw_tos = ip[1]
             fields.nw_proto = protocol
             fields.nw_src = IPv4Address(ip[12:16])

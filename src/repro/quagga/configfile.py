@@ -16,6 +16,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.addresses import IPv4Address, IPv4Network
 
 
+#: The vty password of every generated file: Quagga's stock "zebra".
+VTY_PASSWORD = "zebra"
+
+
 class ConfigError(ValueError):
     """Raised when a configuration file cannot be parsed."""
 
@@ -44,7 +48,7 @@ class ZebraConfig:
     """Parsed zebra.conf."""
 
     hostname: str = "zebra"
-    password: str = "zebra"
+    password: str = VTY_PASSWORD
     interfaces: List[InterfaceConfig] = field(default_factory=list)
 
     def interface(self, name: str) -> Optional[InterfaceConfig]:
@@ -67,7 +71,7 @@ class OSPFConfig:
     """Parsed ospfd.conf."""
 
     hostname: str = "ospfd"
-    password: str = "zebra"
+    password: str = VTY_PASSWORD
     router_id: Optional[IPv4Address] = None
     networks: List[OSPFNetworkStatement] = field(default_factory=list)
     hello_interval: int = 10
@@ -125,7 +129,7 @@ class BGPConfig:
     """Parsed bgpd.conf."""
 
     hostname: str = "bgpd"
-    password: str = "zebra"
+    password: str = VTY_PASSWORD
     local_as: int = 0
     router_id: Optional[IPv4Address] = None
     neighbors: List[BGPNeighbor] = field(default_factory=list)
@@ -162,10 +166,9 @@ class BGPConfig:
 # --------------------------------------------------------------------------
 # Generation
 # --------------------------------------------------------------------------
-def generate_zebra_conf(hostname: str, interfaces: List[InterfaceConfig],
-                        password: str = "zebra") -> str:
+def generate_zebra_conf(hostname: str, interfaces: List[InterfaceConfig]) -> str:
     """Render a zebra.conf for a VM with the given interface addressing."""
-    lines = [f"hostname {hostname}", f"password {password}", "!"]
+    lines = [f"hostname {hostname}", f"password {VTY_PASSWORD}", "!"]
     for iface in interfaces:
         lines.append(f"interface {iface.name}")
         if iface.description:
@@ -182,10 +185,9 @@ def generate_ospfd_conf(hostname: str, router_id: IPv4Address,
                         networks: List[OSPFNetworkStatement],
                         hello_interval: int = 10, dead_interval: int = 40,
                         redistribute_bgp: bool = False,
-                        redistribute_connected: bool = False,
-                        password: str = "zebra") -> str:
+                        redistribute_connected: bool = False) -> str:
     """Render an ospfd.conf enabling OSPF on the given prefixes."""
-    lines = [f"hostname {hostname}", f"password {password}", "!"]
+    lines = [f"hostname {hostname}", f"password {VTY_PASSWORD}", "!"]
     lines.append("router ospf")
     lines.append(f" ospf router-id {router_id}")
     lines.append(f" timers ospf hello-interval {hello_interval}")
@@ -210,7 +212,7 @@ def generate_bgpd_conf(hostname: str, local_as: int, router_id: IPv4Address,
                        keepalive_interval: Optional[float] = None,
                        hold_time: Optional[float] = None,
                        prefix_lists: Optional[Dict[str, List[PrefixListEntry]]] = None,
-                       password: str = "zebra") -> str:
+                       password: str = VTY_PASSWORD) -> str:
     """Render a bgpd.conf with the given AS, neighbors and announcements."""
     lines = [f"hostname {hostname}", f"password {password}", "!"]
     for name in sorted(prefix_lists or {}):

@@ -60,9 +60,8 @@ class ZebraDaemon:
         """A protocol daemon announces (or refreshes) a route."""
         self.rib.add_route(route)
 
-    def withdraw_route(self, prefix: IPv4Network, source: str,
-                       next_hop: Optional[IPv4Address] = None) -> None:
-        self.rib.remove_route(prefix, source, next_hop)
+    def withdraw_route(self, prefix: IPv4Network, source: str) -> None:
+        self.rib.remove_route(prefix, source)
 
     def replace_routes(self, source: str, routes: List[Route]) -> List[IPv4Network]:
         """Reconcile a protocol's full route snapshot (see RIB.replace_routes).

@@ -7,7 +7,6 @@ from repro.routeflow.ipc import (
     RouteModType,
     ShardHeartbeat,
     TakeoverAnnouncement,
-    payload_kind,
 )
 from repro.routeflow.mapping import MappingError, MappingTable, PortMapping
 from repro.routeflow.rfclient import RFClient
@@ -53,5 +52,4 @@ __all__ = [
     "VMState",
     "VirtualMachine",
     "make_partitioner",
-    "payload_kind",
 ]

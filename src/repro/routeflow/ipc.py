@@ -4,15 +4,16 @@ RouteFlow's three components (RFClient in each VM, RFServer, RFProxy in the
 controller) exchange JSON messages over an IPC bus.  We keep the same
 message vocabulary — RouteMod being the important one: "this VM's FIB now
 routes prefix P via next hop N out of interface I" — and serialise them to
-JSON so the bus carries bytes rather than Python objects.
+JSON so the bus carries bytes rather than Python objects: every message
+here is a :class:`~repro.bus.envelope.Message`, tagged with its ``KIND``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.bus.envelope import Message
 from repro.net.addresses import IPv4Address, IPv4Network
 
 
@@ -22,8 +23,10 @@ class RouteModType:
 
 
 @dataclass
-class RouteMod:
+class RouteMod(Message):
     """A route installed into / removed from a VM's FIB."""
+
+    KIND = "route_mod"
 
     mod_type: str
     vm_id: int
@@ -44,25 +47,6 @@ class RouteMod:
         return cls(mod_type=RouteModType.DELETE, vm_id=vm_id, prefix=str(prefix),
                    next_hop=None, interface=interface, metric=0)
 
-    # ---------------------------------------------------------- serialisation
-    def to_json(self) -> str:
-        # Spelled out instead of asdict(): RouteMod is serialised once per
-        # FIB change, and asdict's recursive copy shows up at 100-AS scale.
-        return json.dumps(
-            {"kind": "route_mod", "mod_type": self.mod_type,
-             "vm_id": self.vm_id, "prefix": self.prefix,
-             "next_hop": self.next_hop, "interface": self.interface,
-             "metric": self.metric},
-            sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RouteMod":
-        data = json.loads(text)
-        if data.get("kind") != "route_mod":
-            raise ValueError(f"not a RouteMod payload: {text!r}")
-        data.pop("kind")
-        return cls(**data)
-
     # --------------------------------------------------------------- accessors
     @property
     def prefix_network(self) -> IPv4Network:
@@ -78,7 +62,7 @@ class RouteMod:
 
 
 @dataclass
-class MappingRecord:
+class MappingRecord(Message):
     """A VM/interface ownership fact shared on the bus mapping topic.
 
     Controller shards publish one record per VM registration
@@ -89,6 +73,8 @@ class MappingRecord:
     itself — the east/west state exchange between coordinated controller
     instances.
     """
+
+    KIND = "mapping_record"
 
     event: str     # "vm_mapped" | "address_assigned" | "address_removed"
     vm_id: int
@@ -102,25 +88,13 @@ class MappingRecord:
     ADDRESS_ASSIGNED = "address_assigned"
     ADDRESS_REMOVED = "address_removed"
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": "mapping_record", **asdict(self)},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MappingRecord":
-        data = json.loads(text)
-        if data.get("kind") != "mapping_record":
-            raise ValueError(f"not a MappingRecord payload: {text!r}")
-        data.pop("kind")
-        return cls(**data)
-
     @property
     def address_value(self) -> Optional[IPv4Address]:
         return IPv4Address(self.address) if self.address is not None else None
 
 
 @dataclass
-class ShardHeartbeat:
+class ShardHeartbeat(Message):
     """A controller shard's periodic "I am alive" beacon.
 
     Every live shard publishes one on :data:`repro.bus.topics.HEARTBEAT`
@@ -130,25 +104,15 @@ class ShardHeartbeat:
     partition is taken over by its standby.
     """
 
+    KIND = "shard_heartbeat"
+
     shard_id: int
     sent_at: float      # simulated publish time, echoed for observability
     epoch: int = 0      # bumped on restore so stale beats are recognisable
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": "shard_heartbeat", **asdict(self)},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardHeartbeat":
-        data = json.loads(text)
-        if data.get("kind") != "shard_heartbeat":
-            raise ValueError(f"not a ShardHeartbeat payload: {text!r}")
-        data.pop("kind")
-        return cls(**data)
-
 
 @dataclass
-class TakeoverAnnouncement:
+class TakeoverAnnouncement(Message):
     """A coordinated change of dpid-partition ownership.
 
     Published on the shared mapping topic (:data:`repro.bus.topics.MAPPING`)
@@ -157,6 +121,8 @@ class TakeoverAnnouncement:
     partition of a failed master) and ``reshard`` (live re-balancing moves
     a dpid between two healthy shards).
     """
+
+    KIND = "takeover"
 
     event: str          # "takeover" | "reshard"
     from_shard: int
@@ -172,38 +138,9 @@ class TakeoverAnnouncement:
     TAKEOVER = "takeover"
     RESHARD = "reshard"
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": "takeover", **asdict(self)},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TakeoverAnnouncement":
-        data = json.loads(text)
-        if data.get("kind") != "takeover":
-            raise ValueError(f"not a TakeoverAnnouncement payload: {text!r}")
-        data.pop("kind")
-        return cls(**data)
-
-
-def payload_kind(text: str) -> Optional[str]:
-    """The ``kind`` discriminator of a serialised IPC payload (or None).
-
-    Topics that carry more than one message family (the mapping topic
-    carries both :class:`MappingRecord` and :class:`TakeoverAnnouncement`)
-    peek at the kind before choosing a decoder.
-    """
-    try:
-        data = json.loads(text)
-    except ValueError:
-        return None
-    if isinstance(data, dict):
-        kind = data.get("kind")
-        return kind if isinstance(kind, str) else None
-    return None
-
 
 @dataclass
-class PortStatusRelay:
+class PortStatusRelay(Message):
     """A physical link state change relayed into the virtual topology.
 
     In RouteFlow the RFProxy receives the switch's port-status message and
@@ -211,20 +148,11 @@ class PortStatusRelay:
     the corresponding virtual wire down (or up).
     """
 
+    KIND = "port_status"
+
     dpid_a: int
     port_a: int
     dpid_b: int
     port_b: int
     up: bool
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": "port_status", **asdict(self)},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PortStatusRelay":
-        data = json.loads(text)
-        if data.get("kind") != "port_status":
-            raise ValueError(f"not a PortStatusRelay payload: {text!r}")
-        data.pop("kind")
-        return cls(**data)

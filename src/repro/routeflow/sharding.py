@@ -37,14 +37,14 @@ import functools
 import logging
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bus import Envelope, MessageBus, topics
+from repro.bus import Envelope, MessageBus, decode, topics
 from repro.bus.reliable import acquire_publisher, consume
 from repro.net.addresses import IPv4Address
+from repro.net.packet import DecodeError
 from repro.routeflow.ipc import (
     MappingRecord,
     ShardHeartbeat,
     TakeoverAnnouncement,
-    payload_kind,
 )
 from repro.routeflow.membership import Membership, Partitioner, PartitionError
 from repro.routeflow.rfproxy import RFProxy
@@ -146,11 +146,12 @@ class ShardedControlPlane(VirtualEnvironment):
     def _on_mapping_record(self, envelope: Envelope) -> None:
         # The mapping topic carries two families: ownership facts
         # (MappingRecord) and ownership *changes* (TakeoverAnnouncement).
-        if payload_kind(envelope.payload) == "takeover":
-            self._apply_takeover(
-                TakeoverAnnouncement.from_json(envelope.payload))
+        record = decode(envelope.payload)
+        if isinstance(record, TakeoverAnnouncement):
+            self._apply_takeover(record)
             return
-        record = MappingRecord.from_json(envelope.payload)
+        if not isinstance(record, MappingRecord):
+            raise DecodeError(f"not a mapping-topic payload: {envelope.payload!r}")
         if record.event == MappingRecord.VM_MAPPED:
             self._vm_shard[record.vm_id] = record.shard
             self._vm_dpid[record.vm_id] = record.datapath_id

@@ -20,9 +20,8 @@ import struct
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addresses import IPv4Address, IPv4Network, MACAddress
-from repro.net.ethernet import EtherType
-from repro.net.fastpath import ethernet_framing, ipv4_framing
-from repro.net.ipv4 import IPProtocol
+from repro.net.ethernet import EtherType, ethernet_framing
+from repro.net.ipv4 import IPProtocol, ipv4_framing
 from repro.net.link import Interface
 from repro.net.packet import DecodeError
 from repro.quagga.bgp import BGPDaemon, BGPSessionBroker
@@ -400,11 +399,10 @@ class VirtualMachine:
     def _on_frame(self, interface: Interface, data: bytes) -> None:
         """A frame arrived on a VM interface over the virtual topology.
 
-        VM interfaces only ever receive OSPF-over-IPv4 frames, so the
-        Ethernet and IPv4 headers are picked apart by hand instead of
-        decoding the full header-object tree per hop.  Validation mirrors
-        ``Ethernet.decode``/``IPv4.decode``: any frame they would reject (or
-        decode to a non-IPv4/non-OSPF payload) is dropped the same way.
+        VM interfaces only ever receive OSPF-over-IPv4 frames, so only the
+        Ethernet and IPv4 codecs' header checks run, not a decode of the
+        full header-object tree per hop; a frame those checks reject, or
+        that carries anything but OSPF over IPv4, is dropped.
         """
         if not self.is_running or self.ospf is None:
             return
@@ -416,7 +414,7 @@ class VirtualMachine:
         if ip_framing is None or ip_framing[0] != IPProtocol.OSPF:
             return
         src = IPv4Address(ip[12:16])
-        body = ip_framing[2]
+        body = ip_framing[1]
         try:
             payload = OSPFPacket.decode(body)
         except DecodeError:

@@ -1,4 +1,4 @@
-"""Tests for the control-plane message bus (topics, envelopes, channels)."""
+"""Tests for the control-plane message bus (topics, channels)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.bus import (
     BusError,
     ChannelFaults,
     Discipline,
-    Envelope,
     MessageBus,
     topics,
 )
@@ -345,18 +344,6 @@ class TestPartitions:
         bus.publish("t", "x", endpoint="shard:0")
         assert seen == ["x"]
         assert not bus.partitions
-
-
-class TestEnvelope:
-    def test_json_round_trip(self):
-        envelope = Envelope(topic="routeflow.route_mods.0", seq=7,
-                            sender="rfclient:3", published_at=1.5,
-                            payload='{"kind": "route_mod"}')
-        assert Envelope.from_json(envelope.to_json()) == envelope
-
-    def test_rejects_foreign_payloads(self):
-        with pytest.raises(ValueError, match="not an Envelope"):
-            Envelope.from_json('{"kind": "route_mod"}')
 
 
 class TestWellKnownTopics:

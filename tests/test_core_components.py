@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import (
     ConfigMessage,
-    ConfigMessageError,
     ConfigurationGUI,
     EdgePortConfigMessage,
     IPAddressManager,
@@ -19,7 +18,7 @@ from repro.core import (
     SwitchConfigMessage,
     SwitchRemovedMessage,
 )
-from repro.net import IPv4Address, IPv4Network
+from repro.net import DecodeError, IPv4Address, IPv4Network
 
 
 class TestIPAM:
@@ -112,15 +111,15 @@ class TestConfigMessages:
         assert payload["kind"] == "switch_config"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigMessageError):
+        with pytest.raises(DecodeError):
             ConfigMessage.from_json('{"kind": "mystery"}')
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(ConfigMessageError):
+        with pytest.raises(DecodeError):
             ConfigMessage.from_json("not json at all")
 
     def test_missing_fields_rejected(self):
-        with pytest.raises(ConfigMessageError):
+        with pytest.raises(DecodeError):
             ConfigMessage.from_json('{"kind": "switch_config", "switch_id": 1}')
 
 

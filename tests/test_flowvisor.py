@@ -6,7 +6,7 @@ import pytest
 
 from repro.controller import Controller, ControllerApp
 from repro.core.ipam import IPAddressManager
-from repro.flowvisor import FlowSpace, FlowVisor, Permission, build_paper_flowspace
+from repro.flowvisor import FlowSpace, FlowVisor, Permission, build_flowspace
 from repro.net import Ethernet, EtherType, IPv4, IPv4Address, LLDP, LLDP_MULTICAST, MACAddress, UDP
 from repro.net.ipv4 import IPProtocol
 from repro.openflow import ErrorMessage, FlowMod, Match, OutputAction, PacketFields, PacketIn
@@ -28,13 +28,13 @@ def ipv4_frame() -> bytes:
 
 class TestFlowSpace:
     def test_paper_flowspace_routes_lldp_to_topology_slice(self):
-        flowspace = build_paper_flowspace("topo", "rf")
+        flowspace = build_flowspace("topo", ["rf"])
         fields = PacketFields.from_frame(lldp_frame())
         assert flowspace.slices_for_packet(fields) == ["topo", "rf"][:1] or \
             flowspace.slices_for_packet(fields)[0] == "topo"
 
     def test_paper_flowspace_routes_ipv4_to_routeflow_slice(self):
-        flowspace = build_paper_flowspace("topo", "rf")
+        flowspace = build_flowspace("topo", ["rf"])
         fields = PacketFields.from_frame(ipv4_frame())
         slices = flowspace.slices_for_packet(fields)
         assert slices[0] == "rf"
@@ -45,7 +45,7 @@ class TestFlowSpace:
         assert flowspace.slices_for_packet(PacketFields.from_frame(ipv4_frame())) == []
 
     def test_write_permission_check(self):
-        flowspace = build_paper_flowspace("topo", "rf")
+        flowspace = build_flowspace("topo", ["rf"])
         route_match = Match.for_destination_prefix(IPv4Address("10.0.0.0"), 24)
         assert flowspace.may_write("rf", route_match)
         lldp_match = Match.wildcard_all().set_dl_type(EtherType.LLDP)
@@ -92,7 +92,7 @@ def sliced_network(sim):
     rf_app = CountingApp()
     topo_controller.register_app(topo_app)
     rf_controller.register_app(rf_app)
-    flowvisor = FlowVisor(sim, build_paper_flowspace("topo", "rf"))
+    flowvisor = FlowVisor(sim, build_flowspace("topo", ["rf"]))
     flowvisor.add_slice("topo", topo_controller)
     flowvisor.add_slice("rf", rf_controller)
     network = EmulatedNetwork(sim, linear_topology(2), ipam=IPAddressManager())

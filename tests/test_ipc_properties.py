@@ -1,10 +1,12 @@
 """Property-based tests for the IPC layer: payload round-trips and
 reliable delivery.
 
-Each serialisable IPC payload — RouteMod, MappingRecord, ShardHeartbeat,
-TakeoverAnnouncement, PortStatusRelay — and the bus Envelope itself must
-survive ``to_json`` → ``from_json`` unchanged for randomized payloads, and
-``payload_kind`` must discriminate every kind.
+Each of the nine bus payload kinds — RouteMod, MappingRecord,
+ShardHeartbeat, TakeoverAnnouncement, PortStatusRelay and the four
+configuration messages — must survive ``to_json`` → ``from_json``
+unchanged for randomized payloads, ``decode`` must discriminate every
+kind, and no text, however mangled, may make the codec raise anything but
+``DecodeError``.
 
 The reliable-delivery properties pin what :mod:`repro.bus.reliable`
 exists for: under *any* interleaving of drops, duplicates and reordering
@@ -23,25 +25,35 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+import json  # noqa: E402
+
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.bus import (  # noqa: E402
     Discipline,
-    Envelope,
+    Message,
     MessageBus,
     ReliablePolicy,
     acquire_publisher,
     consume,
+    decode,
 )
 from repro.bus.reliable import _wrap  # noqa: E402
+from repro.core.config_messages import (  # noqa: E402
+    ConfigMessage,
+    EdgePortConfigMessage,
+    LinkConfigMessage,
+    SwitchConfigMessage,
+    SwitchRemovedMessage,
+)
+from repro.net.packet import DecodeError  # noqa: E402
 from repro.routeflow.ipc import (  # noqa: E402
     MappingRecord,
     PortStatusRelay,
     RouteMod,
     ShardHeartbeat,
     TakeoverAnnouncement,
-    payload_kind,
 )
 from repro.sim import Simulator  # noqa: E402
 
@@ -106,13 +118,45 @@ port_statuses = st.builds(
     up=st.booleans(),
 )
 
+switch_configs = st.builds(
+    SwitchConfigMessage,
+    switch_id=small_ints,
+    num_ports=st.integers(min_value=0, max_value=48),
+)
+
+link_configs = st.builds(
+    LinkConfigMessage,
+    dpid_a=small_ints,
+    port_a=st.integers(min_value=1, max_value=255),
+    address_a=ip_strings,
+    dpid_b=small_ints,
+    port_b=st.integers(min_value=1, max_value=255),
+    address_b=ip_strings,
+    prefix_len=st.integers(min_value=0, max_value=32),
+)
+
+edge_port_configs = st.builds(
+    EdgePortConfigMessage,
+    datapath_id=small_ints,
+    port_no=st.integers(min_value=1, max_value=255),
+    gateway=ip_strings,
+    prefix_len=st.integers(min_value=0, max_value=32),
+)
+
+switch_removals = st.builds(SwitchRemovedMessage, switch_id=small_ints)
+
 KINDS = [
     ("route_mod", route_mods, RouteMod),
     ("mapping_record", mapping_records, MappingRecord),
     ("shard_heartbeat", heartbeats, ShardHeartbeat),
     ("takeover", takeovers, TakeoverAnnouncement),
     ("port_status", port_statuses, PortStatusRelay),
+    ("switch_config", switch_configs, SwitchConfigMessage),
+    ("link_config", link_configs, LinkConfigMessage),
+    ("edge_port_config", edge_port_configs, EdgePortConfigMessage),
+    ("switch_removed", switch_removals, SwitchRemovedMessage),
 ]
+messages = st.one_of(*(strategy for _, strategy, _ in KINDS))
 
 
 class TestPayloadRoundTrips:
@@ -142,17 +186,31 @@ class TestPayloadRoundTrips:
         assert PortStatusRelay.from_json(message.to_json()) == message
 
     @settings(derandomize=True)
-    @given(envelope=st.builds(
-        Envelope, topic=names, seq=small_ints, sender=names,
-        published_at=sim_times, payload=st.text(max_size=200)))
-    def test_envelope(self, envelope):
-        assert Envelope.from_json(envelope.to_json()) == envelope
+    @given(message=switch_configs)
+    def test_switch_config(self, message):
+        assert SwitchConfigMessage.from_json(message.to_json()) == message
 
     @settings(derandomize=True)
-    @given(message=st.one_of(*(strategy for _, strategy, _ in KINDS)))
-    def test_payload_kind_discriminates(self, message):
+    @given(message=link_configs)
+    def test_link_config(self, message):
+        assert LinkConfigMessage.from_json(message.to_json()) == message
+
+    @settings(derandomize=True)
+    @given(message=edge_port_configs)
+    def test_edge_port_config(self, message):
+        assert EdgePortConfigMessage.from_json(message.to_json()) == message
+
+    @settings(derandomize=True)
+    @given(message=switch_removals)
+    def test_switch_removed(self, message):
+        assert SwitchRemovedMessage.from_json(message.to_json()) == message
+
+    @settings(derandomize=True)
+    @given(message=messages)
+    def test_decode_discriminates(self, message):
         expected = {cls: kind for kind, _, cls in KINDS}[type(message)]
-        assert payload_kind(message.to_json()) == expected
+        assert json.loads(message.to_json())["kind"] == expected
+        assert decode(message.to_json()) == message
 
     @settings(derandomize=True)
     @given(message=takeovers)
@@ -165,22 +223,90 @@ class TestPayloadRoundTrips:
                 cls.from_json(text)
 
 
-class TestPayloadKindEdgeCases:
-    def test_garbage_is_none(self):
-        assert payload_kind("not json at all") is None
+class TestDecodeEdgeCases:
+    def test_garbage_is_rejected(self):
+        with pytest.raises(DecodeError, match="not JSON"):
+            decode("not json at all")
 
-    def test_non_dict_json_is_none(self):
-        assert payload_kind("[1, 2, 3]") is None
-        assert payload_kind('"route_mod"') is None
+    def test_non_object_json_is_rejected(self):
+        for text in ("[1, 2, 3]", '"route_mod"', "[]"):
+            with pytest.raises(DecodeError, match="not a JSON object"):
+                decode(text)
 
-    def test_missing_or_non_string_kind_is_none(self):
-        assert payload_kind('{"vm_id": 3}') is None
-        assert payload_kind('{"kind": 7}') is None
+    def test_missing_non_string_or_unknown_kind_is_rejected(self):
+        for text in ('{"vm_id": 3}', '{"kind": 7}', '{"kind": []}',
+                     '{"kind": "envelope", "topic": "t"}'):
+            with pytest.raises(DecodeError, match="unknown payload kind"):
+                decode(text)
 
-    def test_envelope_kind_visible(self):
-        envelope = Envelope(topic="t", seq=1, sender="s", published_at=0.0,
-                            payload="p")
-        assert payload_kind(envelope.to_json()) == "envelope"
+    def test_missing_or_extra_fields_are_rejected(self):
+        for text in ('{"kind": "switch_config", "switch_id": 1}',
+                     '{"kind": "switch_removed", "switch_id": 1, "x": 2}'):
+            with pytest.raises(DecodeError, match="bad fields"):
+                decode(text)
+
+    def test_family_decoder_accepts_only_its_family(self):
+        text = SwitchRemovedMessage(switch_id=4).to_json()
+        assert ConfigMessage.from_json(text) == SwitchRemovedMessage(4)
+        with pytest.raises(DecodeError, match="not a ConfigMessage"):
+            ConfigMessage.from_json(ShardHeartbeat(1, 0.0).to_json())
+
+
+#: JSON values of any type, for retyped and extra fields.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def hostile_payloads(draw) -> str:
+    """Arbitrary text; a valid payload of any kind with characters changed
+    and cut; or one with a field dropped, retyped or added, or its kind
+    swapped."""
+    shape = draw(st.sampled_from(("text", "chars", "fields")))
+    if shape == "text":
+        return draw(st.text(max_size=200))
+    text = draw(messages).to_json()
+    if shape == "chars":
+        chars = list(text)
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            chars[draw(st.integers(min_value=0, max_value=len(chars) - 1))] = (
+                draw(st.characters()))
+        return "".join(chars[:draw(st.integers(min_value=0,
+                                               max_value=len(chars)))])
+    data = json.loads(text)
+    key = draw(st.sampled_from(sorted(data)))
+    action = draw(st.sampled_from(("drop", "retype", "add", "rekind")))
+    if action == "drop":
+        del data[key]
+    elif action == "retype":
+        data[key] = draw(json_values)
+    elif action == "add":
+        data[draw(st.text(max_size=8))] = draw(json_values)
+    else:
+        data["kind"] = draw(st.sampled_from([kind for kind, _, _ in KINDS]))
+    return json.dumps(data)
+
+
+class TestHostileBusInput:
+    """No payload text makes the bus codec raise anything but
+    DecodeError."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(text=hostile_payloads())
+    @example(text="[]")
+    @example(text='{"kind": []}')
+    def test_only_decode_errors_escape(self, text):
+        for decoder in [decode, ConfigMessage.from_json] + [
+                cls.from_json for _, _, cls in KINDS]:
+            try:
+                message = decoder(text)
+            except DecodeError:
+                continue
+            assert isinstance(message, Message)
 
 
 # --------------------------------------------------------------------------
