@@ -233,11 +233,15 @@ class TestDecodeEdgeCases:
             with pytest.raises(DecodeError, match="not a JSON object"):
                 decode(text)
 
-    def test_missing_non_string_or_unknown_kind_is_rejected(self):
-        for text in ('{"vm_id": 3}', '{"kind": 7}', '{"kind": []}',
-                     '{"kind": "envelope", "topic": "t"}'):
+    def test_missing_or_non_string_kind_is_rejected(self):
+        for text in ('{"vm_id": 3}', '{"kind": 7}', '{"kind": []}'):
             with pytest.raises(DecodeError, match="unknown payload kind"):
                 decode(text)
+
+    def test_envelope_kind_is_rejected(self):
+        # Envelopes never travel as bus payloads, so "envelope" is no kind.
+        with pytest.raises(DecodeError, match="unknown payload kind"):
+            decode('{"kind": "envelope", "topic": "t"}')
 
     def test_missing_or_extra_fields_are_rejected(self):
         for text in ('{"kind": "switch_config", "switch_id": 1}',
