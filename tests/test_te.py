@@ -18,9 +18,7 @@ the RIB the rfclient's pair branch is unreachable.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -41,9 +39,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-DATA_DIR = Path(__file__).parent / "data"
-GOLDEN_TRACE = DATA_DIR / "golden_ring4_trace.json"
 
 
 def _adjacency(topology):
@@ -371,30 +366,9 @@ class TestNoTEGating:
         seed golden trace must not move by a byte (same gate as
         ``enable_bgp`` — the rfclient pair branch stays unreachable)."""
         import repro.te  # noqa: F401  (the stack under suspicion)
-        from repro.core import (AutoConfigFramework, FrameworkConfig,
-                                IPAddressManager)
-        from repro.sim import Simulator
-        from repro.topology.emulator import EmulatedNetwork
-        from repro.topology.generators import ring_topology
+        from test_golden_trace import assert_matches_golden, run_traced_ring4
 
-        sim = Simulator()
-        trace = []
-        sim.add_trace_hook(
-            lambda event: trace.append(f"{event.time!r} {event.name}"))
-        ipam = IPAddressManager()
-        framework = AutoConfigFramework(
-            sim, config=FrameworkConfig(detect_edge_ports=False), ipam=ipam)
-        network = EmulatedNetwork(sim, ring_topology(4), ipam=ipam)
-        framework.attach(network)
-        configured_at = framework.run_until_configured(max_time=3600.0)
-        route_table = framework.rfserver.vm(1).zebra.show_ip_route()
-
-        golden = json.loads(GOLDEN_TRACE.read_text())
-        assert len(trace) == golden["num_events"]
-        assert configured_at == golden["configured_at"]
-        assert route_table == golden["route_table"]
-        digest = hashlib.sha256("\n".join(trace).encode()).hexdigest()
-        assert digest == golden["trace_sha256"]
+        assert_matches_golden(*run_traced_ring4())
 
 
 # ---------------------------------------------------------------------------
