@@ -4,7 +4,8 @@ The application periodically emits an LLDP frame out of every port of every
 connected switch via PACKET_OUT.  When such a frame re-enters the control
 plane as a PACKET_IN on a *different* switch, the application has witnessed
 a unidirectional link (src dpid/port → dst dpid/port).  Links that stop
-being refreshed for ``link_timeout`` seconds are declared dead.
+being refreshed for ``link_timeout`` seconds are declared dead.  A probe
+frame is encoded once per (dpid, port, MAC) and re-sent from a cache.
 
 Observers register callbacks for switch and link discovery; the paper's
 topology controller uses those callbacks to drive the RPC configuration
@@ -70,6 +71,8 @@ class TopologyDiscovery(ControllerApp):
         self._link_down_callbacks: List[LinkCallback] = []
         self._probe_task: Optional[PeriodicTask] = None
         self._expiry_task: Optional[PeriodicTask] = None
+        #: (dpid, port_no, hw_addr) -> its probe frame, encoded once.
+        self._probe_frames: Dict[Tuple[int, int, MACAddress], bytes] = {}
         # Counters
         self.lldp_sent = 0
         self.lldp_received = 0
@@ -139,7 +142,10 @@ class TopologyDiscovery(ControllerApp):
         for port_no, port in sorted(connection.ports.items()):
             if port_no >= OFPPort.MAX:
                 continue
-            frame = self._build_lldp(dpid, port_no, port.hw_addr)
+            key = (dpid, port_no, port.hw_addr)
+            frame = self._probe_frames.get(key)
+            if frame is None:
+                frame = self._probe_frames[key] = self._build_lldp(*key)
             connection.send_packet_out(frame, out_port=port_no)
             self.lldp_sent += 1
 

@@ -5,7 +5,8 @@ OpenFlow :class:`~repro.openflow.match.Match` with the slice that owns the
 matching traffic and the permissions that slice holds over it (read =
 receive PACKET_IN, write = install flow-mods / send packet-outs).
 
-The paper's deployment needs exactly two slices:
+As in FlowVisor, the highest-priority rules matching a packet decide who
+reads it.  The paper's deployment needs exactly two slices:
 
 * the *topology controller* slice owns LLDP traffic (read/write) so the
   discovery module can probe the network, and
@@ -17,7 +18,7 @@ The paper's deployment needs exactly two slices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import List
 
 from repro.net.ethernet import EtherType
 from repro.openflow.match import Match, PacketFields
@@ -66,20 +67,19 @@ class FlowSpace:
 
     # ------------------------------------------------------------ evaluation
     def slices_for_packet(self, fields: PacketFields) -> List[str]:
-        """All slices entitled to *read* a packet with these fields.
-
-        FlowVisor delivers a PACKET_IN to every slice whose highest-priority
-        matching rule grants read access; we return them in priority order
-        without duplicates.
+        """The read-permitted slices of the matching rules at the highest
+        matching priority, in rule order without duplicates; a lower rule
+        that also matches (the wildcard under the LLDP rule) adds nothing.
         """
         result: List[str] = []
-        seen: Set[str] = set()
+        top = None
         for rule in self._rules:
-            if rule.slice_name in seen:
-                continue
-            if rule.match.matches(fields) and rule.allows_read():
-                result.append(rule.slice_name)
-                seen.add(rule.slice_name)
+            if top is not None and rule.priority < top:
+                break
+            if rule.match.matches(fields):
+                top = rule.priority
+                if rule.allows_read() and rule.slice_name not in result:
+                    result.append(rule.slice_name)
         return result
 
     def may_write(self, slice_name: str, match: Match) -> bool:
@@ -102,9 +102,10 @@ def build_flowspace(topology_slice: str,
                     routeflow_slices: List[str]) -> FlowSpace:
     """The flowspace of the framework's FlowVisor.
 
-    LLDP belongs to the topology controller; every RouteFlow slice (one
-    in the paper's deployment, one per shard in a sharded one) holds
-    read/write on everything else.  A shard slice's *datapath*
+    LLDP belongs to the topology controller alone (its rule sits above
+    the rest); every RouteFlow slice (one in the paper's deployment, one
+    per shard in a sharded one) holds read/write on everything else at
+    one shared priority.  A shard slice's *datapath*
     restriction lives on the FlowVisor slice registration
     (:meth:`~repro.flowvisor.proxy.FlowVisor.add_slice`), not in the
     flowspace — matches on packet fields cannot see the dpid.

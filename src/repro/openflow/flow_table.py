@@ -145,6 +145,11 @@ class FlowTable:
     def is_full(self) -> bool:
         return len(self._entries) >= self.max_entries
 
+    @property
+    def may_expire(self) -> bool:
+        """True from the add of a timed entry until expire() finds none."""
+        return self._may_expire
+
     def add_change_listener(self, listener: ChangeListener) -> None:
         """Subscribe to content changes (any add/modify/delete/expiry)."""
         self._change_listeners.append(listener)

@@ -8,7 +8,9 @@ controller and the RF-controller).
 The switch performs the OpenFlow handshake (HELLO, FEATURES), generates
 PACKET_IN for table misses, executes PACKET_OUT and FLOW_MOD, answers ECHO
 and BARRIER, reports port changes with PORT_STATUS and expires flows
-against simulated time.
+against simulated time: a sweep runs on the ticks a periodic timer started
+at connect time would hit, but only while the table may hold an entry with
+a timeout, so a table of permanent routes schedules none.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from repro.openflow.messages import (
     StatsReply,
     StatsRequest,
 )
-from repro.sim import PeriodicTask, Simulator
+from repro.sim import Event, Simulator
 
 LOG = logging.getLogger(__name__)
 
@@ -97,7 +99,7 @@ class OpenFlowSwitch:
     #: Per-packet pipeline processing latency (seconds) — models the software
     #: datapath cost of Open vSwitch in user space.
     PROCESSING_DELAY = 0.0001
-    #: How often expired flows are garbage collected.
+    #: How often expired flows are garbage collected (while any can expire).
     EXPIRY_INTERVAL = 1.0
     #: Number of packets the switch can park while waiting for the controller.
     MAX_BUFFERS = 256
@@ -118,8 +120,10 @@ class OpenFlowSwitch:
         self._next_xid = 1
         self._buffers: Dict[int, tuple] = {}
         self._next_buffer_id = 1
-        self._expiry_task = PeriodicTask(sim, self.EXPIRY_INTERVAL, self._expire_flows,
-                                         name=f"{self.name}:flow-expiry")
+        #: The latest expiry tick reached (None while disconnected) and the
+        #: sweep scheduled for the next one (None while none is due).
+        self._expiry_tick: Optional[float] = None
+        self._expiry_event: Optional[Event] = None
         # Counters
         self.packet_in_count = 0
         self.flow_mod_count = 0
@@ -166,7 +170,9 @@ class OpenFlowSwitch:
         self._hello_sent = False
         self._hello_received = False
         self.connected = False
-        self._expiry_task.start()
+        if self._expiry_tick is None:
+            self._expiry_tick = self.sim.now
+            self._arm_expiry()
         self._send_message(Hello(xid=self._take_xid()))
         self._hello_sent = True
 
@@ -183,7 +189,10 @@ class OpenFlowSwitch:
 
     def channel_closed(self, channel: ControlChannel) -> None:
         self.connected = False
-        self._expiry_task.stop()
+        self._expiry_tick = None
+        if self._expiry_event is not None:
+            self._expiry_event.cancel()
+            self._expiry_event = None
 
     def _dispatch(self, message: OpenFlowMessage) -> None:
         if isinstance(message, Hello):
@@ -276,6 +285,8 @@ class OpenFlowSwitch:
             if buffered is not None:
                 data, in_port = buffered
                 self._apply_actions(data, message.actions, in_port=in_port)
+        if self._expiry_event is None:
+            self._arm_expiry()
 
     def _flow_add(self, message: FlowMod) -> None:
         if message.flags & OFPFlowModFlags.CHECK_OVERLAP:
@@ -308,12 +319,25 @@ class OpenFlowSwitch:
                               xid=self._take_xid())
         self._send_message(message)
 
+    def _arm_expiry(self) -> None:
+        """Schedule a sweep at the next tick if a timed entry may need it."""
+        if self._expiry_tick is None or not self.flow_table.may_expire:
+            return
+        tick, now = self._expiry_tick, self.sim.now
+        while tick <= now:
+            tick += self.EXPIRY_INTERVAL
+        self._expiry_tick = tick
+        self._expiry_event = self.sim.schedule_at(
+            tick, self._expire_flows, label=f"{self.name}:flow-expiry")
+
     def _expire_flows(self) -> None:
+        self._expiry_event = None
         for entry, reason in self.flow_table.expire(self.sim.now):
             if entry.send_flow_removed:
                 code = (OFPFlowRemovedReason.IDLE_TIMEOUT if reason == "idle"
                         else OFPFlowRemovedReason.HARD_TIMEOUT)
                 self._send_flow_removed(entry, code)
+        self._arm_expiry()
 
     # ------------------------------------------------------------------ stats
     def _handle_stats_request(self, message: StatsRequest) -> None:
@@ -365,22 +389,23 @@ class OpenFlowSwitch:
 
     # ---------------------------------------------------------------- actions
     def _apply_actions(self, data: bytes, actions: List[Action], in_port: int) -> None:
-        """Execute an action list on a packet (rewrites then outputs)."""
-        if not actions:
-            return  # empty action list = drop
-        try:
-            frame = Ethernet.decode(data)
-        except DecodeError:
-            frame = None
-        rewritten = False
+        """Execute an action list on a packet (rewrites then outputs); the
+        frame is decoded at the first rewrite, if any, and rewrites of an
+        undecodable frame are skipped."""
+        frame = None
+        undecodable = False
         for action in actions:
             if isinstance(action, OutputAction):
-                out_data = frame.encode() if (frame is not None and rewritten) else data
+                out_data = data if frame is None else frame.encode()
                 self._output(out_data, action.port, in_port)
-            else:
-                if frame is not None:
-                    action.apply(frame)
-                    rewritten = True
+            elif not undecodable:
+                if frame is None:
+                    try:
+                        frame = Ethernet.decode(data)
+                    except DecodeError:
+                        undecodable = True
+                        continue
+                action.apply(frame)
 
     def _output(self, data: bytes, out_port: int, in_port: int) -> None:
         if out_port == OFPPort.CONTROLLER:
