@@ -100,8 +100,8 @@ def run(switch_cls, operations):
     number of sweeps executed)."""
     sim = Simulator()
     sweeps = []
-    sim.add_trace_hook(lambda event: sweeps.append(event.time)
-                       if event.name.endswith(":flow-expiry") else None)
+    sim.add_trace_hook(lambda event: event.name.endswith(":flow-expiry")
+                       and sweeps.append(event))
     switch = switch_cls(sim, datapath_id=1, name="s1")
     interface = Interface("s1-eth1", MACAddress.from_local_id(1, 1))
     switch.add_port(1, interface)

@@ -11,6 +11,7 @@ or inserted.  Anything but a decoded object or ``DecodeError`` fails.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import pytest
@@ -37,24 +38,20 @@ LLDP_UNITS = [
 ]
 
 
-_CAPTURED = []
-
-
+@functools.lru_cache(maxsize=None)
 def captured_ospf_packets():
     """The distinct OSPF packets decoded during a ring-4 configuration."""
-    if not _CAPTURED:
-        seen = {}
-        genuine = OSPFPacket.decode
+    seen = {}
+    genuine = OSPFPacket.decode
 
-        def spy(data):
-            seen.setdefault(bytes(data), None)
-            return genuine(data)
+    def spy(data):
+        seen.setdefault(bytes(data), None)
+        return genuine(data)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(OSPFPacket, "decode", spy)
-            run_traced_ring4()
-        _CAPTURED.extend(seen)
-    return _CAPTURED
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OSPFPacket, "decode", spy)
+        run_traced_ring4()
+    return tuple(seen)
 
 
 @st.composite
