@@ -13,7 +13,7 @@ Run with:  python examples/ospf_convergence.py
 from __future__ import annotations
 
 from repro.net import IPv4Address, IPv4Network
-from repro.quagga import InterfaceConfig, OSPFNetworkStatement, Vtysh, generate_ospfd_conf, generate_zebra_conf
+from repro.quagga import InterfaceConfig, OSPFNetworkStatement, generate_ospfd_conf, generate_zebra_conf
 from repro.routeflow import RFVirtualSwitch, VirtualMachine
 from repro.sim import Simulator
 
@@ -47,13 +47,12 @@ def main() -> None:
         sim.run(until=checkpoint)
         print(f"===== t = {checkpoint:.0f} s =====")
         for vm in vms.values():
-            vtysh = Vtysh(vm.zebra, ospf=vm.ospf)
-            print(vtysh.show_ip_ospf_neighbor())
+            print(vm.ospf.show_ip_ospf_neighbor())
         print()
 
     print("===== final routing tables =====")
     for vm in vms.values():
-        print(Vtysh(vm.zebra, ospf=vm.ospf).show_ip_route())
+        print(vm.zebra.show_ip_route())
         print()
 
     remote = IPv4Network("192.168.3.0/24")

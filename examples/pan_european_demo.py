@@ -6,7 +6,7 @@ at t = 0, when the RF-controller holds no configuration at all.  The
 framework discovers the 28-switch topology, creates the VMs, writes the
 Quagga configurations, waits for OSPF and pushes the routes down as flows;
 the script reports when the first video frame reached the client and writes
-the GUI state as a Graphviz file.
+the GUI's text rendering to ``pan_european_gui.json``.
 
 Run with:  python examples/pan_european_demo.py
 """

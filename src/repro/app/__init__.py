@@ -1,4 +1,8 @@
-"""End-host applications: video streaming, ping, traffic generators."""
+"""End-host applications: the demo's video stream and ping.
+
+Aggregate traffic is not modelled packet by packet: ``repro traffic`` and
+``repro te`` drive the fluid engine in :mod:`repro.traffic`.
+"""
 
 from repro.app.ping import PingApp, PingStats
 from repro.app.streaming import (
@@ -8,18 +12,13 @@ from repro.app.streaming import (
     VideoStreamClient,
     VideoStreamServer,
 )
-from repro.app.traffic import ConstantBitRateSource, PoissonSource, SinkStats, UDPSink
 
 __all__ = [
-    "ConstantBitRateSource",
     "PingApp",
     "PingStats",
-    "PoissonSource",
     "REPORT_PORT",
     "STREAM_PORT",
-    "SinkStats",
     "StreamStats",
-    "UDPSink",
     "VideoStreamClient",
     "VideoStreamServer",
 ]

@@ -55,6 +55,22 @@ Subscriber = Callable[[Envelope], None]
 ACK_SUFFIX = ".ack"
 
 
+#: A channel's counters, each zeroed on creation and reported per topic by
+#: :meth:`Channel.snapshot` and summed in ``MessageBus.stats()["_totals"]``.
+#: ``dropped_no_subscriber`` counts messages that found no subscriber (a
+#: wiring gap, not an injected fault); ``dropped_fault`` those lost to the
+#: fault model (a probabilistic drop, or every subscriber partitioned away);
+#: ``partitioned`` per-subscriber deliveries an active partition suppressed.
+#: The ``retransmits`` .. ``rx_stale`` group is incremented by
+#: :mod:`repro.bus.reliable` and stays zero on the perfect default path.
+COUNTERS = (
+    "published", "delivered", "dropped_no_subscriber", "dropped_fault",
+    "bytes_published", "bytes_delivered", "fault_duplicated",
+    "fault_reordered", "partitioned", "retransmits", "acked", "exhausted",
+    "rx_duplicates", "rx_out_of_order", "rx_out_of_window", "rx_stale",
+)
+
+
 class BusError(Exception):
     """Raised for inconsistent bus configuration."""
 
@@ -108,8 +124,8 @@ class Channel:
         #: Fault model in force (None = perfect channel) and its RNG.
         self.faults: Optional[ChannelFaults] = None
         self._fault_rng: Optional[SeededRandom] = None
-        # Counters (exposed through MessageBus.stats()).
-        self._init_counters()
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     def _configure(self, latency: float, label: Optional[str],
                    discipline: str) -> None:
@@ -124,33 +140,6 @@ class Channel:
         self.latency = latency
         self.label = label if label is not None else f"bus:{self.topic}"
         self.discipline = discipline
-
-    def _init_counters(self) -> None:
-        self.published = 0
-        self.delivered = 0
-        #: Messages that found no subscriber at delivery time (publishing
-        #: into the void — a wiring gap, not an injected fault).
-        self.dropped_no_subscriber = 0
-        #: Messages lost to the fault model: probabilistic drops plus
-        #: deliveries whose every subscriber was partitioned away.
-        self.dropped_fault = 0
-        self.bytes_published = 0
-        self.bytes_delivered = 0
-        # Fault-model activity.
-        self.fault_duplicated = 0
-        self.fault_reordered = 0
-        #: Per-subscriber deliveries suppressed by an active partition
-        #: (the message may still have reached unpartitioned subscribers).
-        self.partitioned = 0
-        # Reliable-delivery layer activity on this topic (incremented by
-        # repro.bus.reliable; always zero on the perfect default path).
-        self.retransmits = 0
-        self.acked = 0
-        self.exhausted = 0
-        self.rx_duplicates = 0
-        self.rx_out_of_order = 0
-        self.rx_out_of_window = 0
-        self.rx_stale = 0
 
     @property
     def dropped(self) -> int:
@@ -169,29 +158,11 @@ class Channel:
         return self.faults.max_extra_delay if self.faults is not None else 0.0
 
     def snapshot(self) -> Dict[str, float]:
-        return {
-            "published": self.published,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "dropped_no_subscriber": self.dropped_no_subscriber,
-            "dropped_fault": self.dropped_fault,
-            "in_flight": self.in_flight,
-            "bytes_published": self.bytes_published,
-            "bytes_delivered": self.bytes_delivered,
-            "latency": self.latency,
-            "discipline": self.discipline,
-            "subscribers": len(self.subscribers),
-            "fault_duplicated": self.fault_duplicated,
-            "fault_reordered": self.fault_reordered,
-            "partitioned": self.partitioned,
-            "retransmits": self.retransmits,
-            "acked": self.acked,
-            "exhausted": self.exhausted,
-            "rx_duplicates": self.rx_duplicates,
-            "rx_out_of_order": self.rx_out_of_order,
-            "rx_out_of_window": self.rx_out_of_window,
-            "rx_stale": self.rx_stale,
-        }
+        report = {name: getattr(self, name) for name in COUNTERS}
+        report.update(dropped=self.dropped, in_flight=self.in_flight,
+                      latency=self.latency, discipline=self.discipline,
+                      subscribers=len(self.subscribers))
+        return report
 
     def __repr__(self) -> str:
         return (f"<Channel {self.topic} {self.discipline} "
@@ -470,27 +441,11 @@ class MessageBus:
         report = {topic: channel.snapshot()
                   for topic, channel in sorted(self._channels.items())}
         channels = list(self._channels.values())
-        report["_totals"] = {
-            "published": sum(c.published for c in channels),
-            "delivered": sum(c.delivered for c in channels),
-            "dropped": sum(c.dropped for c in channels),
-            "dropped_no_subscriber": sum(c.dropped_no_subscriber
-                                         for c in channels),
-            "dropped_fault": sum(c.dropped_fault for c in channels),
-            "bytes_published": sum(c.bytes_published for c in channels),
-            "bytes_delivered": sum(c.bytes_delivered for c in channels),
-            "fault_duplicated": sum(c.fault_duplicated for c in channels),
-            "fault_reordered": sum(c.fault_reordered for c in channels),
-            "partitioned": sum(c.partitioned for c in channels),
-            "retransmits": sum(c.retransmits for c in channels),
-            "acked": sum(c.acked for c in channels),
-            "exhausted": sum(c.exhausted for c in channels),
-            "rx_duplicates": sum(c.rx_duplicates for c in channels),
-            "rx_out_of_order": sum(c.rx_out_of_order for c in channels),
-            "rx_out_of_window": sum(c.rx_out_of_window for c in channels),
-            "rx_stale": sum(c.rx_stale for c in channels),
-            "topics": len(self._channels),
-        }
+        totals = {name: sum(getattr(c, name) for c in channels)
+                  for name in COUNTERS}
+        totals["dropped"] = sum(c.dropped for c in channels)
+        totals["topics"] = len(channels)
+        report["_totals"] = totals
         return report
 
     def __repr__(self) -> str:

@@ -172,6 +172,8 @@ def _failure_events(args: argparse.Namespace) -> list:
 def _demand_override(spec, args: argparse.Namespace):
     """The scenario's demand spec with the given demand options applied
     (None when no option was given: the run uses the scenario's own)."""
+    from dataclasses import replace
+
     from repro.traffic.demand import DemandSpec
 
     overrides = {"count": args.demands, "model": args.model,
@@ -183,7 +185,7 @@ def _demand_override(spec, args: argparse.Namespace):
     if not overrides:
         return None
     base = spec.demands if spec.demands is not None else DemandSpec()
-    return DemandSpec(**{**base.to_dict(), **overrides})
+    return replace(base, **overrides)
 
 
 # -- what each subcommand runs ----------------------------------------------

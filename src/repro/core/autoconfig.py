@@ -276,8 +276,6 @@ class AutoConfigFramework:
         network.add_failure_listener(self._failure_listener)
         for node in network.topology.nodes:
             self.gui.add_switch(node.node_id, label=node.name)
-        for link in network.topology.links:
-            self.gui.add_link(link.node_a, link.node_b)
         if self.flowvisor is not None:
             network.connect_control_plane(self.flowvisor.accept_switch_channel,
                                           self.flowvisor)

@@ -3,14 +3,13 @@
 The paper's demo shows "switches with red and green colors in a GUI.  The
 color of a switch remains red until it is configured by the RPC server."
 This module keeps that state machine — per-switch colour plus the time of
-every transition — and renders it as plain text, Graphviz DOT or JSON so
-the examples and ``repro demo`` can show exactly what the demo showed.
+every transition — and renders it as plain text, which is what the
+examples and ``repro demo`` print.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim import Simulator
@@ -39,7 +38,6 @@ class ConfigurationGUI:
         self.switches: Dict[int, SwitchView] = {}
         #: (time, datapath_id, new_color) transitions, in order of occurrence.
         self.transitions: List[Tuple[float, int, str]] = []
-        self.links: List[Tuple[int, int]] = []
 
     # ----------------------------------------------------------------- inputs
     def add_switch(self, datapath_id: int, label: str = "") -> SwitchView:
@@ -52,11 +50,6 @@ class ConfigurationGUI:
         self.switches[datapath_id] = view
         self.transitions.append((self.sim.now, datapath_id, SwitchColor.RED))
         return view
-
-    def add_link(self, dpid_a: int, dpid_b: int) -> None:
-        pair = (min(dpid_a, dpid_b), max(dpid_a, dpid_b))
-        if pair not in self.links:
-            self.links.append(pair)
 
     def mark_configured(self, datapath_id: int) -> None:
         """Turn a switch green (the RPC server created its VM)."""
@@ -82,12 +75,6 @@ class ConfigurationGUI:
     def all_green(self) -> bool:
         return bool(self.switches) and not self.red_switches
 
-    @property
-    def last_transition_time(self) -> Optional[float]:
-        greens = [v.configured_at for v in self.switches.values()
-                  if v.configured_at is not None]
-        return max(greens) if greens else None
-
     def configuration_timeline(self) -> List[Tuple[float, int]]:
         """(time, datapath_id) pairs in the order switches turned green."""
         return [(t, dpid) for t, dpid, color in self.transitions
@@ -105,32 +92,3 @@ class ConfigurationGUI:
         header = (f"t={self.sim.now:8.1f}s  configured "
                   f"{len(self.green_switches)}/{len(self.switches)} switches")
         return "\n".join([header] + rows)
-
-    def to_dot(self) -> str:
-        """Graphviz rendering with red/green node fill colours."""
-        lines = ["graph routeflow_config {", "  node [style=filled];"]
-        for dpid in sorted(self.switches):
-            view = self.switches[dpid]
-            lines.append(f'  "{view.label}" [fillcolor={view.color}];')
-        for dpid_a, dpid_b in self.links:
-            label_a = self.switches.get(dpid_a, SwitchView(dpid_a, f"s{dpid_a}")).label
-            label_b = self.switches.get(dpid_b, SwitchView(dpid_b, f"s{dpid_b}")).label
-            lines.append(f'  "{label_a}" -- "{label_b}";')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        payload = {
-            "time": self.sim.now,
-            "switches": [
-                {
-                    "datapath_id": view.datapath_id,
-                    "label": view.label,
-                    "color": view.color,
-                    "configured_at": view.configured_at,
-                }
-                for view in sorted(self.switches.values(), key=lambda v: v.datapath_id)
-            ],
-            "links": [list(pair) for pair in self.links],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)

@@ -27,8 +27,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
                 "format_seconds", "format_table"),
     "run": ("ScenarioRun", "mirror_into_routeflow", "to_payload",
             "write_json"),
-    "sweep": ("SweepResult", "expand_seeds", "render_sweep_table",
-              "run_scenario", "run_sweep", "write_sweep_csv"),
+    "sweep": ("SweepResult", "render_sweep_table", "run_scenario",
+              "run_sweep", "write_sweep_csv"),
     "te": ("TEPolicyResult", "TEResult", "render_te_table", "run_te"),
     "traffic": ("LinkUtilization", "TrafficResult", "render_traffic_table",
                 "run_traffic"),

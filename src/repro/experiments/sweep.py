@@ -149,11 +149,6 @@ def run_sweep(scenarios: Union[ScenarioLike, Sequence[ScenarioLike]],
     return results
 
 
-def expand_seeds(spec: ScenarioSpec, seeds: Iterable[int]) -> List[ScenarioSpec]:
-    """One spec per seed, for seed-replication sweeps of stochastic families."""
-    return [spec.with_seed(seed) for seed in seeds]
-
-
 def render_sweep_table(results: Sequence[SweepResult]) -> str:
     """Render a sweep as an ASCII table."""
     rows = []

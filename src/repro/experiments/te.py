@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.run import check_non_negative
 from repro.experiments.traffic import _horizon, loopback_run
@@ -193,8 +193,6 @@ def _resolve_engine(te_spec: TESpec, num_switches: int) -> str:
 def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
                       demand_spec: DemandSpec, settle: float,
                       window: float) -> TEPolicyResult:
-    from dataclasses import replace as dc_replace
-
     from repro.net.addresses import IPv4Network
 
     run = loopback_run(spec)
@@ -205,43 +203,23 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
         result.wall_seconds = run.wall_seconds
         return result
 
-    sim, framework, network = run.sim, run.framework, run.network
+    framework, network = run.framework, run.network
     addresses = {dpid: run.ipam.router_id(dpid) for dpid in network.switches}
-    owners = {int(address): dpid for dpid, address in addresses.items()}
-    engine = FluidEngine(sim, network, owner_of=owners.get)
-    engine.attach()
-    _scale_hot_link(network, te_spec)
 
-    route_mods = [0]
-    topic = getattr(framework.rfserver, "route_mods_topic", None)
-    if topic is not None:
-        framework.bus.subscribe(
-            topic,
-            lambda _envelope: route_mods.__setitem__(0, route_mods[0] + 1))
+    def count_route_mod(_envelope) -> None:
+        result.route_mods += 1
 
-    controller = None
-    if policy_name != "none":
-        run_spec = dc_replace(te_spec, policy=policy_name)
-        actuator = ZebraActuator(
+    for rfserver in ([shard.rfserver for shard in framework.shards]
+                     or [framework.rfserver]):
+        framework.bus.subscribe(rfserver.route_mods_topic, count_route_mod)
+
+    _drive_policy(
+        result, spec, te_spec, demand_spec, settle, window, run.sim, network,
+        addresses,
+        lambda: ZebraActuator(
             framework.control_plane, network,
-            prefix_of=lambda dst: IPv4Network((addresses[dst], 32)))
-        controller = TEController(sim, network, actuator, spec=run_spec,
-                                  policy=make_policy(run_spec), engine=engine,
-                                  owner_of=owners.get)
-        controller.start()
-
-    demand_set = generate_demands(demand_spec, addresses)
-    start = sim.now
-    result.demands = engine.register(demand_set)
-    if spec.failures is not None:
-        run.mirror_failures()
-        network.schedule_failures(spec.failures)
-    sim.run(until=start + _horizon(spec, demand_set, window) + settle)
-    engine.finalize()
-    if controller is not None:
-        controller.stop()
-    _collect(result, engine, network, owners.get, controller, sim.now - start)
-    result.route_mods = route_mods[0]
+            prefix_of=lambda dst: IPv4Network((addresses[dst], 32))),
+        run.mirror_failures)
     result.wall_seconds = run.wall_seconds
     return result
 
@@ -249,49 +227,62 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
 def _run_policy_synthetic(spec: ScenarioSpec, te_spec: TESpec,
                           policy_name: str, demand_spec: DemandSpec,
                           settle: float, window: float) -> TEPolicyResult:
-    from dataclasses import replace as dc_replace
-
     from repro.sim import Simulator
     from repro.topology.emulator import EmulatedNetwork
     from repro.traffic import SyntheticRoutes, service_address
 
     started = time.perf_counter()
-    topology = spec.build_topology()
     sim = Simulator()
-    network = EmulatedNetwork(sim, topology)
+    network = EmulatedNetwork(sim, spec.build_topology())
     routes = SyntheticRoutes(network)
     routes.install()
     addresses = {dpid: service_address(dpid) for dpid in network.switches}
+    result = TEPolicyResult(policy=policy_name, configured_seconds=0.0)
+
+    def on_failures() -> None:
+        # No control plane to reconverge: apply the shortest-path diff the
+        # RouteMod churn would have produced, like the churn benchmark.
+        network.add_failure_listener(lambda _event: routes.reroute())
+
+    _drive_policy(result, spec, te_spec, demand_spec, settle, window, sim,
+                  network, addresses, lambda: FlowTableActuator(routes),
+                  on_failures)
+    result.wall_seconds = time.perf_counter() - started
+    return result
+
+
+def _drive_policy(result: TEPolicyResult, spec: ScenarioSpec,
+                  te_spec: TESpec, demand_spec: DemandSpec, settle: float,
+                  window: float, sim, network, addresses,
+                  make_actuator: Callable[[], object],
+                  on_failures: Callable[[], None]) -> None:
+    """The run both engines share, once a fixture has routes installed:
+    the hot link, the TE loop (unless ``none``), the demands, the failure
+    schedule (``on_failures`` hooks the engine's own reaction in first),
+    then the measured window."""
     owners = {int(address): dpid for dpid, address in addresses.items()}
     engine = FluidEngine(sim, network, owner_of=owners.get)
     engine.attach()
     _scale_hot_link(network, te_spec)
-
-    result = TEPolicyResult(policy=policy_name, configured_seconds=0.0)
     controller = None
-    if policy_name != "none":
-        run_spec = dc_replace(te_spec, policy=policy_name)
-        controller = TEController(sim, network, FlowTableActuator(routes),
-                                  spec=run_spec,
-                                  policy=make_policy(run_spec), engine=engine,
-                                  owner_of=owners.get)
+    if result.policy != "none":
+        run_spec = replace(te_spec, policy=result.policy)
+        controller = TEController(sim, network, make_actuator(),
+                                  spec=run_spec, policy=make_policy(run_spec),
+                                  engine=engine, owner_of=owners.get)
         controller.start()
 
     demand_set = generate_demands(demand_spec, addresses)
     start = sim.now
     result.demands = engine.register(demand_set)
     if spec.failures is not None:
-        # No control plane to reconverge: apply the shortest-path diff the
-        # RouteMod churn would have produced, like the churn benchmark.
-        network.add_failure_listener(lambda _event: routes.reroute())
+        on_failures()
         network.schedule_failures(spec.failures)
     sim.run(until=start + _horizon(spec, demand_set, window) + settle)
     engine.finalize()
     if controller is not None:
         controller.stop()
     _collect(result, engine, network, owners.get, controller, sim.now - start)
-    result.wall_seconds = time.perf_counter() - started
-    return result
 
 
 def _collect(result: TEPolicyResult, engine: FluidEngine, network, owner_of,

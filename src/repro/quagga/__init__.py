@@ -16,7 +16,6 @@ from repro.quagga.configfile import (
     parse_zebra_conf,
 )
 from repro.quagga.rib import RIB, Route, RouteSource
-from repro.quagga.vtysh import Vtysh
 from repro.quagga.zebra import ZebraDaemon
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RIB",
     "Route",
     "RouteSource",
-    "Vtysh",
     "ZebraConfig",
     "ZebraDaemon",
     "generate_bgpd_conf",

@@ -3,9 +3,8 @@
 A :class:`ScenarioSpec` names everything one configuration-time measurement
 needs — a topology family plus its parameters, the framework configuration
 overrides, the random seed and the simulation deadline — as plain data, so
-scenarios can be registered by name, pickled to worker processes by the
-parallel sweep runner, and serialized for archiving via
-:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`.
+scenarios can be registered by name and pickled to worker processes by the
+parallel sweep runner.
 """
 
 from __future__ import annotations
@@ -212,10 +211,6 @@ class ScenarioSpec:
                 + ", ".join(unknown))
         return FrameworkConfig(**values)
 
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        """A copy of this scenario under a different seed (for seed sweeps)."""
-        return replace(self, name=f"{self.name}@s{seed}", seed=seed)
-
     def with_controllers(self, controllers: int) -> "ScenarioSpec":
         """A copy of this scenario under a different shard count.
 
@@ -223,49 +218,3 @@ class ScenarioSpec:
         across shard counts (the controller count rides in its own column).
         """
         return replace(self, controllers=controllers)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data (JSON-ready) form, for archiving scenario definitions."""
-        payload = {
-            "name": self.name,
-            "family": self.family,
-            "params": dict(self.params),
-            "framework": dict(self.framework),
-            "seed": self.seed,
-            "max_time": self.max_time,
-            "description": self.description,
-        }
-        if self.controllers != 1:
-            payload["controllers"] = self.controllers
-        if self.interdomain:
-            payload["interdomain"] = True
-        if self.failures is not None:
-            payload["failures"] = self.failures.to_list()
-        if self.demands is not None:
-            payload["demands"] = self.demands.to_dict()
-        if self.te is not None:
-            payload["te"] = self.te.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        failures = payload.get("failures")
-        demands = payload.get("demands")
-        te = payload.get("te")
-        return cls(
-            name=payload["name"],
-            family=payload["family"],
-            params=dict(payload.get("params", {})),
-            framework=dict(payload.get("framework", {})),
-            seed=int(payload.get("seed", 0)),
-            max_time=float(payload.get("max_time", 3600.0)),
-            description=str(payload.get("description", "")),
-            failures=(FailureSchedule.from_list(failures)
-                      if failures is not None else None),
-            demands=(DemandSpec.from_dict(demands)
-                     if demands is not None else None),
-            controllers=int(payload.get("controllers", 1)),
-            interdomain=bool(payload.get("interdomain", False)),
-            te=TESpec.from_dict(te) if te is not None else None,
-        )

@@ -1,8 +1,9 @@
 """Seeded randomness helpers.
 
-All stochastic behaviour in the reproduction (timer jitter, traffic
-generation, random topologies) draws from a :class:`SeededRandom` so that
-experiments are reproducible from a single integer seed.
+All stochastic behaviour in the reproduction (bus faults, demand
+generation, random topologies, churn schedules) draws from a
+:class:`SeededRandom` so that experiments are reproducible from a single
+integer seed.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ class SeededRandom:
     def randint(self, a: int, b: int) -> int:
         return self._random.randint(a, b)
 
-    def expovariate(self, lambd: float) -> float:
-        return self._random.expovariate(lambd)
-
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)
 
     def sample(self, population: Sequence[T], k: int) -> List[T]:
         return self._random.sample(population, k)
-
-    def shuffle(self, items: List[T]) -> None:
-        self._random.shuffle(items)
-
-    def jitter(self, base: float, fraction: float = 0.1) -> float:
-        """Return ``base`` perturbed by up to ±``fraction``·base."""
-        if base == 0:
-            return 0.0
-        return base * (1.0 + self._random.uniform(-fraction, fraction))

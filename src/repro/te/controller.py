@@ -37,8 +37,7 @@ from repro.quagga.rib import Route, RouteSource
 from repro.sim import Simulator
 from repro.te.ksp import KShortestPathEngine, adjacency_of
 from repro.te.measure import UtilizationMonitor
-from repro.te.policy import (CommodityView, Steer, SteerKey, TEPolicy,
-                             TEView)
+from repro.te.policy import CommodityView, SteerKey, TEPolicy, TEView
 from repro.te.spec import TESpec
 
 Path = Tuple[int, ...]
@@ -98,43 +97,20 @@ class ZebraActuator:
 class FlowTableActuator:
     """Overrides :class:`~repro.traffic.SyntheticRoutes` tables directly.
 
-    TE entries sit one priority level above the synthetic shortest-path
-    entries, mirroring the RIB layering (TE admin distance beats OSPF):
-    the base table survives underneath and a withdrawn steer falls back
-    to it with a single strict delete.
+    TE entries are the synthetic routes' own entries one priority level
+    up, mirroring the RIB layering (TE admin distance beats OSPF): the
+    base table survives underneath and a withdrawn steer falls back to it
+    with a single strict delete.
     """
 
     def __init__(self, routes) -> None:
-        from repro.routeflow.rfproxy import ROUTE_PRIORITY_BASE
-        from repro.traffic.synthetic import SERVICE_PREFIX_LEN
+        from repro.traffic.synthetic import ROUTE_PRIORITY
 
         self.routes = routes
         self.network = routes.network
-        self.priority = ROUTE_PRIORITY_BASE + SERVICE_PREFIX_LEN + 1
+        self.priority = ROUTE_PRIORITY + 1
         #: (node, dst) -> out port of every installed TE override.
         self._installed: Dict[Tuple[int, int], int] = {}
-
-    def _entry(self, node: int, dst: int, out_port: int):
-        from repro.openflow.actions import (OutputAction, SetDlDstAction,
-                                            SetDlSrcAction)
-        from repro.openflow.flow_table import FlowEntry
-
-        src_iface = self.network.switches[node].port(out_port).interface
-        dst_iface = src_iface.link.peer_of(src_iface) if src_iface.link \
-            else None
-        actions = [SetDlSrcAction(src_iface.mac)]
-        if dst_iface is not None:
-            actions.append(SetDlDstAction(dst_iface.mac))
-        actions.append(OutputAction(out_port))
-        return FlowEntry(self._match(dst), actions, priority=self.priority)
-
-    def _match(self, dst: int):
-        from repro.openflow.match import Match
-        from repro.traffic.synthetic import (SERVICE_PREFIX_LEN,
-                                             service_prefix)
-
-        prefix = service_prefix(dst)
-        return Match.for_destination_prefix(prefix.network, SERVICE_PREFIX_LEN)
 
     def apply(self, desired: Dict[SteerKey, Path]) -> int:
         """Diff the override table against ``desired``; strict-delete
@@ -144,17 +120,16 @@ class FlowTableActuator:
         they share (the policies enforce :func:`suffix_compatible`), so
         overlapping paths write the same (node, dst) entry.
         """
+        routes, priority = self.routes, self.priority
         wanted: Dict[Tuple[int, int], int] = {}
         for steer_key in sorted(desired):
             path = desired[steer_key]
             dst = steer_key[1]
             for hop, successor in zip(path, path[1:]):
-                wanted[(hop, dst)] = self.routes._port_to[(hop, successor)]
+                wanted[(hop, dst)] = routes.port_to(hop, successor)
         moved = 0
         for key in sorted(set(self._installed) - set(wanted)):
-            node, dst = key
-            self.network.switches[node].flow_table.delete(
-                self._match(dst), strict=True, priority=self.priority)
+            routes.remove(*key, priority)
             moved += 1
         for key in sorted(wanted):
             port = wanted[key]
@@ -162,10 +137,9 @@ class FlowTableActuator:
                 continue
             node, dst = key
             if key in self._installed:
-                self.network.switches[node].flow_table.delete(
-                    self._match(dst), strict=True, priority=self.priority)
+                routes.remove(node, dst, priority)
             self.network.switches[node].flow_table.add(
-                self._entry(node, dst, port))
+                routes.entry(node, dst, port, priority))
             moved += 1
         self._installed = wanted
         return moved

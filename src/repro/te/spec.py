@@ -2,7 +2,7 @@
 
 A :class:`TESpec` rides on a scenario exactly like
 :class:`~repro.traffic.DemandSpec` does: scalar fields only, hashable,
-round-trippable through ``to_dict``/``from_dict``.  Like ``enable_bgp``,
+picklable to sweep workers.  Like ``enable_bgp``,
 TE is fully gated behind this knob — a scenario without one never
 instantiates a controller, installs no TE routes and leaves every trace
 byte-identical.
@@ -11,7 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Policy names accepted by :attr:`TESpec.policy` and ``repro te --policy``.
 POLICY_NAMES = ("static-ecmp", "greedy", "bandit")
@@ -86,16 +86,3 @@ class TESpec:
         except ValueError:
             raise ValueError(
                 f"hot_link must look like 'a:b', got {self.hot_link!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serializable form; only non-default fields are emitted."""
-        payload: Dict[str, Any] = {}
-        for name, field_ in type(self).__dataclass_fields__.items():
-            value = getattr(self, name)
-            if value != field_.default:
-                payload[name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TESpec":
-        return cls(**payload)

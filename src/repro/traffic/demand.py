@@ -6,7 +6,7 @@ destination address, offered rate, start, duration).  Demands never become
 packets: the fluid engine resolves each one **once** against the installed
 flow tables into a concrete path and then advances it analytically.
 
-:class:`DemandSpec` is the declarative, serializable description of a whole
+:class:`DemandSpec` is the declarative description of a whole
 demand *set* (how many, which traffic matrix, which seed) that rides on
 :class:`~repro.scenarios.ScenarioSpec` the same way a failure schedule
 does; :func:`generate_demands` turns it into a :class:`DemandSet`, the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from math import inf, isfinite
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.net.addresses import IPv4Address
 from repro.sim import SeededRandom
@@ -93,20 +93,6 @@ class DemandSpec:
                 raise ValueError(f"rate_bps must be > 0, got {value}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"model": self.model, "count": self.count,
-                "rate_bps": self.rate_bps, "seed": self.seed,
-                "start_window": self.start_window, "duration": self.duration}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DemandSpec":
-        return cls(model=str(payload.get("model", "uniform")),
-                   count=int(payload.get("count", 100)),
-                   rate_bps=float(payload.get("rate_bps", 1_000_000.0)),
-                   seed=int(payload.get("seed", 0)),
-                   start_window=float(payload.get("start_window", 0.0)),
-                   duration=float(payload.get("duration", 0.0)))
 
 
 class DemandSet:

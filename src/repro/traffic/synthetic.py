@@ -19,7 +19,7 @@ deletes plus adds — the flow-mod churn a link failure would cause.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.openflow.actions import OutputAction, SetDlDstAction, SetDlSrcAction
@@ -100,6 +100,10 @@ class SyntheticRoutes:
         return table
 
     # ----------------------------------------------------------- application
+    def port_to(self, node: int, peer: int) -> int:
+        """The out port on ``node`` towards its neighbour ``peer``."""
+        return self._port_to[(node, peer)]
+
     def _match(self, dst: int) -> Match:
         match = self._matches.get(dst)
         if match is None:
@@ -107,7 +111,10 @@ class SyntheticRoutes:
                 service_prefix(dst).network, SERVICE_PREFIX_LEN)
         return match
 
-    def _entry(self, node: int, dst: int, out_port: int) -> FlowEntry:
+    def entry(self, node: int, dst: int, out_port: int,
+              priority: int) -> FlowEntry:
+        """The RouteFlow-shaped entry on ``node`` sending ``dst``'s prefix
+        out of ``out_port`` (rewrite to the link's MACs, then output)."""
         actions = self._actions.get((node, out_port))
         if actions is None:
             src_iface = self.network.switches[node].port(out_port).interface
@@ -118,17 +125,19 @@ class SyntheticRoutes:
                 chain.append(SetDlDstAction(dst_iface.mac))
             chain.append(OutputAction(out_port))
             actions = self._actions[(node, out_port)] = tuple(chain)
-        return FlowEntry(self._match(dst), actions, priority=ROUTE_PRIORITY)
+        return FlowEntry(self._match(dst), actions, priority=priority)
 
-    def _remove(self, node: int, dst: int) -> None:
+    def remove(self, node: int, dst: int, priority: int) -> None:
+        """Strict-delete ``node``'s entry for ``dst`` at ``priority``."""
         self.network.switches[node].flow_table.delete(
-            self._match(dst), strict=True, priority=ROUTE_PRIORITY)
+            self._match(dst), strict=True, priority=priority)
 
     def install(self) -> int:
         """Full install of shortest-path routes; returns entries added."""
         desired = self._compute()
         for (node, dst), port in desired.items():
-            self.network.switches[node].flow_table.add(self._entry(node, dst, port))
+            self.network.switches[node].flow_table.add(
+                self.entry(node, dst, port, ROUTE_PRIORITY))
         self._installed = desired
         return len(desired)
 
@@ -143,11 +152,11 @@ class SyntheticRoutes:
         changed = 0
         for key, port in self._installed.items():
             if desired.get(key) != port:
-                self._remove(*key)
+                self.remove(*key, ROUTE_PRIORITY)
                 changed += 1
         for (node, dst), port in desired.items():
             if self._installed.get((node, dst)) != port:
                 self.network.switches[node].flow_table.add(
-                    self._entry(node, dst, port))
+                    self.entry(node, dst, port, ROUTE_PRIORITY))
         self._installed = desired
         return changed

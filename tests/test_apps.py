@@ -1,17 +1,10 @@
-"""Tests for the end-host applications (streaming, ping, traffic)."""
+"""Tests for the end-host applications (streaming, ping)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.app import (
-    ConstantBitRateSource,
-    PingApp,
-    PoissonSource,
-    UDPSink,
-    VideoStreamClient,
-    VideoStreamServer,
-)
+from repro.app import PingApp, VideoStreamClient, VideoStreamServer
 from repro.net import Host, IPv4Address, MACAddress, connect
 
 
@@ -113,51 +106,3 @@ class TestPing:
         assert stats.sent > 0
         assert stats.received == 0
         assert stats.loss_ratio == 1.0
-
-
-class TestTrafficGenerators:
-    def test_cbr_source_and_sink(self, sim, host_pair):
-        source_host, sink_host = host_pair
-        sink = UDPSink(sim, sink_host, port=7000)
-        source = ConstantBitRateSource(sim, source_host, sink_host.ip, port=7000,
-                                       rate_pps=20.0, payload_size=256)
-        source.start()
-        sim.run(until=2.0)
-        source.stop()
-        assert source.packets_sent >= 39
-        assert sink.stats.packets >= 38
-        assert sink.stats.bytes == sink.stats.packets * 256
-        assert sink.stats.first_arrival is not None
-        assert sink.stats.last_arrival >= sink.stats.first_arrival
-
-    def test_poisson_source_rate_is_approximate(self, sim, host_pair):
-        source_host, sink_host = host_pair
-        sink = UDPSink(sim, sink_host, port=7001)
-        source = PoissonSource(sim, source_host, sink_host.ip, port=7001,
-                               mean_rate_pps=50.0, seed=1)
-        source.start()
-        sim.run(until=10.0)
-        source.stop()
-        # ~500 expected; allow generous slack for the stochastic process.
-        assert 300 < source.packets_sent < 700
-        assert sink.stats.packets > 0
-
-    def test_poisson_reproducible_with_seed(self, sim):
-        host_a = Host(sim, "a", MACAddress.from_local_id(5), IPv4Address("10.1.0.1"))
-        host_b = Host(sim, "b", MACAddress.from_local_id(6), IPv4Address("10.1.0.2"))
-        connect(sim, host_a.interface, host_b.interface)
-        first = PoissonSource(sim, host_a, host_b.ip, port=1, mean_rate_pps=10, seed=9)
-        first.start()
-        sim.run(until=5.0)
-        count_first = first.packets_sent
-
-        from repro.sim import Simulator
-
-        sim2 = Simulator()
-        host_c = Host(sim2, "c", MACAddress.from_local_id(7), IPv4Address("10.1.0.3"))
-        host_d = Host(sim2, "d", MACAddress.from_local_id(8), IPv4Address("10.1.0.4"))
-        connect(sim2, host_c.interface, host_d.interface)
-        second = PoissonSource(sim2, host_c, host_d.ip, port=1, mean_rate_pps=10, seed=9)
-        second.start()
-        sim2.run(until=5.0)
-        assert second.packets_sent == count_first

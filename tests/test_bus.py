@@ -351,3 +351,40 @@ class TestWellKnownTopics:
         assert topics.route_mods_topic(0) != topics.route_mods_topic(1)
         assert topics.flow_specs_topic(2).endswith(".2")
         assert topics.MAPPING != topics.PORT_STATUS
+
+
+class TestCounters:
+    """``COUNTERS`` is the one list of a channel's counters: every topic's
+    snapshot reports each of them and ``_totals`` sums each over topics."""
+
+    LOSSY = {"routeflow.*": {"drop": 0.05, "duplicate": 0.02,
+                             "reorder": 0.05, "jitter": 0.02},
+             "config.rpc": {"drop": 0.05, "duplicate": 0.02,
+                            "reorder": 0.05, "jitter": 0.02}}
+
+    def test_snapshots_and_totals_cover_every_counter(self):
+        from dataclasses import replace
+
+        from repro.bus.bus import COUNTERS
+        from repro.experiments import ScenarioRun
+        from repro.scenarios import get
+
+        spec = replace(get("ring-16-c2"),
+                       framework={"bus_faults": self.LOSSY,
+                                  "bus_fault_seed": 1})
+        run = ScenarioRun(spec.build_topology(), spec.framework_config())
+        assert run.framework.reliable_ipc
+        assert run.configure(spec.max_time) is not None
+        stats = run.framework.bus.stats()
+        totals = stats.pop("_totals")
+        assert set(totals) == set(COUNTERS) | {"dropped", "topics"}
+        for snapshot in stats.values():
+            assert set(snapshot) == set(COUNTERS) | {
+                "dropped", "in_flight", "latency", "discipline",
+                "subscribers"}
+        for name in COUNTERS + ("dropped",):
+            assert totals[name] == sum(s[name] for s in stats.values()), name
+        assert totals["topics"] == len(stats)
+        # The run was lossy and the reliable layer repaired it.
+        for name in ("published", "dropped_fault", "retransmits", "acked"):
+            assert totals[name] > 0, name

@@ -173,7 +173,7 @@ class TestConfigurationGUI:
         sim.run()
         assert gui.all_green
         assert gui.switches[1].configured_at == 5.0
-        assert gui.last_transition_time == 9.0
+        assert gui.switches[2].configured_at == 9.0
         assert gui.configuration_timeline() == [(5.0, 1), (9.0, 2)]
 
     def test_mark_configured_is_idempotent(self, sim):
@@ -198,21 +198,3 @@ class TestConfigurationGUI:
         assert "Gent*" in text
         assert "Brug " in text
         assert "1/2" in text
-
-    def test_dot_output_contains_colors_and_links(self, sim):
-        gui = ConfigurationGUI(sim)
-        gui.add_switch(1, "A")
-        gui.add_switch(2, "B")
-        gui.add_link(1, 2)
-        gui.mark_configured(2)
-        dot = gui.to_dot()
-        assert '"A" [fillcolor=red]' in dot
-        assert '"B" [fillcolor=green]' in dot
-        assert '"A" -- "B";' in dot
-
-    def test_json_output_parses(self, sim):
-        gui = ConfigurationGUI(sim)
-        gui.add_switch(1, "A")
-        gui.mark_configured(1)
-        payload = json.loads(gui.to_json())
-        assert payload["switches"][0]["color"] == "green"

@@ -386,7 +386,8 @@ class TestSplicedWalks:
 # ---------------------------------------------------------------------------
 class _UnsharedRoutes(SyntheticRoutes):
     """The reference: every entry gets a match and an action chain of its
-    own, the way ``SyntheticRoutes`` built them before it shared any."""
+    own, the way ``SyntheticRoutes`` built them before it shared any (the
+    TE overrides a ``FlowTableActuator`` writes included)."""
 
     def _match(self, dst):
         from repro.traffic import service_prefix
@@ -394,13 +395,13 @@ class _UnsharedRoutes(SyntheticRoutes):
         return Match.for_destination_prefix(service_prefix(dst).network,
                                             SERVICE_PREFIX_LEN)
 
-    def _entry(self, node, dst, out_port):
+    def entry(self, node, dst, out_port, priority):
         src_iface = self.network.switches[node].port(out_port).interface
         dst_iface = src_iface.link.peer_of(src_iface)
         return FlowEntry(self._match(dst),
                          [SetDlSrcAction(src_iface.mac),
                           SetDlDstAction(dst_iface.mac),
-                          OutputAction(out_port)], priority=ROUTE_PRIORITY)
+                          OutputAction(out_port)], priority=priority)
 
 
 def _tables(network):

@@ -4,6 +4,8 @@ BGP enabled, the full withdrawal lifecycle under border failures, and the
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager
@@ -89,7 +91,8 @@ class TestScenarioSpec:
     def test_interdomain_spec_round_trips(self):
         spec = ScenarioSpec("tmp-inter", "multi-as",
                             {"num_ases": 2, "as_size": 2}, interdomain=True)
-        clone = ScenarioSpec.from_dict(spec.to_dict())
+        # Sweep workers receive specs pickled.
+        clone = pickle.loads(pickle.dumps(spec))
         assert clone.interdomain
         assert clone == spec
 

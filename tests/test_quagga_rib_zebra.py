@@ -1,11 +1,11 @@
-"""Tests for the RIB, zebra daemon and vtysh facade."""
+"""Tests for the RIB and the zebra daemon."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.net import IPv4Address, IPv4Network
-from repro.quagga import RIB, Route, RouteSource, Vtysh, ZebraDaemon
+from repro.quagga import RIB, Route, RouteSource, ZebraDaemon
 
 P1 = IPv4Network("10.1.0.0/24")
 P2 = IPv4Network("10.2.0.0/24")
@@ -154,23 +154,3 @@ class TestZebra:
         text = zebra.show_ip_route()
         assert "C" in text and "O" in text
         assert "10.2.0.0/24" in text
-
-
-class TestVtysh:
-    def test_show_commands_without_daemons(self):
-        vtysh = Vtysh(ZebraDaemon("vm1"))
-        assert "OSPF is not running" in vtysh.show_ip_ospf_neighbor()
-        assert vtysh.execute("show ip bgp summary") == \
-            "% Unknown command: show ip bgp summary"
-
-    def test_execute_dispatch(self):
-        zebra = ZebraDaemon("vm1")
-        zebra.start()
-        zebra.announce_connected(P1, "eth1")
-        vtysh = Vtysh(zebra)
-        assert "10.1.0.0/24" in vtysh.execute("show ip route")
-        assert "Unknown command" in vtysh.execute("configure terminal")
-
-    def test_show_running_config_lists_hostname(self):
-        vtysh = Vtysh(ZebraDaemon("vm7"))
-        assert "hostname vm7" in vtysh.show_running_config()

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -31,12 +31,10 @@ class TestScenarioSpec:
     def test_seed_reaches_stochastic_families(self):
         one = ScenarioSpec("w", "waxman", {"num_switches": 12}, seed=7)
         same = ScenarioSpec("w", "waxman", {"num_switches": 12}, seed=7)
-        other = one.with_seed(8)
+        other = replace(one, seed=8)
         links = lambda s: {l.canonical() for l in s.build_topology().links}
         assert links(one) == links(same)
         assert links(one) != links(other)
-        assert other.name == "w@s8"
-        assert other.seed == 8
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ScenarioError, match="unknown topology family"):
@@ -65,17 +63,6 @@ class TestScenarioSpec:
                             framework={"warp_speed": True})
         with pytest.raises(ScenarioError, match="unknown FrameworkConfig"):
             spec.framework_config()
-
-    def test_dict_round_trip(self):
-        spec = ScenarioSpec("w", "waxman", {"num_switches": 10},
-                            framework={"vm_boot_delay": 2.0}, seed=3,
-                            max_time=100.0, description="d")
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-        # Every registered scenario, its demand, failure and TE specs
-        # included, survives a trip through JSON.
-        for registered in all_scenarios():
-            payload = json.loads(json.dumps(registered.to_dict()))
-            assert ScenarioSpec.from_dict(payload) == registered
 
     def test_specs_are_picklable(self):
         spec = ScenarioSpec("t", "torus", {"rows": 3, "cols": 3},

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.controller import Controller
@@ -342,10 +344,10 @@ class TestControllersKnob:
     def test_scenario_spec_controllers_round_trip(self):
         spec = ScenarioSpec("tmp-c", "ring", {"num_switches": 4}, controllers=3)
         assert spec.framework_config().controllers == 3
-        assert ScenarioSpec.from_dict(spec.to_dict()).controllers == 3
-        # Default stays out of the archived form.
-        assert "controllers" not in ScenarioSpec(
-            "tmp-d", "ring", {"num_switches": 4}).to_dict()
+        # Sweep workers receive specs pickled.
+        assert pickle.loads(pickle.dumps(spec)).controllers == 3
+        assert ScenarioSpec("tmp-d", "ring",
+                            {"num_switches": 4}).controllers == 1
 
     def test_with_controllers_preserves_name(self):
         spec = ScenarioSpec("tmp-c", "ring", {"num_switches": 4})

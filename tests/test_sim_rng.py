@@ -29,20 +29,3 @@ class TestSeededRandom:
         sample = rng.sample(population, 4)
         assert len(sample) == 4
         assert len(set(sample)) == 4
-
-    def test_shuffle_preserves_elements(self):
-        rng = SeededRandom(3)
-        items = list(range(20))
-        shuffled = list(items)
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == items
-
-    def test_jitter_zero_base(self):
-        rng = SeededRandom(3)
-        assert rng.jitter(0.0) == 0.0
-
-    def test_jitter_stays_within_fraction(self):
-        rng = SeededRandom(3)
-        for _ in range(100):
-            value = rng.jitter(10.0, fraction=0.2)
-            assert 8.0 <= value <= 12.0

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.experiments import (
-    expand_seeds,
     render_sweep_table,
     run_scenario,
     run_sweep,
@@ -73,13 +72,6 @@ class TestRunSweep:
         parallel = run_sweep(FAST_SPECS, workers=3)
         assert comparable(parallel) == comparable(serial)
         assert [r.scenario for r in parallel] == [s.name for s in FAST_SPECS]
-
-    def test_expand_seeds(self):
-        specs = expand_seeds(FAST_SPECS[2], [1, 2])
-        assert [s.seed for s in specs] == [1, 2]
-        results = run_sweep(specs, workers=2)
-        assert [r.scenario for r in results] == ["sweep-random@s1",
-                                                "sweep-random@s2"]
 
     def test_render_table(self):
         results = run_sweep([FAST_SPECS[0]])

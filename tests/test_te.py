@@ -475,6 +475,26 @@ class TestTEExperiment:
         # carries the baseline's RouteMods plus the TE pairs.
         assert greedy.route_mods > suite.baseline.route_mods
 
+    @pytest.mark.parametrize("controllers", [1, 2])
+    def test_route_mods_counted_on_every_shard(self, controllers):
+        from repro.experiments import run_te
+        from repro.scenarios import FailureSchedule, ScenarioSpec
+        from repro.traffic import DemandSpec
+
+        spec = ScenarioSpec(
+            "te-unit-ring", "ring", {"num_switches": 8},
+            controllers=controllers,
+            failures=FailureSchedule.single_link_failure(
+                1, 2, at=5.0, restore_after=20.0))
+        suite = run_te(spec, policies=("none",),
+                       demands=DemandSpec(count=20, seed=1),
+                       settle=1.0, window=40.0)
+        # The flap's routing reaction does not depend on the shard count,
+        # so neither does the RouteMod count summed over every shard's
+        # topic.
+        assert suite.engine == "zebra"
+        assert suite.baseline.route_mods == 76
+
     def test_cli_te(self, tmp_path, capsys):
         from repro.cli import main
 
