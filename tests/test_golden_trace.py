@@ -2,28 +2,33 @@
 
 These tests pin the *observable output* of the simulator: the exact
 sequence of executed events (time + event name), the OSPF route table a
-converged VM ends up with, and the sweep CSV rows.  The golden files under
-``tests/data/`` were captured from the unoptimized seed implementation, so
-any hot-path optimization (tuple event heap, LSDB graph caching, address
+converged VM ends up with, and the sweep CSV rows.  Two runs are traced:
+the paper's single RF-controller configuring a 4-switch ring
+(``golden_ring4_trace.json``, captured from the unoptimized seed
+implementation), and the same ring on two controller shards followed by
+a live reshard and a takeover (``golden_ring4_c2_trace.json``), the one
+trace that pins the event order of the coordinated control plane.  Any
+hot-path optimization (tuple event heap, LSDB graph caching, address
 interning, encode memoization) must leave every byte of this output
 unchanged or these tests fail.
 
-The trace file holds the whole event list, so a mismatch names the first
-line that differs.  A change may shrink the trace, and only that way:
-regenerate with::
+Each trace file holds the whole event list, so a mismatch names the
+first line that differs.  A change may shrink a trace, and only that
+way: regenerate with::
 
     PYTHONPATH=src python tests/test_golden_trace.py regen
 
-which writes the new trace only if it obeys the *subsequence rule* against
-the committed one — every new line (time and name) appears in the old
-trace in the same order, so each remaining event keeps its time — and
+which writes the new traces only if each obeys the *subsequence rule*
+against the committed one — every new line (time and name) appears in the
+old trace in the same order, so each remaining event keeps its time — and
 ``configured_at``, the route table and the sweep CSV are unchanged.  It
 prints the removed events by name with their counts.  CI applies the same
 rule to a pull request against its base commit with::
 
     PYTHONPATH=src python tests/test_golden_trace.py check BASE_TREE
 
-where ``BASE_TREE`` is an extracted copy of the base commit.
+where ``BASE_TREE`` is an extracted copy of the base commit (a trace file
+the base does not have yet is new, and is held to nothing).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import List, Optional
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA_DIR / "golden_ring4_trace.json"
+GOLDEN_C2_TRACE = DATA_DIR / "golden_ring4_c2_trace.json"
 GOLDEN_SWEEP = DATA_DIR / "golden_sweep.csv"
 
 #: Scenarios pinned by the sweep golden file.  Both families are fully
@@ -47,8 +53,10 @@ GOLDEN_SWEEP = DATA_DIR / "golden_sweep.csv"
 SWEEP_SCENARIOS = ("ring-4", "grid-3x4", "fat-tree-k4")
 
 
-def run_traced_ring4():
-    """Configure a 4-switch ring, recording every executed event.
+def _run_traced(churn=None, **config):
+    """Configure a 4-switch ring under ``FrameworkConfig(**config)``,
+    recording every executed event, then hand the simulator and control
+    plane to ``churn`` (if given).
 
     Returns (trace_lines, configured_at, route_table_text).  This mirrors
     :func:`repro.experiments.config_time.run_single_configuration` but keeps
@@ -64,12 +72,42 @@ def run_traced_ring4():
     sim.add_trace_hook(lambda event: trace.append(f"{event.time!r} {event.name}"))
     ipam = IPAddressManager()
     framework = AutoConfigFramework(
-        sim, config=FrameworkConfig(detect_edge_ports=False), ipam=ipam)
+        sim, config=FrameworkConfig(detect_edge_ports=False, **config),
+        ipam=ipam)
     network = EmulatedNetwork(sim, ring_topology(4), ipam=ipam)
     framework.attach(network)
     configured_at = framework.run_until_configured(max_time=3600.0)
-    route_table = framework.rfserver.vm(1).zebra.show_ip_route()
+    if churn is not None:
+        churn(sim, framework.control_plane)
+    route_table = framework.control_plane.vm(1).zebra.show_ip_route()
     return trace, configured_at, route_table
+
+
+def run_traced_ring4():
+    """The paper's deployment: one RF-controller configures the ring."""
+    return _run_traced()
+
+
+def _reshard_then_takeover(sim, plane):
+    plane.reshard(1, 1 - plane.membership.owner_of(1))
+    sim.run(until=sim.now + 20.0)
+    plane.fail_shard(1)
+    plane.takeover(1)
+    sim.run(until=sim.now + 20.0)
+
+
+def run_traced_ring4_c2():
+    """Two controller shards configure the ring; then dpid 1 moves to the
+    other shard, and shard 1 fails and is taken over."""
+    return _run_traced(_reshard_then_takeover, controllers=2)
+
+
+#: Each golden trace file, with the scenario it names and the run it pins.
+GOLDEN_RUNS = {
+    GOLDEN_TRACE: ("ring-4 autoconfiguration", run_traced_ring4),
+    GOLDEN_C2_TRACE: ("ring-4 on two shards, reshard and takeover",
+                      run_traced_ring4_c2),
+}
 
 
 def sweep_csv_text():
@@ -95,10 +133,11 @@ def trace_digest(trace_lines):
     return hashlib.sha256("\n".join(trace_lines).encode()).hexdigest()
 
 
-def build_golden_payload():
-    trace, configured_at, route_table = run_traced_ring4()
+def build_golden_payload(path: Path):
+    scenario, run = GOLDEN_RUNS[path]
+    trace, configured_at, route_table = run()
     return {
-        "scenario": "ring-4 autoconfiguration",
+        "scenario": scenario,
         "num_events": len(trace),
         "configured_at": configured_at,
         "trace_sha256": trace_digest(trace),
@@ -166,9 +205,9 @@ def report_removed(old: dict, new: dict) -> None:
         print(f"  {count:6d}  {name}")
 
 
-def assert_matches_golden(trace, configured_at, route_table):
-    """Hold one ring-4 run to the golden file, naming the first difference."""
-    golden = json.loads(GOLDEN_TRACE.read_text())
+def assert_matches_golden(path: Path, trace, configured_at, route_table):
+    """Hold one traced run to its golden file, naming the first difference."""
+    golden = json.loads(path.read_text())
     assert configured_at == golden["configured_at"]
     assert route_table == golden["route_table"]
     difference = first_difference(golden["trace"], trace)
@@ -179,7 +218,10 @@ def assert_matches_golden(trace, configured_at, route_table):
 
 class TestGoldenEventTrace:
     def test_ring4_event_trace_is_byte_identical(self):
-        assert_matches_golden(*run_traced_ring4())
+        assert_matches_golden(GOLDEN_TRACE, *run_traced_ring4())
+
+    def test_ring4_two_shard_event_trace_is_byte_identical(self):
+        assert_matches_golden(GOLDEN_C2_TRACE, *run_traced_ring4_c2())
 
     def test_sweep_csv_is_byte_identical(self):
         assert sweep_csv_text() == GOLDEN_SWEEP.read_text()
@@ -219,18 +261,24 @@ class TestSubsequenceRule:
 
 
 def regen():
-    """Rewrite the trace file if the new run obeys the subsequence rule."""
-    old = json.loads(GOLDEN_TRACE.read_text())
-    new = build_golden_payload()
-    problems = rule_violations(old, new)
+    """Rewrite the trace files if every new run obeys the subsequence rule."""
+    problems = []
+    payloads = {}
+    for path in GOLDEN_RUNS:
+        old = json.loads(path.read_text())
+        payloads[path] = (old, build_golden_payload(path))
+        problems += [f"{path.name}: {problem}"
+                     for problem in rule_violations(*payloads[path])]
     if sweep_csv_text() != GOLDEN_SWEEP.read_text():
         problems.append("the sweep CSV changed")
     if problems:
         print("refusing to regenerate:", *problems, sep="\n  ")
         return 1
-    report_removed(old, new)
-    GOLDEN_TRACE.write_text(json.dumps(new, indent=2) + "\n")
-    print(f"wrote {GOLDEN_TRACE}")
+    for path, (old, new) in payloads.items():
+        print(f"{path.name}: ", end="")
+        report_removed(old, new)
+        path.write_text(json.dumps(new, indent=2) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
@@ -238,24 +286,33 @@ def check(base_tree: str):
     """Apply the rule to the committed files against a base commit's copy.
 
     A base whose trace file predates the full event list is recorded by
-    running its own source.
+    running its own source; a trace file the base lacks is new.
     """
     base = Path(base_tree)
-    old = json.loads((base / "tests/data/golden_ring4_trace.json").read_text())
-    if "trace" not in old:
-        env = dict(os.environ, PYTHONPATH=str(base / "src"))
-        recorded = subprocess.run([sys.executable, __file__, "record"],
-                                  env=env, check=True, capture_output=True,
-                                  text=True).stdout
-        old = json.loads(recorded)
-    new = json.loads(GOLDEN_TRACE.read_text())
-    problems = rule_violations(old, new)
+    problems = []
+    for path in GOLDEN_RUNS:
+        base_file = base / "tests/data" / path.name
+        if not base_file.exists():
+            print(f"{path.name}: new golden trace")
+            continue
+        old = json.loads(base_file.read_text())
+        if "trace" not in old:
+            env = dict(os.environ, PYTHONPATH=str(base / "src"))
+            recorded = subprocess.run(
+                [sys.executable, __file__, "record", path.name], env=env,
+                check=True, capture_output=True, text=True).stdout
+            old = json.loads(recorded)
+        new = json.loads(path.read_text())
+        violations = rule_violations(old, new)
+        problems += [f"{path.name}: {problem}" for problem in violations]
+        if not violations:
+            print(f"{path.name}: ", end="")
+            report_removed(old, new)
     if (base / "tests/data/golden_sweep.csv").read_text() != GOLDEN_SWEEP.read_text():
         problems.append("the sweep CSV changed")
     if problems:
         print("golden trace breaks the subsequence rule:", *problems, sep="\n  ")
         return 1
-    report_removed(old, new)
     return 0
 
 
@@ -265,7 +322,7 @@ if __name__ == "__main__":
         sys.exit(regen())
     elif command == "check" and len(sys.argv) == 3:
         sys.exit(check(sys.argv[2]))
-    elif command == "record":
-        print(json.dumps(build_golden_payload()))
+    elif command == "record" and len(sys.argv) == 3:
+        print(json.dumps(build_golden_payload(DATA_DIR / sys.argv[2])))
     else:
         print(__doc__)

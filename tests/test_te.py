@@ -366,9 +366,10 @@ class TestNoTEGating:
         seed golden trace must not move by a byte (same gate as
         ``enable_bgp`` — the rfclient pair branch stays unreachable)."""
         import repro.te  # noqa: F401  (the stack under suspicion)
-        from test_golden_trace import assert_matches_golden, run_traced_ring4
+        from test_golden_trace import (GOLDEN_TRACE, assert_matches_golden,
+                                       run_traced_ring4)
 
-        assert_matches_golden(*run_traced_ring4())
+        assert_matches_golden(GOLDEN_TRACE, *run_traced_ring4())
 
 
 # ---------------------------------------------------------------------------
