@@ -7,6 +7,11 @@ together, attaches them to an emulated OpenFlow network and tracks the
 milestones the paper reports: every switch configured (GUI all green),
 every VM running, and the routing protocol converged.
 
+The RouteFlow side is always a
+:class:`~repro.routeflow.sharding.ShardedControlPlane`: one shard, the
+paper's RF-controller, by default, and N coordinated shards with
+``controllers=N``.  Only the plane's constructor tells the two apart.
+
 The framework can also be built without FlowVisor and with discovery
 co-located on the RF-controller (``use_flowvisor=False``), which is the
 single-controller deployment the paper argues against; ablation A1
@@ -18,10 +23,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.bus import ChannelFaults, MessageBus, topics
-from repro.bus.reliable import consume
+from repro.bus import ChannelFaults, MessageBus
 from repro.core.gui import ConfigurationGUI
 from repro.core.ipam import IPAddressManager
 from repro.core.manual_model import ManualConfigurationModel
@@ -30,7 +34,7 @@ from repro.core.topology_controller import build_topology_controller
 from repro.flowvisor import FlowVisor, build_flowspace
 from repro.quagga.bgp.session import BGPSessionBroker
 from repro.routeflow.membership import PartitionError, make_partitioner
-from repro.routeflow.rfserver import ControllerShard, RFServer
+from repro.routeflow.rfserver import ControllerShard
 from repro.routeflow.sharding import ShardedControlPlane
 from repro.sim import EventLog, PeriodicTask, Simulator
 from repro.topology.emulator import EmulatedNetwork
@@ -115,7 +119,6 @@ class AutoConfigFramework:
     """The assembled automatic-configuration framework."""
 
     TOPOLOGY_SLICE = "topology"
-    ROUTEFLOW_SLICE = "routeflow"
 
     def __init__(self, sim: Simulator, config: Optional[FrameworkConfig] = None,
                  ipam: Optional[IPAddressManager] = None) -> None:
@@ -163,34 +166,20 @@ class AutoConfigFramework:
         self.bgp_broker: Optional[BGPSessionBroker] = (
             BGPSessionBroker(sim) if self.config.enable_bgp else None)
 
-        if num_controllers == 1:
-            # RF-controller: the OpenFlow controller hosting RouteFlow.
-            first = ControllerShard(
-                sim, 0, self.bus, self.event_log, name="rf-controller",
-                vm_boot_delay=self.config.vm_boot_delay,
-                serialize_vm_creation=self.config.serialize_vm_creation,
-                bgp_broker=self.bgp_broker)
-            #: The RFServer-shaped object the RPC server and the milestone
-            #: monitor talk to; a ShardedControlPlane when controllers > 1.
-            self.control_plane: Union[RFServer, ShardedControlPlane] = \
-                first.rfserver
-            self.shards: List[ControllerShard] = []
-            consume(self.bus, topics.PORT_STATUS, first.rfserver._on_port_status,
-                    endpoint=first.rfserver._endpoint,
-                    active=lambda: first.rfserver.active)
-        else:
-            partitioner = make_partitioner(self.config.partitioner,
-                                           num_controllers,
-                                           as_map=self.config.as_map)
-            self.control_plane = ShardedControlPlane(
-                sim, bus=self.bus, partitioner=partitioner,
-                event_log=self.event_log,
-                vm_boot_delay=self.config.vm_boot_delay,
-                serialize_vm_creation=self.config.serialize_vm_creation,
-                bgp_broker=self.bgp_broker)
-            self.shards = self.control_plane.shards
-            first = self.shards[0]
+        #: The RouteFlow control plane the RPC server and the milestone
+        #: monitor talk to.
+        self.control_plane = ShardedControlPlane(
+            sim, bus=self.bus,
+            partitioner=make_partitioner(self.config.partitioner,
+                                         num_controllers,
+                                         as_map=self.config.as_map),
+            event_log=self.event_log,
+            vm_boot_delay=self.config.vm_boot_delay,
+            serialize_vm_creation=self.config.serialize_vm_creation,
+            bgp_broker=self.bgp_broker)
+        self.shards: List[ControllerShard] = self.control_plane.shards
         # The RF-controller, or with shards the coordinator host, shard 0.
+        first = self.shards[0]
         self.rf_controller = first.controller
         self.rfproxy = first.rfproxy
         self.rfserver = first.rfserver
@@ -216,30 +205,22 @@ class AutoConfigFramework:
                 probe_interval=self.config.discovery_probe_interval,
                 edge_port_grace=self.config.edge_port_grace,
                 detect_edge_ports=self.config.detect_edge_ports)
-            if num_controllers == 1:
-                flowspace = build_flowspace(self.TOPOLOGY_SLICE,
-                                            [self.ROUTEFLOW_SLICE])
-                self.flowvisor: Optional[FlowVisor] = FlowVisor(sim, flowspace)
-                self.flowvisor.add_slice(self.TOPOLOGY_SLICE, self.topology_controller)
-                self.flowvisor.add_slice(self.ROUTEFLOW_SLICE, self.rf_controller)
-            else:
-                slice_names = [f"{self.ROUTEFLOW_SLICE}-{shard.shard_id}"
-                               for shard in self.shards]
-                flowspace = build_flowspace(self.TOPOLOGY_SLICE, slice_names)
-                self.flowvisor = FlowVisor(sim, flowspace)
-                self.flowvisor.add_slice(self.TOPOLOGY_SLICE, self.topology_controller)
-                # Slice membership follows the control plane's *ownership*
-                # map, not the static partitioner: after a takeover or a
-                # reshard the new owner's slice covers the dpid, and
-                # FlowVisor.rehome_datapath moves the slice channels.
-                for shard, slice_name in zip(self.shards, slice_names):
-                    self.flowvisor.add_slice(
-                        slice_name, shard.controller,
-                        datapaths=lambda dpid, shard_id=shard.shard_id:
-                            self.control_plane.membership.owner_of(dpid)
-                            == shard_id)
-                self.control_plane.on_ownership_change = \
-                    self.flowvisor.rehome_datapath
+            flowspace = build_flowspace(
+                self.TOPOLOGY_SLICE, [shard.slice_name for shard in self.shards])
+            self.flowvisor: Optional[FlowVisor] = FlowVisor(sim, flowspace)
+            self.flowvisor.add_slice(self.TOPOLOGY_SLICE, self.topology_controller)
+            # Slice membership follows the control plane's *ownership*
+            # map, not the static partitioner: after a takeover or a
+            # reshard the new owner's slice covers the dpid, and
+            # FlowVisor.rehome_datapath moves the slice channels.
+            for shard in self.shards:
+                self.flowvisor.add_slice(
+                    shard.slice_name, shard.controller,
+                    datapaths=lambda dpid, shard_id=shard.shard_id:
+                        self.control_plane.membership.owner_of(dpid)
+                        == shard_id)
+            self.control_plane.on_ownership_change = \
+                self.flowvisor.rehome_datapath
         else:
             # Single-controller deployment: discovery runs on the RF-controller
             # and switches connect to it directly.
@@ -268,11 +249,10 @@ class AutoConfigFramework:
         self.network = network
         self._expected_switches = network.num_switches
         self._expected_links = network.num_links
-        if self.shards:
-            # Partitioners that need the datapath universe (contiguous) get
-            # it from the topology, before any switch connects.
-            self.control_plane.membership.seed(
-                node.node_id for node in network.topology.nodes)
+        # Partitioners that need the datapath universe (contiguous) get
+        # it from the topology, before any switch connects.
+        self.control_plane.membership.seed(
+            node.node_id for node in network.topology.nodes)
         network.add_failure_listener(self._failure_listener)
         for node in network.topology.nodes:
             self.gui.add_switch(node.node_id, label=node.name)
@@ -295,10 +275,9 @@ class AutoConfigFramework:
         return f"shard:{event.node_a}", partner
 
     def _failure_listener(self, event) -> None:
-        """Execute a failure schedule's bus events (in every deployment)
-        and shard events (on a sharded control plane).  A ``reshard`` onto
-        a shard failed by then is logged, not raised: the schedule was
-        generated against an earlier shard state."""
+        """Execute a failure schedule's bus and shard events.  A
+        ``reshard`` onto a shard failed by then is logged, not raised: the
+        schedule was generated against an earlier shard state."""
         from repro.scenarios.events import FailureAction
 
         plane = self.control_plane
@@ -321,8 +300,6 @@ class AutoConfigFramework:
             else:
                 self.bus.heal_partition(*self._bus_endpoint_pair(event))
             self.event_log.record("bus_healed", event.describe())
-        elif not self.shards:
-            return
         elif event.action == FailureAction.SHARD_DOWN:
             plane.fail_shard(event.node_a)
         elif event.action == FailureAction.SHARD_UP:
@@ -389,27 +366,9 @@ class AutoConfigFramework:
 
     # ------------------------------------------------------------------ report
     def shard_loads(self) -> List[Dict[str, int]]:
-        """Per-shard control-plane load counters (one entry for an unsharded
-        deployment, so ``repro ctlscale`` reports a uniform shape)."""
-        return [s.rfserver.load() for s in self.shards] or [self.rfserver.load()]
-
-    def summary(self) -> Dict[str, object]:
-        """A serialisable summary of the configuration run."""
-        return {
-            "topology": self.network.topology.name if self.network else None,
-            "switches": self._expected_switches,
-            "links": self._expected_links,
-            "use_flowvisor": self.config.use_flowvisor,
-            "vm_boot_delay": self.config.vm_boot_delay,
-            "controllers": max(1, len(self.shards)),
-            "milestones": dict(self.milestones),
-            "configuration_time_s": self.configuration_time,
-            "manual_time_s": self.manual_model.seconds_for(self._expected_switches),
-            "green_switches": len(self.gui.green_switches),
-            "vms": self.control_plane.vm_count,
-            "flows_installed": sum(load["flow_mods_installed"]
-                                   for load in self.shard_loads()),
-        }
+        """Per-shard control-plane load counters (``repro ctlscale``'s
+        rows)."""
+        return [shard.rfserver.load() for shard in self.shards]
 
     def __repr__(self) -> str:
         return (f"<AutoConfigFramework switches={self._expected_switches} "

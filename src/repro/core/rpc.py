@@ -6,7 +6,9 @@ RF-controller.  On reception the RPC server performs exactly the four
 manual steps the paper lists: (1) create the VM, (2) create the VM↔switch
 mapping, (3) map VM interfaces to switch interfaces, and (4) write the
 routing configuration files (zebra.conf, ospfd.conf, bgpd.conf) — all by
-calling into :class:`repro.routeflow.rfserver.RFServer`.
+calling into the RouteFlow control plane,
+:class:`repro.routeflow.sharding.ShardedControlPlane`, which places each
+VM on the RFServer of the shard that owns its switch.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.quagga.configfile import (
     generate_ospfd_conf,
     generate_zebra_conf,
 )
-from repro.routeflow.rfserver import RFServer
+from repro.routeflow.sharding import ShardedControlPlane
 from repro.sim import EventLog, Simulator
 from repro.topology.generators import RELATIONSHIP_LOCAL_PREF
 
@@ -109,7 +111,7 @@ class RPCServer:
     #: (regenerating and writing the configuration files).
     LINK_PROCESSING_DELAY = 0.2
 
-    def __init__(self, sim: Simulator, rfserver: RFServer,
+    def __init__(self, sim: Simulator, plane: ShardedControlPlane,
                  ipam: Optional[IPAddressManager] = None,
                  event_log: Optional[EventLog] = None,
                  ospf_hello_interval: int = 10, ospf_dead_interval: int = 40,
@@ -118,9 +120,9 @@ class RPCServer:
                  ibgp_route_reflector: bool = False,
                  advertise_loopbacks: bool = False) -> None:
         self.sim = sim
-        self.rfserver = rfserver
+        self.plane = plane
         self.ipam = ipam if ipam is not None else IPAddressManager()
-        self.event_log = event_log if event_log is not None else rfserver.event_log
+        self.event_log = event_log if event_log is not None else plane.event_log
         self.ospf_hello_interval = ospf_hello_interval
         self.ospf_dead_interval = ospf_dead_interval
         #: dpid -> AS number.  When set, the server generates *interdomain*
@@ -215,7 +217,7 @@ class RPCServer:
                     route_reflector_client=(other.vm_id == hub)))
                 self._write_configs(other)
         self._vm_state[vm_id] = state
-        vm = self.rfserver.create_vm(vm_id=vm_id, num_ports=message.num_ports,
+        vm = self.plane.create_vm(vm_id=vm_id, num_ports=message.num_ports,
                                      datapath_id=message.switch_id)
         self._write_configs(state)
         # The paper: "a switch is considered as configured when it has a
@@ -235,10 +237,10 @@ class RPCServer:
         state = self._vm_state.pop(message.switch_id, None)
         if state is None:
             return
-        vm = self.rfserver.vm(message.switch_id)
+        vm = self.plane.vm(message.switch_id)
         if vm is not None:
             vm.stop()
-        self.rfserver.unmap_vm(message.switch_id)
+        self.plane.unmap_vm(message.switch_id)
         self.event_log.record("switch_removed",
                               f"switch {message.switch_id:#x} removed",
                               switch_id=message.switch_id)
@@ -270,7 +272,7 @@ class RPCServer:
                                prefix_len, ospf=not border)
         self._assign_interface(state_b, iface_b, IPv4Address(message.address_b),
                                prefix_len, ospf=not border)
-        self.rfserver.connect_virtual_link(state_a.vm_id, iface_a, state_b.vm_id, iface_b)
+        self.plane.connect_virtual_link(state_a.vm_id, iface_a, state_b.vm_id, iface_b)
         if self.as_map is not None:
             if border:
                 # With commercial relationships known, stamp the neighbor
@@ -345,7 +347,7 @@ class RPCServer:
         network = IPv4Network((address, prefix_len))
         if ospf and network not in state.ospf_networks:
             state.ospf_networks.append(network)
-        self.rfserver.assign_interface_address(state.vm_id, iface, address, prefix_len)
+        self.plane.assign_interface_address(state.vm_id, iface, address, prefix_len)
 
     def _write_configs(self, state: _VMConfigState) -> None:
         """Regenerate and write zebra.conf / ospfd.conf / bgpd.conf for a VM."""
@@ -371,7 +373,7 @@ class RPCServer:
                 name="lo", ip=state.router_id, prefix_len=32,
                 description="loopback (router id)"))
         zebra_text = generate_zebra_conf(state.hostname, interface_configs)
-        self.rfserver.write_config_file(state.vm_id, "zebra.conf", zebra_text)
+        self.plane.write_config_file(state.vm_id, "zebra.conf", zebra_text)
         ospf_statements = [OSPFNetworkStatement(prefix=network, area="0.0.0.0")
                            for network in state.ospf_networks]
         if announce_lo:
@@ -382,7 +384,7 @@ class RPCServer:
             networks=ospf_statements, hello_interval=self.ospf_hello_interval,
             dead_interval=self.ospf_dead_interval,
             redistribute_bgp=border, redistribute_connected=border)
-        self.rfserver.write_config_file(state.vm_id, "ospfd.conf", ospfd_text)
+        self.plane.write_config_file(state.vm_id, "ospfd.conf", ospfd_text)
         if interdomain:
             bgpd_text = generate_bgpd_conf(
                 hostname=f"{state.hostname}-bgpd", local_as=state.local_as,
@@ -390,7 +392,7 @@ class RPCServer:
                 redistribute_ospf=border, redistribute_connected=border,
                 keepalive_interval=BGP_KEEPALIVE_INTERVAL,
                 hold_time=BGP_HOLD_TIME)
-            self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
+            self.plane.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
         else:
             # The paper lists bgpd.conf among the generated files even
             # though its experiments only run OSPF.
@@ -399,7 +401,7 @@ class RPCServer:
                 local_as=BGP_AS_BASE + state.vm_id,
                 router_id=state.router_id, neighbors=state.bgp_neighbors,
                 redistribute_ospf=True)
-            self.rfserver.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
+            self.plane.write_config_file(state.vm_id, "bgpd.conf", bgpd_text)
 
     # ------------------------------------------------------------------ status
     @property

@@ -248,7 +248,7 @@ def run_interdomain(scenario: Union[str, ScenarioSpec],
                 directed["ibgp" if session.is_ibgp else "ebgp"] += 1
     result.ebgp_sessions = directed["ebgp"] // 2
     result.ibgp_sessions = directed["ibgp"] // 2
-    proxies = [s.rfproxy for s in framework.shards] or [framework.rfproxy]
+    proxies = [shard.rfproxy for shard in framework.shards]
     for asn in sorted(set(as_map.values())):
         members = {dpid for dpid, owner in as_map.items() if owner == asn}
         flows = sum(1 for proxy in proxies

@@ -209,9 +209,9 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
     def count_route_mod(_envelope) -> None:
         result.route_mods += 1
 
-    for rfserver in ([shard.rfserver for shard in framework.shards]
-                     or [framework.rfserver]):
-        framework.bus.subscribe(rfserver.route_mods_topic, count_route_mod)
+    for shard in framework.shards:
+        framework.bus.subscribe(shard.rfserver.route_mods_topic,
+                                count_route_mod)
 
     _drive_policy(
         result, spec, te_spec, demand_spec, settle, window, run.sim, network,

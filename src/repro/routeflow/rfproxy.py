@@ -3,14 +3,17 @@
 RFProxy turns the routes exported by the VMs into OpenFlow flow entries on
 the mirrored physical switches, answers ARP on behalf of the VM gateway
 interfaces, and learns where end hosts live so that connected prefixes can
-be resolved to exact host flows on the edge switches.
+be resolved to exact host flows on the edge switches.  Each RFServer
+builds its own proxy; when a dpid moves to another controller shard,
+:meth:`RFProxy.hand_over` carries the proxy's records of it across and
+:meth:`RFProxy.reconcile` drops the ones the VM's FIB no longer backs.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.addresses import IPv4Address, IPv4Network, MACAddress
 from repro.net.arp import ARP
@@ -63,9 +66,9 @@ class HostEntry:
 class RFProxy(ControllerApp):
     """RouteFlow's controller-side application."""
 
-    def __init__(self) -> None:
+    def __init__(self, rfserver: "RFServer") -> None:
         super().__init__(name="rfproxy")
-        self.rfserver: Optional["RFServer"] = None
+        self.rfserver = rfserver
         self.hosts: Dict[IPv4Address, HostEntry] = {}
         #: Connected prefixes awaiting host discovery: (dpid, prefix) -> FlowSpec
         self._pending_connected: Dict[Tuple[int, str], FlowSpec] = {}
@@ -85,9 +88,6 @@ class RFProxy(ControllerApp):
         #: lossy bus (retransmits, resyncs) this counter shows how much
         #: redundant work reached the proxy.
         self.duplicate_installs = 0
-
-    def attach_rfserver(self, rfserver: "RFServer") -> None:
-        self.rfserver = rfserver
 
     # ------------------------------------------------------------ route flows
     def install_route(self, spec: FlowSpec) -> None:
@@ -188,7 +188,7 @@ class RFProxy(ControllerApp):
 
     def _handle_arp(self, connection: DatapathConnection, in_port: int, arp: ARP) -> None:
         self._learn_host(connection.datapath_id, in_port, arp.sender_ip, arp.sender_mac)
-        if arp.opcode != ARP.REQUEST or self.rfserver is None:
+        if arp.opcode != ARP.REQUEST:
             return
         owner = self.rfserver.interface_owning_ip(arp.target_ip)
         if owner is None:
@@ -211,7 +211,7 @@ class RFProxy(ControllerApp):
         no /32 flow exists yet) falls through to the controller; the gateway
         VM's kernel would ARP for it, and so do we on its behalf.
         """
-        if destination in self.hosts or self.rfserver is None:
+        if destination in self.hosts:
             return
         datapath_id = connection.datapath_id
         for spec in list(self._pending_connected.values()):
@@ -241,7 +241,7 @@ class RFProxy(ControllerApp):
                     mac: MACAddress) -> None:
         if ip.is_unspecified or ip.is_multicast:
             return
-        if self.rfserver is not None and self.rfserver.interface_owning_ip(ip) is not None:
+        if self.rfserver.interface_owning_ip(ip) is not None:
             return  # VM gateway addresses are not end hosts
         existing = self.hosts.get(ip)
         if existing is not None and existing.mac == mac and \
@@ -256,6 +256,45 @@ class RFProxy(ControllerApp):
         for spec in list(self._pending_connected.values()):
             if spec.datapath_id == datapath_id and entry.ip in spec.prefix:
                 self._install_host_flow(spec, entry)
+
+    # --------------------------------------------------------------- hand-over
+    def hand_over(self, datapath_id: int, target: "RFProxy") -> None:
+        """Move every record this proxy keeps for a datapath to ``target``:
+        its installed flows, pending connected prefixes, learned hosts and
+        gateway ARP stamps.  The switch's flow table is untouched, so the
+        ``flows_current`` accounting is conserved across the move."""
+        for key in [k for k in self.installed_flows if k[0] == datapath_id]:
+            target.installed_flows[key] = self.installed_flows.pop(key)
+        for key in [k for k in self._pending_connected if k[0] == datapath_id]:
+            target._pending_connected[key] = self._pending_connected.pop(key)
+        for address in [ip for ip, host in self.hosts.items()
+                        if host.datapath_id == datapath_id]:
+            target.hosts[address] = self.hosts.pop(address)
+        for key in [k for k in self._gateway_arp_sent if k[0] == datapath_id]:
+            target._gateway_arp_sent[key] = self._gateway_arp_sent.pop(key)
+
+    def reconcile(self, datapath_id: int, fib: Mapping) -> None:
+        """Drop this datapath's flows and pending connected prefixes whose
+        route has left ``fib`` (the mirroring VM's zebra FIB).  A learned
+        host's /32 flow stays while a connected prefix still covers it."""
+        fib_prefixes = set()
+        connected = []
+        for prefix, route in fib.items():
+            if route.interface == "lo":
+                continue
+            fib_prefixes.add(str(prefix))
+            if route.next_hop is None:
+                connected.append(prefix)
+        for key in [k for k in self._pending_connected
+                    if k[0] == datapath_id and k[1] not in fib_prefixes]:
+            del self._pending_connected[key]
+        for key, spec in list(self.installed_flows.items()):
+            if key[0] != datapath_id or key[1] in fib_prefixes:
+                continue
+            if spec.prefix.prefix_len == 32 and any(
+                    spec.prefix.network in prefix for prefix in connected):
+                continue  # learned-host flow under a live connected prefix
+            self.remove_route(datapath_id, spec.prefix)
 
     # ------------------------------------------------------------------ status
     def flows_on(self, datapath_id: int) -> List[FlowSpec]:

@@ -1,17 +1,21 @@
 """RFServer: the central coordination component of RouteFlow.
 
-The RFServer owns the virtual environment — the VMs, the RouteFlow virtual
-switch wiring them together, and the mapping tables that associate VMs with
-switches and VM interfaces with switch ports.  It receives RouteMods from
-the per-VM RFClients over the control-plane bus, resolves next hops against
-the virtual environment and hands fully resolved flow specifications to the
-RFProxy for installation on the physical switches.
+The RFServer owns its shard's share of the virtual environment — the VMs
+and the mapping tables that associate VMs with switches and VM interfaces
+with switch ports.  It receives RouteMods from the per-VM RFClients over
+the control-plane bus, resolves next hops against the virtual environment
+and hands fully resolved flow specifications to its RFProxy for
+installation on the physical switches.
 
-The paper's RPC server calls into this class: creating VMs, mapping ports,
-assigning interface addresses and writing configuration files are exactly
-the operations an administrator would otherwise perform by hand.
+One RFServer runs per controller shard, and a
+:class:`~repro.routeflow.sharding.ShardedControlPlane` builds them all
+(one shard in the paper's deployment).  The plane owns what spans the
+shards: the RouteFlow virtual switch wiring the VMs together, the
+configuration files and virtual links the RPC server asks for, the
+physical link mirror, and the directory through which a server resolves
+next hops owned by another shard.
 
-Every IPC hop runs over an explicit :class:`~repro.bus.MessageBus`:
+Every IPC hop runs over the plane's :class:`~repro.bus.MessageBus`:
 
 * ``route_mods.<shard>`` — RouteMods arriving from the RFClients (delay
   channel, :attr:`RFClient.IPC_DELAY` one-way latency);
@@ -20,162 +24,61 @@ Every IPC hop runs over an explicit :class:`~repro.bus.MessageBus`:
   resolved :class:`~repro.routeflow.rfproxy.FlowSpec` goes straight into
   the proxy;
 * ``routeflow.mapping`` — mapping records (VM registrations, interface
-  addresses) shared with peer controller shards (direct channel);
-* ``routeflow.port_status`` — physical link state relayed into the
-  virtual topology (direct channel).
+  addresses) this server publishes for peer controller shards (direct
+  channel).
 
-When several RFServer shards coordinate, a
-:class:`~repro.routeflow.sharding.ShardedControlPlane` provides the
-``peers`` view used to resolve next hops that live on another shard.
-Both present the same :class:`VirtualEnvironment` surface to the RPC
-server and the milestone monitor.
+When the plane moves a dpid to another shard, :meth:`RFServer.hand_over_vm`
+and :meth:`~repro.routeflow.rfproxy.RFProxy.hand_over` carry the
+controller-side records across.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.bus import Discipline, Envelope, MessageBus, topics
+from repro.bus import Discipline, Envelope, topics
 from repro.bus.reliable import acquire_publisher, consume
 from repro.controller.base import Controller
-from repro.net.addresses import IPv4Address, IPv4Network, MACAddress
+from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.link import Interface
-from repro.routeflow.ipc import MappingRecord, PortStatusRelay, RouteMod, RouteModType
+from repro.routeflow.ipc import MappingRecord, RouteMod, RouteModType
 from repro.routeflow.mapping import MappingTable
 from repro.routeflow.rfclient import RFClient
 from repro.routeflow.rfproxy import FlowSpec, RFProxy
-from repro.routeflow.virtual_switch import RFVirtualSwitch
 from repro.routeflow.vm import VirtualMachine
-from repro.sim import EventLog, Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.routeflow.sharding import ShardedControlPlane
 
 LOG = logging.getLogger(__name__)
 
 
-class VirtualEnvironment:
-    """The VMs and their wiring as the RPC server and the framework see
-    them, written over the ``vm`` / ``vm_for_dpid`` / ``vms`` / ``rfvs`` /
-    ``event_log`` of one RFServer or of N coordinated shards."""
-
-    #: A fail-stopped holder processes no bus traffic.
-    active = True
-
-    def write_config_file(self, vm_id: int, filename: str, text: str) -> None:
-        """Write a Quagga configuration file into a VM (RPC-server helper)."""
-        vm = self.vm(vm_id)
-        if vm is None:
-            raise KeyError(vm_id)
-        vm.write_config_file(filename, text)
-        self.event_log.record("config_file", f"{filename} written to {vm.name}",
-                              vm_id=vm_id, filename=filename, size=len(text))
-
-    def connect_virtual_link(self, vm_id_a: int, iface_a: str,
-                             vm_id_b: int, iface_b: str) -> None:
-        """Wire two VM interfaces together, mirroring a physical link (the
-        two VMs may live on two shards)."""
-        vm_a = self.vm(vm_id_a)
-        vm_b = self.vm(vm_id_b)
-        if vm_a is None or vm_b is None:
-            raise KeyError(vm_id_a if vm_a is None else vm_id_b)
-        self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
-        self.event_log.record(
-            "virtual_link",
-            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
-            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
-
-    def _on_port_status(self, envelope: Envelope) -> None:
-        """Bus delivery of a relayed port-status change."""
-        if not self.active:
-            return
-        relay = PortStatusRelay.from_json(envelope.payload)
-        self.mirror_physical_link(relay.dpid_a, relay.port_a,
-                                  relay.dpid_b, relay.port_b, relay.up)
-
-    def mirror_physical_link(self, dpid_a: int, port_a: int,
-                             dpid_b: int, port_b: int, up: bool) -> bool:
-        """Mirror a physical link state change into the virtual topology.
-
-        In RouteFlow the RFProxy relays switch port-status messages to the
-        RFServer, which takes the corresponding virtual wire down (or back
-        up) so the routing engines see the same topology the data plane
-        has.  Returns False if either end is not (yet) mapped to a VM
-        interface or no virtual wire connects them.
-        """
-        vm_a = self.vm_for_dpid(dpid_a)
-        vm_b = self.vm_for_dpid(dpid_b)
-        if vm_a is None or vm_b is None:
-            return False
-        iface_a = vm_a.interfaces.get(f"eth{port_a}")
-        iface_b = vm_b.interfaces.get(f"eth{port_b}")
-        if iface_a is None or iface_b is None:
-            return False
-        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
-        if changed:
-            self.event_log.record(
-                "link_state",
-                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
-                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
-                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
-                up=up)
-        return changed
-
-    @property
-    def vm_count(self) -> int:
-        return len(self.vms)
-
-    def all_vms_running(self) -> bool:
-        vms = self.vms
-        return bool(vms) and all(vm.is_running for vm in vms.values())
-
-    def ospf_converged(self) -> bool:
-        """Has every VM learned a route to every OSPF-enabled prefix (as many
-        FIB entries as distinct prefixes configured across the VMs)?"""
-        vms = self.vms
-        if not vms:
-            return False
-        prefixes = {IPv4Network((iface.ip, iface.prefix_len)).network
-                    for vm in vms.values()
-                    for iface in vm.interfaces.values() if iface.ip is not None}
-        expected = len(prefixes)
-        if expected == 0:
-            return False
-        for vm in vms.values():
-            if not vm.is_running:
-                return False
-            if len(vm.zebra.fib) < expected:
-                return False
-        return True
-
-
-class RFServer(VirtualEnvironment):
+class RFServer:
     """RouteFlow's central server (one per controller shard)."""
 
     #: Latency of the RFServer -> RFProxy IPC hop.
     IPC_DELAY = 0.005
 
-    def __init__(self, sim: Simulator, rfproxy: RFProxy, vm_boot_delay: float = 5.0,
-                 event_log: Optional[EventLog] = None,
-                 serialize_vm_creation: bool = True,
-                 bus: Optional[MessageBus] = None,
-                 shard_id: int = 0,
-                 rfvs: Optional[RFVirtualSwitch] = None,
-                 bgp_broker=None) -> None:
-        self.sim = sim
-        self.rfproxy = rfproxy
-        self.vm_boot_delay = vm_boot_delay
+    def __init__(self, plane: "ShardedControlPlane", shard_id: int) -> None:
+        self.sim = plane.sim
+        #: The plane this server is a shard of: it resolves next hops
+        #: that live on another shard.
+        self.plane = plane
+        self.rfproxy = RFProxy(self)
+        self.vm_boot_delay = plane.vm_boot_delay
         #: BGP session broker handed to every VM (interdomain deployments);
         #: None leaves the VMs OSPF-only.
-        self.bgp_broker = bgp_broker
+        self.bgp_broker = plane.bgp_broker
         #: The RF-controller host clones and boots VMs one at a time (LXC
         #: cloning is disk/CPU bound), so VM creation is serialised by default;
         #: ablation A4 compares against fully parallel creation.  Each shard
         #: is its own host, so serialisation is per-shard.
-        self.serialize_vm_creation = serialize_vm_creation
+        self.serialize_vm_creation = plane.serialize_vm_creation
         self._vm_creation_free_at = 0.0
-        self.event_log = event_log if event_log is not None else EventLog(sim)
+        self.event_log = plane.event_log
         self.shard_id = shard_id
         self.mapping = MappingTable()
-        self.rfvs = rfvs if rfvs is not None else RFVirtualSwitch(sim)
         self.vms: Dict[int, VirtualMachine] = {}
         self.rfclients: Dict[int, RFClient] = {}
         #: IP -> (vm, interface) index used for next-hop and ARP resolution.
@@ -188,9 +91,6 @@ class RFServer(VirtualEnvironment):
         #: is assigned: next_hop -> {(vm_id, prefix): RouteMod}.
         self._pending_by_next_hop: Dict[
             IPv4Address, Dict[Tuple[int, str], RouteMod]] = {}
-        #: Cross-shard lookup view, set by the sharded control plane; None
-        #: in single-controller deployments.
-        self.peers = None
         self.route_mods_received = 0
         self.route_mods_parked = 0
         #: Decoded RouteMods in flight on the flow_specs channel, keyed by
@@ -204,8 +104,7 @@ class RFServer(VirtualEnvironment):
         self._endpoint = f"shard:{shard_id}"
         self.route_mods_topic = topics.route_mods_topic(shard_id)
         self.flow_specs_topic = topics.flow_specs_topic(shard_id)
-        owns_bus = bus is None
-        self.bus = bus if bus is not None else MessageBus(sim, name="rfserver-bus")
+        self.bus = plane.bus
         self.bus.channel(self.route_mods_topic, latency=RFClient.IPC_DELAY,
                          discipline=Discipline.DELAY)
         self.bus.channel(self.flow_specs_topic, latency=self.IPC_DELAY,
@@ -224,12 +123,6 @@ class RFServer(VirtualEnvironment):
             endpoint=self._endpoint)
         self._mapping_pub = acquire_publisher(
             self.bus, topics.MAPPING, self._sender, endpoint=self._endpoint)
-        if owns_bus:
-            # Standalone deployments wire the shared topics to this server;
-            # a sharded control plane owns these subscriptions instead.
-            consume(self.bus, topics.PORT_STATUS, self._on_port_status,
-                    endpoint=self._endpoint, active=lambda: self.active)
-        rfproxy.attach_rfserver(self)
 
     # --------------------------------------------------------------------- VMs
     def create_vm(self, vm_id: int, num_ports: int,
@@ -326,14 +219,13 @@ class RFServer(VirtualEnvironment):
         A dict hit on the hot path: interface addresses are indexed when
         they are assigned (RPC server) or applied (zebra), so there is no
         linear scan over every VM interface.  Addresses owned by a peer
-        controller shard are resolved through the shared mapping topic.
+        controller shard are resolved through the plane's directory, which
+        the shared mapping topic feeds.
         """
         entry = self._ip_index.get(IPv4Address(address))
         if entry is not None:
             return entry
-        if self.peers is not None:
-            return self.peers.interface_owning_ip(address)
-        return None
+        return self.plane.interface_owning_ip(address)
 
     # --------------------------------------------------------------- RouteMods
     def receive_route_mod(self, payload: str) -> None:
@@ -440,15 +332,61 @@ class RFServer(VirtualEnvironment):
             self._process_route_mod(route_mod)
         return len(bucket)
 
+    def parked(self) -> List[Tuple[int, str]]:
+        """The (vm id, prefix) of every parked RouteMod."""
+        return [key for bucket in self._pending_by_next_hop.values()
+                for key in bucket]
+
     @property
     def pending_route_mods(self) -> int:
-        return sum(len(bucket) for bucket in self._pending_by_next_hop.values())
+        return len(self.parked())
+
+    # --------------------------------------------------------------- hand-over
+    def hand_over_vm(self, vm_id: int, dpid: int, target: "RFServer",
+                     num_ports: int) -> Optional[RFClient]:
+        """Move a VM and this server's records of it to ``target``.
+
+        Moves the VM, its mapping (rebuilt on the target as ``vm_id`` on
+        ``dpid`` with ``num_ports`` ports, the plane's replicated count,
+        never read from this server's possibly-dead tables), its RFClient
+        (repointed at the target's RouteMod topic), its address-listener
+        slot, its next-hop index entries and its parked RouteMods, which
+        the target replays when the missing gateway appears and this
+        server must never replay itself.  Returns the RFClient, or None
+        when this server does not host the VM.
+        """
+        vm = self.vms.pop(vm_id, None)
+        if vm is None:
+            return None
+        self.mapping.unmap_vm(vm_id)
+        target.vms[vm_id] = vm
+        if target.mapping.dpid_for_vm(vm_id) is None:
+            target.mapping.map_vm(vm_id, dpid, num_ports)
+        client = self.rfclients.pop(vm_id)
+        target.rfclients[vm_id] = client
+        client.repoint(target)
+        vm.replace_address_listener(self._on_vm_address_change,
+                                    target._on_vm_address_change)
+        for interface in vm.interfaces.values():
+            if interface.ip is None:
+                continue
+            if self._ip_index.get(interface.ip, (None,))[0] is vm:
+                del self._ip_index[interface.ip]
+            target._ip_index[interface.ip] = (vm, interface)
+        for next_hop in list(self._pending_by_next_hop):
+            bucket = self._pending_by_next_hop[next_hop]
+            moved = {key: mod for key, mod in bucket.items()
+                     if mod.vm_id == vm_id}
+            if not moved:
+                continue
+            for key in moved:
+                del bucket[key]
+            if not bucket:
+                del self._pending_by_next_hop[next_hop]
+            target._pending_by_next_hop.setdefault(next_hop, {}).update(moved)
+        return client
 
     # ------------------------------------------------------------------ status
-    def configured_switches(self) -> List[int]:
-        """Datapaths that have a mirroring VM (the GUI's green switches)."""
-        return sorted(self.mapping.mapped_datapaths)
-
     def load(self) -> Dict[str, int]:
         """This server's control-plane load counters (one ctlscale row)."""
         bgp_updates_sent = 0
@@ -463,7 +401,7 @@ class RFServer(VirtualEnvironment):
         return {
             "shard": self.shard_id,
             "switches": len(self.mapping.mapped_datapaths),
-            "vms": self.vm_count,
+            "vms": len(self.vms),
             "route_mods": self.route_mods_received,
             "route_mods_parked": self.route_mods_parked,
             "flow_mods_installed": self.rfproxy.flows_installed,
@@ -480,26 +418,17 @@ class RFServer(VirtualEnvironment):
 
 class ControllerShard:
     """One RF-controller host: an RFServer + RFProxy pair on its own
-    OpenFlow controller.  A sharded control plane runs N of them, each
-    owning a partition of the datapaths; a single-controller deployment
-    runs one, named plainly ``rf-controller``."""
+    OpenFlow controller, owning a partition of the datapaths, and the
+    FlowVisor slice that carries them.  The plane names both."""
 
-    def __init__(self, sim: Simulator, shard_id: int, bus: MessageBus,
-                 event_log: EventLog,
-                 rfvs: Optional[RFVirtualSwitch] = None,
-                 vm_boot_delay: float = 5.0,
-                 serialize_vm_creation: bool = True,
-                 bgp_broker=None, name: Optional[str] = None) -> None:
+    def __init__(self, plane: "ShardedControlPlane", shard_id: int,
+                 name: str, slice_name: str) -> None:
         self.shard_id = shard_id
-        self.controller = Controller(
-            sim, name=name or f"rf-controller-{shard_id}")
-        self.rfproxy = RFProxy()
+        self.slice_name = slice_name
+        self.controller = Controller(plane.sim, name=name)
+        self.rfserver = RFServer(plane, shard_id)
+        self.rfproxy = self.rfserver.rfproxy
         self.controller.register_app(self.rfproxy)
-        self.rfserver = RFServer(
-            sim, self.rfproxy, vm_boot_delay=vm_boot_delay,
-            event_log=event_log,
-            serialize_vm_creation=serialize_vm_creation, bus=bus,
-            shard_id=shard_id, rfvs=rfvs, bgp_broker=bgp_broker)
 
     @property
     def failed(self) -> bool:
@@ -509,4 +438,4 @@ class ControllerShard:
     def __repr__(self) -> str:
         state = "FAILED" if self.failed else "up"
         return (f"<ControllerShard {self.shard_id} {state} "
-                f"vms={self.rfserver.vm_count}>")
+                f"vms={len(self.rfserver.vms)}>")

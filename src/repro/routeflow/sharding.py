@@ -1,34 +1,38 @@
-"""Sharding the RouteFlow control plane across N controller instances.
+"""The RouteFlow control plane: N controller shards, one by default.
 
 Following the distributed-controller line of work (Yazıcı et al.,
 "Controlling a Software-Defined Network via Distributed Controllers"), the
-control plane can be split into :class:`ControllerShard` instances — each
-an OpenFlow controller hosting one RFProxy plus one RFServer — with every
-shard owning a partition of the datapath space.  Who owns what, who is
-alive and which ownership changes may apply is the bus-free state machine
-of :mod:`repro.routeflow.membership`; this module is the glue that feeds
-it and carries out its decisions.
+control plane is split into :class:`ControllerShard` instances — each an
+OpenFlow controller hosting one RFProxy plus one RFServer — with every
+shard owning a partition of the datapath space.  The paper's single
+RF-controller is the one-shard case, and this module's
+:class:`ShardedControlPlane` is the only code that knows the shard count:
+one shard keeps the paper's names and skips the coordination below, which
+has no peer to talk to.  Who owns what, who is alive and which ownership
+changes may apply is the bus-free state machine of
+:mod:`repro.routeflow.membership`; this module is the glue that feeds it
+and carries out its decisions.
+
+The plane owns the virtual environment the RPC server and the framework
+see: it creates VMs on their owner's shard, writes configuration files,
+wires VM interfaces together on one RouteFlow virtual switch, mirrors
+physical link changes relayed on the
+:data:`~repro.bus.topics.PORT_STATUS` topic (one physical link's
+endpoints may live on two shards) and answers the milestone predicates.
 
 The shards never call each other: all east/west coordination flows over
 the shared control-plane bus.  Each shard publishes
 :class:`~repro.routeflow.ipc.MappingRecord` facts (VM registrations,
 interface addresses) on the :data:`~repro.bus.topics.MAPPING` topic; the
-:class:`ShardedControlPlane` maintains the resulting global directory and
-serves as the ``peers`` view through which a shard resolves next hops
-owned by another shard.  Port-status relays on the
-:data:`~repro.bus.topics.PORT_STATUS` topic are likewise handled centrally
-because one physical link's endpoints may live on two different shards.
-
-The :class:`ShardedControlPlane` presents the RFServer surface the RPC
-server and the framework use, so the rest of the system is oblivious to
-the shard count.
-
-Shards beat on the :data:`~repro.bus.topics.HEARTBEAT` topic.  A
-takeover (a silent master's partition to its standby) and a live reshard
-(one dpid between two healthy shards) travel as a
+plane maintains the resulting global directory, through which a shard
+resolves next hops owned by another shard.  Shards beat on the
+:data:`~repro.bus.topics.HEARTBEAT` topic.  A takeover (a silent
+master's partition to its standby) and a live reshard (one dpid between
+two healthy shards) travel as a
 :class:`~repro.routeflow.ipc.TakeoverAnnouncement` on the mapping topic,
-so every shard applies the same ownership flip; the dpids migrate without
-their installed flows ever leaving the switch.
+so every shard applies the same ownership flip; the dpids migrate,
+through the RFServer's and RFProxy's hand-over methods, without their
+installed flows ever leaving the switch.
 """
 
 from __future__ import annotations
@@ -39,16 +43,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus import Envelope, MessageBus, decode, topics
 from repro.bus.reliable import acquire_publisher, consume
-from repro.net.addresses import IPv4Address
+from repro.net.addresses import IPv4Address, IPv4Network
 from repro.net.packet import DecodeError
 from repro.routeflow.ipc import (
     MappingRecord,
+    PortStatusRelay,
     ShardHeartbeat,
     TakeoverAnnouncement,
 )
 from repro.routeflow.membership import Membership, Partitioner, PartitionError
-from repro.routeflow.rfproxy import RFProxy
-from repro.routeflow.rfserver import ControllerShard, VirtualEnvironment
+from repro.routeflow.rfserver import ControllerShard
 from repro.routeflow.virtual_switch import RFVirtualSwitch
 from repro.routeflow.vm import VirtualMachine
 from repro.sim import EventLog, PeriodicTask, Simulator
@@ -56,8 +60,13 @@ from repro.sim import EventLog, PeriodicTask, Simulator
 LOG = logging.getLogger(__name__)
 
 
-class ShardedControlPlane(VirtualEnvironment):
-    """N coordinated controller shards behind the RFServer interface."""
+class ShardedControlPlane:
+    """N coordinated controller shards behind one virtual environment."""
+
+    #: The paper's names for the one RF-controller and its FlowVisor
+    #: slice; N shards add ``-<index>``.
+    CONTROLLER_NAME = "rf-controller"
+    SLICE_NAME = "routeflow"
 
     #: Seconds between shard heartbeats on the heartbeat topic.
     HEARTBEAT_INTERVAL = 1.0
@@ -77,17 +86,22 @@ class ShardedControlPlane(VirtualEnvironment):
         self.sim = sim
         self.bus = bus
         self.event_log = event_log if event_log is not None else EventLog(sim)
+        self.vm_boot_delay = vm_boot_delay
+        self.serialize_vm_creation = serialize_vm_creation
         #: One virtual environment spans all shards: the VM-to-VM wires of
         #: cross-shard physical links terminate on one shared RFVS.  The
         #: BGP session broker is likewise shared — eBGP sessions cross the
         #: shard partition like any other control-plane state.
         self.rfvs = RFVirtualSwitch(sim)
+        self.bgp_broker = bgp_broker
+        count = partitioner.num_shards
+        # One shard keeps the paper's names; N shards number theirs.
+        suffixes = [f"-{shard_id}" for shard_id in range(count)] \
+            if count > 1 else [""]
         self.shards: List[ControllerShard] = [
-            ControllerShard(sim, shard_id, bus, self.event_log, rfvs=self.rfvs,
-                            vm_boot_delay=vm_boot_delay,
-                            serialize_vm_creation=serialize_vm_creation,
-                            bgp_broker=bgp_broker)
-            for shard_id in range(partitioner.num_shards)
+            ControllerShard(self, shard_id, self.CONTROLLER_NAME + suffix,
+                            self.SLICE_NAME + suffix)
+            for shard_id, suffix in enumerate(suffixes)
         ]
         # Global directory fed exclusively by the shared mapping topic.
         self._vm_shard: Dict[int, int] = {}
@@ -109,20 +123,27 @@ class ShardedControlPlane(VirtualEnvironment):
         self.takeovers = 0
         self.reshards = 0
         # The plane's bus attachments go through the reliability layer
-        # (passthrough on a perfect bus): it consumes the shared topics at
-        # the "plane" endpoint and announces ownership changes through one
-        # reliable publisher, so announcements are retransmitted until
-        # every live consumer has acknowledged them.
-        consume(bus, topics.MAPPING, self._on_mapping_record,
-                endpoint="plane")
+        # (passthrough on a perfect bus), at the "plane" endpoint.  One
+        # shard has no peer to share mapping records with and no standby
+        # to hand its partition to, so it takes only the port-status
+        # relays.
         consume(bus, topics.PORT_STATUS, self._on_port_status,
+                endpoint="plane")
+        if count > 1:
+            self._coordinate()
+
+    def _coordinate(self) -> None:
+        """Wire the shard coordination: the mapping directory, ownership
+        announcements through one reliable publisher (retransmitted until
+        every live consumer has acknowledged them), and the liveness
+        protocol — every shard beats on the heartbeat topic, and the
+        detector declares a silent master dead and hands its partition
+        over."""
+        bus = self.bus
+        consume(bus, topics.MAPPING, self._on_mapping_record,
                 endpoint="plane")
         self._announce_pub = acquire_publisher(
             bus, topics.MAPPING, "plane", endpoint="plane")
-        for shard in self.shards:
-            shard.rfserver.peers = self
-        # Liveness: every shard beats on the heartbeat topic; the detector
-        # declares a silent master dead and hands its partition over.
         consume(bus, topics.HEARTBEAT, self._on_heartbeat,
                 endpoint="plane")
         self._heartbeat_pubs = {
@@ -130,17 +151,17 @@ class ShardedControlPlane(VirtualEnvironment):
                 bus, topics.HEARTBEAT, f"shard:{shard.shard_id}",
                 endpoint=f"shard:{shard.shard_id}")
             for shard in self.shards}
-        self._heartbeat_tasks = [
-            PeriodicTask(sim, self.HEARTBEAT_INTERVAL,
+        heartbeat_tasks = [
+            PeriodicTask(self.sim, self.HEARTBEAT_INTERVAL,
                          functools.partial(self._publish_heartbeat, shard),
                          name=f"shard{shard.shard_id}:heartbeat")
             for shard in self.shards]
-        self._detector = PeriodicTask(sim, self.HEARTBEAT_INTERVAL,
-                                      self._check_liveness,
-                                      name="shard:failure-detector")
-        for task in self._heartbeat_tasks:
+        detector = PeriodicTask(self.sim, self.HEARTBEAT_INTERVAL,
+                                self._check_liveness,
+                                name="shard:failure-detector")
+        for task in heartbeat_tasks:
             task.start()
-        self._detector.start()
+        detector.start()
 
     # ------------------------------------------------------------- bus intake
     def _on_mapping_record(self, envelope: Envelope) -> None:
@@ -155,8 +176,7 @@ class ShardedControlPlane(VirtualEnvironment):
         if record.event == MappingRecord.VM_MAPPED:
             self._vm_shard[record.vm_id] = record.shard
             self._vm_dpid[record.vm_id] = record.datapath_id
-            if record.num_ports:
-                self._vm_ports[record.vm_id] = record.num_ports
+            self._vm_ports[record.vm_id] = record.num_ports
             self.membership.owner.setdefault(record.datapath_id, record.shard)
             return
         address = record.address_value
@@ -175,8 +195,9 @@ class ShardedControlPlane(VirtualEnvironment):
 
     # ------------------------------------------------------------ peer lookups
     def interface_owning_ip(self, address: IPv4Address):
-        """Resolve an interface address anywhere in the partition (the
-        ``peers`` view shard RFServers fall back to)."""
+        """Resolve an interface address anywhere in the partition, from the
+        directory a shard's RFServer falls back to (empty with one shard,
+        whose RFServer indexes every address itself)."""
         entry = self._addresses.get(IPv4Address(address))
         if entry is None:
             return None
@@ -208,13 +229,14 @@ class ShardedControlPlane(VirtualEnvironment):
             return self.shards[index]
         # Pre-directory fallback: on a jittery bus the vm_mapped record may
         # still be in flight when a local lookup (e.g. the RPC server writing
-        # config files right after create_vm) needs the owner.
+        # config files right after create_vm) needs the owner.  One shard
+        # keeps no directory, so it always asks its RFServer.
         for shard in self.shards:
             if vm_id in shard.rfserver.vms:
                 return shard
         return None
 
-    # ------------------------------------------------ RFServer facade surface
+    # ------------------------------------------------- virtual environment
     def create_vm(self, vm_id: int, num_ports: int,
                   datapath_id: Optional[int] = None) -> VirtualMachine:
         dpid = datapath_id if datapath_id is not None else vm_id
@@ -247,6 +269,90 @@ class ShardedControlPlane(VirtualEnvironment):
             raise KeyError(f"unknown VM {vm_id}")
         shard.rfserver.assign_interface_address(vm_id, interface_name,
                                                 address, prefix_len)
+
+    def write_config_file(self, vm_id: int, filename: str, text: str) -> None:
+        """Write a Quagga configuration file into a VM (RPC-server helper)."""
+        vm = self.vm(vm_id)
+        if vm is None:
+            raise KeyError(vm_id)
+        vm.write_config_file(filename, text)
+        self.event_log.record("config_file", f"{filename} written to {vm.name}",
+                              vm_id=vm_id, filename=filename, size=len(text))
+
+    def connect_virtual_link(self, vm_id_a: int, iface_a: str,
+                             vm_id_b: int, iface_b: str) -> None:
+        """Wire two VM interfaces together, mirroring a physical link (the
+        two VMs may live on two shards)."""
+        vm_a = self.vm(vm_id_a)
+        vm_b = self.vm(vm_id_b)
+        if vm_a is None or vm_b is None:
+            raise KeyError(vm_id_a if vm_a is None else vm_id_b)
+        self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
+        self.event_log.record(
+            "virtual_link",
+            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
+            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
+
+    def _on_port_status(self, envelope: Envelope) -> None:
+        """Bus delivery of a relayed port-status change."""
+        relay = PortStatusRelay.from_json(envelope.payload)
+        self.mirror_physical_link(relay.dpid_a, relay.port_a,
+                                  relay.dpid_b, relay.port_b, relay.up)
+
+    def mirror_physical_link(self, dpid_a: int, port_a: int,
+                             dpid_b: int, port_b: int, up: bool) -> bool:
+        """Mirror a physical link state change into the virtual topology.
+
+        In RouteFlow the RFProxy relays switch port-status messages to the
+        RFServer, which takes the corresponding virtual wire down (or back
+        up) so the routing engines see the same topology the data plane
+        has.  Returns False if either end is not (yet) mapped to a VM
+        interface or no virtual wire connects them.
+        """
+        vm_a = self.vm_for_dpid(dpid_a)
+        vm_b = self.vm_for_dpid(dpid_b)
+        if vm_a is None or vm_b is None:
+            return False
+        iface_a = vm_a.interfaces.get(f"eth{port_a}")
+        iface_b = vm_b.interfaces.get(f"eth{port_b}")
+        if iface_a is None or iface_b is None:
+            return False
+        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
+        if changed:
+            self.event_log.record(
+                "link_state",
+                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
+                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
+                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
+                up=up)
+        return changed
+
+    @property
+    def vm_count(self) -> int:
+        return len(self.vms)
+
+    def all_vms_running(self) -> bool:
+        vms = self.vms
+        return bool(vms) and all(vm.is_running for vm in vms.values())
+
+    def ospf_converged(self) -> bool:
+        """Has every VM learned a route to every OSPF-enabled prefix (as many
+        FIB entries as distinct prefixes configured across the VMs)?"""
+        vms = self.vms
+        if not vms:
+            return False
+        prefixes = {IPv4Network((iface.ip, iface.prefix_len)).network
+                    for vm in vms.values()
+                    for iface in vm.interfaces.values() if iface.ip is not None}
+        expected = len(prefixes)
+        if expected == 0:
+            return False
+        for vm in vms.values():
+            if not vm.is_running:
+                return False
+            if len(vm.zebra.fib) < expected:
+                return False
+        return True
 
     # ------------------------------------------------- liveness / heartbeats
     def _publish_heartbeat(self, shard: ControllerShard) -> None:
@@ -363,77 +469,30 @@ class ShardedControlPlane(VirtualEnvironment):
         """Move one dpid's control-plane state between shards.
 
         The physical switch keeps its flow table throughout; everything
-        that moves is controller memory: the VM/port mapping (rebuilt on
-        the target from the replicated directory, never read from the
-        source's possibly-dead tables), the VM and its RFClient, the
-        next-hop address index, parked RouteMods, and the RFProxy's flow
-        records.  Finishes by re-homing the FlowVisor slice channel and
-        scheduling a full RFClient resync to cover FIB changes that
-        happened while the partition was in flight.
+        that moves is controller memory, handed over by its owners: the
+        RFServer's VM, mapping, RFClient, address index and parked
+        RouteMods (:meth:`RFServer.hand_over_vm`, the mapping rebuilt
+        from the replicated directory), then the RFProxy's flow records
+        (:meth:`RFProxy.hand_over`).  Finishes by re-homing the FlowVisor
+        slice channel and scheduling a full RFClient resync to cover FIB
+        changes that happened while the partition was in flight.
         """
         if source is target:
             return False
         self.membership.owner[dpid] = target.shard_id
         vm_id = self._vm_dpid_reverse(dpid)
-        if vm_id is None:
-            # No VM registered for this dpid yet: the ownership flip is
-            # the whole migration.
+        # No VM registered for this dpid yet, or none on the source: the
+        # ownership flip is the whole migration.
+        client = None if vm_id is None else source.rfserver.hand_over_vm(
+            vm_id, dpid, target.rfserver, self._vm_ports[vm_id])
+        if client is None:
             self._notify_ownership(dpid)
             return True
-        vm = source.rfserver.vms.pop(vm_id, None)
-        if vm is None:
-            self._notify_ownership(dpid)
-            return True
-        # 1. Mapping state: drop the source's entries, rebuild the
-        #    target's from the replicated vm_mapped directory.
-        source.rfserver.mapping.unmap_vm(vm_id)
-        target.rfserver.vms[vm_id] = vm
-        if target.rfserver.mapping.dpid_for_vm(vm_id) is None:
-            target.rfserver.mapping.map_vm(
-                vm_id, dpid, self._vm_ports.get(vm_id) or vm.num_ports)
-        # 2. The RFClient keeps watching the same zebra FIB but now
-        #    publishes on the new master's RouteMod topic.
-        client = source.rfserver.rfclients.pop(vm_id, None)
-        if client is not None:
-            target.rfserver.rfclients[vm_id] = client
-            client.repoint(target.rfserver)
-        # 3. The VM's address-change listener slot moves to the adopting
-        #    RFServer, and its current interface addresses re-index there.
-        vm.replace_address_listener(source.rfserver._on_vm_address_change,
-                                    target.rfserver._on_vm_address_change)
-        for interface in vm.interfaces.values():
-            if interface.ip is None:
-                continue
-            if source.rfserver._ip_index.get(interface.ip, (None,))[0] is vm:
-                del source.rfserver._ip_index[interface.ip]
-            target.rfserver._ip_index[interface.ip] = (vm, interface)
-        # 4. Parked RouteMods travel with the partition: the adopting
-        #    master replays them when the missing gateway appears; the
-        #    dead master must never replay them itself.
-        pending = source.rfserver._pending_by_next_hop
-        for next_hop in list(pending):
-            bucket = pending[next_hop]
-            moved = {key: mod for key, mod in bucket.items()
-                     if mod.vm_id == vm_id}
-            if not moved:
-                continue
-            for key in moved:
-                del bucket[key]
-            if not bucket:
-                del pending[next_hop]
-            target.rfserver._pending_by_next_hop.setdefault(
-                next_hop, {}).update(moved)
-        # 5. RFProxy flow records follow the dpid, conserving the
-        #    flows_current accounting; the switch's flow table itself is
-        #    untouched (takeover without dropping installed flows).
-        self._move_proxy_records(dpid, source.rfproxy, target.rfproxy)
-        # 6. Directory + slice channels + deferred resync.
+        source.rfproxy.hand_over(dpid, target.rfproxy)
         self._vm_shard[vm_id] = target.shard_id
-        self._vm_dpid[vm_id] = dpid
         self._notify_ownership(dpid)
-        if client is not None:
-            self.sim.schedule(self.RESYNC_DELAY, self._resync_vm, target,
-                              vm_id, label=f"shard{target.shard_id}:resync")
+        self.sim.schedule(self.RESYNC_DELAY, self._resync_vm, target,
+                          vm_id, label=f"shard{target.shard_id}:resync")
         return True
 
     def _vm_dpid_reverse(self, dpid: int) -> Optional[int]:
@@ -441,24 +500,6 @@ class ShardedControlPlane(VirtualEnvironment):
             if mapped == dpid:
                 return vm_id
         return None
-
-    @staticmethod
-    def _move_proxy_records(dpid: int, source_proxy: RFProxy,
-                            target_proxy: RFProxy) -> None:
-        for key in [k for k in source_proxy.installed_flows if k[0] == dpid]:
-            target_proxy.installed_flows[key] = \
-                source_proxy.installed_flows.pop(key)
-        for key in [k for k in source_proxy._pending_connected
-                    if k[0] == dpid]:
-            target_proxy._pending_connected[key] = \
-                source_proxy._pending_connected.pop(key)
-        for address in [ip for ip, host in source_proxy.hosts.items()
-                        if host.datapath_id == dpid]:
-            target_proxy.hosts[address] = source_proxy.hosts.pop(address)
-        for key in [k for k in source_proxy._gateway_arp_sent
-                    if k[0] == dpid]:
-            target_proxy._gateway_arp_sent[key] = \
-                source_proxy._gateway_arp_sent.pop(key)
 
     def _notify_ownership(self, dpid: int) -> None:
         if self.on_ownership_change is not None:
@@ -473,33 +514,10 @@ class ShardedControlPlane(VirtualEnvironment):
         client = shard.rfserver.rfclients.get(vm_id)
         if client is None or client.rfserver is not shard.rfserver:
             return  # migrated again before the resync fired
-        self._reconcile_flows(shard, vm_id)
-        client.resync()
-
-    def _reconcile_flows(self, shard: ControllerShard, vm_id: int) -> None:
-        vm = shard.rfserver.vms.get(vm_id)
         dpid = shard.rfserver.mapping.dpid_for_vm(vm_id)
-        if vm is None or dpid is None:
-            return
-        fib_prefixes = set()
-        connected = []
-        for prefix, route in vm.zebra.fib.items():
-            if route.interface == "lo":
-                continue
-            fib_prefixes.add(str(prefix))
-            if route.next_hop is None:
-                connected.append(prefix)
-        proxy = shard.rfproxy
-        for key in [k for k in proxy._pending_connected
-                    if k[0] == dpid and k[1] not in fib_prefixes]:
-            del proxy._pending_connected[key]
-        for key, spec in list(proxy.installed_flows.items()):
-            if key[0] != dpid or key[1] in fib_prefixes:
-                continue
-            if spec.prefix.prefix_len == 32 and any(
-                    spec.prefix.network in prefix for prefix in connected):
-                continue  # learned-host flow under a live connected prefix
-            proxy.remove_route(dpid, spec.prefix)
+        if dpid is not None:
+            shard.rfproxy.reconcile(dpid, shard.rfserver.vms[vm_id].zebra.fib)
+        client.resync()
 
     # ------------------------------------------------------------ invariants
     def ownership_violations(self) -> List[str]:
@@ -536,16 +554,15 @@ class ShardedControlPlane(VirtualEnvironment):
         parked entries may only live on a live shard that hosts the VM."""
         problems: List[str] = []
         for shard in self.shards:
-            for bucket in shard.rfserver._pending_by_next_hop.values():
-                for vm_id, prefix in bucket:
-                    if shard.failed:
-                        problems.append(
-                            f"failed shard {shard.shard_id} still parks a "
-                            f"RouteMod for vm {vm_id} ({prefix})")
-                    elif vm_id not in shard.rfserver.vms:
-                        problems.append(
-                            f"shard {shard.shard_id} parks a RouteMod for "
-                            f"vm {vm_id} it does not host ({prefix})")
+            for vm_id, prefix in shard.rfserver.parked():
+                if shard.failed:
+                    problems.append(
+                        f"failed shard {shard.shard_id} still parks a "
+                        f"RouteMod for vm {vm_id} ({prefix})")
+                elif vm_id not in shard.rfserver.vms:
+                    problems.append(
+                        f"shard {shard.shard_id} parks a RouteMod for "
+                        f"vm {vm_id} it does not host ({prefix})")
         return problems
 
     # -------------------------------------------------------- failure control

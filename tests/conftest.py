@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bus import MessageBus
+from repro.routeflow import ShardedControlPlane, make_partitioner
 from repro.sim import SeededRandom, Simulator
 from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import torus_topology
@@ -20,6 +22,18 @@ def sim() -> Simulator:
 def rng() -> SeededRandom:
     """A deterministic random source."""
     return SeededRandom(42)
+
+
+@pytest.fixture
+def one_shard_plane(sim):
+    """Builder of a one-shard RouteFlow control plane on its own bus, with
+    a given VM boot delay: shard 0's controller, RFServer and RFProxy,
+    with no discovery or RPC in the loop."""
+    def build(vm_boot_delay: float) -> ShardedControlPlane:
+        return ShardedControlPlane(sim, MessageBus(sim),
+                                   make_partitioner("hash", 1),
+                                   vm_boot_delay=vm_boot_delay)
+    return build
 
 
 def _torus_fluid(rows: int = 16, cols: int = 16):

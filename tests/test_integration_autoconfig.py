@@ -63,16 +63,6 @@ class TestRingConfiguration:
                 f"{switch.name} should hold flows for remote prefixes"
         assert framework.rfproxy.flows_installed > 0
 
-    def test_summary_reports_key_figures(self, sim):
-        framework, _ = build(sim, ring_topology(4),
-                             fast_config(detect_edge_ports=False))
-        framework.run_until_configured(max_time=300.0)
-        summary = framework.summary()
-        assert summary["switches"] == 4
-        assert summary["vms"] == 4
-        assert summary["configuration_time_s"] == framework.configuration_time
-        assert summary["manual_time_s"] == pytest.approx(4 * 15 * 60)
-
     def test_single_controller_mode_also_converges(self, sim):
         framework, _ = build(sim, ring_topology(4),
                              fast_config(detect_edge_ports=False, use_flowvisor=False))
@@ -152,7 +142,7 @@ class TestFailureHandling:
         # link out), so this only checks the control plane stays alive.
         network.fail_link(1, 2)
         sim.run(until=framework.configuration_time + 60.0)
-        assert framework.rfserver.all_vms_running()
+        assert framework.control_plane.all_vms_running()
 
     @staticmethod
     def lose_switch_2(sim, controllers):
@@ -169,7 +159,7 @@ class TestFailureHandling:
         assert addresses
         network.control_channel(2).close()
         sim.run(until=framework.configuration_time + 20.0)
-        rfservers = [s.rfserver for s in framework.shards] or [framework.rfserver]
+        rfservers = [s.rfserver for s in framework.shards]
         assert all(2 not in s.rfproxy.controller.connected_datapaths
                    for s in rfservers)
         assert [e["data"]["switch_id"]

@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.controller import Controller
 from repro.net import ARP, Ethernet, EtherType, IPv4Address, IPv4Network, MACAddress
 from repro.quagga import InterfaceConfig, generate_zebra_conf
-from repro.routeflow import RFProxy, RFServer, RouteMod
+from repro.routeflow import RouteMod
 from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import linear_topology
 
 
 @pytest.fixture
-def pipeline(sim):
+def pipeline(sim, one_shard_plane):
     """Two switches connected to an RF-controller, mirrored by two VMs."""
-    controller = Controller(sim, name="rf")
-    rfproxy = RFProxy()
-    controller.register_app(rfproxy)
-    rfserver = RFServer(sim, rfproxy, vm_boot_delay=0.2)
+    plane = one_shard_plane(vm_boot_delay=0.2)
+    shard = plane.shards[0]
+    controller, rfproxy, rfserver = shard.controller, shard.rfproxy, shard.rfserver
     network = EmulatedNetwork(sim, linear_topology(2))
     network.connect_control_plane(controller.accept_channel, controller)
     for vm_id in (1, 2):
@@ -38,18 +36,18 @@ def pipeline(sim):
     }
     for vm_id, interfaces in configs.items():
         vm = rfserver.vm(vm_id)
-        rfserver.write_config_file(vm_id, "zebra.conf",
-                                   generate_zebra_conf(vm.name, interfaces))
+        plane.write_config_file(vm_id, "zebra.conf",
+                                generate_zebra_conf(vm.name, interfaces))
         for iface in interfaces:
             rfserver.assign_interface_address(vm_id, iface.name, iface.ip,
                                               iface.prefix_len)
     sim.run(until=2.0)
-    return sim, controller, rfproxy, rfserver, network
+    return sim, controller, rfproxy, rfserver, network, plane
 
 
 class TestRouteModProcessing:
     def test_remote_route_becomes_flow_with_rewrites(self, pipeline):
-        sim, controller, rfproxy, rfserver, network = pipeline
+        sim, controller, rfproxy, rfserver, network, _ = pipeline
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.2.0/24"),
                            next_hop=IPv4Address("172.16.0.2"), interface="eth1",
                            metric=20)
@@ -68,7 +66,7 @@ class TestRouteModProcessing:
         assert any(isinstance(a, OutputAction) and a.port == 1 for a in entry.actions)
 
     def test_unresolvable_next_hop_is_skipped(self, pipeline):
-        sim, _, rfproxy, rfserver, network = pipeline
+        sim, _, rfproxy, rfserver, network, _ = pipeline
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("10.99.0.0/16"),
                            next_hop=IPv4Address("172.16.9.9"), interface="eth1")
         rfserver.receive_route_mod(mod.to_json())
@@ -76,7 +74,7 @@ class TestRouteModProcessing:
         assert len(network.switch(1).flow_table) == 0
 
     def test_connected_route_waits_for_host_learning(self, pipeline):
-        sim, controller, rfproxy, rfserver, network = pipeline
+        sim, controller, rfproxy, rfserver, network, _ = pipeline
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.1.0/24"),
                            next_hop=None, interface="eth2")
         rfserver.receive_route_mod(mod.to_json())
@@ -96,7 +94,7 @@ class TestRouteModProcessing:
         assert rfproxy.arp_replies_sent == 1
 
     def test_route_delete_removes_flow(self, pipeline):
-        sim, _, rfproxy, rfserver, network = pipeline
+        sim, _, rfproxy, rfserver, network, _ = pipeline
         add = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.2.0/24"),
                            next_hop=IPv4Address("172.16.0.2"), interface="eth1")
         rfserver.receive_route_mod(add.to_json())
@@ -109,7 +107,7 @@ class TestRouteModProcessing:
         assert rfproxy.flows_removed >= 1
 
     def test_route_mod_for_unmapped_vm_ignored(self, pipeline):
-        sim, _, _, rfserver, network = pipeline
+        sim, _, _, rfserver, network, _ = pipeline
         mod = RouteMod.add(vm_id=99, prefix=IPv4Network("10.0.0.0/8"),
                            next_hop=IPv4Address("172.16.0.2"), interface="eth1")
         rfserver.receive_route_mod(mod.to_json())
@@ -119,7 +117,7 @@ class TestRouteModProcessing:
 
 class TestHostLearning:
     def test_gateway_addresses_are_not_learned_as_hosts(self, pipeline):
-        sim, controller, rfproxy, rfserver, network = pipeline
+        sim, controller, rfproxy, rfserver, network, _ = pipeline
         # An ARP sourced from the *other VM's* gateway address must not be
         # recorded as an end host.
         gateway_mac = rfserver.vm(2).interface("eth1").mac
@@ -131,7 +129,7 @@ class TestHostLearning:
         assert IPv4Address("172.16.0.2") not in rfproxy.hosts
 
     def test_flows_on_reports_per_switch_state(self, pipeline):
-        sim, _, rfproxy, rfserver, network = pipeline
+        sim, _, rfproxy, rfserver, network, _ = pipeline
         mod = RouteMod.add(vm_id=2, prefix=IPv4Network("192.168.1.0/24"),
                            next_hop=IPv4Address("172.16.0.1"), interface="eth1")
         rfserver.receive_route_mod(mod.to_json())
@@ -140,7 +138,6 @@ class TestHostLearning:
         assert rfproxy.flows_on(1) == []
 
     def test_vm_count_and_configured_switches(self, pipeline):
-        _, _, _, rfserver, _ = pipeline
-        assert rfserver.vm_count == 2
-        assert rfserver.configured_switches() == [1, 2]
-        assert rfserver.all_vms_running()
+        *_, plane = pipeline
+        assert plane.vm_count == 2
+        assert plane.all_vms_running()

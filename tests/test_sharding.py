@@ -7,7 +7,6 @@ import pickle
 
 import pytest
 
-from repro.controller import Controller
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager
 from repro.experiments.ctlscale import (
     check_load_conservation,
@@ -16,15 +15,17 @@ from repro.experiments.ctlscale import (
 )
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.experiments.run import mirror_into_routeflow, write_json
-from repro.net import IPv4Address, IPv4Network
+from repro.bus import MessageBus
+from repro.net import IPv4Address, IPv4Network, MACAddress
 from repro.quagga import InterfaceConfig, generate_zebra_conf
 from repro.routeflow import (
     ContiguousPartitioner,
+    FlowSpec,
     HashPartitioner,
+    HostEntry,
     PartitionError,
-    RFProxy,
-    RFServer,
     RouteMod,
+    ShardedControlPlane,
     ShardRole,
     TakeoverAnnouncement,
     make_partitioner,
@@ -79,25 +80,27 @@ class TestPartitioners:
 # ---------------------------------------------------------------------------
 # satellite fixes on the (single) RFServer
 # ---------------------------------------------------------------------------
-def build_two_switch_pipeline(sim):
-    """Two switches + two VMs, configuration injected directly."""
-    controller = Controller(sim, name="rf")
-    rfproxy = RFProxy()
-    controller.register_app(rfproxy)
-    rfserver = RFServer(sim, rfproxy, vm_boot_delay=0.2)
+def build_two_switch_pipeline(sim, one_shard_plane):
+    """Two switches + two VMs on a one-shard plane, configuration
+    injected directly."""
+    plane = one_shard_plane(vm_boot_delay=0.2)
+    shard = plane.shards[0]
     network = EmulatedNetwork(sim, linear_topology(2))
-    network.connect_control_plane(controller.accept_channel, controller)
+    network.connect_control_plane(shard.controller.accept_channel,
+                                  shard.controller)
     for vm_id in (1, 2):
-        rfserver.create_vm(vm_id=vm_id, num_ports=2)
-    return controller, rfproxy, rfserver, network
+        shard.rfserver.create_vm(vm_id=vm_id, num_ports=2)
+    return plane, shard.rfproxy, shard.rfserver, network
 
 
 class TestPendingRouteMods:
-    def test_route_mod_before_gateway_address_is_parked_then_replayed(self, sim):
+    def test_route_mod_before_gateway_address_is_parked_then_replayed(
+            self, sim, one_shard_plane):
         """Regression: a RouteMod arriving before the next-hop gateway
         address is assigned must install its flow once the address lands,
         not vanish."""
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         rfserver.assign_interface_address(1, "eth1", IPv4Address("172.16.0.1"), 30)
         sim.run(until=1.0)
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.2.0/24"),
@@ -116,8 +119,9 @@ class TestPendingRouteMods:
         assert len(flows) == 1
         assert flows[0].match.nw_dst == IPv4Address("192.168.2.0")
 
-    def test_newer_parked_route_mod_replaces_older(self, sim):
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+    def test_newer_parked_route_mod_replaces_older(self, sim, one_shard_plane):
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         rfserver.assign_interface_address(1, "eth1", IPv4Address("172.16.0.1"), 30)
         for metric in (10, 20):
             mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.2.0/24"),
@@ -132,8 +136,9 @@ class TestPendingRouteMods:
         assert len(installed) == 1
         assert installed[0].metric == 20  # the newer announcement won
 
-    def test_delete_drops_parked_add(self, sim):
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+    def test_delete_drops_parked_add(self, sim, one_shard_plane):
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         rfserver.assign_interface_address(1, "eth1", IPv4Address("172.16.0.1"), 30)
         prefix = IPv4Network("192.168.2.0/24")
         add = RouteMod.add(vm_id=1, prefix=prefix,
@@ -150,12 +155,14 @@ class TestPendingRouteMods:
 
 
 class TestAddressIndexing:
-    def test_zebra_applied_address_is_resolvable_without_assignment(self, sim):
+    def test_zebra_applied_address_is_resolvable_without_assignment(
+            self, sim, one_shard_plane):
         """Addresses applied through zebra.conf land in the next-hop index
         via the interface address listeners (no linear VM scan)."""
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         vm = rfserver.vm(2)
-        rfserver.write_config_file(2, "zebra.conf", generate_zebra_conf(
+        plane.write_config_file(2, "zebra.conf", generate_zebra_conf(
             vm.name, [InterfaceConfig("eth1", IPv4Address("172.16.0.2"), 30)]))
         sim.run(until=1.0)  # boot + config apply
         owner = rfserver.interface_owning_ip(IPv4Address("172.16.0.2"))
@@ -163,8 +170,10 @@ class TestAddressIndexing:
         assert owner[0] is vm
         assert owner[1].name == "eth1"
 
-    def test_reassigned_address_drops_stale_index_entry(self, sim):
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+    def test_reassigned_address_drops_stale_index_entry(
+            self, sim, one_shard_plane):
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         vm = rfserver.vm(2)
         sim.run(until=1.0)
         vm.interfaces["eth1"].configure_ip(IPv4Address("172.16.0.2"), 30)
@@ -297,10 +306,12 @@ class TestShardFailure:
         with pytest.raises(PartitionError, match="no controller shard"):
             framework.control_plane.fail_shard(7)
 
-    def test_failed_shard_does_not_replay_parked_route_mods(self, sim):
+    def test_failed_shard_does_not_replay_parked_route_mods(
+            self, sim, one_shard_plane):
         """A fail-stopped shard must not install flows through the parked
         RouteMod replay path (a dead controller mutating switch state)."""
-        controller, rfproxy, rfserver, network = build_two_switch_pipeline(sim)
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
         rfserver.assign_interface_address(1, "eth1", IPv4Address("172.16.0.1"), 30)
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.2.0/24"),
                            next_hop=IPv4Address("172.16.0.2"), interface="eth1")
@@ -320,6 +331,27 @@ class TestShardFailure:
             schedule.validate_against([1, 2], [(1, 2)], shards=2)
         # Without a shard count (the emulator's view) the event passes.
         schedule.validate_against([1, 2], [(1, 2)])
+
+    def test_shard_events_fail_stop_the_single_controller(self):
+        """Regression: a schedule validated against one controller may
+        fail it.  ``shard_down 0`` used to pass validation and then be
+        dropped, so the 'dead' controller kept processing RouteMods."""
+        sim, framework, network, configured_at = configure_ring(
+            4, 1, vm_boot_delay=0.5)
+        assert configured_at is not None
+        schedule = FailureSchedule((
+            FailureEvent(5.0, FailureAction.SHARD_DOWN, 0),
+            FailureEvent(10.0, FailureAction.LINK_DOWN, 1, 2),
+        ))
+        schedule.validate_against(list(network.switches),
+                                  list(network.link_ports), shards=1)
+        network.schedule_failures(schedule)
+        network.add_failure_listener(mirror_into_routeflow(network,
+                                                           framework.bus))
+        received = framework.rfserver.route_mods_received
+        sim.run(until=sim.now + 80.0)
+        assert len(framework.event_log.filter("shard_failed")) == 1
+        assert framework.rfserver.route_mods_received == received
 
     def test_replaced_address_is_retracted_from_peer_directories(self):
         """Re-addressing an interface must retract the old entry from the
@@ -532,6 +564,78 @@ class TestTakeoverAndResharding:
         assert (1, "203.0.113.0/24") in shard1.rfproxy.installed_flows
         assert (1, "203.0.113.0/24") not in shard0.rfproxy.installed_flows
         assert shard0.rfproxy.flows_installed == dead_installed
+
+
+def record_families(rfserver):
+    """Every per-dpid record an RFServer and its RFProxy keep, by family;
+    each record leads with its dpid (VM ids equal dpids here)."""
+    proxy = rfserver.rfproxy
+    return {
+        "vms": {(vm_id,) for vm_id in rfserver.vms},
+        "rfclients": {(vm_id,) for vm_id in rfserver.rfclients},
+        "mapping": {(dpid,) for dpid in rfserver.mapping.mapped_datapaths},
+        "indexed addresses": {(vm.vm_id, str(address)) for address, (vm, _)
+                              in rfserver._ip_index.items()},
+        "parked RouteMods": set(rfserver.parked()),
+        "installed flows": set(proxy.installed_flows),
+        "pending connected": set(proxy._pending_connected),
+        "hosts": {(host.datapath_id, str(address))
+                  for address, host in proxy.hosts.items()},
+        "gateway ARP": set(proxy._gateway_arp_sent),
+    }
+
+
+class TestHandOver:
+    def test_hand_over_conserves_every_record_family(self, sim):
+        """Handing a dpid over leaves none of its records on the source
+        and loses or invents none: per family, the union of source and
+        target is unchanged, and the other dpid's records stay put."""
+        plane = ShardedControlPlane(sim, MessageBus(sim),
+                                    make_partitioner("hash", 2),
+                                    vm_boot_delay=0.0)
+        source, target = (shard.rfserver for shard in plane.shards)
+        moved, kept = 2, 4          # both on shard 0 under dpid % 2
+        for dpid in (moved, kept):
+            vm = plane.create_vm(dpid, num_ports=2)
+            # Applied the way zebra applies an address: the VM's address
+            # listener indexes it on the RFServer.
+            vm.interfaces["eth1"].configure_ip(
+                IPv4Address(f"10.0.{dpid}.1"), 30)
+            source.receive_route_mod(RouteMod.add(
+                vm_id=dpid, prefix=IPv4Network(f"203.0.{dpid}.0/24"),
+                next_hop=IPv4Address("10.9.9.9"), interface="eth1").to_json())
+            mac = MACAddress(f"02:00:00:00:00:0{dpid}")
+            source.rfproxy.install_route(FlowSpec(
+                datapath_id=dpid, prefix=IPv4Network(f"10.{dpid}.0.0/16"),
+                out_port=1, src_mac=mac, dst_mac=mac))
+            source.rfproxy.install_route(FlowSpec(
+                datapath_id=dpid, prefix=IPv4Network(f"192.168.{dpid}.0/24"),
+                out_port=2, src_mac=mac, dst_mac=None))
+            host = IPv4Address(f"192.168.{dpid}.9")
+            source.rfproxy.hosts[host] = HostEntry(
+                ip=host, mac=mac, datapath_id=dpid, port_no=2, learned_at=0.0)
+            source.rfproxy._gateway_arp_sent[
+                (dpid, IPv4Address(f"192.168.{dpid}.7"))] = 0.0
+        sim.run(until=1.0)  # RouteMods reach flow_specs delivery: parked
+        before = {family: (records, record_families(target)[family])
+                  for family, records in record_families(source).items()}
+        for family, (records, _) in before.items():
+            assert {r[0] for r in records} == {moved, kept}, family
+
+        client = source.hand_over_vm(moved, moved, target, 2)
+        source.rfproxy.hand_over(moved, target.rfproxy)
+
+        assert client is target.rfclients[moved]
+        assert client.rfserver is target
+        after_source = record_families(source)
+        after_target = record_families(target)
+        for family, (old_source, old_target) in before.items():
+            assert not {r for r in after_source[family] if r[0] == moved}, \
+                family
+            assert after_source[family] | after_target[family] \
+                == old_source | old_target, family
+            assert {r for r in after_source[family] if r[0] == kept} \
+                == {r for r in old_source if r[0] == kept}, family
 
 
 class TestFailureDetectorOnLossyBus:
