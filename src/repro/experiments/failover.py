@@ -8,8 +8,10 @@ network and measures, per failure event:
   change it caused (RIB/FIB updates across every VM, observed through the
   zebra FIB listeners); and
 * **frames lost** — the physical network's drop-counter delta over the
-  event's window (traffic blackholed on the dead link until the control
-  platform rerouted).
+  event's window: every frame sent into a dead port or link, control
+  probes included.  The run carries no data traffic, and discovery stops
+  probing a link once it has learned it, so a configured network reads 0
+  unless something sends into the failed link.
 
 Failure events execute in the simulation kernel
 (:meth:`EmulatedNetwork.schedule_failures`); a listener mirrors each
@@ -64,7 +66,8 @@ class FailoverEventResult:
     reconverge_seconds: float
     #: Number of FIB updates (installs + withdrawals across all VMs).
     route_changes: int
-    #: Physical frames dropped during the event's window.
+    #: Physical frames dropped during the event's window, control probes
+    #: included (the run itself sends no data frames).
     frames_lost: int
 
 
@@ -279,7 +282,7 @@ def render_failover_table(results: List[FailoverResult]) -> str:
             ])
     table = format_table(
         ["scenario", "#", "event", "reconvergence", "route changes",
-         "frames lost"], rows)
+         "frames dropped"], rows)
     notes = []
     for result in results:
         if result.reconverged:
@@ -294,7 +297,7 @@ def render_failover_table(results: List[FailoverResult]) -> str:
             f"{result.scenario}: configured in "
             f"{format_seconds(result.configured_seconds)}, "
             f"{len(result.events)} failures, "
-            f"{result.total_frames_lost} frames lost, invariant {state}")
+            f"{result.total_frames_lost} frames dropped, invariant {state}")
         notes.extend(f"  ! {violation}"
                      for violation in result.invariant_violations)
     return table + "\n\n" + "\n".join(notes)

@@ -25,7 +25,7 @@ Every IPC hop runs over the plane's :class:`~repro.bus.MessageBus`:
   the proxy;
 * ``routeflow.mapping`` — mapping records (VM registrations, interface
   addresses) this server publishes for peer controller shards (direct
-  channel).
+  channel); a one-shard plane has no peer and publishes none.
 
 When the plane moves a dpid to another shard, :meth:`RFServer.hand_over_vm`
 and :meth:`~repro.routeflow.rfproxy.RFProxy.hand_over` carry the
@@ -121,8 +121,11 @@ class RFServer:
         self._flow_pub = acquire_publisher(
             self.bus, self.flow_specs_topic, self._sender,
             endpoint=self._endpoint)
+        # Mapping records feed the peer shards' directories; one shard has
+        # no peer, so it publishes none.
         self._mapping_pub = acquire_publisher(
-            self.bus, topics.MAPPING, self._sender, endpoint=self._endpoint)
+            self.bus, topics.MAPPING, self._sender, endpoint=self._endpoint) \
+            if plane.membership.partitioner.num_shards > 1 else None
 
     # --------------------------------------------------------------------- VMs
     def create_vm(self, vm_id: int, num_ports: int,
@@ -148,9 +151,9 @@ class RFServer:
             self.sim.schedule_at(start_at, vm.start, label=f"rfserver:boot:{vm_id}")
         else:
             vm.start()
-        self._mapping_pub.publish(MappingRecord(
+        self._share_mapping(MappingRecord(
             event=MappingRecord.VM_MAPPED, vm_id=vm_id, datapath_id=dpid,
-            shard=self.shard_id, num_ports=num_ports).to_json())
+            shard=self.shard_id, num_ports=num_ports))
         self.event_log.record("vm_created", f"VM {vm.name} created for dpid {dpid:#x}",
                               vm_id=vm_id, datapath_id=dpid, num_ports=num_ports)
         return vm
@@ -192,11 +195,11 @@ class RFServer:
             # Retract the replaced address from peer shards' directories
             # too, or they would keep resolving next hops to a gateway
             # address that no longer exists.
-            self._mapping_pub.publish(MappingRecord(
+            self._share_mapping(MappingRecord(
                 event=MappingRecord.ADDRESS_REMOVED, vm_id=vm.vm_id,
                 datapath_id=self.mapping.dpid_for_vm(vm.vm_id) or vm.vm_id,
                 shard=self.shard_id, interface=interface.name,
-                address=str(old_ip)).to_json())
+                address=str(old_ip)))
         if interface.ip is not None:
             self._index_interface_address(vm, interface, interface.ip)
 
@@ -206,12 +209,16 @@ class RFServer:
         known = self._ip_index.get(address)
         self._ip_index[address] = (vm, interface)
         if known is None or known[1] is not interface:
-            self._mapping_pub.publish(MappingRecord(
+            self._share_mapping(MappingRecord(
                 event=MappingRecord.ADDRESS_ASSIGNED, vm_id=vm.vm_id,
                 datapath_id=self.mapping.dpid_for_vm(vm.vm_id) or vm.vm_id,
                 shard=self.shard_id, interface=interface.name,
-                address=str(address)).to_json())
+                address=str(address)))
         self.replay_pending_next_hop(address)
+
+    def _share_mapping(self, record: MappingRecord) -> None:
+        if self._mapping_pub is not None:
+            self._mapping_pub.publish(record.to_json())
 
     def interface_owning_ip(self, address: IPv4Address):
         """Return (vm, interface) holding the address, or None.

@@ -94,6 +94,10 @@ class ShardedControlPlane:
         #: shard partition like any other control-plane state.
         self.rfvs = RFVirtualSwitch(sim)
         self.bgp_broker = bgp_broker
+        #: Roles, liveness, the ownership map (lazily seeded from the
+        #: partitioner, diverging from it after takeovers and resharding)
+        #: and the takeover fence.
+        self.membership = Membership(partitioner, now=sim.now)
         count = partitioner.num_shards
         # One shard keeps the paper's names; N shards number theirs.
         suffixes = [f"-{shard_id}" for shard_id in range(count)] \
@@ -111,10 +115,6 @@ class ShardedControlPlane:
         #: ``vm_mapped`` records, so a standby can rebuild a dead
         #: master's mapping table without reading its memory.
         self._vm_ports: Dict[int, int] = {}
-        #: Roles, liveness, the ownership map (lazily seeded from the
-        #: partitioner, diverging from it after takeovers and resharding)
-        #: and the takeover fence.
-        self.membership = Membership(partitioner, now=sim.now)
         #: Hook called with a dpid after its owner changed; the framework
         #: points it at :meth:`FlowVisor.rehome_datapath` so the slice
         #: channels follow the partition.

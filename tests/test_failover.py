@@ -19,11 +19,12 @@ from repro.experiments import (
     write_failover_csv,
     write_json,
 )
+from repro.experiments.run import ScenarioRun
 from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, OSPFNetworkStatement, generate_ospfd_conf, generate_zebra_conf
 from repro.quagga.ospf.constants import MAX_AGE
 from repro.routeflow import RFVirtualSwitch, VirtualMachine
-from repro.scenarios import FailureSchedule, ScenarioSpec
+from repro.scenarios import FailureAction, FailureSchedule, ScenarioSpec
 from repro.sim import Simulator
 
 #: Fast protocol/boot timers so the failover runs stay test-suite friendly.
@@ -70,7 +71,32 @@ class TestFailoverInvariant:
         assert result.invariant_violations == []
         down = result.events[0]
         assert down.route_changes > 0
-        assert down.frames_lost > 0  # probes blackholed on the dead link
+
+    def test_a_frame_sent_into_the_dead_link_is_counted(self, monkeypatch):
+        """``frames_lost`` is the drop-counter delta over the event's
+        window: one frame sent into the failed link a second after the
+        failure adds exactly one to that event and none to the next."""
+        spec = SCENARIOS[0]
+        schedule = FailureSchedule.single_link_failure(1, 2, at=5.0,
+                                                       restore_after=40.0)
+        quiet = run_failover(spec, schedule=schedule, settle=12.0)
+        mirror_failures = ScenarioRun.mirror_failures
+
+        def mirror_and_send(run):
+            mirror_failures(run)
+            port, _ = run.network.ports_for_link(1, 2)
+            interface = run.network.switch(1).port(port).interface
+
+            def send_into_dead_link(event):
+                if event.action == FailureAction.LINK_DOWN:
+                    run.sim.schedule(1.0, interface.send, bytes(64))
+
+            run.network.add_failure_listener(send_into_dead_link)
+
+        monkeypatch.setattr(ScenarioRun, "mirror_failures", mirror_and_send)
+        sent = run_failover(spec, schedule=schedule, settle=12.0)
+        assert [event.frames_lost for event in sent.events] == [
+            quiet.events[0].frames_lost + 1, quiet.events[1].frames_lost]
 
     def test_failure_after_max_age_matches_early_failure(self):
         """LSRefreshTime keeps every LSA younger than MaxAge in a quiet

@@ -137,9 +137,9 @@ class TestFailureHandling:
         framework, network = build(sim, ring_topology(4),
                                    fast_config(detect_edge_ports=False))
         framework.run_until_configured(max_time=300.0, settle=5.0)
-        # Fail one physical link; the mirrored virtual link stays up (the
-        # physical failure is invisible to the VMs until discovery times the
-        # link out), so this only checks the control plane stays alive.
+        # Fail one physical link; no port-status mirror is armed here, so
+        # the mirrored virtual link stays up and the VMs never see the
+        # failure: this only checks the control plane stays alive.
         network.fail_link(1, 2)
         sim.run(until=framework.configuration_time + 60.0)
         assert framework.control_plane.all_vms_running()

@@ -183,6 +183,17 @@ class TestAddressIndexing:
         assert rfserver.interface_owning_ip(
             IPv4Address("172.16.0.6"))[1].name == "eth1"
 
+    def test_one_shard_publishes_no_mapping_records(self, sim, one_shard_plane):
+        """Mapping records feed the peer shards' directories; one shard
+        has no peer, so its VMs and addresses never reach the bus."""
+        plane, rfproxy, rfserver, network = build_two_switch_pipeline(
+            sim, one_shard_plane)
+        sim.run(until=1.0)
+        rfserver.vm(2).interfaces["eth1"].configure_ip(
+            IPv4Address("172.16.0.2"), 30)
+        assert rfserver.interface_owning_ip(IPv4Address("172.16.0.2")) is not None
+        assert "routeflow.mapping" not in plane.bus.stats()
+
 
 # ---------------------------------------------------------------------------
 # sharded convergence
