@@ -100,9 +100,6 @@ class Subscription:
         self.callback = callback
         self.endpoint = endpoint
 
-    def __call__(self, envelope: Envelope) -> None:
-        self.callback(envelope)
-
     def __repr__(self) -> str:
         return f"<Subscription endpoint={self.endpoint!r}>"
 
@@ -433,7 +430,7 @@ class MessageBus:
         channel.delivered += 1
         channel.bytes_delivered += envelope.size_bytes
         for subscription in list(eligible):
-            subscription(envelope)
+            subscription.callback(envelope)
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Dict[str, float]]:

@@ -14,13 +14,20 @@ tags its JSON object — the RouteFlow vocabulary of
 takeovers, port-status relays) and the configuration messages of
 :mod:`repro.core.config_messages`.  :func:`decode` is the one decoder for
 all of them.
+
+The reliable layer (:mod:`repro.bus.reliable`) puts its own two formats
+around those payloads: a sequence-numbered data wrapper (:func:`wrap`) and
+its acknowledgement (:func:`ack_payload`, read back by :func:`parse_ack`).
+Both are written from fixed-key-order format strings that give exactly the
+bytes ``json.dumps(..., sort_keys=True)`` gives for the same fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Type, TypeVar
+from json.encoder import encode_basestring_ascii
+from typing import ClassVar, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.net.packet import DecodeError
 
@@ -98,3 +105,52 @@ def decode(text: str) -> Message:
         return cls(**data)
     except TypeError as exc:
         raise DecodeError(f"bad fields for {kind}: {exc}") from exc
+
+
+#: Wire discriminator of a reliable data wrapper / acknowledgement.
+RMSG_KIND = "rmsg"
+RACK_KIND = "rack"
+
+
+def wrap(src: str, incarnation: int, base: int, seq: int,
+         payload: str) -> str:
+    """A reliable data wrapper around one payload, keys in sorted order."""
+    return (f'{{"base": {base}, "inc": {incarnation}, "kind": "{RMSG_KIND}", '
+            f'"payload": {encode_basestring_ascii(payload)}, "seq": {seq}, '
+            f'"src": {encode_basestring_ascii(src)}}}')
+
+
+def ack_payload(src: str, incarnation: int, seq: int) -> str:
+    """The acknowledgement of one wrapped message, keys in sorted order."""
+    return (f'{{"inc": {incarnation}, "kind": "{RACK_KIND}", "seq": {seq}, '
+            f'"src": {encode_basestring_ascii(src)}}}')
+
+
+#: The envelope :func:`parse_ack` read last and what it read.  The bus hands
+#: every subscriber of a topic the same Envelope object, so the publishers
+#: sharing an ack topic share one parse.  The memo holds the envelope itself,
+#: so the identity test can never match a recycled object.
+_last_ack: Tuple[Optional[Envelope], Optional[Tuple]] = (None, None)
+
+
+def parse_ack(envelope: Envelope) -> Optional[Tuple]:
+    """``(src, inc, seq)`` of an acknowledgement, or None for anything else.
+
+    Parses each envelope once, however many publishers it is delivered to.
+    A nested delivery (a direct channel acking inside the dispatch loop)
+    replaces the memo; the next caller with the outer envelope then parses
+    it again.
+    """
+    global _last_ack
+    last, fields = _last_ack
+    if last is envelope:
+        return fields
+    try:
+        ack = json.loads(envelope.payload)
+    except (TypeError, ValueError):
+        ack = None
+    fields = None
+    if isinstance(ack, dict) and ack.get("kind") == RACK_KIND:
+        fields = (ack.get("src"), ack.get("inc"), ack.get("seq"))
+    _last_ack = (envelope, fields)
+    return fields

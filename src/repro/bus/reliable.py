@@ -43,11 +43,15 @@ policy, :func:`acquire_publisher` and :func:`consume` degrade to
 passthrough shims whose publish/subscribe calls are bit-identical to the
 bare bus — the golden traces pin that no wrapper bytes, ack channels or
 timers exist on the default path.
+
+Cost follows messages, not subscribers: every RFClient on a RouteMod topic
+subscribes to the one shared ``.ack`` topic, and each ack envelope is
+JSON-parsed once (:func:`~repro.bus.envelope.parse_ack`), however many
+publishers share the topic.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from collections import deque
@@ -55,13 +59,10 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.bus.bus import ACK_SUFFIX, Channel, MessageBus
-from repro.bus.envelope import Envelope
+from repro.bus.envelope import (
+    RMSG_KIND, Envelope, ack_payload, parse_ack, wrap)
 
 LOG = logging.getLogger(__name__)
-
-#: Wire discriminator of a reliable data wrapper / acknowledgement.
-RMSG_KIND = "rmsg"
-RACK_KIND = "rack"
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,6 @@ def _ensure_ack_channel(bus: MessageBus, topic: str) -> None:
         # ack channel implicit too so a later owner declaration of the
         # data topic can be mirrored by whoever publishes next.
         bus._implicit_channel(ack_topic(topic))
-
-
-def _wrap(src: str, incarnation: int, base: int, seq: int,
-          payload: str) -> str:
-    return json.dumps({"kind": RMSG_KIND, "src": src, "inc": incarnation,
-                       "base": base, "seq": seq, "payload": payload},
-                      sort_keys=True)
-
-
-def _ack_payload(src: str, incarnation: int, seq: int) -> str:
-    return json.dumps({"kind": RACK_KIND, "src": src, "inc": incarnation,
-                       "seq": seq}, sort_keys=True)
 
 
 class PassthroughPublisher:
@@ -248,8 +237,8 @@ class ReliablePublisher:
             # no coordinator listening): nothing will ever ack, so tracking
             # would retransmit forever.  The bus counts the drop;
             # at-least-once only holds between live endpoints.
-            wrapper = _wrap(self.sender, self.incarnation, self.base_seq,
-                            seq, payload)
+            wrapper = wrap(self.sender, self.incarnation, self.base_seq,
+                           seq, payload)
             envelope = self.bus.publish(self.topic, wrapper, label=label,
                                         latency=latency, sender=self.sender,
                                         endpoint=self.endpoint)
@@ -276,8 +265,8 @@ class ReliablePublisher:
         # comes back synchronously, inside this very publish call.
         pending.attempts = 1
         self._pending[pending.seq] = pending
-        wrapper = _wrap(self.sender, self.incarnation, self.base_seq,
-                        pending.seq, pending.payload)
+        wrapper = wrap(self.sender, self.incarnation, self.base_seq,
+                       pending.seq, pending.payload)
         envelope = self.bus.publish(self.topic, wrapper, label=pending.label,
                                     latency=pending.latency,
                                     sender=self.sender, endpoint=self.endpoint)
@@ -324,8 +313,8 @@ class ReliablePublisher:
             return
         pending.attempts += 1
         self._channel().retransmits += 1
-        wrapper = _wrap(self.sender, self.incarnation, self.base_seq, seq,
-                        pending.payload)
+        wrapper = wrap(self.sender, self.incarnation, self.base_seq, seq,
+                       pending.payload)
         self.bus.publish(self.topic, wrapper, label=pending.label,
                          latency=pending.latency, sender=self.sender,
                          endpoint=self.endpoint)
@@ -358,15 +347,10 @@ class ReliablePublisher:
 
     # -------------------------------------------------------------------- acks
     def _on_ack(self, envelope: Envelope) -> None:
-        try:
-            ack = json.loads(envelope.payload)
-        except (TypeError, ValueError):
+        ack = parse_ack(envelope)
+        if ack is None or ack[0] != self.sender or ack[1] != self.incarnation:
             return
-        if (not isinstance(ack, dict) or ack.get("kind") != RACK_KIND
-                or ack.get("src") != self.sender
-                or ack.get("inc") != self.incarnation):
-            return
-        pending = self._pending.pop(ack.get("seq"), None)
+        pending = self._pending.pop(ack[2], None)
         if pending is None:
             return
         if pending.timer is not None:
@@ -471,7 +455,7 @@ class ReliableConsumer:
         if self.policy.mode != "ack":
             return
         self.bus.publish(ack_topic(self.topic),
-                         _ack_payload(src, incarnation, seq),
+                         ack_payload(src, incarnation, seq),
                          sender=self.endpoint or f"consumer:{self.topic}",
                          endpoint=self.endpoint)
 
@@ -500,7 +484,7 @@ class ReliableConsumer:
                 # old incarnation; flush what we already acked so those
                 # messages are not lost, then start the new stream.
                 for old_seq in sorted(stream.buffer):
-                    self._deliver(stream.buffer[old_seq])
+                    self.callback(stream.buffer[old_seq])
             stream = _Stream(incarnation, message["base"])
             self._streams[src] = stream
         elif incarnation < stream.incarnation:
@@ -534,18 +518,16 @@ class ReliableConsumer:
             channel.rx_out_of_order += 1
             stream.buffer[seq] = self._unwrapped(envelope, message)
             return
-        self._deliver(self._unwrapped(envelope, message))
+        self.callback(self._unwrapped(envelope, message))
         stream.expected += 1
         while stream.expected in stream.buffer:
-            self._deliver(stream.buffer.pop(stream.expected))
+            self.callback(stream.buffer.pop(stream.expected))
             stream.expected += 1
 
     @staticmethod
     def _unwrapped(envelope: Envelope, message: Dict) -> Envelope:
-        return dataclasses.replace(envelope, payload=message["payload"])
-
-    def _deliver(self, envelope: Envelope) -> None:
-        self.callback(envelope)
+        return Envelope(envelope.topic, envelope.seq, envelope.sender,
+                        envelope.published_at, message["payload"])
 
 
 class _SeqConsumer(ReliableConsumer):

@@ -374,12 +374,16 @@ class RFServer:
         client.repoint(target)
         vm.replace_address_listener(self._on_vm_address_change,
                                     target._on_vm_address_change)
+        # Every address indexed to the VM moves, including one the RPC
+        # server assigned that zebra has not applied to the interface yet.
+        moved_ips = {address: entry for address, entry
+                     in self._ip_index.items() if entry[0] is vm}
+        for address in moved_ips:
+            del self._ip_index[address]
+        target._ip_index.update(moved_ips)
         for interface in vm.interfaces.values():
-            if interface.ip is None:
-                continue
-            if self._ip_index.get(interface.ip, (None,))[0] is vm:
-                del self._ip_index[interface.ip]
-            target._ip_index[interface.ip] = (vm, interface)
+            if interface.ip is not None:
+                target._ip_index[interface.ip] = (vm, interface)
         for next_hop in list(self._pending_by_next_hop):
             bucket = self._pending_by_next_hop[next_hop]
             moved = {key: mod for key, mod in bucket.items()

@@ -39,7 +39,7 @@ from repro.bus import (  # noqa: E402
     consume,
     decode,
 )
-from repro.bus.reliable import _wrap  # noqa: E402
+from repro.bus.envelope import wrap  # noqa: E402
 from repro.core.config_messages import (  # noqa: E402
     ConfigMessage,
     EdgePortConfigMessage,
@@ -349,7 +349,7 @@ class TestConsumerAgainstAdversarialWire:
         seen = []
         consume(bus, "t", lambda env: seen.append(env.payload))
         for seq in arrivals:
-            bus.publish("t", _wrap("me", 1, 1, seq, f"m{seq}"), sender="me")
+            bus.publish("t", wrap("me", 1, 1, seq, f"m{seq}"), sender="me")
         assert seen == [f"m{seq}" for seq in range(1, n + 1)]
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -363,7 +363,7 @@ class TestConsumerAgainstAdversarialWire:
         seen = []
         consume(bus, "t", lambda env: seen.append(env.payload))
         for seq in arrivals:
-            bus.publish("t", _wrap("me", 1, 1, seq, f"m{seq}"), sender="me")
+            bus.publish("t", wrap("me", 1, 1, seq, f"m{seq}"), sender="me")
             assert seen == [f"m{s}" for s in range(1, len(seen) + 1)]
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -383,7 +383,7 @@ class TestConsumerAgainstAdversarialWire:
 
         consume(bus, "t", record)
         for src, seq in events:
-            bus.publish("t", _wrap(src, 1, 1, seq, f"{src}:{seq}"),
+            bus.publish("t", wrap(src, 1, 1, seq, f"{src}:{seq}"),
                         sender=src)
         for delivered in seen.values():
             assert delivered == list(range(1, len(delivered) + 1))
@@ -431,6 +431,7 @@ class TestSeqModeProperties:
         seen = []
         consume(bus, "t", lambda env: seen.append(int(env.payload)))
         for seq in arrivals:
-            bus.publish("t", _wrap("hb", 1, 1, seq, str(seq)), sender="hb")
+            bus.publish("t", wrap("hb", 1, 1, seq, str(seq)), sender="hb")
         assert seen == sorted(set(seen))
         assert set(seen) <= set(arrivals)
+

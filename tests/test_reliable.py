@@ -9,6 +9,7 @@ duplicates, reordering and jitter the fault layer can inject.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,10 @@ from repro.bus import (
     acquire_publisher,
     consume,
 )
-from repro.bus.reliable import RMSG_KIND, _wrap, ack_topic
+from repro.bus import envelope as envelope_module
+from repro.bus.envelope import (
+    RMSG_KIND, Envelope, ack_payload, parse_ack, wrap)
+from repro.bus.reliable import ack_topic
 from repro.sim import Simulator
 
 
@@ -133,13 +137,13 @@ class TestAckProtocol:
         consume(bus, "t", lambda env: seen.append(env.payload))
         bus.subscribe(ack_topic("t"), lambda env: acks.append(env.payload))
         # Hand-crafted stream: seq 5 with base 1 while 1..4 never arrived.
-        bus.publish("t", _wrap("me", 1, 1, 5, "early"), sender="me")
+        bus.publish("t", wrap("me", 1, 1, 5, "early"), sender="me")
         assert seen == []
         assert acks == []                     # refusal leaves it unacked
         assert bus.stats()["t"]["rx_out_of_window"] == 1
         # Once the gap fills, the stream advances normally.
-        bus.publish("t", _wrap("me", 1, 1, 1, "one"), sender="me")
-        bus.publish("t", _wrap("me", 1, 1, 2, "two"), sender="me")
+        bus.publish("t", wrap("me", 1, 1, 1, "one"), sender="me")
+        bus.publish("t", wrap("me", 1, 1, 2, "two"), sender="me")
         assert seen == ["one", "two"]
 
     def test_inactive_consumer_neither_applies_nor_acks(self, sim):
@@ -314,10 +318,10 @@ class TestSeqMode:
             sim, policies=(("hb", ReliablePolicy(mode="seq")),))
         beats = []
         consume(bus, "hb", lambda env: beats.append(env.payload))
-        bus.publish("hb", _wrap("shard:0", 1, 1, 1, "one"), sender="shard:0")
-        bus.publish("hb", _wrap("shard:0", 1, 1, 3, "three"), sender="shard:0")
-        bus.publish("hb", _wrap("shard:0", 1, 1, 2, "late"), sender="shard:0")
-        bus.publish("hb", _wrap("shard:0", 1, 1, 3, "dup"), sender="shard:0")
+        bus.publish("hb", wrap("shard:0", 1, 1, 1, "one"), sender="shard:0")
+        bus.publish("hb", wrap("shard:0", 1, 1, 3, "three"), sender="shard:0")
+        bus.publish("hb", wrap("shard:0", 1, 1, 2, "late"), sender="shard:0")
+        bus.publish("hb", wrap("shard:0", 1, 1, 3, "dup"), sender="shard:0")
         assert beats == ["one", "three"]       # gap skipped, stale dropped
         stats = bus.stats()["hb"]
         assert stats["rx_duplicates"] == 2
@@ -345,3 +349,145 @@ class TestEndToEnd:
         sim.run()
         assert seen == sent
         assert publisher.pending == 0
+
+
+ADVERSARIAL_STRINGS = [
+    "", "plain", 'a "quoted" word', "back\\slash\\", "\\\"", "/slash/",
+    "\x00\x01\x1f\x7f", "\b\f\n\r\t", "caf\u00e9 \u2028 \u2029",
+    "\u00ff\u0100\uffff", "\U0001f600", "\ud800", "lone \udfff low",
+    "\udbff\udc00", '{"kind": "rmsg", "seq": 1}', " " * 300,
+]
+LARGE_INTS = [0, 1, 2**31 - 1, 2**31, 2**63, 10**40, -1]
+
+
+class TestWireFormat:
+    """The wrapper and the ack are written from format strings; they must
+    be the very bytes ``json.dumps(..., sort_keys=True)`` writes, or every
+    byte counter and snapshot would move."""
+
+    @pytest.mark.parametrize("text", ADVERSARIAL_STRINGS)
+    def test_wrap_matches_sorted_json_dumps(self, text):
+        for number in LARGE_INTS:
+            fields = {"kind": RMSG_KIND, "src": text, "inc": number,
+                      "base": number + 1, "seq": number * 3,
+                      "payload": text[::-1]}
+            assert wrap(text, number, number + 1, number * 3, text[::-1]) \
+                == json.dumps(fields, sort_keys=True)
+
+    @pytest.mark.parametrize("text", ADVERSARIAL_STRINGS)
+    def test_ack_payload_matches_sorted_json_dumps(self, text):
+        for number in LARGE_INTS:
+            fields = {"kind": "rack", "src": text, "inc": number,
+                      "seq": number + 7}
+            assert ack_payload(text, number, number + 7) \
+                == json.dumps(fields, sort_keys=True)
+
+
+def count_ack_parses(monkeypatch):
+    """Route the ack parser's ``json.loads`` through a counter."""
+    calls = []
+
+    def loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(envelope_module, "json", SimpleNamespace(loads=loads))
+    return calls
+
+
+class TestSharedAckTopic:
+    """Many publishers on one reliable topic, the RouteFlow shape: every
+    RFClient of a shard publishes on its RouteMod topic and subscribes to
+    the one shared ``.ack`` topic."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sixteen_publishers_under_compound_faults(self, monkeypatch,
+                                                      seed):
+        bus = reliable_bus(Simulator(), fault_seed=seed)
+        sim = bus.sim
+        bus.channel("t", latency=0.05, discipline=Discipline.DELAY)
+        bus.configure_faults("t", drop=0.05, duplicate=0.02,
+                             reorder=0.25, jitter=0.05)
+        applied = {}
+        consume(bus, "t", lambda env: applied.setdefault(
+            env.sender, []).append(env.payload))
+        retired = {f"vm{index}": [] for index in range(16)}
+        on_ack = ReliablePublisher._on_ack
+        real_loads = json.loads
+
+        def spy(publisher, envelope):
+            before = set(publisher._pending)
+            incarnation = publisher.incarnation
+            on_ack(publisher, envelope)
+            popped = before - set(publisher._pending)
+            if popped:
+                ack = real_loads(envelope.payload)
+                assert (ack["src"], ack["inc"]) \
+                    == (publisher.sender, incarnation)
+                assert popped == {ack["seq"]}
+                retired[publisher.sender].append(ack["seq"])
+
+        monkeypatch.setattr(ReliablePublisher, "_on_ack", spy)
+        publishers = [acquire_publisher(bus, "t", sender)
+                      for sender in retired]
+        delivered_acks = []
+        bus.subscribe(ack_topic("t"), delivered_acks.append)
+        parses = count_ack_parses(monkeypatch)
+        sent = {publisher.sender: [] for publisher in publishers}
+        for round_no in range(25):
+            for publisher in publishers:
+                payload = f"{publisher.sender}:{round_no}"
+                sent[publisher.sender].append(payload)
+                publisher.publish(payload)
+        sim.run()
+
+        assert applied == sent
+        assert all(publisher.pending == 0 for publisher in publishers)
+        for sender, seqs in retired.items():
+            assert sorted(seqs) == list(range(1, 26)), sender
+        assert bus.stats()["t"]["acked"] == 16 * 25
+        # One parse per delivered ack envelope (a duplicate copy delivered
+        # straight after its original reuses the parse), not one per
+        # publisher it reaches.
+        runs = sum(1 for index, envelope in enumerate(delivered_acks)
+                   if index == 0 or envelope is not delivered_acks[index - 1])
+        assert len(parses) == runs
+        assert len(delivered_acks) > 16 * 25
+
+    def test_a_fresh_envelope_is_never_served_a_stale_parse(self):
+        """The memo is keyed on the envelope object and holds it, so a new
+        envelope allocated where the last one was freed (same ``id``) is
+        still parsed."""
+        for seq in range(50):
+            payload = ack_payload("a", 1, seq)
+            envelope = Envelope("t.ack", seq, "consumer", 0.0, payload)
+            assert parse_ack(envelope) == ("a", 1, seq)
+            del envelope
+
+    def test_nested_ack_mid_dispatch_is_parsed_again(self, monkeypatch, sim):
+        """On a direct channel an ack's window pump publishes inside the
+        dispatch loop, so a nested ack replaces the memo before the outer
+        ack reaches the next publisher; that publisher parses it again."""
+        bus = reliable_bus(sim, policies=(("t", ReliablePolicy(window=1)),))
+        seen = []
+        consume(bus, "t", lambda env: seen.append(env.payload))
+        first = acquire_publisher(bus, "t", "a")
+        second = acquire_publisher(bus, "t", "b")
+        bus.configure_faults(ack_topic("t"), drop=1.0)
+        first.publish("a1")                    # applied, ack lost
+        first.publish("a2")                    # queued behind the window
+        assert first.pending == 2
+        bus.clear_faults(ack_topic("t"))
+        parses = count_ack_parses(monkeypatch)
+        sim.run()   # a1's retransmit is re-acked; that ack's pump sends a2
+        assert seen == ["a1", "a2"]
+        assert first.pending == 0
+        # ack(a1) once for "a", ack(a2) once for both, ack(a1) again for
+        # "b" after the nested delivery replaced the memo.
+        assert [json.loads(text)["seq"] for text in parses] == [1, 2, 1]
+        for index in range(20):
+            publisher = (first, second)[index % 2]
+            publisher.publish(f"m{index}")
+            assert publisher.pending == 0      # no stale parse reused
+        assert len(parses) == 3 + 20
+        assert seen[2:] == [f"m{index}" for index in range(20)]

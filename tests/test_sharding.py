@@ -648,6 +648,23 @@ class TestHandOver:
             assert {r for r in after_source[family] if r[0] == kept} \
                 == {r for r in old_source if r[0] == kept}, family
 
+    def test_an_assigned_but_unapplied_address_moves_with_its_vm(self, sim):
+        """An address the RPC server assigned that zebra has not applied
+        to the interface yet is indexed to the VM, so it moves with it."""
+        plane = ShardedControlPlane(sim, MessageBus(sim),
+                                    make_partitioner("hash", 2),
+                                    vm_boot_delay=0.0)
+        source, target = (shard.rfserver for shard in plane.shards)
+        vm = plane.create_vm(2, num_ports=2)
+        assigned = IPv4Address("10.0.2.1")
+        source.assign_interface_address(2, "eth1", assigned, 30)
+        assert vm.interfaces["eth1"].ip is None
+
+        source.hand_over_vm(2, 2, target, 2)
+
+        assert assigned not in source._ip_index
+        assert target._ip_index[assigned] == (vm, vm.interfaces["eth1"])
+
 
 class TestFailureDetectorOnLossyBus:
     def test_takeover_deadline_tracks_heartbeat_channel_delay(self):
