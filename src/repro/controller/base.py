@@ -29,7 +29,6 @@ from repro.openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowRemoved,
     Hello,
     OpenFlowMessage,
     PacketIn,
@@ -73,15 +72,10 @@ class DatapathConnection:
         self.send(message)
 
     def send_flow_mod(self, match: Match, actions: List[Action],
-                      command: int = 0, priority: int = 0x8000,
-                      idle_timeout: int = 0, hard_timeout: int = 0,
-                      cookie: int = 0, buffer_id: int = OFP_NO_BUFFER) -> None:
-        """Install / modify / delete a flow entry on the datapath."""
-        message = FlowMod(match=match, command=command, actions=actions,
-                          priority=priority, idle_timeout=idle_timeout,
-                          hard_timeout=hard_timeout, cookie=cookie,
-                          buffer_id=buffer_id, xid=self.take_xid())
-        self.send(message)
+                      command: int = 0, priority: int = 0x8000) -> None:
+        """Install / modify / delete a permanent flow entry on the datapath."""
+        self.send(FlowMod(match=match, command=command, actions=actions,
+                          priority=priority, xid=self.take_xid()))
 
     def __repr__(self) -> str:
         dpid = f"{self.datapath_id:#x}" if self.datapath_id is not None else "?"
@@ -114,9 +108,6 @@ class ControllerApp:
     def on_port_status(self, connection: DatapathConnection, message: PortStatus) -> None:
         """A PORT_STATUS arrived from a switch."""
 
-    def on_flow_removed(self, connection: DatapathConnection, message: FlowRemoved) -> None:
-        """A FLOW_REMOVED arrived from a switch."""
-
     def on_error(self, connection: DatapathConnection, message: ErrorMessage) -> None:
         """An ERROR arrived from a switch."""
 
@@ -126,8 +117,6 @@ class Controller:
 
     #: Controller-side processing latency applied to each handled message.
     PROCESSING_DELAY = 0.0005
-    #: Interval of the liveness echo towards each connected switch.
-    ECHO_INTERVAL = 15.0
 
     def __init__(self, sim: Simulator, name: str = "controller") -> None:
         self.sim = sim
@@ -215,10 +204,6 @@ class Controller:
             self._update_port(connection, message)
             for app in self.apps:
                 app.on_port_status(connection, message)
-            return
-        if isinstance(message, FlowRemoved):
-            for app in self.apps:
-                app.on_flow_removed(connection, message)
             return
         if isinstance(message, ErrorMessage):
             for app in self.apps:

@@ -33,14 +33,12 @@ from repro.openflow.constants import (
 from repro.openflow.match import MATCH_LEN, Match, PacketFields
 from repro.openflow.messages import (
     OFP_HEADER_LEN,
-    BarrierReply,
     BarrierRequest,
     EchoReply,
     EchoRequest,
     ErrorMessage,
     FeaturesReply,
     FeaturesRequest,
-    FlowRemoved,
     Hello,
     OpenFlowMessage,
     PacketIn,
@@ -175,13 +173,10 @@ class FlowVisor:
         if isinstance(message, PacketIn):
             self._route_packet_in(session, message, data)
             return
-        if isinstance(message, (PortStatus, FlowRemoved, ErrorMessage)):
+        if isinstance(message, (PortStatus, ErrorMessage)):
             self._maybe_route_reply(session, message) or self._broadcast(session, data)
             return
-        if isinstance(message, BarrierReply):
-            self._maybe_route_reply(session, message)
-            return
-        # Stats replies and anything else follow the xid-translation path.
+        # Barrier replies and anything else follow the xid-translation path.
         self._maybe_route_reply(session, message)
 
     def _complete_switch_handshake(self, session: _SwitchSession,

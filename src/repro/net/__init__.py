@@ -15,7 +15,7 @@ from repro.net.link import Interface, Link, connect
 from repro.net.lldp import LLDP, LLDP_MULTICAST
 from repro.net.namespace import NamespaceRegistry, NetworkNamespace
 from repro.net.packet import DecodeError, Header, as_bytes
-from repro.net.transport import ICMP, TCP, TCPFlags, UDP
+from repro.net.transport import ICMP, UDP
 
 __all__ = [
     "ARP",
@@ -37,8 +37,6 @@ __all__ = [
     "MACAddress",
     "NamespaceRegistry",
     "NetworkNamespace",
-    "TCP",
-    "TCPFlags",
     "UDP",
     "as_bytes",
     "checksum16",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from functools import total_ordering
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Tuple, Union
 
 
 class AddressError(ValueError):
@@ -299,25 +299,6 @@ class IPv4Network:
         else:
             value = IPv4Address(address)._value
         return (value & _NETMASK_INTS[self.prefix_len]) == self.network._value
-
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Iterate usable host addresses (excludes network/broadcast for /0-/30)."""
-        if self.prefix_len >= 31:
-            for offset in range(self.num_addresses):
-                yield self.network + offset
-            return
-        for offset in range(1, self.num_addresses - 1):
-            yield self.network + offset
-
-    def subnets(self, new_prefix: int) -> Iterator["IPv4Network"]:
-        """Iterate sub-prefixes of the given length."""
-        if new_prefix < self.prefix_len or new_prefix > 32:
-            raise AddressError(
-                f"cannot subnet /{self.prefix_len} into /{new_prefix}"
-            )
-        step = 1 << (32 - new_prefix)
-        for base in range(int(self.network), int(self.network) + self.num_addresses, step):
-            yield IPv4Network((IPv4Address(base), new_prefix))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IPv4Network):

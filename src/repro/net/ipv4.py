@@ -109,14 +109,12 @@ class IPv4(Header):
 
     @staticmethod
     def _decode_payload(protocol: int, data: bytes) -> Payload:
-        from repro.net.transport import ICMP, TCP, UDP
+        from repro.net.transport import ICMP, UDP
         from repro.quagga.ospf.packets import OSPFPacket
 
         try:
             if protocol == IPProtocol.UDP:
                 return UDP.decode(data)
-            if protocol == IPProtocol.TCP:
-                return TCP.decode(data)
             if protocol == IPProtocol.ICMP:
                 return ICMP.decode(data)
             if protocol == IPProtocol.OSPF:

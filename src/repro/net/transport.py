@@ -1,9 +1,8 @@
-"""UDP, TCP and ICMP codecs.
+"""UDP and ICMP codecs.
 
-The TCP codec carries enough state (seq/ack/flags) for the simplified
-in-simulator TCP used by the RouteFlow IPC and BGP sessions; it is not a
-full congestion-controlled implementation (none of the paper's measurements
-depend on TCP dynamics).
+Nothing in the simulation sends TCP (the RouteFlow IPC runs on the message
+bus and BGP sessions on their broker), so an IPv4 payload of protocol 6
+stays raw bytes.
 """
 
 from __future__ import annotations
@@ -42,83 +41,6 @@ class UDP(Header):
 
     def __repr__(self) -> str:
         return f"<UDP {self.src_port} -> {self.dst_port} len={len(as_bytes(self.payload))}>"
-
-
-class TCPFlags:
-    FIN = 0x01
-    SYN = 0x02
-    RST = 0x04
-    PSH = 0x08
-    ACK = 0x10
-
-
-class TCP(Header):
-    """A TCP segment (header only; no options)."""
-
-    HEADER_LEN = 20
-
-    def __init__(
-        self,
-        src_port: int,
-        dst_port: int,
-        seq: int = 0,
-        ack: int = 0,
-        flags: int = 0,
-        window: int = 65535,
-        payload: Payload = None,
-    ) -> None:
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.seq = seq
-        self.ack = ack
-        self.flags = flags
-        self.window = window
-        self.payload = payload
-
-    def encode(self) -> bytes:
-        body = as_bytes(self.payload)
-        offset_flags = (5 << 12) | (self.flags & 0x3F)
-        header = struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            offset_flags,
-            self.window,
-            0,
-            0,
-        )
-        csum = checksum16(header + body)
-        header = header[:16] + struct.pack("!H", csum) + header[18:]
-        return header + body
-
-    @classmethod
-    def decode(cls, data: bytes) -> "TCP":
-        if len(data) < cls.HEADER_LEN:
-            raise DecodeError(f"TCP segment too short: {len(data)} bytes")
-        src_port, dst_port, seq, ack, offset_flags, window, _csum, _urg = struct.unpack(
-            "!HHIIHHHH", data[0:20]
-        )
-        data_offset = (offset_flags >> 12) * 4
-        if data_offset < cls.HEADER_LEN:
-            raise DecodeError(f"bad TCP data offset: {data_offset}")
-        return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=offset_flags & 0x3F,
-            window=window,
-            payload=data[data_offset:],
-        )
-
-    def __repr__(self) -> str:
-        names = []
-        for name in ("SYN", "ACK", "FIN", "RST", "PSH"):
-            if self.flags & getattr(TCPFlags, name):
-                names.append(name)
-        return f"<TCP {self.src_port} -> {self.dst_port} [{'|'.join(names) or '-'}]>"
 
 
 class ICMP(Header):

@@ -5,12 +5,6 @@ from repro.openflow.actions import (
     OutputAction,
     SetDlDstAction,
     SetDlSrcAction,
-    SetNwDstAction,
-    SetNwSrcAction,
-    SetTpDstAction,
-    SetTpSrcAction,
-    SetVlanVidAction,
-    StripVlanAction,
 )
 from repro.openflow.channel import ControlChannel
 from repro.openflow.constants import (
@@ -33,15 +27,12 @@ from repro.openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowRemoved,
     Hello,
     OpenFlowMessage,
     PacketIn,
     PacketOut,
     PhyPort,
     PortStatus,
-    StatsReply,
-    StatsRequest,
     decode_message,
 )
 from repro.openflow.switch import OpenFlowSwitch, SwitchPort
@@ -58,7 +49,6 @@ __all__ = [
     "FeaturesRequest",
     "FlowEntry",
     "FlowMod",
-    "FlowRemoved",
     "FlowTable",
     "Hello",
     "Match",
@@ -79,14 +69,6 @@ __all__ = [
     "PortStatus",
     "SetDlDstAction",
     "SetDlSrcAction",
-    "SetNwDstAction",
-    "SetNwSrcAction",
-    "SetTpDstAction",
-    "SetTpSrcAction",
-    "SetVlanVidAction",
-    "StatsReply",
-    "StatsRequest",
-    "StripVlanAction",
     "SwitchPort",
     "decode_message",
 ]

@@ -10,9 +10,6 @@ from __future__ import annotations
 #: Protocol version byte for OpenFlow 1.0.
 OFP_VERSION = 0x01
 
-#: Default TCP port of the OpenFlow control channel.
-OFP_TCP_PORT = 6633
-
 #: Maximum length value meaning "send the complete packet" in PACKET_IN.
 OFPCML_NO_BUFFER = 0xFFFF
 
@@ -127,25 +124,8 @@ class OFPPortReason:
     MODIFY = 2
 
 
-class OFPFlowRemovedReason:
-    IDLE_TIMEOUT = 0
-    HARD_TIMEOUT = 1
-    DELETE = 2
-
-
 class OFPPortState:
     LINK_DOWN = 1 << 0
-
-
-class OFPPortConfig:
-    PORT_DOWN = 1 << 0
-    NO_FLOOD = 1 << 4
-
-
-class OFPCapabilities:
-    FLOW_STATS = 1 << 0
-    TABLE_STATS = 1 << 1
-    PORT_STATS = 1 << 2
 
 
 class OFPErrorType:
@@ -165,17 +145,14 @@ class OFPBadRequestCode:
     PERM_ERROR = 5
 
 
+class OFPBadActionCode:
+    BAD_TYPE = 0
+
+
 class OFPFlowModFailedCode:
     ALL_TABLES_FULL = 0
     OVERLAP = 1
     EPERM = 2
     BAD_EMERG_TIMEOUT = 3
     BAD_COMMAND = 4
-
-
-class OFPStatsType:
-    DESC = 0
-    FLOW = 1
-    AGGREGATE = 2
-    TABLE = 3
-    PORT = 4
+    UNSUPPORTED = 5

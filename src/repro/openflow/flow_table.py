@@ -2,8 +2,9 @@
 
 Lookup follows the 1.0 semantics: exact-match entries take precedence over
 wildcarded entries; among wildcarded entries the highest priority wins.
-Entries carry idle and hard timeouts which the switch expires against
-simulated time, emitting FLOW_REMOVED when the entry asked for it.
+Entries are permanent: the switch refuses a FLOW_MOD with a timeout or a
+flag (docs/DESIGN.md, "The OpenFlow subset RouteFlow sends"), so an entry
+holds no timeouts, flags or usage counters.
 
 RouteFlow installs one entry per route per switch, so an entry costs one
 slotted object and one slot in each index; the keys come from the entry's
@@ -17,35 +18,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.net.addresses import IPv4Address
 from repro.openflow.actions import Action, OutputAction
-from repro.openflow.constants import OFPFlowModFlags, OFPPort
+from repro.openflow.constants import OFPPort
 from repro.openflow.match import Match, PacketFields
 
 
 class FlowEntry:
-    """One installed flow: match, priority, actions, timeouts, counters."""
+    """One installed flow: match, priority and actions."""
 
-    __slots__ = ("match", "actions", "priority", "idle_timeout",
-                 "hard_timeout", "cookie", "flags", "install_time",
-                 "last_used", "packet_count", "byte_count",
-                 "effective_priority", "seq")
+    __slots__ = ("match", "actions", "priority", "effective_priority", "seq")
 
     def __init__(self, match: Match, actions: Sequence[Action],
-                 priority: int = 0x8000, idle_timeout: int = 0,
-                 hard_timeout: int = 0, cookie: int = 0, flags: int = 0,
-                 install_time: float = 0.0) -> None:
+                 priority: int = 0x8000) -> None:
         self.match = match
         #: An immutable tuple, so entries may share one chain (a tuple
         #: given is kept as is); ``FlowTable.modify`` swaps in a new one.
         self.actions: Tuple[Action, ...] = tuple(actions)
         self.priority = priority
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
-        self.cookie = cookie
-        self.flags = flags
-        self.install_time = install_time
-        self.last_used = install_time
-        self.packet_count = 0
-        self.byte_count = 0
         #: Exact-match entries always win over wildcarded ones.  Computed
         #: once: match and priority are fixed for the entry's lifetime, and
         #: the table sorts on this constantly.
@@ -53,23 +41,6 @@ class FlowEntry:
         #: Install order within the owning table (assigned by add); breaks
         #: effective-priority ties the way a stable sorted list would.
         self.seq = 0
-
-    @property
-    def send_flow_removed(self) -> bool:
-        return bool(self.flags & OFPFlowModFlags.SEND_FLOW_REM)
-
-    def mark_used(self, now: float, packet_len: int) -> None:
-        self.last_used = now
-        self.packet_count += 1
-        self.byte_count += packet_len
-
-    def is_expired(self, now: float) -> Optional[str]:
-        """Return 'idle' / 'hard' when the entry has timed out, else None."""
-        if self.hard_timeout and now - self.install_time >= self.hard_timeout:
-            return "hard"
-        if self.idle_timeout and now - self.last_used >= self.idle_timeout:
-            return "idle"
-        return None
 
     def outputs_to(self, port: int) -> bool:
         """True if any OUTPUT action targets the given port (for deletes)."""
@@ -79,7 +50,7 @@ class FlowEntry:
 
     def __repr__(self) -> str:
         return (f"<FlowEntry prio={self.priority} {self.match!r} "
-                f"actions={list(self.actions)} pkts={self.packet_count}>")
+                f"actions={list(self.actions)}>")
 
 
 #: ``listener(table, changed)``; see :attr:`FlowTable._change_listeners`.
@@ -103,7 +74,7 @@ class FlowTable:
         self.lookup_count = 0
         self.matched_count = 0
         #: Monotonic mutation counter: bumped on every content change
-        #: (add/modify/delete/expire/clear).  The fluid fast path keys its
+        #: (add/modify/delete/clear).  The fluid fast path keys its
         #: per-table lookup memo on it, so a stale cached resolution can
         #: never survive a flow-mod.
         self.version = 0
@@ -113,9 +84,6 @@ class FlowTable:
         #: table went (``clear``).  Empty (and therefore free) unless a
         #: fluid engine is attached.
         self._change_listeners: List[ChangeListener] = []
-        #: True while any installed entry carries a timeout; lets expire()
-        #: return immediately for the common all-permanent-routes table.
-        self._may_expire = False
         #: Match.identity() -> the one entry with that (priority, match), for
         #: identical-replace on add and the STRICT flow-mod commands.
         self._by_key: Dict[tuple, FlowEntry] = {}
@@ -145,13 +113,8 @@ class FlowTable:
     def is_full(self) -> bool:
         return len(self._entries) >= self.max_entries
 
-    @property
-    def may_expire(self) -> bool:
-        """True from the add of a timed entry until expire() finds none."""
-        return self._may_expire
-
     def add_change_listener(self, listener: ChangeListener) -> None:
-        """Subscribe to content changes (any add/modify/delete/expiry)."""
+        """Subscribe to content changes (any add/modify/delete/clear)."""
         self._change_listeners.append(listener)
 
     def _changed(self, changed: Optional[Sequence[FlowEntry]]) -> None:
@@ -203,8 +166,6 @@ class FlowTable:
                 cell.append(entry)
             else:
                 level[network] = [cell, entry]
-        if entry.idle_timeout or entry.hard_timeout:
-            self._may_expire = True
         self._changed(changed)
 
     def _unindex(self, entry: FlowEntry) -> None:
@@ -290,26 +251,9 @@ class FlowTable:
         return covered
 
     def expire(self, now: float) -> List[tuple]:
-        """Remove timed-out entries; returns (entry, reason) pairs."""
-        if not self._may_expire:
-            return []
-        expired = []
-        remaining = []
-        may_expire = False
-        for entry in self._entries:
-            reason = entry.is_expired(now)
-            if reason is None:
-                remaining.append(entry)
-                if entry.idle_timeout or entry.hard_timeout:
-                    may_expire = True
-            else:
-                expired.append((entry, reason))
-                self._unindex(entry)
-        self._entries = remaining
-        self._may_expire = may_expire
-        if expired:
-            self._changed([entry for entry, _reason in expired])
-        return expired
+        """Entries are permanent.  Kept only because the benchmark's layer
+        table patches this name (benchmark item (1b) deletes it)."""
+        return []
 
     # --------------------------------------------------------------- lookup
     def lookup(self, fields: PacketFields) -> Optional[FlowEntry]:
@@ -357,16 +301,6 @@ class FlowTable:
         if best is not None:
             self.matched_count += 1
         return best
-
-    def find_overlapping(self, match: Match, priority: int) -> Optional[FlowEntry]:
-        """Detect overlap for CHECK_OVERLAP flow-mods (same priority, both
-        could match one packet).  A conservative containment check."""
-        for entry in self._entries:
-            if entry.priority != priority:
-                continue
-            if entry.match.covers(match) or match.covers(entry.match):
-                return entry
-        return None
 
     def clear(self) -> None:
         if self._entries:

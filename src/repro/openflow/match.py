@@ -92,10 +92,6 @@ class PacketFields:
                 if blen >= 8 and ((body[4] << 8) | body[5]) >= 8:
                     fields.tp_src = (body[0] << 8) | body[1]
                     fields.tp_dst = (body[2] << 8) | body[3]
-            elif protocol == IPProtocol.TCP:
-                if blen >= 20 and (body[12] >> 4) * 4 >= 20:
-                    fields.tp_src = (body[0] << 8) | body[1]
-                    fields.tp_dst = (body[2] << 8) | body[3]
             elif protocol == IPProtocol.ICMP:
                 if blen >= 8:
                     fields.tp_src = body[0]

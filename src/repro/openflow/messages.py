@@ -6,8 +6,9 @@ defined here, so the slicing proxy and the controllers operate on genuine
 protocol bytes exactly as they would against Open vSwitch.
 
 Implemented message types: HELLO, ERROR, ECHO_REQUEST/REPLY,
-FEATURES_REQUEST/REPLY, PACKET_IN, PACKET_OUT, FLOW_MOD, FLOW_REMOVED,
-PORT_STATUS, BARRIER_REQUEST/REPLY and the flow/description stats pair.
+FEATURES_REQUEST/REPLY, PACKET_IN, PACKET_OUT, FLOW_MOD, PORT_STATUS and
+BARRIER_REQUEST/REPLY.  Any other type decodes as an
+:class:`UnknownMessage` that keeps its body verbatim.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.openflow.actions import Action
 from repro.openflow.constants import (
     OFP_NO_BUFFER,
     OFP_VERSION,
-    OFPCapabilities,
+    OFPActionType,
     OFPFlowModCommand,
     OFPPortState,
     OFPType,
@@ -30,6 +31,10 @@ from repro.openflow.match import Match
 
 OFP_HEADER_LEN = 8
 PHY_PORT_LEN = 48
+#: The ``actions`` bitmap of a FEATURES_REPLY: the action types the switch
+#: implements (it has no stats, so no capability bit is set).
+IMPLEMENTED_ACTIONS = ((1 << OFPActionType.OUTPUT) | (1 << OFPActionType.SET_DL_SRC)
+                       | (1 << OFPActionType.SET_DL_DST))
 
 
 class OpenFlowMessage:
@@ -216,8 +221,8 @@ class FeaturesReply(OpenFlowMessage):
 
     def __init__(self, datapath_id: int, ports: List[PhyPort],
                  n_buffers: int = 256, n_tables: int = 1,
-                 capabilities: int = OFPCapabilities.FLOW_STATS,
-                 actions_bitmap: int = 0xFFF, xid: int = 0) -> None:
+                 capabilities: int = 0,
+                 actions_bitmap: int = IMPLEMENTED_ACTIONS, xid: int = 0) -> None:
         super().__init__(xid=xid)
         self.datapath_id = datapath_id
         self.ports = list(ports)
@@ -355,42 +360,6 @@ class FlowMod(OpenFlowMessage):
                 f"{self.match!r} actions={self.actions}>")
 
 
-class FlowRemoved(OpenFlowMessage):
-    msg_type = OFPType.FLOW_REMOVED
-
-    def __init__(self, match: Match, cookie: int, priority: int, reason: int,
-                 duration_sec: int = 0, idle_timeout: int = 0,
-                 packet_count: int = 0, byte_count: int = 0, xid: int = 0) -> None:
-        super().__init__(xid=xid)
-        self.match = match
-        self.cookie = cookie
-        self.priority = priority
-        self.reason = reason
-        self.duration_sec = duration_sec
-        self.idle_timeout = idle_timeout
-        self.packet_count = packet_count
-        self.byte_count = byte_count
-
-    def body(self) -> bytes:
-        return (
-            self.match.encode()
-            + struct.pack("!QHBxIIH2xQQ", self.cookie, self.priority, self.reason,
-                          self.duration_sec, 0, self.idle_timeout,
-                          self.packet_count, self.byte_count)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes, xid: int) -> "FlowRemoved":
-        if len(body) < 40 + 40:
-            raise DecodeError("truncated FLOW_REMOVED")
-        match = Match.decode(body[:40])
-        cookie, priority, reason, duration_sec, _nsec, idle_timeout, packets, octets = (
-            struct.unpack("!QHBxIIH2xQQ", body[40:80]))
-        return cls(match=match, cookie=cookie, priority=priority, reason=reason,
-                   duration_sec=duration_sec, idle_timeout=idle_timeout,
-                   packet_count=packets, byte_count=octets, xid=xid)
-
-
 class PortStatus(OpenFlowMessage):
     msg_type = OFPType.PORT_STATUS
 
@@ -422,46 +391,6 @@ class BarrierReply(OpenFlowMessage):
     msg_type = OFPType.BARRIER_REPLY
 
 
-class StatsRequest(OpenFlowMessage):
-    """A stats request; only DESC and FLOW bodies are interpreted."""
-
-    msg_type = OFPType.STATS_REQUEST
-
-    def __init__(self, stats_type: int, body_bytes: bytes = b"", xid: int = 0) -> None:
-        super().__init__(xid=xid)
-        self.stats_type = stats_type
-        self.body_bytes = body_bytes
-
-    def body(self) -> bytes:
-        return struct.pack("!HH", self.stats_type, 0) + self.body_bytes
-
-    @classmethod
-    def decode_body(cls, body: bytes, xid: int) -> "StatsRequest":
-        if len(body) < 4:
-            raise DecodeError("truncated STATS_REQUEST")
-        stats_type, _flags = struct.unpack("!HH", body[:4])
-        return cls(stats_type=stats_type, body_bytes=body[4:], xid=xid)
-
-
-class StatsReply(OpenFlowMessage):
-    msg_type = OFPType.STATS_REPLY
-
-    def __init__(self, stats_type: int, body_bytes: bytes = b"", xid: int = 0) -> None:
-        super().__init__(xid=xid)
-        self.stats_type = stats_type
-        self.body_bytes = body_bytes
-
-    def body(self) -> bytes:
-        return struct.pack("!HH", self.stats_type, 0) + self.body_bytes
-
-    @classmethod
-    def decode_body(cls, body: bytes, xid: int) -> "StatsReply":
-        if len(body) < 4:
-            raise DecodeError("truncated STATS_REPLY")
-        stats_type, _flags = struct.unpack("!HH", body[:4])
-        return cls(stats_type=stats_type, body_bytes=body[4:], xid=xid)
-
-
 _MESSAGE_TYPES: Dict[int, Type[OpenFlowMessage]] = {
     OFPType.HELLO: Hello,
     OFPType.ERROR: ErrorMessage,
@@ -472,12 +401,9 @@ _MESSAGE_TYPES: Dict[int, Type[OpenFlowMessage]] = {
     OFPType.PACKET_IN: PacketIn,
     OFPType.PACKET_OUT: PacketOut,
     OFPType.FLOW_MOD: FlowMod,
-    OFPType.FLOW_REMOVED: FlowRemoved,
     OFPType.PORT_STATUS: PortStatus,
     OFPType.BARRIER_REQUEST: BarrierRequest,
     OFPType.BARRIER_REPLY: BarrierReply,
-    OFPType.STATS_REQUEST: StatsRequest,
-    OFPType.STATS_REPLY: StatsReply,
 }
 
 

@@ -7,10 +7,11 @@ controller and the RF-controller).
 
 The switch performs the OpenFlow handshake (HELLO, FEATURES), generates
 PACKET_IN for table misses, executes PACKET_OUT and FLOW_MOD, answers ECHO
-and BARRIER, reports port changes with PORT_STATUS and expires flows
-against simulated time: a sweep runs on the ticks a periodic timer started
-at connect time would hit, but only while the table may hold an entry with
-a timeout, so a table of permanent routes schedules none.
+and BARRIER and reports port changes with PORT_STATUS.  It implements the
+OpenFlow 1.0 subset RouteFlow sends and answers the rest with a typed
+error (docs/DESIGN.md, "The OpenFlow subset RouteFlow sends"): a FLOW_MOD
+with a timeout or a flag, an action it does not implement, or a message
+type it does not handle.
 """
 
 from __future__ import annotations
@@ -22,22 +23,19 @@ from repro.net.addresses import MACAddress
 from repro.net.ethernet import Ethernet
 from repro.net.link import Interface
 from repro.net.packet import DecodeError
-from repro.openflow.actions import Action, OutputAction
+from repro.openflow.actions import Action, OutputAction, UnknownAction
 from repro.openflow.channel import ControlChannel
 from repro.openflow.constants import (
     OFP_NO_BUFFER,
+    OFPBadActionCode,
     OFPBadRequestCode,
     OFPErrorType,
     OFPFlowModCommand,
     OFPFlowModFailedCode,
-    OFPFlowModFlags,
-    OFPFlowRemovedReason,
     OFPPacketInReason,
     OFPPort,
     OFPPortReason,
     OFPPortState,
-    OFPStatsType,
-    OFPType,
 )
 from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.match import PacketFields
@@ -50,17 +48,15 @@ from repro.openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowRemoved,
     Hello,
     OpenFlowMessage,
     PacketIn,
     PacketOut,
     PhyPort,
     PortStatus,
-    StatsReply,
-    StatsRequest,
+    UnknownMessage,
 )
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 LOG = logging.getLogger(__name__)
 
@@ -99,8 +95,6 @@ class OpenFlowSwitch:
     #: Per-packet pipeline processing latency (seconds) — models the software
     #: datapath cost of Open vSwitch in user space.
     PROCESSING_DELAY = 0.0001
-    #: How often expired flows are garbage collected (while any can expire).
-    EXPIRY_INTERVAL = 1.0
     #: Number of packets the switch can park while waiting for the controller.
     MAX_BUFFERS = 256
     #: Bytes of a buffered packet included in PACKET_IN.
@@ -120,10 +114,6 @@ class OpenFlowSwitch:
         self._next_xid = 1
         self._buffers: Dict[int, tuple] = {}
         self._next_buffer_id = 1
-        #: The latest expiry tick reached (None while disconnected) and the
-        #: sweep scheduled for the next one (None while none is due).
-        self._expiry_tick: Optional[float] = None
-        self._expiry_event: Optional[Event] = None
         # Counters
         self.packet_in_count = 0
         self.flow_mod_count = 0
@@ -170,9 +160,6 @@ class OpenFlowSwitch:
         self._hello_sent = False
         self._hello_received = False
         self.connected = False
-        if self._expiry_tick is None:
-            self._expiry_tick = self.sim.now
-            self._arm_expiry()
         self._send_message(Hello(xid=self._take_xid()))
         self._hello_sent = True
 
@@ -189,10 +176,6 @@ class OpenFlowSwitch:
 
     def channel_closed(self, channel: ControlChannel) -> None:
         self.connected = False
-        self._expiry_tick = None
-        if self._expiry_event is not None:
-            self._expiry_event.cancel()
-            self._expiry_event = None
 
     def _dispatch(self, message: OpenFlowMessage) -> None:
         if isinstance(message, Hello):
@@ -214,8 +197,9 @@ class OpenFlowSwitch:
         if isinstance(message, FlowMod):
             self._handle_flow_mod(message)
             return
-        if isinstance(message, StatsRequest):
-            self._handle_stats_request(message)
+        if isinstance(message, UnknownMessage):
+            self._send_error(OFPErrorType.BAD_REQUEST,
+                             OFPBadRequestCode.BAD_TYPE, message.xid)
             return
         LOG.debug("%s: ignoring message %r", self.name, message)
 
@@ -229,6 +213,19 @@ class OpenFlowSwitch:
         self._send_message(PortStatus(reason=reason, port=port.describe(),
                                       xid=self._take_xid()))
 
+    def _send_error(self, error_type: int, code: int, xid: int) -> None:
+        self._send_message(ErrorMessage(error_type, code, xid=xid))
+
+    def _refuses_actions(self, actions: List[Action], xid: int) -> bool:
+        """Answer BAD_ACTION / BAD_TYPE if an action is one the switch
+        does not implement (it decoded as an ``UnknownAction``)."""
+        for action in actions:
+            if action.__class__ is UnknownAction:
+                self._send_error(OFPErrorType.BAD_ACTION,
+                                 OFPBadActionCode.BAD_TYPE, xid)
+                return True
+        return False
+
     def _send_message(self, message: OpenFlowMessage) -> None:
         if self.channel is None:
             return
@@ -241,12 +238,13 @@ class OpenFlowSwitch:
 
     # ------------------------------------------------------------- PACKET_OUT
     def _handle_packet_out(self, message: PacketOut) -> None:
+        if self._refuses_actions(message.actions, message.xid):
+            return
         if message.buffer_id != OFP_NO_BUFFER:
             buffered = self._buffers.pop(message.buffer_id, None)
             if buffered is None:
-                self._send_message(ErrorMessage(OFPErrorType.BAD_REQUEST,
-                                                OFPBadRequestCode.BAD_TYPE,
-                                                xid=message.xid))
+                self._send_error(OFPErrorType.BAD_REQUEST,
+                                 OFPBadRequestCode.BAD_TYPE, message.xid)
                 return
             data, _in_port = buffered
         else:
@@ -256,6 +254,13 @@ class OpenFlowSwitch:
     # --------------------------------------------------------------- FLOW_MOD
     def _handle_flow_mod(self, message: FlowMod) -> None:
         self.flow_mod_count += 1
+        if message.idle_timeout or message.hard_timeout or message.flags:
+            # Entries are permanent: no expiry, FLOW_REMOVED or overlap check.
+            self._send_error(OFPErrorType.FLOW_MOD_FAILED,
+                             OFPFlowModFailedCode.UNSUPPORTED, message.xid)
+            return
+        if self._refuses_actions(message.actions, message.xid):
+            return
         command = message.command
         if command == OFPFlowModCommand.ADD:
             self._flow_add(message)
@@ -268,15 +273,11 @@ class OpenFlowSwitch:
                 self._flow_add(message)
         elif command in (OFPFlowModCommand.DELETE, OFPFlowModCommand.DELETE_STRICT):
             strict = command == OFPFlowModCommand.DELETE_STRICT
-            removed = self.flow_table.delete(message.match, strict,
-                                             message.priority, message.out_port)
-            for entry in removed:
-                if entry.send_flow_removed:
-                    self._send_flow_removed(entry, OFPFlowRemovedReason.DELETE)
+            self.flow_table.delete(message.match, strict, message.priority,
+                                   message.out_port)
         else:
-            self._send_message(ErrorMessage(OFPErrorType.FLOW_MOD_FAILED,
-                                            OFPFlowModFailedCode.BAD_COMMAND,
-                                            xid=message.xid))
+            self._send_error(OFPErrorType.FLOW_MOD_FAILED,
+                             OFPFlowModFailedCode.BAD_COMMAND, message.xid)
             return
         # A buffered packet referenced by the flow-mod is released through the
         # new flow entry's actions.
@@ -285,71 +286,15 @@ class OpenFlowSwitch:
             if buffered is not None:
                 data, in_port = buffered
                 self._apply_actions(data, message.actions, in_port=in_port)
-        if self._expiry_event is None:
-            self._arm_expiry()
 
     def _flow_add(self, message: FlowMod) -> None:
-        if message.flags & OFPFlowModFlags.CHECK_OVERLAP:
-            overlap = self.flow_table.find_overlapping(message.match, message.priority)
-            if overlap is not None:
-                self._send_message(ErrorMessage(OFPErrorType.FLOW_MOD_FAILED,
-                                                OFPFlowModFailedCode.OVERLAP,
-                                                xid=message.xid))
-                return
         if self.flow_table.is_full:
-            self._send_message(ErrorMessage(OFPErrorType.FLOW_MOD_FAILED,
-                                            OFPFlowModFailedCode.ALL_TABLES_FULL,
-                                            xid=message.xid))
+            self._send_error(OFPErrorType.FLOW_MOD_FAILED,
+                             OFPFlowModFailedCode.ALL_TABLES_FULL, message.xid)
             return
-        entry = FlowEntry(match=message.match, actions=message.actions,
-                          priority=message.priority,
-                          idle_timeout=message.idle_timeout,
-                          hard_timeout=message.hard_timeout,
-                          cookie=message.cookie, flags=message.flags,
-                          install_time=self.sim.now)
-        self.flow_table.add(entry)
-
-    def _send_flow_removed(self, entry: FlowEntry, reason: int) -> None:
-        message = FlowRemoved(match=entry.match, cookie=entry.cookie,
-                              priority=entry.priority, reason=reason,
-                              duration_sec=int(self.sim.now - entry.install_time),
-                              idle_timeout=entry.idle_timeout,
-                              packet_count=entry.packet_count,
-                              byte_count=entry.byte_count,
-                              xid=self._take_xid())
-        self._send_message(message)
-
-    def _arm_expiry(self) -> None:
-        """Schedule a sweep at the next tick if a timed entry may need it."""
-        if self._expiry_tick is None or not self.flow_table.may_expire:
-            return
-        tick, now = self._expiry_tick, self.sim.now
-        while tick <= now:
-            tick += self.EXPIRY_INTERVAL
-        self._expiry_tick = tick
-        self._expiry_event = self.sim.schedule_at(
-            tick, self._expire_flows, label=f"{self.name}:flow-expiry")
-
-    def _expire_flows(self) -> None:
-        self._expiry_event = None
-        for entry, reason in self.flow_table.expire(self.sim.now):
-            if entry.send_flow_removed:
-                code = (OFPFlowRemovedReason.IDLE_TIMEOUT if reason == "idle"
-                        else OFPFlowRemovedReason.HARD_TIMEOUT)
-                self._send_flow_removed(entry, code)
-        self._arm_expiry()
-
-    # ------------------------------------------------------------------ stats
-    def _handle_stats_request(self, message: StatsRequest) -> None:
-        if message.stats_type == OFPStatsType.DESC:
-            body = (b"repro".ljust(256, b"\x00") + self.name.encode().ljust(256, b"\x00")
-                    + b"software".ljust(256, b"\x00") + b"0".ljust(32, b"\x00")
-                    + b"sim".ljust(256, b"\x00"))
-            self._send_message(StatsReply(OFPStatsType.DESC, body, xid=message.xid))
-        else:
-            # Flow/port stats bodies are not needed by any reproduced experiment;
-            # reply with an empty body of the same stats type.
-            self._send_message(StatsReply(message.stats_type, b"", xid=message.xid))
+        self.flow_table.add(FlowEntry(match=message.match,
+                                      actions=message.actions,
+                                      priority=message.priority))
 
     # -------------------------------------------------------------- dataplane
     def _on_data_frame(self, interface: Interface, data: bytes) -> None:
@@ -366,7 +311,6 @@ class OpenFlowSwitch:
             self.data_packets_missed += 1
             self._table_miss(in_port, data)
             return
-        entry.mark_used(self.sim.now, len(data))
         self.data_packets_forwarded += 1
         self._apply_actions(data, entry.actions, in_port=in_port)
 

@@ -41,8 +41,8 @@ class LSDB:
 
     The database carries a monotonically increasing :attr:`version` that
     bumps on every mutation.  A secondary index by advertising router
-    keeps :meth:`router_lsa` and :meth:`remove_from` O(1) in the database
-    size instead of scanning every LSA.
+    keeps :meth:`router_lsa` O(1) in the database size instead of
+    scanning every LSA.
 
     LSA aging follows the RFC 2328 MaxAge rules in two forms:
 
@@ -202,18 +202,6 @@ class LSDB:
         self._forget(key)
         self._mutated()
         return True
-
-    def remove_from(self, advertising_router: IPv4Address) -> int:
-        """Drop every LSA originated by a router (used when it goes away)."""
-        router = int(IPv4Address(advertising_router))
-        bucket = self._by_adv.pop(router, None)
-        if not bucket:
-            return 0
-        for key in bucket:
-            del self._lsas[key]
-            self._forget(key)
-        self._mutated()
-        return len(bucket)
 
     def age_of(self, key: Tuple[int, int, int], now: float) -> Optional[float]:
         """Effective age of a stored LSA: origination age + residence time."""

@@ -212,20 +212,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none remain."""
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            event._sim = None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = event.time
-            self._processed += 1
-            event.callback(*event.args, **event.kwargs)
-            return True
-        return False
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
@@ -233,22 +219,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""
         return len(self._queue) - self._cancelled
-
-    def peek(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None.
-
-        Cancelled events at the front of the heap are discarded on the way —
-        amortised O(log n) instead of sorting the whole queue.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if not entry[2].cancelled:
-                return entry[0]
-            heapq.heappop(queue)
-            entry[2]._sim = None
-            self._cancelled -= 1
-        return None
 
     # ----------------------------------------------------------------- hooks
     def add_trace_hook(self, hook: Callable[[Event], None]) -> None:

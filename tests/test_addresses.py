@@ -130,23 +130,6 @@ class TestIPv4Network:
         assert str(network.broadcast) == "10.0.0.3"
         assert network.num_addresses == 4
 
-    def test_hosts_excludes_network_and_broadcast(self):
-        hosts = list(IPv4Network("10.0.0.0/30").hosts())
-        assert [str(h) for h in hosts] == ["10.0.0.1", "10.0.0.2"]
-
-    def test_hosts_for_point_to_point_31(self):
-        hosts = list(IPv4Network("10.0.0.0/31").hosts())
-        assert len(hosts) == 2
-
-    def test_subnets(self):
-        subnets = list(IPv4Network("10.0.0.0/24").subnets(26))
-        assert len(subnets) == 4
-        assert str(subnets[1]) == "10.0.0.64/26"
-
-    def test_subnets_invalid_prefix(self):
-        with pytest.raises(AddressError):
-            list(IPv4Network("10.0.0.0/24").subnets(23))
-
     def test_requires_prefix(self):
         with pytest.raises(AddressError):
             IPv4Network("10.0.0.0")

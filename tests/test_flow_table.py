@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import EtherType, IPv4Address
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction, PacketFields
-from repro.openflow.constants import OFPFlowModFlags, OFPPort
+from repro.openflow.constants import OFPPort
 
 
 def prefix_match(prefix: str, plen: int) -> Match:
@@ -67,15 +67,14 @@ class TestLookup:
         entry = table.lookup(fields_for("10.2.3.4"))
         assert entry.actions == (OutputAction(2),)
 
-    def test_counters_update_on_use(self, sim):
+    def test_counters_update_on_use(self):
         table = FlowTable()
         entry = FlowEntry(prefix_match("10.0.0.0", 8), [OutputAction(1)])
         table.add(entry)
-        entry.mark_used(now=5.0, packet_len=100)
-        entry.mark_used(now=6.0, packet_len=50)
-        assert entry.packet_count == 2
-        assert entry.byte_count == 150
-        assert entry.last_used == 6.0
+        assert table.lookup(fields_for("10.1.2.3")) is entry
+        assert table.lookup(fields_for("11.0.0.1")) is None
+        assert table.lookup_destination(EtherType.IPV4, 0x0A000001) is entry
+        assert (table.lookup_count, table.matched_count) == (3, 2)
 
 
 class TestModifyDelete:
@@ -117,13 +116,6 @@ class TestModifyDelete:
         assert touched == 1
         assert entry.actions == (OutputAction(3),)
 
-    def test_overlap_detection(self):
-        table = FlowTable()
-        table.add(FlowEntry(prefix_match("10.0.0.0", 8), [OutputAction(1)], priority=5))
-        overlap = table.find_overlapping(prefix_match("10.3.0.0", 16), priority=5)
-        assert overlap is not None
-        assert table.find_overlapping(prefix_match("10.3.0.0", 16), priority=6) is None
-
     def test_clear(self):
         table = FlowTable()
         table.add(FlowEntry(Match.wildcard_all(), [OutputAction(1)]))
@@ -132,38 +124,6 @@ class TestModifyDelete:
 
 
 class TestExpiry:
-    def test_hard_timeout(self):
-        table = FlowTable()
-        entry = FlowEntry(Match.wildcard_all(), [OutputAction(1)], hard_timeout=10,
-                          install_time=0.0)
-        table.add(entry)
-        assert table.expire(now=5.0) == []
-        expired = table.expire(now=10.0)
-        assert expired == [(entry, "hard")]
-        assert len(table) == 0
-
-    def test_idle_timeout_reset_by_use(self):
-        table = FlowTable()
-        entry = FlowEntry(Match.wildcard_all(), [OutputAction(1)], idle_timeout=10,
-                          install_time=0.0)
-        table.add(entry)
-        entry.mark_used(now=8.0, packet_len=1)
-        assert table.expire(now=15.0) == []
-        expired = table.expire(now=18.0)
-        assert expired == [(entry, "idle")]
-
-    def test_zero_timeouts_never_expire(self):
-        table = FlowTable()
-        entry = FlowEntry(Match.wildcard_all(), [OutputAction(1)], install_time=0.0)
-        table.add(entry)
-        assert table.expire(now=1e9) == []
-
-    def test_send_flow_removed_flag(self):
-        entry = FlowEntry(Match.wildcard_all(), [OutputAction(1)],
-                          flags=OFPFlowModFlags.SEND_FLOW_REM)
-        assert entry.send_flow_removed
-        assert not FlowEntry(Match.wildcard_all(), []).send_flow_removed
-
     def test_table_capacity(self):
         table = FlowTable(max_entries=2)
         table.add(FlowEntry(prefix_match("10.1.0.0", 16), [OutputAction(1)]))

@@ -7,7 +7,7 @@ every command answered by scanning them with the 1.0 rules (exact matches
 first, then highest priority, then earliest install; STRICT means equal
 match and priority, non-strict means covered; an out port filters
 deletes).  A Hypothesis state machine drives both through adds of every
-shape, modify, delete, expiry and clear, and after every step compares
+shape, modify, delete and clear, and after every step compares
 lookups, entry order, actions, counters, ``version`` and what listeners
 were told.  Three seeded mutants, one per index, show it has teeth.
 """
@@ -38,7 +38,6 @@ IPV4, ARP = EtherType.IPV4, EtherType.ARP
 IN_PORT, SOURCE = 1, ADDRESSES[0]
 PRIORITIES = st.sampled_from((5, 6, 0x8000))
 PORTS = st.sampled_from(((), (1,), (2,), (1, 2)))
-TIMEOUTS = st.sampled_from((0, 0, 2, 5))
 #: (shape, address, prefix length, dl_type, in_port).  "in_port" and
 #: "nw_src" are the shapes only the residue holds; "exact" ranks above
 #: every priority; "all" (a selection only) covers everything.
@@ -126,18 +125,6 @@ class ListTable:
             del self.actions[entry]
         return removed
 
-    def expire(self, now: float) -> list:
-        expired = []
-        for e in self.ordered():
-            age = now - e.install_time
-            if e.hard_timeout and age >= e.hard_timeout:
-                expired.append((e, "hard"))
-            elif e.idle_timeout and age >= e.idle_timeout:
-                expired.append((e, "idle"))
-        for entry, _reason in expired:
-            del self.actions[entry]
-        return expired
-
     def lookup(self, fields):
         hits = [e for e in self.ordered() if e.match.matches(fields)]
         return hits[0] if hits else None
@@ -151,7 +138,6 @@ class FlowTableMachine(RuleBasedStateMachine):
         self.heard = []
         self.table.add_change_listener(
             lambda table, changed: self.heard.append(changed))
-        self.now = 0.0
         self.lookups = self.matched = 0
         #: One shared Match per spec: entries may share theirs, as those of
         #: ``SyntheticRoutes`` do.
@@ -185,12 +171,11 @@ class FlowTableMachine(RuleBasedStateMachine):
         return result
 
     @rule(spec=SPECS, priority=PRIORITIES, pick=PICKS, fresh=st.booleans(),
-          ports=PORTS, idle=TIMEOUTS, hard=TIMEOUTS)
-    def add(self, spec, priority, pick, fresh, ports, idle, hard):
+          ports=PORTS)
+    def add(self, spec, priority, pick, fresh, ports):
         match, priority = self._target(spec, priority, pick, fresh)
         entry = FlowEntry(match, [OutputAction(port) for port in ports],
-                          priority=priority, idle_timeout=idle,
-                          hard_timeout=hard, install_time=self.now)
+                          priority=priority)
         self.added.append(entry)
         self._mutate(self.model.add(entry),
                      lambda: self.table.add(entry))
@@ -212,13 +197,6 @@ class FlowTableMachine(RuleBasedStateMachine):
         removed = self.model.delete(match, strict, priority, out_port)
         assert self._mutate(removed, lambda: self.table.delete(
             match, strict, priority, out_port)) == removed
-
-    @rule(step=st.sampled_from((1.0, 2.0, 3.0)))
-    def expire(self, step):
-        self.now += step
-        expired = self.model.expire(self.now)
-        assert self._mutate([entry for entry, _reason in expired],
-                            lambda: self.table.expire(self.now)) == expired
 
     @rule()
     def clear(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from typing import List
 
 import pytest
@@ -19,7 +20,6 @@ from repro.openflow import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowRemoved,
     Hello,
     Match,
     OFPFlowModCommand,
@@ -31,10 +31,19 @@ from repro.openflow import (
     PacketOut,
     PortStatus,
     SetDlDstAction,
-    StatsReply,
-    StatsRequest,
 )
-from repro.openflow.constants import OFPFlowModFlags, OFP_NO_BUFFER
+from repro.openflow.actions import UnknownAction
+from repro.openflow.constants import (
+    OFP_NO_BUFFER,
+    OFPActionType,
+    OFPBadActionCode,
+    OFPBadRequestCode,
+    OFPErrorType,
+    OFPFlowModFailedCode,
+    OFPFlowModFlags,
+    OFPType,
+)
+from repro.openflow.messages import UnknownMessage
 
 
 class ScriptedController:
@@ -65,6 +74,11 @@ class ScriptedController:
 
     def of_type(self, klass) -> List[OpenFlowMessage]:
         return [m for m in self.messages if isinstance(m, klass)]
+
+    def errors(self) -> List[tuple]:
+        """(type, code, xid) of every ERROR the switch sent."""
+        return [(m.error_type, m.code, m.xid)
+                for m in self.of_type(ErrorMessage)]
 
 
 @pytest.fixture
@@ -118,10 +132,13 @@ class TestHandshake:
         assert replies and replies[-1].xid == 77
 
     def test_stats_request_answered(self, sim, switch_setup):
+        """Stats are not implemented: a DESC request gets BAD_TYPE."""
         switch, controller, _ = switch_setup
-        controller.send(StatsRequest(stats_type=0, xid=5))
+        controller.send(UnknownMessage(OFPType.STATS_REQUEST,
+                                       struct.pack("!HH", 0, 0), xid=5))
         sim.run(until=2.0)
-        assert controller.of_type(StatsReply)
+        assert controller.errors() == [
+            (OFPErrorType.BAD_REQUEST, OFPBadRequestCode.BAD_TYPE, 5)]
 
 
 class TestDataPlane:
@@ -202,39 +219,75 @@ class TestDataPlane:
 
 
 class TestFlowModSemantics:
-    def test_delete_removes_and_reports_when_flagged(self, sim, switch_setup):
+    def test_delete_removes_covered_entries(self, sim, switch_setup):
         switch, controller, _ = switch_setup
-        match = Match.for_destination_prefix(IPv4Address("10.9.0.0"), 16)
-        controller.send(FlowMod(match=match, actions=[OutputAction(2)],
-                                flags=OFPFlowModFlags.SEND_FLOW_REM, priority=9))
+        for prefix, plen in (("10.9.0.0", 16), ("10.9.1.0", 24)):
+            controller.send(FlowMod(
+                match=Match.for_destination_prefix(IPv4Address(prefix), plen),
+                actions=[OutputAction(2)], priority=plen))
         sim.run(until=2.0)
+        assert len(switch.flow_table) == 2
         controller.send(FlowMod(match=Match.wildcard_all(),
                                 command=OFPFlowModCommand.DELETE, actions=[]))
         sim.run(until=3.0)
         assert len(switch.flow_table) == 0
-        assert controller.of_type(FlowRemoved)
+        assert not controller.of_type(ErrorMessage)
+
+    def _refused(self, sim, controller, switch, message, error) -> None:
+        """Send ``message``; the switch must answer ``error`` (type, code)
+        with the message's xid and install nothing."""
+        controller.send(message)
+        sim.run(until=sim.now + 1.0)
+        assert controller.errors() == [(*error, message.xid)]
+        assert len(switch.flow_table) == 0
+
+    def test_timeouts_are_refused(self, sim, switch_setup):
+        switch, controller, _ = switch_setup
+        unsupported = (OFPErrorType.FLOW_MOD_FAILED,
+                       OFPFlowModFailedCode.UNSUPPORTED)
+        for xid, timeouts in ((31, {"idle_timeout": 3}),
+                              (32, {"hard_timeout": 30})):
+            controller.messages.clear()
+            self._refused(sim, controller, switch, FlowMod(
+                match=Match.wildcard_all(), actions=[OutputAction(2)],
+                xid=xid, **timeouts), unsupported)
+
+    def test_send_flow_rem_flag_is_refused(self, sim, switch_setup):
+        switch, controller, _ = switch_setup
+        match = Match.for_destination_prefix(IPv4Address("10.9.0.0"), 16)
+        self._refused(sim, controller, switch, FlowMod(
+            match=match, actions=[OutputAction(2)], priority=9, xid=33,
+            flags=OFPFlowModFlags.SEND_FLOW_REM),
+            (OFPErrorType.FLOW_MOD_FAILED, OFPFlowModFailedCode.UNSUPPORTED))
 
     def test_check_overlap_rejected_with_error(self, sim, switch_setup):
+        """Overlap checks are not implemented: the flag is refused even
+        where nothing overlaps."""
         switch, controller, _ = switch_setup
-        match = Match.for_destination_prefix(IPv4Address("10.0.0.0"), 8)
-        controller.send(FlowMod(match=match, actions=[OutputAction(2)], priority=5))
-        sim.run(until=2.0)
-        overlapping = Match.for_destination_prefix(IPv4Address("10.1.0.0"), 16)
-        controller.send(FlowMod(match=overlapping, actions=[OutputAction(1)],
-                                priority=5, flags=OFPFlowModFlags.CHECK_OVERLAP))
-        sim.run(until=3.0)
-        assert controller.of_type(ErrorMessage)
-        assert len(switch.flow_table) == 1
+        match = Match.for_destination_prefix(IPv4Address("10.1.0.0"), 16)
+        self._refused(sim, controller, switch, FlowMod(
+            match=match, actions=[OutputAction(1)], priority=5, xid=34,
+            flags=OFPFlowModFlags.CHECK_OVERLAP),
+            (OFPErrorType.FLOW_MOD_FAILED, OFPFlowModFailedCode.UNSUPPORTED))
 
-    def test_idle_timeout_expires_flow(self, sim, switch_setup):
+    def test_unknown_action_in_flow_mod_is_refused(self, sim, switch_setup):
         switch, controller, _ = switch_setup
-        controller.send(FlowMod(match=Match.wildcard_all(), actions=[OutputAction(2)],
-                                idle_timeout=3, flags=OFPFlowModFlags.SEND_FLOW_REM))
-        sim.run(until=2.0)
-        assert len(switch.flow_table) == 1
-        sim.run(until=10.0)
-        assert len(switch.flow_table) == 0
-        assert controller.of_type(FlowRemoved)
+        set_nw_dst = UnknownAction(OFPActionType.SET_NW_DST, struct.pack(
+            "!HH4s", OFPActionType.SET_NW_DST, 8, bytes(4)))
+        match = Match.for_destination_prefix(IPv4Address("10.9.0.0"), 16)
+        self._refused(sim, controller, switch, FlowMod(
+            match=match, actions=[set_nw_dst, OutputAction(2)], xid=35),
+            (OFPErrorType.BAD_ACTION, OFPBadActionCode.BAD_TYPE))
+
+    def test_unknown_action_in_packet_out_is_refused(self, sim, switch_setup):
+        switch, controller, captures = switch_setup
+        strip_vlan = UnknownAction(OFPActionType.STRIP_VLAN, struct.pack(
+            "!HH4x", OFPActionType.STRIP_VLAN, 8))
+        self._refused(sim, controller, switch, PacketOut(
+            in_port=1, actions=[strip_vlan, OutputAction(2)],
+            data=ipv4_frame("10.1.1.1"), xid=36),
+            (OFPErrorType.BAD_ACTION, OFPBadActionCode.BAD_TYPE))
+        assert captures[2][1] == []
 
     def test_modify_without_match_behaves_as_add(self, sim, switch_setup):
         switch, controller, _ = switch_setup

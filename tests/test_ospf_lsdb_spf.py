@@ -68,13 +68,6 @@ class TestLSDB:
         needed = lsdb.missing_or_older_than(advertised)
         assert len(needed) == 2
 
-    def test_remove_from(self):
-        lsdb = build_triangle()
-        removed = lsdb.remove_from(rid(2))
-        assert removed == 1
-        assert lsdb.router_lsa(rid(2)) is None
-        assert len(lsdb) == 2
-
 
 class TestLSDBAdvertisingRouterIndex:
     """Regression tests for the by-advertising-router index: router_lsa()
@@ -118,7 +111,7 @@ class TestLSDBAdvertisingRouterIndex:
         # A stale install changes nothing and must not bump the version.
         lsdb.install(lsa(rid(1), [stub("10.0.0.0", 24)], sequence=4))
         assert lsdb.version == v1
-        lsdb.remove_from(rid(1))
+        lsdb.remove(lsdb.router_lsa(rid(1)).key)
         assert lsdb.version > v1
 
     def test_graph_cache_keyed_on_version(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +19,6 @@ from repro.net import (
     LLDP,
     LLDP_MULTICAST,
     MACAddress,
-    TCP,
-    TCPFlags,
     UDP,
     as_bytes,
 )
@@ -142,11 +142,13 @@ class TestIPv4:
         decoded = IPv4.decode(packet.encode())
         assert isinstance(decoded.payload, UDP)
 
-    def test_tcp_payload_decoded(self):
+    def test_tcp_payload_stays_raw_bytes(self):
+        # A well-formed SYN header (data offset 5): no codec parses it.
+        segment = struct.pack("!HHIIHHHH", 1, 2, 0, 0, 5 << 12 | 0x02,
+                              65535, 0, 0)
         packet = IPv4(src=IP_A, dst=IP_B, protocol=IPProtocol.TCP,
-                      payload=TCP(1, 2, flags=TCPFlags.SYN))
-        decoded = IPv4.decode(packet.encode())
-        assert isinstance(decoded.payload, TCP)
+                      payload=segment)
+        assert IPv4.decode(packet.encode()).payload == segment
 
     def test_icmp_payload_decoded(self):
         packet = IPv4(src=IP_A, dst=IP_B, protocol=IPProtocol.ICMP,
@@ -199,20 +201,6 @@ class TestTransport:
         with pytest.raises(DecodeError):
             UDP.decode(b"\x00\x01")
 
-    def test_tcp_roundtrip(self):
-        tcp = TCP(src_port=80, dst_port=12345, seq=1000, ack=2000,
-                  flags=TCPFlags.SYN | TCPFlags.ACK, window=500, payload=b"abc")
-        decoded = TCP.decode(tcp.encode())
-        assert decoded.src_port == 80 and decoded.dst_port == 12345
-        assert decoded.seq == 1000 and decoded.ack == 2000
-        assert decoded.flags == TCPFlags.SYN | TCPFlags.ACK
-        assert decoded.window == 500
-        assert decoded.payload == b"abc"
-
-    def test_tcp_truncated_rejected(self):
-        with pytest.raises(DecodeError):
-            TCP.decode(b"\x00" * 10)
-
     def test_icmp_echo_roundtrip(self):
         icmp = ICMP.echo_request(identifier=7, sequence=3, data=b"ping")
         decoded = ICMP.decode(icmp.encode())
@@ -229,15 +217,6 @@ class TestTransport:
     def test_udp_roundtrip_property(self, src, dst, payload):
         decoded = UDP.decode(UDP(src, dst, payload).encode())
         assert (decoded.src_port, decoded.dst_port) == (src, dst)
-        assert as_bytes(decoded.payload) == payload
-
-    @given(ports, ports, st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=0, max_value=0x3F), payloads)
-    def test_tcp_roundtrip_property(self, src, dst, seq, ack, flags, payload):
-        decoded = TCP.decode(TCP(src, dst, seq, ack, flags, payload=payload).encode())
-        assert (decoded.src_port, decoded.dst_port) == (src, dst)
-        assert (decoded.seq, decoded.ack, decoded.flags) == (seq, ack, flags)
         assert as_bytes(decoded.payload) == payload
 
 

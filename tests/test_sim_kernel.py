@@ -136,15 +136,6 @@ class TestRunControl:
         sim.run()
         assert seen == ["kept"]
 
-    def test_step_executes_one_event(self, sim):
-        seen = []
-        sim.schedule(1.0, seen.append, 1)
-        sim.schedule(2.0, seen.append, 2)
-        assert sim.step() is True
-        assert seen == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
     def test_max_events_bounds_execution(self, sim):
         def reschedule():
             sim.schedule(1.0, reschedule)
@@ -163,14 +154,6 @@ class TestRunControl:
             churn.schedule(0.001, tick)
         churn.run(max_events=200_000)
         assert churn.processed_events == 200_000
-
-    def test_peek_reports_next_event_time(self, sim):
-        assert sim.peek() is None
-        event = sim.schedule(3.0, lambda: None)
-        sim.schedule(7.0, lambda: None)
-        assert sim.peek() == 3.0
-        event.cancel()
-        assert sim.peek() == 7.0
 
     def test_run_until_with_empty_queue_advances_clock(self, sim):
         sim.run(until=42.0)
@@ -209,15 +192,14 @@ class TestKernelInvariants:
         sim.run()
         assert sim.pending() == 0
         assert sim.processed_events == 5
-        # 5,000 events on 7 instants, half cancelled: 1,000 peek() /
-        # pending() probes neither fire nor drop anything.
+        # 5,000 events on 7 instants, half cancelled: 1,000 pending()
+        # probes neither fire nor drop anything.
         events = [sim.schedule(float(i % 7) + 1.0, lambda: None)
                   for i in range(5_000)]
         for event in events[::2]:
             event.cancel()
         probes = 0
         for _ in range(1_000):
-            sim.peek()
             probes += sim.pending()
         assert probes == 2_500_000
         sim.run()
@@ -232,32 +214,12 @@ class TestKernelInvariants:
         sim.run()
         assert sim.processed_events == 2
 
-    def test_peek_skips_cancelled_and_keeps_pending_right(self, sim):
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(2.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
-        first.cancel()
-        second.cancel()
-        assert sim.peek() == 3.0
-        assert sim.pending() == 1
-        sim.run()
-        assert sim.processed_events == 1
-
     def test_cancelled_events_do_not_advance_clock(self, sim):
         event = sim.schedule(5.0, lambda: None)
         event.cancel()
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert sim.now == 2.0
-
-    def test_step_skips_cancelled(self, sim):
-        cancelled = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        cancelled.cancel()
-        assert sim.step() is True
-        assert sim.now == 2.0
-        assert sim.step() is False
-
 
 class TestPeriodicTask:
     def test_fires_at_interval(self, sim):

@@ -12,7 +12,8 @@ is configured:
   one's built, from LSAs that arrived in another order.
 
 Every VM's ``show ip route`` and every switch's flow table, entry by
-entry with its install time, must be byte-identical across all four.
+entry with the time it was last added or modified, must be
+byte-identical across all four.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ print(json.dumps(helpers["outputs"](helpers["configure"](ring_topology(5)))))
 
 def configure(topology) -> ScenarioRun:
     run = ScenarioRun(topology, FrameworkConfig(detect_edge_ports=False))
+    #: id(entry) -> the simulated time it was last added or modified.
+    run.changed_at = {}
+
+    def note(_table, changed) -> None:
+        run.changed_at.update((id(entry), run.sim.now) for entry in changed or ())
+
+    for switch in run.network.switches.values():
+        switch.flow_table.add_change_listener(note)
     assert run.configure(max_time=3600.0) is not None
     return run
 
@@ -48,7 +57,7 @@ def outputs(run: ScenarioRun) -> dict:
     return {
         "routes": {str(name): vm.zebra.show_ip_route() for name, vm
                    in sorted(run.framework.control_plane.vms.items())},
-        "flows": {str(dpid): [f"{entry.install_time!r} {entry!r}"
+        "flows": {str(dpid): [f"{run.changed_at[id(entry)]!r} {entry!r}"
                               for entry in switch.flow_table.entries]
                   for dpid, switch in sorted(run.network.switches.items())},
     }

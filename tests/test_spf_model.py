@@ -13,7 +13,7 @@ changes in an area: an LSA delivered (as the originated object or as the
 interned decoded copy), a whole database offered to another in either
 order, a newer sequence, the same (advertising router,
 sequence) with different links (a restarted router), a MaxAge flush and
-``remove_from``.  After every step every LSDB and every root must give the
+``remove`` (how MaxAge retirement drops an LSA).  After every step every LSDB and every root must give the
 reference's routes, first hops and advertising routers included.  Metrics
 of 1 and 2 over five routers make equal-cost ties common.  The machine
 runs once more with a digest that collides on everything, and two seeded
@@ -211,8 +211,10 @@ class SPFMachine(RuleBasedStateMachine):
         self._install(db, self._originate(router, [], age=MAX_AGE), decoded)
 
     @rule(router=ROUTER, db=DB)
-    def remove_from(self, router, db):
-        self.dbs[db].remove_from(ROUTERS[router])
+    def remove(self, router, db):
+        lsa = self.dbs[db].router_lsa(ROUTERS[router])
+        if lsa is not None:
+            self.dbs[db].remove(lsa.key)
 
     @invariant()
     def routes_match_the_reference(self):

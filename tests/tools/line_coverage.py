@@ -21,22 +21,29 @@ under the same tracer and in-process::
     PYTHONPATH=src python tests/tools/line_coverage.py --entry-points
 
 that is every ``repro`` command of the CI workflow's smoke steps
-(``.github/workflows/ci.yml``, in a temporary directory), the seven
-``examples/*.py`` (in a temporary directory, stdout discarded) and each
-``bench/workloads.py`` workload at ``smoke`` scale through a recorder that
-keeps only failed checks.  After the coverage summary it lists every
-``src/repro`` function that no entry point entered, largest first: the
-candidates for code that only its own tests run.
+(``.github/workflows/ci.yml``, in a temporary directory; a sweep's
+``--workers N`` runs with one worker, so its scenarios run in this traced
+process), the seven ``examples/*.py`` (in a temporary directory, stdout
+discarded) and each ``bench/workloads.py`` workload at ``smoke`` scale
+through a recorder that keeps only failed checks.  After the coverage
+summary it checks the ``src/repro`` functions that no entry point entered
+against the committed verdicts in ``entry_point_verdicts.txt`` (one
+``module:qualname-pattern  reason`` per line, ``fnmatch`` patterns): it
+lists every unentered function without a verdict, largest first, and
+every verdict that matches no unentered function, and exits 1 if either
+list is non-empty.  Verdicts name functions by ``co_qualname``, so this
+mode needs Python 3.11 or later.
 
-Code run in other processes is not traced: the sweep's worker processes
-and the fresh interpreters of ``tests/test_imports.py``.  The figures are
-therefore lower bounds of what pytest-cov reports.  pytest does not
-collect this file (its name does not start with ``test_``).
+Code run in other processes is not traced: the fresh interpreters of
+``tests/test_imports.py``.  The figures are therefore lower bounds of
+what pytest-cov reports.  pytest does not collect this file (its name
+does not start with ``test_``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import fnmatch
 import io
 import os
 import re
@@ -52,6 +59,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 PREFIX = str(SRC) + "/"
+#: Why each function that no entry point enters stays.
+VERDICTS = Path(__file__).with_name("entry_point_verdicts.txt")
 
 #: A ``repro`` invocation on a line of a workflow ``run:`` step.
 _CLI_LINE = re.compile(r"^\s*(?:run:\s*)?(?:python -m )?repro(\s.*)?$")
@@ -120,13 +129,17 @@ def traced() -> Iterator[Tuple[Dict[str, Set[int]], Set[CodeKey]]]:
 # the entry points
 # ---------------------------------------------------------------------------
 def ci_commands() -> List[List[str]]:
-    """The argument lists of every ``repro`` command in the CI workflow."""
+    """The argument lists of every ``repro`` command in the CI workflow,
+    each ``--workers N`` set to one worker."""
     workflow = ROOT / ".github" / "workflows" / "ci.yml"
     commands = []
     for line in workflow.read_text().splitlines():
         match = _CLI_LINE.match(line)
         if match:
-            commands.append(shlex.split(match.group(1) or ""))
+            argv = shlex.split(match.group(1) or "")
+            if "--workers" in argv:
+                argv[argv.index("--workers") + 1] = "1"
+            commands.append(argv)
     return commands
 
 
@@ -205,8 +218,14 @@ def run_entry_points() -> int:
     return failed
 
 
-def never_entered(entered: Set[CodeKey]) -> List[Tuple[int, str, str]]:
-    """(lines, where, qualified name) of every named function in
+def module_name(path: Path) -> str:
+    """The dotted module name of a file under ``src/repro``."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def never_entered(entered: Set[CodeKey]) -> List[Tuple[int, str, str, str]]:
+    """(lines, where, module, qualified name) of every named function in
     ``src/repro`` that was never called, largest first."""
     missed = []
     for path in sorted(SRC.rglob("*.py")):
@@ -215,9 +234,43 @@ def never_entered(entered: Set[CodeKey]) -> List[Tuple[int, str, str]]:
                     (str(path), code.co_firstlineno, code.co_name) in entered:
                 continue
             where = f"{path.relative_to(SRC.parent)}:{code.co_firstlineno}"
-            missed.append((len(_lines(code)), where,
+            missed.append((len(_lines(code)), where, module_name(path),
                            getattr(code, "co_qualname", code.co_name)))
     return sorted(missed, key=lambda row: (-row[0], row[1]))
+
+
+#: One verdict: (module pattern, qualified-name pattern, reason).
+Verdict = Tuple[str, str, str]
+
+
+def read_verdicts(path: Path = VERDICTS) -> List[Verdict]:
+    """The verdicts of ``path``: a ``module:qualname-pattern  reason`` line
+    each; blank lines and ``#`` comments are skipped."""
+    verdicts = []
+    for line in path.read_text().splitlines():
+        target, _, reason = line.strip().partition(" ")
+        if not target or target.startswith("#"):
+            continue
+        module, _, qualname = target.partition(":")
+        verdicts.append((module, qualname, reason.strip()))
+    return verdicts
+
+
+def judge(missed, verdicts: List[Verdict]):
+    """The unentered functions no verdict matches, and the verdicts that
+    match no unentered function."""
+    used: Set[int] = set()
+    unjudged = []
+    for row in missed:
+        hits = {index for index, (module, qualname, _) in enumerate(verdicts)
+                if fnmatch.fnmatchcase(row[2], module)
+                and fnmatch.fnmatchcase(row[3], qualname)}
+        used |= hits
+        if not hits:
+            unjudged.append(row)
+    stale = [verdict for index, verdict in enumerate(verdicts)
+             if index not in used]
+    return unjudged, stale
 
 
 def main(args) -> int:
@@ -243,10 +296,16 @@ def main(args) -> int:
         print(f"  {100.0 * share:5.1f}%  {name}  ({missed} lines never run)")
     if entry_points:
         missed = never_entered(entered)
+        unjudged, stale = judge(missed, read_verdicts())
         print(f"{len(missed)} functions no entry point entered "
-              f"({sum(row[0] for row in missed)} lines):")
-        for lines, where, name in missed:
+              f"({sum(row[0] for row in missed)} lines); "
+              f"{len(unjudged)} without a verdict:")
+        for lines, where, _module, name in unjudged:
             print(f"  {lines:4d}  {where}  {name}")
+        print(f"{len(stale)} verdicts match no unentered function:")
+        for module, qualname, reason in stale:
+            print(f"  {module}:{qualname}  {reason}")
+        status = status or bool(unjudged or stale)
     return int(status)
 
 
