@@ -51,12 +51,6 @@ class StreamStats:
         expected = self.highest_sequence - self.first_sequence + 1
         return max(0, expected - self.frames_received)
 
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
 
 class VideoStreamServer:
     """Constant-bit-rate UDP video source."""
@@ -66,13 +60,10 @@ class VideoStreamServer:
         self.sim = sim
         self.host = host
         self.client_ip = IPv4Address(client_ip)
-        self.frame_rate = frame_rate
         self.frame_size = frame_size
         self.frames_sent = 0
-        self.reports_received = 0
         self._task = PeriodicTask(sim, 1.0 / frame_rate, self._send_frame,
                                   name=f"stream:{host.name}")
-        host.bind_udp(REPORT_PORT, self._on_report)
 
     def start(self) -> None:
         """Start streaming immediately (t=0 of the demo)."""
@@ -89,9 +80,6 @@ class VideoStreamServer:
                            src_port=STREAM_PORT)
         self.frames_sent += 1
 
-    def _on_report(self, src_ip: IPv4Address, _src_port: int, _payload: bytes) -> None:
-        self.reports_received += 1
-
     def __repr__(self) -> str:
         return f"<VideoStreamServer {self.host.name} -> {self.client_ip} sent={self.frames_sent}>"
 
@@ -105,7 +93,6 @@ class VideoStreamClient:
         self.host = host
         self.server_ip = IPv4Address(server_ip)
         self.stats = StreamStats()
-        self.reports_sent = 0
         host.bind_udp(STREAM_PORT, self._on_frame)
         self._report_task = PeriodicTask(sim, report_interval, self._send_report,
                                          name=f"stream-client:{host.name}")
@@ -138,7 +125,6 @@ class VideoStreamClient:
                              self.stats.lost_frames)
         self.host.send_udp(self.server_ip, REPORT_PORT, report,
                            src_port=REPORT_PORT)
-        self.reports_sent += 1
 
     @property
     def video_started(self) -> bool:

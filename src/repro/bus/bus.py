@@ -240,6 +240,13 @@ class MessageBus:
         self._implicit_channel(topic).subscribers.append(
             Subscription(callback, endpoint))
 
+    def unsubscribe(self, topic: str, callback: Subscriber) -> None:
+        """Remove ``callback``'s subscriptions to ``topic``."""
+        channel = self._channels[topic]
+        channel.subscribers = [subscription
+                               for subscription in channel.subscribers
+                               if subscription.callback != callback]
+
     # ------------------------------------------------------------------ faults
     def configure_faults(self, pattern: str,
                          faults: Optional[ChannelFaults] = None,

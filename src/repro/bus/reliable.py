@@ -210,17 +210,13 @@ class ReliablePublisher:
         self._retained: Dict[int, _PendingSend] = {}
         #: Messages awaiting a transmission slot (window flow control).
         self._queue: Deque[_PendingSend] = deque()
-        #: Ack topics _on_ack is already subscribed to (the bus has no
-        #: unsubscribe, so retarget must not re-register on a revisit).
-        self._ack_topics: set = set()
         if policy.mode == "ack":
-            _ensure_ack_channel(bus, topic)
             self._subscribe_acks(topic)
 
     def _subscribe_acks(self, topic: str) -> None:
-        if topic in self._ack_topics:
-            return
-        self._ack_topics.add(topic)
+        """Listen for acks on ``topic``'s companion, the one ack topic
+        this publisher hears."""
+        _ensure_ack_channel(self.bus, topic)
         self.bus.subscribe(ack_topic(topic), self._on_ack,
                            endpoint=self.endpoint)
 
@@ -397,7 +393,7 @@ class ReliablePublisher:
         self._retained.clear()
         self._queue.clear()
         if self.policy.mode == "ack":
-            _ensure_ack_channel(self.bus, topic)
+            self.bus.unsubscribe(ack_topic(self.topic), self._on_ack)
             self._subscribe_acks(topic)
         self.topic = topic
         self.incarnation += 1

@@ -50,7 +50,6 @@ class DatapathConnection:
         self.datapath_id: Optional[int] = None
         self.ports: Dict[int, PhyPort] = {}
         self.handshake_complete = False
-        self.connect_time: Optional[float] = None
         self._next_xid = 1
 
     def take_xid(self) -> int:
@@ -217,7 +216,6 @@ class Controller:
         connection.ports = {port.port_no: port for port in message.ports
                             if port.port_no < OFPPort.MAX}
         connection.handshake_complete = True
-        connection.connect_time = self.sim.now
         self.datapaths[message.datapath_id] = connection
         LOG.info("%s: datapath %#x joined with %d ports",
                  self.name, message.datapath_id, len(connection.ports))

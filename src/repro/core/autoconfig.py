@@ -36,7 +36,7 @@ from repro.quagga.bgp.session import BGPSessionBroker
 from repro.routeflow.membership import PartitionError, make_partitioner
 from repro.routeflow.rfserver import ControllerShard
 from repro.routeflow.sharding import ShardedControlPlane
-from repro.sim import EventLog, PeriodicTask, Simulator
+from repro.sim import PeriodicTask, Simulator
 from repro.topology.emulator import EmulatedNetwork
 
 LOG = logging.getLogger(__name__)
@@ -125,7 +125,6 @@ class AutoConfigFramework:
         self.sim = sim
         self.config = config if config is not None else FrameworkConfig()
         self.ipam = ipam if ipam is not None else IPAddressManager()
-        self.event_log = EventLog(sim)
         self.gui = ConfigurationGUI(sim)
         self.manual_model = ManualConfigurationModel()
 
@@ -173,7 +172,6 @@ class AutoConfigFramework:
             partitioner=make_partitioner(self.config.partitioner,
                                          num_controllers,
                                          as_map=self.config.as_map),
-            event_log=self.event_log,
             vm_boot_delay=self.config.vm_boot_delay,
             serialize_vm_creation=self.config.serialize_vm_creation,
             bgp_broker=self.bgp_broker)
@@ -186,7 +184,7 @@ class AutoConfigFramework:
 
         # RPC server (inside the RF-controller) and RPC client.
         self.rpc_server = RPCServer(
-            sim, self.control_plane, ipam=self.ipam, event_log=self.event_log,
+            sim, self.control_plane, ipam=self.ipam,
             ospf_hello_interval=self.config.ospf_hello_interval,
             ospf_dead_interval=self.config.ospf_dead_interval,
             as_map=self.config.as_map if self.config.enable_bgp else None,
@@ -199,12 +197,12 @@ class AutoConfigFramework:
 
         # Topology controller (discovery + configuration-message generation).
         if self.config.use_flowvisor:
-            (self.topology_controller, self.discovery,
-             self.topology_app) = build_topology_controller(
-                sim, self.rpc_client, ipam=self.ipam,
-                probe_interval=self.config.discovery_probe_interval,
-                edge_port_grace=self.config.edge_port_grace,
-                detect_edge_ports=self.config.detect_edge_ports)
+            self.topology_controller, _, self.topology_app = \
+                build_topology_controller(
+                    sim, self.rpc_client, ipam=self.ipam,
+                    probe_interval=self.config.discovery_probe_interval,
+                    edge_port_grace=self.config.edge_port_grace,
+                    detect_edge_ports=self.config.detect_edge_ports)
             flowspace = build_flowspace(
                 self.TOPOLOGY_SLICE, [shard.slice_name for shard in self.shards])
             self.flowvisor: Optional[FlowVisor] = FlowVisor(sim, flowspace)
@@ -224,13 +222,13 @@ class AutoConfigFramework:
         else:
             # Single-controller deployment: discovery runs on the RF-controller
             # and switches connect to it directly.
-            (self.topology_controller, self.discovery,
-             self.topology_app) = build_topology_controller(
-                sim, self.rpc_client, ipam=self.ipam,
-                probe_interval=self.config.discovery_probe_interval,
-                edge_port_grace=self.config.edge_port_grace,
-                controller=self.rf_controller,
-                detect_edge_ports=self.config.detect_edge_ports)
+            self.topology_controller, _, self.topology_app = \
+                build_topology_controller(
+                    sim, self.rpc_client, ipam=self.ipam,
+                    probe_interval=self.config.discovery_probe_interval,
+                    edge_port_grace=self.config.edge_port_grace,
+                    controller=self.rf_controller,
+                    detect_edge_ports=self.config.detect_edge_ports)
             self.flowvisor = None
 
         # Milestone tracking.
@@ -263,9 +261,6 @@ class AutoConfigFramework:
             network.connect_control_plane(self.rf_controller.accept_channel,
                                           self.rf_controller)
         self._monitor.start()
-        self.event_log.record("attach", f"attached to {network.topology.name}",
-                              switches=self._expected_switches,
-                              links=self._expected_links)
 
     def _bus_endpoint_pair(self, event) -> tuple:
         """The bus endpoint labels a partition event refers to: shard
@@ -287,19 +282,15 @@ class AutoConfigFramework:
             profile = ChannelFaults.from_dict(params)
             for pattern in patterns.split(","):
                 self.bus.configure_faults(pattern.strip(), profile)
-            self.event_log.record("bus_degraded", event.describe(),
-                                  patterns=patterns)
         elif event.action == FailureAction.BUS_PARTITION:
             endpoint_a, endpoint_b = self._bus_endpoint_pair(event)
             self.bus.partition(endpoint_a, endpoint_b)
-            self.event_log.record("bus_partitioned", event.describe())
         elif event.action == FailureAction.BUS_HEAL:
             if event.node_a < 0:
                 self.bus.clear_faults()
                 self.bus.heal_partition()
             else:
                 self.bus.heal_partition(*self._bus_endpoint_pair(event))
-            self.event_log.record("bus_healed", event.describe())
         elif event.action == FailureAction.SHARD_DOWN:
             plane.fail_shard(event.node_a)
         elif event.action == FailureAction.SHARD_UP:
@@ -312,8 +303,7 @@ class AutoConfigFramework:
                 plane.reshard(event.node_a, event.node_b,
                               reason="injected reshard")
             except PartitionError as exc:
-                self.event_log.record("reshard_rejected", str(exc),
-                                      dpid=event.node_a, shard=event.node_b)
+                LOG.warning("framework: injected reshard rejected: %s", exc)
 
     # -------------------------------------------------------------- milestones
     def _sample_milestones(self) -> None:
@@ -335,7 +325,6 @@ class AutoConfigFramework:
     def _check_milestone(self, name: str, reached: bool) -> None:
         if reached and name not in self.milestones:
             self.milestones[name] = self.sim.now
-            self.event_log.record("milestone", name, time=self.sim.now)
             LOG.info("framework: milestone %s at t=%.1fs", name, self.sim.now)
 
     @property

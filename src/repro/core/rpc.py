@@ -37,7 +37,8 @@ from repro.quagga.configfile import (
     generate_zebra_conf,
 )
 from repro.routeflow.sharding import ShardedControlPlane
-from repro.sim import EventLog, Simulator
+from repro.routeflow.vm import port_interface
+from repro.sim import Simulator
 from repro.topology.generators import RELATIONSHIP_LOCAL_PREF
 
 LOG = logging.getLogger(__name__)
@@ -77,13 +78,10 @@ class RPCClient:
                 endpoint="rpc-server")
         self._publisher = acquire_publisher(self.bus, topics.CONFIG,
                                             "rpc-client", endpoint="rpc-client")
-        self.messages_sent = 0
 
     def send(self, message: ConfigMessage) -> None:
         """Serialise and deliver a configuration message to the RPC server."""
-        payload = message.to_json()
-        self.messages_sent += 1
-        self._publisher.publish(payload)
+        self._publisher.publish(message.to_json())
 
 
 @dataclass
@@ -113,7 +111,6 @@ class RPCServer:
 
     def __init__(self, sim: Simulator, plane: ShardedControlPlane,
                  ipam: Optional[IPAddressManager] = None,
-                 event_log: Optional[EventLog] = None,
                  ospf_hello_interval: int = 10, ospf_dead_interval: int = 40,
                  as_map: Optional[Mapping[int, int]] = None,
                  as_relationships: Optional[Mapping[Tuple[int, int], str]] = None,
@@ -122,7 +119,6 @@ class RPCServer:
         self.sim = sim
         self.plane = plane
         self.ipam = ipam if ipam is not None else IPAddressManager()
-        self.event_log = event_log if event_log is not None else plane.event_log
         self.ospf_hello_interval = ospf_hello_interval
         self.ospf_dead_interval = ospf_dead_interval
         #: dpid -> AS number.  When set, the server generates *interdomain*
@@ -227,9 +223,6 @@ class RPCServer:
         self._replay_deferred()
 
     def _switch_became_configured(self, switch_id: int) -> None:
-        self.event_log.record("switch_configured",
-                              f"switch {switch_id:#x} configured (VM running)",
-                              switch_id=switch_id)
         for callback in self._switch_configured_callbacks:
             callback(switch_id)
 
@@ -241,9 +234,6 @@ class RPCServer:
         if vm is not None:
             vm.stop()
         self.plane.unmap_vm(message.switch_id)
-        self.event_log.record("switch_removed",
-                              f"switch {message.switch_id:#x} removed",
-                              switch_id=message.switch_id)
 
     # --------------------------------------------------------- link handling
     def _handle_link_config(self, message: LinkConfigMessage) -> None:
@@ -261,8 +251,8 @@ class RPCServer:
             self._deferred.append(message)
             return
         self._configured_links.add(key)
-        iface_a = f"eth{message.port_a}"
-        iface_b = f"eth{message.port_b}"
+        iface_a = port_interface(message.port_a)
+        iface_b = port_interface(message.port_b)
         prefix_len = message.prefix_len
         # An inter-AS link carries eBGP, not the IGP: its prefix stays out
         # of both ends' OSPF network statements (``redistribute connected``
@@ -304,13 +294,6 @@ class RPCServer:
                 remote_as=BGP_AS_BASE + state_a.vm_id))
         self._write_configs(state_a)
         self._write_configs(state_b)
-        self.event_log.record(
-            "link_configured",
-            f"link {message.dpid_a:#x}:{message.port_a} <-> "
-            f"{message.dpid_b:#x}:{message.port_b} configured",
-            dpid_a=message.dpid_a, port_a=message.port_a,
-            dpid_b=message.dpid_b, port_b=message.port_b,
-            network=str(IPv4Network((IPv4Address(message.address_a), prefix_len))))
 
     def _handle_edge_port_config(self, message: EdgePortConfigMessage) -> None:
         state = self._vm_state.get(message.datapath_id)
@@ -318,17 +301,12 @@ class RPCServer:
             LOG.debug("rpc-server: deferring edge-port config for unknown switch")
             self._deferred.append(message)
             return
-        iface = f"eth{message.port_no}"
+        iface = port_interface(message.port_no)
         if iface in state.interfaces:
             return
         self._assign_interface(state, iface, IPv4Address(message.gateway),
                                message.prefix_len)
         self._write_configs(state)
-        self.event_log.record(
-            "edge_port_configured",
-            f"edge port {message.datapath_id:#x}:{message.port_no} configured",
-            datapath_id=message.datapath_id, port_no=message.port_no,
-            gateway=message.gateway, prefix_len=message.prefix_len)
 
     def _replay_deferred(self) -> None:
         """Re-handle link/edge messages that were waiting for switch configs."""

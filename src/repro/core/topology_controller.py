@@ -43,7 +43,6 @@ class TopologyControllerApp:
                  edge_port_grace: float = 12.0,
                  detect_edge_ports: bool = True) -> None:
         self.sim = sim
-        self.discovery = discovery
         self.rpc_client = rpc_client
         self.ipam = ipam if ipam is not None else IPAddressManager()
         self.edge_port_grace = edge_port_grace
@@ -60,10 +59,6 @@ class TopologyControllerApp:
                                        name="topoctl:edge-scan")
         if detect_edge_ports:
             self._edge_task.start()
-        self.switch_messages_sent = 0
-        self.switch_removed_messages_sent = 0
-        self.link_messages_sent = 0
-        self.edge_messages_sent = 0
 
     # --------------------------------------------------------------- switches
     def _on_switch(self, datapath_id: int, ports: List[int]) -> None:
@@ -72,7 +67,6 @@ class TopologyControllerApp:
         self._switches[datapath_id] = (self.sim.now, list(ports))
         message = SwitchConfigMessage(switch_id=datapath_id, num_ports=len(ports))
         self.rpc_client.send(message)
-        self.switch_messages_sent += 1
         LOG.info("topology-controller: switch %#x -> config message (%d ports)",
                  datapath_id, len(ports))
 
@@ -88,7 +82,6 @@ class TopologyControllerApp:
         self._announced_links = {key for key in self._announced_links
                                  if key[0] != datapath_id and key[2] != datapath_id}
         self.rpc_client.send(SwitchRemovedMessage(switch_id=datapath_id))
-        self.switch_removed_messages_sent += 1
         LOG.info("topology-controller: switch %#x lost -> removal message", datapath_id)
 
     # ------------------------------------------------------------------ links
@@ -108,7 +101,6 @@ class TopologyControllerApp:
             dpid_b=dpid_b, port_b=port_b, address_b=str(allocation.address_b),
             prefix_len=allocation.prefix_len)
         self.rpc_client.send(message)
-        self.link_messages_sent += 1
         LOG.info("topology-controller: link %s -> config message (%s)",
                  link, allocation.network)
 
@@ -130,7 +122,6 @@ class TopologyControllerApp:
                     gateway=str(allocation.gateway),
                     prefix_len=allocation.prefix_len)
                 self.rpc_client.send(message)
-                self.edge_messages_sent += 1
                 LOG.info("topology-controller: edge port %#x:%d -> %s",
                          datapath_id, port_no, allocation.network)
 

@@ -113,12 +113,6 @@ class TEResult:
     def baseline(self) -> Optional[TEPolicyResult]:
         return self.results[0] if self.results else None
 
-    def result_for(self, policy: str) -> Optional[TEPolicyResult]:
-        for result in self.results:
-            if result.policy == policy:
-                return result
-        return None
-
     @property
     def healthy(self) -> bool:
         """Every policy run routed every commodity at the end."""

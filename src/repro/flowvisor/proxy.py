@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.packet import DecodeError
 from repro.openflow.channel import ControlChannel
@@ -101,11 +101,6 @@ class FlowVisor:
         self.slices: Dict[str, Slice] = {}
         self._switch_sessions: Dict[ControlChannel, _SwitchSession] = {}
         self._slice_channel_index: Dict[ControlChannel, Tuple[_SwitchSession, str]] = {}
-        # Counters
-        self.packet_ins_routed = 0
-        self.packet_ins_dropped = 0
-        self.flow_mods_forwarded = 0
-        self.flow_mods_denied = 0
 
     # ------------------------------------------------------------------ slices
     def add_slice(self, name: str, controller: object,
@@ -234,16 +229,10 @@ class FlowVisor:
         # The packet-in is forwarded untranslated (xid untouched), so the
         # original wire bytes go out instead of re-encoding the message.
         fields = PacketFields.from_frame(message.data, in_port=message.in_port)
-        slice_names = self.flowspace.slices_for_packet(fields)
-        if not slice_names:
-            self.packet_ins_dropped += 1
-            return
-        for slice_name in slice_names:
+        for slice_name in self.flowspace.slices_for_packet(fields):
             channel = session.slice_channels.get(slice_name)
-            if channel is None:
-                continue
-            self.packet_ins_routed += 1
-            channel.send(self, data)
+            if channel is not None:
+                channel.send(self, data)
 
     def _broadcast(self, session: _SwitchSession, data: bytes) -> bool:
         """Forward an (unmodified) switch message to every slice."""
@@ -327,13 +316,11 @@ class FlowVisor:
                         self.name, slice_name, exc)
             return
         if not self.flowspace.may_write(slice_name, match):
-            self.flow_mods_denied += 1
             xid = struct.unpack_from("!I", data, 4)[0]
             error = ErrorMessage(OFPErrorType.BAD_REQUEST,
                                  OFPBadRequestCode.PERM_ERROR, xid=xid)
             self._reply_to_slice(session, slice_name, error)
             return
-        self.flow_mods_forwarded += 1
         self._send_to_switch_raw(session, data)
 
     def _forward_packet_out(self, session: _SwitchSession, slice_name: str,
@@ -367,12 +354,6 @@ class FlowVisor:
         channel = session.slice_channels.get(slice_name)
         if channel is not None:
             channel.send(self, message.encode())
-
-    # ------------------------------------------------------------------- info
-    @property
-    def connected_switches(self) -> List[int]:
-        return sorted(s.datapath_id for s in self._switch_sessions.values()
-                      if s.datapath_id is not None)
 
     def __repr__(self) -> str:
         return (f"<FlowVisor {self.name} slices={sorted(self.slices)} "

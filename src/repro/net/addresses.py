@@ -218,10 +218,6 @@ class IPv4Address:
         return self._value == 0
 
     @property
-    def is_loopback(self) -> bool:
-        return (self._value >> 24) == 127
-
-    @property
     def is_multicast(self) -> bool:
         return 224 <= (self._value >> 24) <= 239
 

@@ -50,9 +50,6 @@ class Host:
         self._udp_handlers: Dict[int, UDPHandler] = {}
         self._icmp_echo_replies: List[Tuple[float, IPv4Address, int]] = []
         self._next_ident = 1
-        # Counters
-        self.sent_ip_packets = 0
-        self.received_ip_packets = 0
 
     # ------------------------------------------------------------ properties
     @property
@@ -73,9 +70,6 @@ class Host:
         if port in self._udp_handlers:
             raise ValueError(f"UDP port {port} already bound on {self.name}")
         self._udp_handlers[port] = handler
-
-    def unbind_udp(self, port: int) -> None:
-        self._udp_handlers.pop(port, None)
 
     def send_udp(self, dst_ip: IPv4Address, dst_port: int, payload: bytes,
                  src_port: int = 0) -> None:
@@ -110,7 +104,6 @@ class Host:
         if next_hop is None:
             LOG.debug("%s: no route to %s", self.name, packet.dst)
             return
-        self.sent_ip_packets += 1
         mac = self.arp_table.get(next_hop)
         if mac is None:
             queue = self._pending_arp.setdefault(next_hop, [])
@@ -180,7 +173,6 @@ class Host:
     def _on_ip(self, packet: IPv4) -> None:
         if packet.dst != self.ip and not packet.dst.is_broadcast:
             return
-        self.received_ip_packets += 1
         if packet.protocol == IPProtocol.UDP and isinstance(packet.payload, UDP):
             handler = self._udp_handlers.get(packet.payload.dst_port)
             if handler is not None:

@@ -12,7 +12,7 @@ An endpoint is any object implementing ``channel_receive(channel, data)``.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.sim import Simulator
 
@@ -42,8 +42,6 @@ class ControlChannel:
         self.open = False
         self.messages_a_to_b = 0
         self.messages_b_to_a = 0
-        self.bytes_a_to_b = 0
-        self.bytes_b_to_a = 0
 
     def connect(self, endpoint_a: ChannelEndpoint, endpoint_b: ChannelEndpoint) -> None:
         """Attach both endpoints and open the channel."""
@@ -67,10 +65,8 @@ class ControlChannel:
             return False
         if sender is self.endpoint_a:
             self.messages_a_to_b += 1
-            self.bytes_a_to_b += len(data)
         else:
             self.messages_b_to_a += 1
-            self.bytes_b_to_a += len(data)
         self.sim.schedule(self.latency, self._deliver, peer, data,
                           label=self._event_label)
         return True

@@ -206,13 +206,6 @@ class Match:
         self.wildcards &= ~W.DL_TYPE
         return self
 
-    def set_nw_src(self, address: IPv4Address, prefix_len: int = 32) -> "Match":
-        self._forget()
-        self.nw_src = IPv4Address(address)
-        self.wildcards &= ~W.NW_SRC_MASK
-        self.wildcards |= ((32 - prefix_len) << W.NW_SRC_SHIFT) & W.NW_SRC_MASK
-        return self
-
     def set_nw_dst(self, address: IPv4Address, prefix_len: int = 32) -> "Match":
         self._forget()
         self.nw_dst = IPv4Address(address)

@@ -109,16 +109,12 @@ class OpenFlowSwitch:
         self.flow_table = FlowTable()
         self.channel: Optional[ControlChannel] = None
         self.connected = False          # handshake finished
-        self._hello_sent = False
-        self._hello_received = False
         self._next_xid = 1
         self._buffers: Dict[int, tuple] = {}
         self._next_buffer_id = 1
         # Counters
         self.packet_in_count = 0
         self.flow_mod_count = 0
-        self.data_packets_forwarded = 0
-        self.data_packets_missed = 0
         #: Optional pipeline observer called after every data-plane lookup
         #: as ``observer(switch, in_port, fields, entry_or_None)``.  None
         #: (the default) costs nothing; the fluid-vs-packet equivalence
@@ -157,11 +153,8 @@ class OpenFlowSwitch:
     def connect_to_controller(self, channel: ControlChannel) -> None:
         """Attach the control channel and start the handshake."""
         self.channel = channel
-        self._hello_sent = False
-        self._hello_received = False
         self.connected = False
         self._send_message(Hello(xid=self._take_xid()))
-        self._hello_sent = True
 
     def channel_receive(self, channel: ControlChannel, data: bytes) -> None:
         """Entry point for control messages from the channel."""
@@ -179,7 +172,6 @@ class OpenFlowSwitch:
 
     def _dispatch(self, message: OpenFlowMessage) -> None:
         if isinstance(message, Hello):
-            self._hello_received = True
             return
         if isinstance(message, FeaturesRequest):
             self._send_features_reply(message.xid)
@@ -308,10 +300,8 @@ class OpenFlowSwitch:
         if self.lookup_observer is not None:
             self.lookup_observer(self, in_port, fields, entry)
         if entry is None:
-            self.data_packets_missed += 1
             self._table_miss(in_port, data)
             return
-        self.data_packets_forwarded += 1
         self._apply_actions(data, entry.actions, in_port=in_port)
 
     def _table_miss(self, in_port: int, data: bytes) -> None:

@@ -115,7 +115,6 @@ class BGPDaemon:
         self.updates_received = 0
         self.withdrawals_sent = 0
         self.sessions_established = 0
-        self.sessions_lost = 0
 
     # ---------------------------------------------------------------- control
     def start(self) -> None:
@@ -264,7 +263,6 @@ class BGPDaemon:
         self._pending_out.pop(session.peer_address, None)
         self._pending_eor.pop(session.peer_address, None)
         if was_established:
-            self.sessions_lost += 1
             LOG.info("%s: BGP session with %s down (%s)", self.hostname,
                      session.peer_address, reason)
         self._begin_batch()
@@ -581,15 +579,6 @@ class BGPDaemon:
     @property
     def ebgp_sessions(self) -> List[BGPPeerSession]:
         return [s for s in self.sessions.values() if not s.is_ibgp]
-
-    def best_routes(self) -> Dict[IPv4Network, BGPAnnouncement]:
-        """The winning announcement per prefix (received routes only)."""
-        result: Dict[IPv4Network, BGPAnnouncement] = {}
-        for prefix in self._all_prefixes():
-            best = self._best_received(prefix)
-            if best is not None and self._local_origination(prefix) is None:
-                result[prefix] = best[1]
-        return result
 
     def __repr__(self) -> str:
         return (f"<BGPDaemon {self.hostname} AS{self.local_as} "

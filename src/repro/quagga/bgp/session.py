@@ -204,9 +204,6 @@ class BGPSessionBroker:
         #: peer address -> idle sessions waiting to establish towards it.
         self._pending: Dict[IPv4Address,
                             List[Tuple[BGPDaemon, BGPPeerSession]]] = {}
-        #: Establishment probes attempted (the pending-set regression test
-        #: pins this to stay linear in the number of idle sessions).
-        self.probe_attempts = 0
 
     def register(self, address: IPv4Address, speaker: BGPDaemon) -> None:
         address = IPv4Address(address)
@@ -253,7 +250,6 @@ class BGPSessionBroker:
 
     def _try_establish(self, speaker: BGPDaemon,
                        session: BGPPeerSession) -> None:
-        self.probe_attempts += 1
         if session.state != BGPSessionState.IDLE or not speaker.running \
                 or not speaker.session_ready(session):
             return

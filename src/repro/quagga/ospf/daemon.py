@@ -96,7 +96,6 @@ class OSPFDaemon:
         self.running = False
         # Statistics used by the experiments.
         self.spf_runs = 0
-        self.lsas_originated = 0
         self.full_adjacency_times: List[float] = []
 
     # ---------------------------------------------------------------- control
@@ -260,7 +259,6 @@ class OSPFDaemon:
         lsa = RouterLSA.originate(router_id=self.router_id,
                                   sequence=self._next_sequence(), links=links)
         self.lsdb.install(lsa, now=self.sim.now)
-        self.lsas_originated += 1
         self._flood(lsa, exclude=None)
         self.schedule_spf()
 

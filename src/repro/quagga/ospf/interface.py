@@ -62,8 +62,6 @@ class OSPFInterface:
         #: (neighbor-id tuple, encoded hello) — hellos only change when the
         #: neighbor set does, so steady-state ticks resend cached bytes.
         self._hello_wire: Optional[tuple] = None
-        self.hello_sent = 0
-        self.hello_received = 0
 
     # -------------------------------------------------------------- properties
     @property
@@ -125,7 +123,6 @@ class OSPFInterface:
                 area_id=self.area_id,
             )
             cached = self._hello_wire = (neighbor_ids, hello.encode())
-        self.hello_sent += 1
         self.daemon.send_bytes(self.name, cached[1])
 
     # --------------------------------------------------------------- dispatch
@@ -147,14 +144,12 @@ class OSPFInterface:
 
     # ------------------------------------------------------------------ hello
     def _handle_hello(self, src_ip: IPv4Address, hello: HelloPacket) -> None:
-        self.hello_received += 1
         neighbor = self.neighbors.get(hello.router_id)
         if neighbor is None:
             neighbor = Neighbor(router_id=hello.router_id, address=src_ip)
             self.neighbors[hello.router_id] = neighbor
             self._set_state(neighbor, NeighborState.INIT)
         neighbor.address = IPv4Address(src_ip)
-        neighbor.last_heard = self.daemon.sim.now
         self._restart_dead_timer(neighbor)
         bidirectional = self.daemon.router_id in hello.neighbors
         if bidirectional and neighbor.state < NeighborState.EXSTART:
@@ -283,8 +278,6 @@ class OSPFInterface:
         if old_state == new_state:
             return
         neighbor.state = new_state
-        if new_state == NeighborState.FULL:
-            neighbor.full_since = self.daemon.sim.now
         LOG.debug("%s/%s: neighbor %s %s -> %s", self.daemon.hostname, self.name,
                   neighbor.router_id, NeighborState.NAMES.get(old_state),
                   NeighborState.NAMES.get(new_state))

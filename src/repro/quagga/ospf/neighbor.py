@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.quagga.ospf.constants import NeighborState
@@ -22,8 +22,6 @@ class Neighbor:
         self.ls_request_list: Set[Tuple[int, int, int]] = set()
         #: Simulation event for the inactivity (dead) timer.
         self.dead_timer_event = None
-        self.last_heard: float = 0.0
-        self.full_since: Optional[float] = None
 
     @property
     def state_name(self) -> str:

@@ -72,11 +72,6 @@ class ZebraDaemon:
         """
         return self.rib.replace_routes(source, routes)
 
-    def add_static_route(self, prefix: IPv4Network, next_hop: IPv4Address,
-                         interface: str = "") -> None:
-        self.rib.add_route(Route(prefix=prefix, next_hop=next_hop,
-                                 interface=interface, source=RouteSource.STATIC))
-
     # -------------------------------------------------------------------- FIB
     def _on_best_route_change(self, prefix: IPv4Network, new: Optional[Route],
                               old: Optional[Route]) -> None:

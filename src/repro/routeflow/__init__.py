@@ -8,7 +8,7 @@ from repro.routeflow.ipc import (
     ShardHeartbeat,
     TakeoverAnnouncement,
 )
-from repro.routeflow.mapping import MappingError, MappingTable, PortMapping
+from repro.routeflow.mapping import MappingError, MappingTable
 from repro.routeflow.rfclient import RFClient
 from repro.routeflow.rfproxy import FlowSpec, HostEntry, RFProxy
 from repro.routeflow.membership import (
@@ -37,7 +37,6 @@ __all__ = [
     "PARTITIONERS",
     "PartitionError",
     "Partitioner",
-    "PortMapping",
     "PortStatusRelay",
     "RFClient",
     "RFProxy",

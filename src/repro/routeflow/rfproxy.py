@@ -25,6 +25,7 @@ from repro.openflow.actions import OutputAction, SetDlDstAction, SetDlSrcAction
 from repro.openflow.constants import OFPFlowModCommand
 from repro.openflow.match import Match
 from repro.openflow.messages import PacketIn
+from repro.routeflow.vm import port_interface
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routeflow.rfserver import RFServer
@@ -77,8 +78,6 @@ class RFProxy(ControllerApp):
         #: (dpid, destination ip) -> last time we ARPed for it on behalf of
         #: the gateway, to resolve silent hosts on connected subnets.
         self._gateway_arp_sent: Dict[Tuple[int, IPv4Address], float] = {}
-        self.arp_replies_sent = 0
-        self.arp_requests_sent = 0
         self.flows_installed = 0
         self.flows_removed = 0
         #: Installs that re-sent a spec identical to the one already in
@@ -201,7 +200,6 @@ class RFProxy(ControllerApp):
         frame = Ethernet(src=interface.mac, dst=arp.sender_mac,
                          ethertype=EtherType.ARP, payload=reply)
         connection.send_packet_out(frame.encode(), out_port=in_port)
-        self.arp_replies_sent += 1
 
     def _maybe_resolve_destination(self, connection: DatapathConnection,
                                    destination: IPv4Address) -> None:
@@ -224,7 +222,7 @@ class RFProxy(ControllerApp):
             vm = self.rfserver.vm_for_dpid(datapath_id)
             if vm is None:
                 return
-            gateway_iface = vm.interfaces.get(f"eth{spec.out_port}")
+            gateway_iface = vm.interfaces.get(port_interface(spec.out_port))
             if gateway_iface is None or gateway_iface.ip is None:
                 return
             request = ARP.request(sender_mac=gateway_iface.mac,
@@ -234,7 +232,6 @@ class RFProxy(ControllerApp):
                              ethertype=EtherType.ARP, payload=request)
             connection.send_packet_out(frame.encode(), out_port=spec.out_port)
             self._gateway_arp_sent[(datapath_id, destination)] = now
-            self.arp_requests_sent += 1
             return
 
     def _learn_host(self, datapath_id: int, port_no: int, ip: IPv4Address,

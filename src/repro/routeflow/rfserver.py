@@ -46,7 +46,7 @@ from repro.routeflow.ipc import MappingRecord, RouteMod, RouteModType
 from repro.routeflow.mapping import MappingTable
 from repro.routeflow.rfclient import RFClient
 from repro.routeflow.rfproxy import FlowSpec, RFProxy
-from repro.routeflow.vm import VirtualMachine
+from repro.routeflow.vm import VirtualMachine, interface_port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routeflow.sharding import ShardedControlPlane
@@ -76,7 +76,6 @@ class RFServer:
         #: is its own host, so serialisation is per-shard.
         self.serialize_vm_creation = plane.serialize_vm_creation
         self._vm_creation_free_at = 0.0
-        self.event_log = plane.event_log
         self.shard_id = shard_id
         self.mapping = MappingTable()
         self.vms: Dict[int, VirtualMachine] = {}
@@ -142,7 +141,7 @@ class RFServer:
                             boot_delay=self.vm_boot_delay,
                             bgp_broker=self.bgp_broker)
         self.vms[vm_id] = vm
-        self.mapping.map_vm(vm_id, dpid, num_ports)
+        self.mapping.map_vm(vm_id, dpid)
         vm.add_address_listener(self._on_vm_address_change)
         self.rfclients[vm_id] = RFClient(self.sim, vm, self)
         if self.serialize_vm_creation:
@@ -154,8 +153,6 @@ class RFServer:
         self._share_mapping(MappingRecord(
             event=MappingRecord.VM_MAPPED, vm_id=vm_id, datapath_id=dpid,
             shard=self.shard_id, num_ports=num_ports))
-        self.event_log.record("vm_created", f"VM {vm.name} created for dpid {dpid:#x}",
-                              vm_id=vm_id, datapath_id=dpid, num_ports=num_ports)
         return vm
 
     def vm(self, vm_id: int) -> Optional[VirtualMachine]:
@@ -272,14 +269,13 @@ class RFServer:
             self._drop_parked(route_mod.vm_id, route_mod.prefix)
             self.rfproxy.remove_route(dpid, prefix)
             return
-        port = self.mapping.port_for_interface(route_mod.vm_id, route_mod.interface)
-        if port is None:
+        # Switch port N is VM interface eth<N>, one per port of the switch.
+        out_interface = self.vms[route_mod.vm_id].interfaces.get(
+            route_mod.interface)
+        port = interface_port(route_mod.interface)
+        if out_interface is None or port is None:
             LOG.warning("rfserver: no port mapping for VM %s iface %s",
                         route_mod.vm_id, route_mod.interface)
-            return
-        vm = self.vms[route_mod.vm_id]
-        out_interface = vm.interfaces.get(route_mod.interface)
-        if out_interface is None:
             return
         dst_mac: Optional[MACAddress] = None
         next_hop = route_mod.next_hop_address
@@ -349,13 +345,13 @@ class RFServer:
         return len(self.parked())
 
     # --------------------------------------------------------------- hand-over
-    def hand_over_vm(self, vm_id: int, dpid: int, target: "RFServer",
-                     num_ports: int) -> Optional[RFClient]:
+    def hand_over_vm(self, vm_id: int, dpid: int,
+                     target: "RFServer") -> Optional[RFClient]:
         """Move a VM and this server's records of it to ``target``.
 
         Moves the VM, its mapping (rebuilt on the target as ``vm_id`` on
-        ``dpid`` with ``num_ports`` ports, the plane's replicated count,
-        never read from this server's possibly-dead tables), its RFClient
+        ``dpid``, the plane's replicated record, never read from this
+        server's possibly-dead tables), its RFClient
         (repointed at the target's RouteMod topic), its address-listener
         slot, its next-hop index entries and its parked RouteMods, which
         the target replays when the missing gateway appears and this
@@ -368,7 +364,7 @@ class RFServer:
         self.mapping.unmap_vm(vm_id)
         target.vms[vm_id] = vm
         if target.mapping.dpid_for_vm(vm_id) is None:
-            target.mapping.map_vm(vm_id, dpid, num_ports)
+            target.mapping.map_vm(vm_id, dpid)
         client = self.rfclients.pop(vm_id)
         target.rfclients[vm_id] = client
         client.repoint(target)

@@ -54,8 +54,8 @@ from repro.routeflow.ipc import (
 from repro.routeflow.membership import Membership, Partitioner, PartitionError
 from repro.routeflow.rfserver import ControllerShard
 from repro.routeflow.virtual_switch import RFVirtualSwitch
-from repro.routeflow.vm import VirtualMachine
-from repro.sim import EventLog, PeriodicTask, Simulator
+from repro.routeflow.vm import VirtualMachine, port_interface
+from repro.sim import PeriodicTask, Simulator
 
 LOG = logging.getLogger(__name__)
 
@@ -79,13 +79,12 @@ class ShardedControlPlane:
     RESYNC_DELAY = 0.1
 
     def __init__(self, sim: Simulator, bus: MessageBus,
-                 partitioner: Partitioner, event_log: Optional[EventLog] = None,
+                 partitioner: Partitioner,
                  vm_boot_delay: float = 5.0,
                  serialize_vm_creation: bool = True,
                  bgp_broker=None) -> None:
         self.sim = sim
         self.bus = bus
-        self.event_log = event_log if event_log is not None else EventLog(sim)
         self.vm_boot_delay = vm_boot_delay
         self.serialize_vm_creation = serialize_vm_creation
         #: One virtual environment spans all shards: the VM-to-VM wires of
@@ -111,10 +110,6 @@ class ShardedControlPlane:
         self._vm_shard: Dict[int, int] = {}
         self._vm_dpid: Dict[int, int] = {}
         self._addresses: Dict[IPv4Address, Tuple[int, str]] = {}
-        #: Replicated mapping state: VM port counts carried on the
-        #: ``vm_mapped`` records, so a standby can rebuild a dead
-        #: master's mapping table without reading its memory.
-        self._vm_ports: Dict[int, int] = {}
         #: Hook called with a dpid after its owner changed; the framework
         #: points it at :meth:`FlowVisor.rehome_datapath` so the slice
         #: channels follow the partition.
@@ -176,7 +171,6 @@ class ShardedControlPlane:
         if record.event == MappingRecord.VM_MAPPED:
             self._vm_shard[record.vm_id] = record.shard
             self._vm_dpid[record.vm_id] = record.datapath_id
-            self._vm_ports[record.vm_id] = record.num_ports
             self.membership.owner.setdefault(record.datapath_id, record.shard)
             return
         address = record.address_value
@@ -276,8 +270,6 @@ class ShardedControlPlane:
         if vm is None:
             raise KeyError(vm_id)
         vm.write_config_file(filename, text)
-        self.event_log.record("config_file", f"{filename} written to {vm.name}",
-                              vm_id=vm_id, filename=filename, size=len(text))
 
     def connect_virtual_link(self, vm_id_a: int, iface_a: str,
                              vm_id_b: int, iface_b: str) -> None:
@@ -288,10 +280,6 @@ class ShardedControlPlane:
         if vm_a is None or vm_b is None:
             raise KeyError(vm_id_a if vm_a is None else vm_id_b)
         self.rfvs.connect(vm_a.interfaces[iface_a], vm_b.interfaces[iface_b])
-        self.event_log.record(
-            "virtual_link",
-            f"virtual wire {vm_a.name}:{iface_a} <-> {vm_b.name}:{iface_b}",
-            vm_a=vm_id_a, iface_a=iface_a, vm_b=vm_id_b, iface_b=iface_b)
 
     def _on_port_status(self, envelope: Envelope) -> None:
         """Bus delivery of a relayed port-status change."""
@@ -313,19 +301,11 @@ class ShardedControlPlane:
         vm_b = self.vm_for_dpid(dpid_b)
         if vm_a is None or vm_b is None:
             return False
-        iface_a = vm_a.interfaces.get(f"eth{port_a}")
-        iface_b = vm_b.interfaces.get(f"eth{port_b}")
+        iface_a = vm_a.interfaces.get(port_interface(port_a))
+        iface_b = vm_b.interfaces.get(port_interface(port_b))
         if iface_a is None or iface_b is None:
             return False
-        changed = self.rfvs.set_wire_state(iface_a, iface_b, up)
-        if changed:
-            self.event_log.record(
-                "link_state",
-                f"virtual wire {vm_a.name}:{iface_a.name} <-> "
-                f"{vm_b.name}:{iface_b.name} {'up' if up else 'down'}",
-                dpid_a=dpid_a, port_a=port_a, dpid_b=dpid_b, port_b=port_b,
-                up=up)
-        return changed
+        return self.rfvs.set_wire_state(iface_a, iface_b, up)
 
     @property
     def vm_count(self) -> int:
@@ -402,17 +382,13 @@ class ShardedControlPlane:
         shard applies the same ownership flip; the announcement carries
         the full dpid list being adopted.  Returns the adopting shard
         index, or None when the shard owned nothing or no live standby
-        exists (logged and retried by the next detector tick).
+        exists (the next detector tick retries).
         """
         datapaths = self.membership.owned(shard_id)
         if not datapaths:
             return None
         target = self.membership.standby_for(shard_id)
         if target is None:
-            self.event_log.record(
-                "takeover_aborted",
-                f"no live standby to adopt shard {shard_id}'s partition",
-                shard=shard_id)
             return None
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=shard_id,
@@ -449,23 +425,15 @@ class ShardedControlPlane:
             return
         source = self._shard_by_index(announcement.from_shard)
         target = self._shard_by_index(announcement.to_shard)
-        migrated = [dpid for dpid in datapaths
-                    if self._migrate_dpid(dpid, source, target)]
+        for dpid in datapaths:
+            self._migrate_dpid(dpid, source, target)
         if announcement.event == TakeoverAnnouncement.TAKEOVER:
             self.takeovers += 1
-            category, what = "shard_takeover", "took over"
         else:
             self.reshards += 1
-            category, what = "shard_reshard", "adopted (reshard)"
-        self.event_log.record(
-            category,
-            f"shard {target.shard_id} {what} dpids "
-            f"{migrated} from shard {source.shard_id}",
-            from_shard=source.shard_id, to_shard=target.shard_id,
-            datapaths=migrated, reason=announcement.reason)
 
     def _migrate_dpid(self, dpid: int, source: ControllerShard,
-                      target: ControllerShard) -> bool:
+                      target: ControllerShard) -> None:
         """Move one dpid's control-plane state between shards.
 
         The physical switch keeps its flow table throughout; everything
@@ -478,22 +446,21 @@ class ShardedControlPlane:
         changes that happened while the partition was in flight.
         """
         if source is target:
-            return False
+            return
         self.membership.owner[dpid] = target.shard_id
         vm_id = self._vm_dpid_reverse(dpid)
         # No VM registered for this dpid yet, or none on the source: the
         # ownership flip is the whole migration.
         client = None if vm_id is None else source.rfserver.hand_over_vm(
-            vm_id, dpid, target.rfserver, self._vm_ports[vm_id])
+            vm_id, dpid, target.rfserver)
         if client is None:
             self._notify_ownership(dpid)
-            return True
+            return
         source.rfproxy.hand_over(dpid, target.rfproxy)
         self._vm_shard[vm_id] = target.shard_id
         self._notify_ownership(dpid)
         self.sim.schedule(self.RESYNC_DELAY, self._resync_vm, target,
                           vm_id, label=f"shard{target.shard_id}:resync")
-        return True
 
     def _vm_dpid_reverse(self, dpid: int) -> Optional[int]:
         for vm_id, mapped in self._vm_dpid.items():
@@ -572,16 +539,10 @@ class ShardedControlPlane:
         not the virtualised routing environment)."""
         self._shard_by_index(shard_id).rfserver.active = False
         self.membership.fail(shard_id)
-        self.event_log.record("shard_failed",
-                              f"controller shard {shard_id} failed",
-                              shard=shard_id)
 
     def restore_shard(self, shard_id: int) -> None:
         self._shard_by_index(shard_id).rfserver.active = True
         self.membership.restore(shard_id, self.sim.now)
-        self.event_log.record("shard_restored",
-                              f"controller shard {shard_id} restored",
-                              shard=shard_id)
 
     def _shard_by_index(self, shard_id: int) -> ControllerShard:
         if not 0 <= shard_id < len(self.shards):

@@ -42,6 +42,20 @@ from repro.sim import Simulator
 LOG = logging.getLogger(__name__)
 
 
+def port_interface(port: int) -> str:
+    """The VM interface that mirrors switch port ``port``: ``eth<port>``."""
+    return f"eth{port}"
+
+
+def interface_port(name: str) -> Optional[int]:
+    """The switch port VM interface ``name`` mirrors: N for ``eth<N>``
+    with N >= 1, None for any other name (``lo``, ``eth0``)."""
+    digits = name[3:]
+    if name.startswith("eth") and digits.isdigit() and digits[0] != "0":
+        return int(digits)
+    return None
+
+
 class VMState:
     CREATED = "created"
     BOOTING = "booting"
@@ -65,7 +79,6 @@ class VirtualMachine:
         self.boot_delay = boot_delay
         self.state = VMState.CREATED
         self.created_at = sim.now
-        self.running_since: Optional[float] = None
         #: The session broker bgpd peers through; None leaves bgpd.conf
         #: configuration-complete but unwired (the OSPF-only deployments).
         self.bgp_broker = bgp_broker
@@ -91,7 +104,7 @@ class VirtualMachine:
 
     # -------------------------------------------------------------- interfaces
     def _create_interface(self, port: int) -> Interface:
-        name = f"eth{port}"
+        name = port_interface(port)
         mac = MACAddress.from_local_id(0x10000 + self.vm_id, port)
         interface = Interface(name=name, mac=mac, owner=self, port_no=port)
         interface.set_handler(self._on_frame)
@@ -166,16 +179,13 @@ class VirtualMachine:
 
     def add_port(self, port: int) -> Interface:
         """Add an extra interface (switch grew a port after VM creation)."""
-        name = f"eth{port}"
+        name = port_interface(port)
         if name in self.interfaces:
             return self.interfaces[name]
         return self._create_interface(port)
 
     def interface(self, name: str) -> Interface:
         return self.interfaces[name]
-
-    def interface_for_port(self, port: int) -> Interface:
-        return self.interfaces[f"eth{port}"]
 
     @property
     def num_ports(self) -> int:
@@ -202,7 +212,6 @@ class VirtualMachine:
 
     def _boot_complete(self) -> None:
         self.state = VMState.RUNNING
-        self.running_since = self.sim.now
         self.zebra.start()
         LOG.info("%s: booted after %.1fs", self.name, self.sim.now - self.created_at)
         pending, self._pending_configs = self._pending_configs, []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 LOG = logging.getLogger(__name__)
 
@@ -282,40 +282,3 @@ class PeriodicTask:
         if self._running:
             self._schedule_next()
 
-
-class EventLog:
-    """A timestamped record of notable simulation events.
-
-    Components append ``(time, category, message, data)`` tuples; experiments
-    read them back to build timelines (for example the red→green GUI
-    transitions of the demo).
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.entries: List[Dict[str, Any]] = []
-
-    def record(self, category: str, message: str, **data: Any) -> Dict[str, Any]:
-        entry = {
-            "time": self.sim.now,
-            "category": category,
-            "message": message,
-            "data": dict(data),
-        }
-        self.entries.append(entry)
-        return entry
-
-    def filter(self, category: str) -> List[Dict[str, Any]]:
-        return [e for e in self.entries if e["category"] == category]
-
-    def last(self, category: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        if category is None:
-            return self.entries[-1] if self.entries else None
-        matches = self.filter(category)
-        return matches[-1] if matches else None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)

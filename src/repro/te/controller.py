@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import IPv4Network
 from repro.quagga.rib import Route, RouteSource
+from repro.routeflow.vm import port_interface
 from repro.sim import Simulator
 from repro.te.ksp import KShortestPathEngine, adjacency_of
 from repro.te.measure import UtilizationMonitor
@@ -66,9 +67,9 @@ class ZebraActuator:
                 port_here, port_peer = self.network.ports_for_link(hop,
                                                                    successor)
                 peer_vm = self.control.vm_for_dpid(successor)
-                next_hop = peer_vm.interfaces[f"eth{port_peer}"].ip
+                next_hop = peer_vm.interfaces[port_interface(port_peer)].ip
                 route = Route(prefix=prefix, next_hop=next_hop,
-                              interface=f"eth{port_here}",
+                              interface=port_interface(port_here),
                               source=RouteSource.TE,
                               metric=len(path) - 1)
                 plans.setdefault(hop, {})[prefix] = route

@@ -164,9 +164,6 @@ class EmulatedNetwork:
     def host(self, name: str) -> Host:
         return self.hosts[name].host
 
-    def host_info(self, name: str) -> HostInfo:
-        return self.hosts[name]
-
     def switch(self, node_id: int) -> OpenFlowSwitch:
         return self.switches[node_id]
 

@@ -144,9 +144,6 @@ class Topology:
     def degree(self, node_id: int) -> int:
         return len(self.neighbors(node_id))
 
-    def hosts_on(self, node_id: int) -> List[HostAttachment]:
-        return [h for h in self._hosts if h.node_id == node_id]
-
     def is_connected(self) -> bool:
         """Is the switch graph connected (ignoring hosts)?"""
         if not self._nodes:

@@ -190,8 +190,6 @@ class FluidEngine:
         self.offered_bits = 0.0
         self._last_accrual = sim.now
         self.demand_count = 0
-        self.arrivals = 0
-        self.expiries = 0
         #: Commodities walked again because a table change or a failure
         #: event invalidated their path (first walks are not counted).
         self.reresolutions = 0
@@ -337,9 +335,7 @@ class FluidEngine:
                     start + duration, self._expire,
                     FlowDemand(src_dpid, dst, rate_bps, start, duration),
                     label="fluid:expiry")
-        admitted = len(columns) - deferred
-        self.demand_count += admitted
-        self.arrivals += admitted
+        self.demand_count += len(columns) - deferred
         return len(columns)
 
     def _activate(self, demand: FlowDemand) -> None:
@@ -366,7 +362,6 @@ class FluidEngine:
         commodity.count -= 1
         commodity.offered_bps = max(0.0, commodity.offered_bps - demand.rate_bps)
         self.demand_count -= 1
-        self.expiries += 1
         if commodity.count <= 0:
             self._drop_commodity(key, commodity)
         else:

@@ -87,7 +87,6 @@ class TestIPv4Address:
 
     def test_classification(self):
         assert IPv4Address("0.0.0.0").is_unspecified
-        assert IPv4Address("127.0.0.1").is_loopback
         assert IPv4Address("224.0.0.5").is_multicast
         assert IPv4Address("255.255.255.255").is_broadcast
         assert not IPv4Address("10.0.0.1").is_multicast

@@ -47,8 +47,8 @@ class TestControlChannel:
         channel.send(a, b"yyy")
         channel.send(b, b"z")
         sim.run()
-        assert channel.messages_a_to_b == 2 and channel.bytes_a_to_b == 5
-        assert channel.messages_b_to_a == 1 and channel.bytes_b_to_a == 1
+        assert channel.messages_a_to_b == 2 and b.received == [b"xx", b"yyy"]
+        assert channel.messages_b_to_a == 1 and a.received == [b"z"]
 
     def test_send_before_connect_fails(self, sim):
         channel = ControlChannel(sim)

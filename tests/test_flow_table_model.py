@@ -26,6 +26,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,  # noqa: E402
 from repro.net.addresses import IPv4Address  # noqa: E402
 from repro.net.ethernet import EtherType  # noqa: E402
 from repro.openflow.actions import OutputAction  # noqa: E402
+from repro.openflow.constants import OFPFlowWildcards as W  # noqa: E402
 from repro.openflow.constants import OFPPort  # noqa: E402
 from repro.openflow.flow_table import FlowEntry, FlowTable  # noqa: E402
 from repro.openflow.match import Match, PacketFields  # noqa: E402
@@ -72,9 +73,13 @@ def _build(spec) -> Match:
         return Match.wildcard_all()
     if shape == "exact":
         return Match.exact_from_fields(_packet(address, dl_type))
-    match = Match.wildcard_all().set_dl_type(dl_type)
     if shape == "nw_src":
-        return match.set_nw_src(IPv4Address(address), prefix_len)
+        # A source-prefix match, as a controller other than RouteFlow
+        # would send one: the wire fields straight into the constructor.
+        return Match(wildcards=(W.ALL & ~W.DL_TYPE & ~W.NW_SRC_MASK)
+                     | ((32 - prefix_len) << W.NW_SRC_SHIFT),
+                     dl_type=dl_type, nw_src=IPv4Address(address))
+    match = Match.wildcard_all().set_dl_type(dl_type)
     match.set_nw_dst(IPv4Address(address), prefix_len)
     return match.set_in_port(in_port) if shape == "in_port" else match
 

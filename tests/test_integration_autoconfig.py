@@ -127,7 +127,6 @@ class TestDataPlaneAfterConfiguration:
         h1 = network.host("h1")
         h1.ping(network.host("h2").ip)
         sim.run(until=framework.configuration_time + 30.0)
-        assert framework.rfproxy.arp_replies_sent > 0
         assert h1.gateway in h1.arp_table
         assert len(framework.rfproxy.hosts) >= 1
 
@@ -162,8 +161,6 @@ class TestFailureHandling:
         rfservers = [s.rfserver for s in framework.shards]
         assert all(2 not in s.rfproxy.controller.connected_datapaths
                    for s in rfservers)
-        assert [e["data"]["switch_id"]
-                for e in framework.event_log.filter("switch_removed")] == [2]
         assert not plane.vm(2).is_running
         assert all(s.mapping.dpid_for_vm(2) is None for s in rfservers)
         return framework, addresses

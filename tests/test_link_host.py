@@ -14,6 +14,7 @@ from repro.net import (
     Interface,
     MACAddress,
     NamespaceRegistry,
+    UDP,
     connect,
 )
 from repro.net.namespace import NamespaceError
@@ -147,7 +148,7 @@ class TestHost:
         host_a, _ = self.build_pair(sim)
         host_a.send_udp(IPv4Address("192.168.1.1"), 80, b"x")
         sim.run()
-        assert host_a.sent_ip_packets == 0 or host_a.interface.tx_packets == 0
+        assert host_a.interface.tx_packets == 0
 
     def test_off_subnet_uses_gateway_arp(self, sim):
         host = Host(sim, "h1", MACAddress.from_local_id(1), IPv4Address("10.0.0.1"),
@@ -178,20 +179,20 @@ class TestHost:
         host.bind_udp(80, lambda *a: None)
         with pytest.raises(ValueError):
             host.bind_udp(80, lambda *a: None)
-        host.unbind_udp(80)
-        host.bind_udp(80, lambda *a: None)
 
     def test_ignores_frames_for_other_macs(self, sim):
         host_a, host_b = self.build_pair(sim)
         # Craft a frame addressed to a third-party MAC.
         rogue = Ethernet(src=host_a.mac, dst=MACAddress.from_local_id(99),
                          ethertype=EtherType.IPV4,
-                         payload=IPv4(src=host_a.ip, dst=host_b.ip, protocol=17))
+                         payload=IPv4(src=host_a.ip, dst=host_b.ip, protocol=17,
+                                      payload=UDP(src_port=1, dst_port=1,
+                                                  payload=b"x")))
         received = []
         host_b.bind_udp(1, lambda *a: received.append(a))
         host_a.interface.send(rogue.encode())
         sim.run()
-        assert host_b.received_ip_packets == 0
+        assert received == []
 
     def test_arp_request_for_other_ip_not_answered(self, sim):
         host_a, host_b = self.build_pair(sim)

@@ -16,7 +16,7 @@ from repro.quagga import (
     generate_ospfd_conf,
     generate_zebra_conf,
 )
-from repro.quagga.ospf.constants import NeighborState
+from repro.quagga.ospf.constants import INITIAL_SEQUENCE, NeighborState
 from repro.routeflow import RFVirtualSwitch, VirtualMachine
 from repro.sim import Simulator
 
@@ -107,7 +107,10 @@ class TestAdjacency:
         vm_a, _, _ = linked_pair
         sim.run(until=30.0)
         assert vm_a.ospf.spf_runs >= 1
-        assert vm_a.ospf.lsas_originated >= 2  # initial + after adjacency
+        # The self-originated Router LSA was re-originated after the
+        # adjacency came up: initial origination + at least one more.
+        own = vm_a.ospf.lsdb.router_lsa(vm_a.ospf.router_id)
+        assert own.header.sequence >= INITIAL_SEQUENCE + 1
 
 
 class TestThreeNodeLine:

@@ -128,7 +128,8 @@ class TestZebra:
     def test_static_route(self):
         zebra = ZebraDaemon("vm1")
         zebra.start()
-        zebra.add_static_route(P2, HOP_A, "eth1")
+        zebra.rib.add_route(Route(prefix=P2, next_hop=HOP_A, interface="eth1",
+                                  source=RouteSource.STATIC))
         assert zebra.fib[P2].source == RouteSource.STATIC
 
     def test_lookup_longest_prefix(self):

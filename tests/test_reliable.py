@@ -263,8 +263,8 @@ class TestRetarget:
 
     def test_repeated_migration_does_not_stack_ack_subscriptions(self, sim):
         """Regression: migrating back to a previously-used topic must not
-        register a duplicate ack subscription (the bus has no
-        unsubscribe, so churn would grow them without bound)."""
+        register a duplicate ack subscription (churn would grow them
+        without bound); the publisher listens on its current topic only."""
         bus = reliable_bus(sim, policies=(("shard.*", ReliablePolicy()),))
         seen = []
         consume(bus, "shard.0", lambda env: seen.append(env.payload))
@@ -273,11 +273,32 @@ class TestRetarget:
         for _ in range(5):
             publisher.retarget("shard.1")
             publisher.retarget("shard.0")
-        for topic in ("shard.0", "shard.1"):
-            assert bus.stats()[ack_topic(topic)]["subscribers"] == 1
+        stats = bus.stats()
+        assert stats[ack_topic("shard.0")]["subscribers"] == 1
+        assert stats[ack_topic("shard.1")]["subscribers"] == 0
         publisher.publish("after churn")
         assert seen == ["after churn"]
         assert publisher.pending == 0
+
+
+    def test_retarget_leaves_the_old_ack_topic(self, sim):
+        """A migrated publisher stops hearing its old shard's acks: the
+        old ack topic loses its subscription, and an ack published there
+        -- even one naming the publisher's live stream -- is not heard."""
+        bus = reliable_bus(sim, policies=(("shard.*", ReliablePolicy()),))
+        consume(bus, "shard.0", lambda env: None)
+        consume(bus, "shard.1", lambda env: None, active=lambda: False)
+        publisher = acquire_publisher(bus, "shard.0", "me")
+        subscribers = bus.stats()[ack_topic("shard.0")]["subscribers"]
+        publisher.retarget("shard.1")
+        assert bus.stats()[ack_topic("shard.0")]["subscribers"] \
+            == subscribers - 1
+        publisher.publish("m")                 # the new shard never acks
+        assert publisher.pending == 1
+        bus.publish(ack_topic("shard.0"),
+                    ack_payload("me", publisher.incarnation,
+                                publisher.base_seq))
+        assert publisher.pending == 1
 
 
 class TestLateJoiningConsumer:

@@ -73,8 +73,13 @@ class TestRouteModProcessing:
         sim.run(until=4.0)
         assert len(network.switch(1).flow_table) == 0
 
-    def test_connected_route_waits_for_host_learning(self, pipeline):
+    def test_connected_route_waits_for_host_learning(self, pipeline,
+                                                     monkeypatch):
         sim, controller, rfproxy, rfserver, network, _ = pipeline
+        packet_outs = []
+        monkeypatch.setattr(
+            controller.connection_for(1), "send_packet_out",
+            lambda data, out_port: packet_outs.append((data, out_port)))
         mod = RouteMod.add(vm_id=1, prefix=IPv4Network("192.168.1.0/24"),
                            next_hop=None, interface="eth2")
         rfserver.receive_route_mod(mod.to_json())
@@ -91,7 +96,13 @@ class TestRouteModProcessing:
         flows = network.switch(1).flow_table.entries
         assert len(flows) == 1
         assert flows[0].match.nw_dst_prefix_len == 32
-        assert rfproxy.arp_replies_sent == 1
+        # The proxy answered for the gateway, out of the port it asked on.
+        ((data, out_port),) = packet_outs
+        reply = Ethernet.decode(data).payload
+        assert out_port == 2 and reply.opcode == ARP.REPLY
+        assert reply.sender_ip == IPv4Address("192.168.1.1")
+        assert reply.sender_mac == rfserver.vm(1).interface("eth2").mac
+        assert reply.target_mac == host_mac
 
     def test_route_delete_removes_flow(self, pipeline):
         sim, _, rfproxy, rfserver, network, _ = pipeline
@@ -105,6 +116,35 @@ class TestRouteModProcessing:
         sim.run(until=6.0)
         assert len(network.switch(1).flow_table) == 0
         assert rfproxy.flows_removed >= 1
+
+    @pytest.mark.parametrize("interface", ["eth0", "lo", "eth3"])
+    def test_route_mod_outside_the_vm_ports_installs_nothing(
+            self, pipeline, caplog, interface):
+        """VM interface eth<N> mirrors switch port N for 1 <= N <= the
+        VM's port count (2 here); any other name has no port."""
+        sim, _, _, rfserver, network, _ = pipeline
+        mod = RouteMod.add(vm_id=1, prefix=IPv4Network("10.7.0.0/16"),
+                           next_hop=IPv4Address("172.16.0.2"),
+                           interface=interface)
+        with caplog.at_level("WARNING", logger="repro.routeflow.rfserver"):
+            rfserver.receive_route_mod(mod.to_json())
+            sim.run(until=4.0)
+        assert len(network.switch(1).flow_table) == 0
+        assert f"no port mapping for VM 1 iface {interface}" in caplog.text
+
+    @pytest.mark.parametrize("port", [1, 2])
+    def test_route_mod_on_eth_n_outputs_to_port_n(self, pipeline, port):
+        from repro.openflow import OutputAction
+
+        sim, _, _, rfserver, network, _ = pipeline
+        mod = RouteMod.add(vm_id=1, prefix=IPv4Network("10.7.0.0/16"),
+                           next_hop=IPv4Address("172.16.0.2"),
+                           interface=f"eth{port}")
+        rfserver.receive_route_mod(mod.to_json())
+        sim.run(until=4.0)
+        (entry,) = network.switch(1).flow_table.entries
+        assert [a.port for a in entry.actions
+                if isinstance(a, OutputAction)] == [port]
 
     def test_route_mod_for_unmapped_vm_ignored(self, pipeline):
         sim, _, _, rfserver, network, _ = pipeline

@@ -16,6 +16,7 @@ from repro.routeflow import (
     VirtualMachine,
     VMState,
 )
+from repro.routeflow.vm import interface_port, port_interface
 
 
 class TestVirtualMachine:
@@ -23,19 +24,18 @@ class TestVirtualMachine:
         vm = VirtualMachine(sim, vm_id=7, num_ports=3)
         assert sorted(vm.interfaces) == ["eth1", "eth2", "eth3"]
         assert vm.num_ports == 3
-        assert vm.interface_for_port(2).name == "eth2"
+        assert vm.interfaces["eth2"].port_no == 2
         macs = {iface.mac for iface in vm.interfaces.values()}
         assert len(macs) == 3
 
     def test_boot_delay_gates_running_state(self, sim):
         vm = VirtualMachine(sim, vm_id=1, num_ports=1, boot_delay=5.0)
         vm.start()
-        sim.run(until=4.0)
+        sim.run(until=4.999)
         assert vm.state == VMState.BOOTING
         assert not vm.is_running
-        sim.run(until=5.5)
+        sim.run(until=5.0)
         assert vm.is_running
-        assert vm.running_since == pytest.approx(5.0)
 
     def test_config_written_before_boot_is_applied_after_boot(self, sim):
         vm = VirtualMachine(sim, vm_id=1, num_ports=1, boot_delay=2.0)
@@ -95,15 +95,14 @@ class TestMappingTable:
     def test_vm_and_port_mapping(self):
         table = MappingTable()
         table.map_vm(1, 0x11)
-        table.map_port(1, "eth1", 0x11, 1)
-        table.map_port(1, "eth2", 0x11, 2)
         assert table.dpid_for_vm(1) == 0x11
         assert table.vm_for_dpid(0x11) == 1
-        assert table.interface_for_port(0x11, 2) == "eth2"
-        assert table.port_for_interface(1, "eth1") == 1
-        assert len(table) == 1
-        assert 1 in table
-        assert len(table.port_mappings) == 2
+        assert table.mapped_datapaths == [0x11]
+        # Ports need no table: eth<N> mirrors port N, for N >= 1 only.
+        assert port_interface(2) == "eth2"
+        assert [interface_port(name) for name in ("eth1", "eth12")] == [1, 12]
+        for name in ("eth0", "eth01", "eth", "eth-1", "lo", "veth1"):
+            assert interface_port(name) is None
 
     def test_conflicting_vm_mapping_rejected(self):
         table = MappingTable()
@@ -117,26 +116,24 @@ class TestMappingTable:
         table = MappingTable()
         table.map_vm(1, 0x11)
         table.map_vm(1, 0x11)
-        assert len(table) == 1
-
-    def test_port_mapping_requires_vm_mapping(self):
-        table = MappingTable()
-        with pytest.raises(MappingError):
-            table.map_port(1, "eth1", 0x11, 1)
+        assert table.mapped_datapaths == [0x11]
 
     def test_unmap_vm_clears_ports(self):
+        """Unmapped, the switch's ports lead to no VM interface: neither
+        direction of the association survives."""
         table = MappingTable()
         table.map_vm(1, 0x11)
-        table.map_port(1, "eth1", 0x11, 1)
         table.unmap_vm(1)
         assert table.dpid_for_vm(1) is None
-        assert table.port_mapping(0x11, 1) is None
+        assert table.vm_for_dpid(0x11) is None
+        assert table.mapped_datapaths == []
+        table.map_vm(2, 0x11)  # the switch is free for another VM
+        assert table.vm_for_dpid(0x11) == 2
 
     def test_missing_lookups_return_none(self):
         table = MappingTable()
         assert table.vm_for_dpid(5) is None
-        assert table.interface_for_port(5, 1) is None
-        assert table.port_for_interface(5, "eth1") is None
+        assert table.dpid_for_vm(5) is None
 
 
 class TestRouteMod:

@@ -143,24 +143,40 @@ class TestRPCServer:
         assert any(n.address == IPv4Address("172.16.0.2") for n in bgp_a.neighbors)
 
     def test_event_log_records_configuration_steps(self, sim, rpc_stack):
+        """Every configuration step leaves its state behind: both VMs run
+        and report configured, their files are written, the link is
+        configured and wired."""
         plane, rpc_server, rpc_client = rpc_stack
+        configured = []
+        rpc_server.on_switch_configured(configured.append)
         send_switch(rpc_client, 1)
         send_switch(rpc_client, 2)
         sim.run(until=2.0)
         send_link(rpc_client, 1, 1, 2, 1)
         sim.run(until=6.0)
-        categories = {entry["category"] for entry in plane.event_log}
-        assert {"vm_created", "switch_configured", "link_configured",
-                "config_file", "virtual_link"} <= categories
+        vm_a, vm_b = plane.vm(1), plane.vm(2)
+        assert sorted(configured) == [1, 2]
+        assert vm_a.is_running and vm_b.is_running
+        for vm in (vm_a, vm_b):
+            assert set(vm.config_files) == {"zebra.conf", "ospfd.conf",
+                                            "bgpd.conf"}
+        assert rpc_server.configured_link_count == 1
+        assert plane.rfvs.is_connected(vm_a.interface("eth1"),
+                                       vm_b.interface("eth1"))
 
 
 class TestTopologyControllerApp:
     def build(self, plane, topology, detect_edge_ports=True, grace=3.0):
-        """Discovery and RPC in front of a one-shard plane (fast boots)."""
+        """Discovery and RPC in front of a one-shard plane (fast boots);
+        ``self.sent`` collects every configuration message the app sends."""
         sim = plane.sim
         ipam = IPAddressManager()
         rpc_server = RPCServer(sim, plane, ipam=ipam)
         rpc_client = RPCClient(sim, rpc_server)
+        self.sent = []
+        send = rpc_client.send
+        rpc_client.send = lambda message: (self.sent.append(message),
+                                           send(message))
         controller, discovery, app = build_topology_controller(
             sim, rpc_client, ipam=ipam, probe_interval=2.0,
             edge_port_grace=grace, detect_edge_ports=detect_edge_ports)
@@ -172,8 +188,9 @@ class TestTopologyControllerApp:
         plane, rpc_server, app, _ = self.build(
             one_shard_plane(0.2), ring_topology(4), detect_edge_ports=False)
         sim.run(until=20.0)
-        assert app.switch_messages_sent == 4
-        assert app.link_messages_sent == 4
+        kinds = [type(message) for message in self.sent]
+        assert kinds.count(SwitchConfigMessage) == 4
+        assert kinds.count(LinkConfigMessage) == 4
         assert app.known_switches == [1, 2, 3, 4]
         assert rpc_server.configured_link_count == 4
         assert plane.vm_count == 4
@@ -182,7 +199,8 @@ class TestTopologyControllerApp:
         _, rpc_server, app, _ = self.build(
             one_shard_plane(0.2), linear_topology(3), detect_edge_ports=False)
         sim.run(until=30.0)
-        assert app.link_messages_sent == 2
+        assert sum(isinstance(message, LinkConfigMessage)
+                   for message in self.sent) == 2
         assert app.known_link_count == 2
 
     def test_edge_ports_detected_after_grace(self, sim, one_shard_plane):
@@ -192,7 +210,7 @@ class TestTopologyControllerApp:
             one_shard_plane(0.2), topology, grace=3.0)
         sim.run(until=30.0)
         assert app.edge_port_count == 1
-        info = network.host_info("h1")
+        info = network.hosts["h1"]
         vm = plane.vm(info.datapath_id)
         gateway_iface = vm.interface(f"eth{info.port_no}")
         assert gateway_iface.ip == info.gateway

@@ -361,7 +361,7 @@ class TestShardFailure:
                                                            framework.bus))
         received = framework.rfserver.route_mods_received
         sim.run(until=sim.now + 80.0)
-        assert len(framework.event_log.filter("shard_failed")) == 1
+        assert framework.control_plane.membership.failed == [True]
         assert framework.rfserver.route_mods_received == received
 
     def test_replaced_address_is_retracted_from_peer_directories(self):
@@ -534,6 +534,26 @@ class TestTakeoverAndResharding:
         assert plane.ownership_violations() == []
         assert verify_spf_rib_consistency(plane) == []
 
+    def test_injected_reshard_onto_a_failed_shard_is_logged(self, caplog):
+        """A schedule's reshard onto a shard failed by then changes no
+        ownership and raises nothing; the rejection is logged."""
+        sim, framework, network, configured_at = configure_ring(
+            4, 2, partitioner="contiguous")
+        assert configured_at is not None
+        plane = framework.control_plane
+        owners = {dpid: plane.membership.owner_of(dpid) for dpid in (1, 2)}
+        network.schedule_failures(FailureSchedule((
+            FailureEvent(5.0, FailureAction.SHARD_DOWN, 1),
+            FailureEvent(6.0, FailureAction.RESHARD, 1, 1),
+        )))
+        with caplog.at_level("WARNING", logger="repro.core.autoconfig"):
+            sim.run(until=sim.now + 10.0)
+        assert plane.reshards == 0
+        assert {dpid: plane.membership.owner_of(dpid)
+                for dpid in (1, 2)} == owners == {1: 0, 2: 0}
+        assert "injected reshard rejected: cannot reshard dpid 0x1 onto " \
+            "failed shard 1" in caplog.text
+
     def test_reshard_rejects_failed_target_and_self_moves(self):
         sim, framework, network, configured_at = configure_ring(
             4, 2, partitioner="contiguous")
@@ -633,7 +653,7 @@ class TestHandOver:
         for family, (records, _) in before.items():
             assert {r[0] for r in records} == {moved, kept}, family
 
-        client = source.hand_over_vm(moved, moved, target, 2)
+        client = source.hand_over_vm(moved, moved, target)
         source.rfproxy.hand_over(moved, target.rfproxy)
 
         assert client is target.rfclients[moved]
@@ -660,7 +680,7 @@ class TestHandOver:
         source.assign_interface_address(2, "eth1", assigned, 30)
         assert vm.interfaces["eth1"].ip is None
 
-        source.hand_over_vm(2, 2, target, 2)
+        source.hand_over_vm(2, 2, target)
 
         assert assigned not in source._ip_index
         assert target._ip_index[assigned] == (vm, vm.interfaces["eth1"])

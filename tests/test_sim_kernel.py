@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import EventLog, PeriodicTask, SimulationError, Simulator
+from repro.sim import PeriodicTask, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -269,30 +269,3 @@ class TestPeriodicTask:
         sim.run(until=10.0)
         assert calls == [1.0, 2.0, 3.0]
 
-
-class TestEventLog:
-    def test_records_are_timestamped(self, sim):
-        log = EventLog(sim)
-        sim.schedule(4.0, log.record, "test", "hello", detail=1)
-        sim.run()
-        assert len(log) == 1
-        entry = log.entries[0]
-        assert entry["time"] == 4.0
-        assert entry["category"] == "test"
-        assert entry["data"] == {"detail": 1}
-
-    def test_filter_by_category(self, sim):
-        log = EventLog(sim)
-        log.record("a", "one")
-        log.record("b", "two")
-        log.record("a", "three")
-        assert [e["message"] for e in log.filter("a")] == ["one", "three"]
-
-    def test_last_entry(self, sim):
-        log = EventLog(sim)
-        assert log.last() is None
-        log.record("x", "first")
-        log.record("y", "second")
-        assert log.last()["message"] == "second"
-        assert log.last("x")["message"] == "first"
-        assert log.last("missing") is None

@@ -470,7 +470,8 @@ class TestTEExperiment:
                            hot_capacity_scale=0.05, k_paths=4),
             settle=2.0, window=10.0)
         assert suite.healthy and suite.engine == "zebra"
-        greedy = suite.result_for("greedy")
+        (greedy,) = [result for result in suite.results
+                     if result.policy == "greedy"]
         assert greedy.reroutes > 0      # the hot link forced steers
         # Steering happened over the bus, not behind it: the greedy run
         # carries the baseline's RouteMods plus the TE pairs.

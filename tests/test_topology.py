@@ -39,7 +39,7 @@ class TestTopologyGraph:
         assert topology.node_by_name("b").node_id == 2
         assert topology.neighbors(1) == [2]
         assert topology.degree(2) == 1
-        assert [h.host_name for h in topology.hosts_on(1)] == ["h1"]
+        assert [(h.host_name, h.node_id) for h in topology.hosts] == [("h1", 1)]
 
     def test_duplicate_node_rejected(self):
         topology = Topology("t")
@@ -306,7 +306,7 @@ class TestEmulator:
         topology.attach_host("h1", 1)
         topology.attach_host("h2", 2)
         network = EmulatedNetwork(sim, topology, ipam=ipam)
-        info = network.host_info("h1")
+        info = network.hosts["h1"]
         allocation = ipam.edge_allocation(info.datapath_id, info.port_no)
         assert allocation is not None
         assert network.host("h1").ip in allocation.network
