@@ -64,6 +64,9 @@ from repro.bus.envelope import (
 
 LOG = logging.getLogger(__name__)
 
+#: Factor the retransmission timeout grows by per attempt.
+RTO_BACKOFF = 2.0
+
 
 @dataclass(frozen=True)
 class ReliablePolicy:
@@ -73,7 +76,7 @@ class ReliablePolicy:
     unacked pipeline; ``max_retries`` is the retransmit budget per
     message beyond the first send.  The retransmission timeout starts at
     a multiple of the observed channel round trip (floored at
-    ``min_rto``), multiplies by ``backoff`` per attempt and caps at
+    ``min_rto``), multiplies by :data:`RTO_BACKOFF` per attempt and caps at
     ``max_rto`` — with the defaults a message is retried for ~55 s of
     simulated time before the publisher declares exhaustion, which
     outlives every partition the chaos harness injects.
@@ -83,7 +86,6 @@ class ReliablePolicy:
     window: int = 64
     max_retries: int = 16
     min_rto: float = 0.05
-    backoff: float = 2.0
     max_rto: float = 5.0
 
     def __post_init__(self) -> None:
@@ -290,7 +292,7 @@ class ReliablePublisher:
         round_trip = (data.latency + ack.latency
                       + data.max_fault_delay() + ack.max_fault_delay())
         rto = max(self.policy.min_rto, 4.0 * round_trip)
-        rto *= self.policy.backoff ** (attempts - 1)
+        rto *= RTO_BACKOFF ** (attempts - 1)
         return min(rto, self.policy.max_rto)
 
     def _arm(self, pending: _PendingSend) -> None:

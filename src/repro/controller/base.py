@@ -62,10 +62,10 @@ class DatapathConnection:
         """Encode and transmit a message towards the switch."""
         self.channel.send(self.controller, message.encode())
 
-    def send_packet_out(self, data: bytes, out_port: int,
-                        in_port: int = OFPPort.NONE) -> None:
-        """Inject a packet into the datapath out of a specific port."""
-        message = PacketOut(buffer_id=OFP_NO_BUFFER, in_port=in_port,
+    def send_packet_out(self, data: bytes, out_port: int) -> None:
+        """Inject a packet into the datapath out of a specific port; the
+        packet enters from no port (``OFPP_NONE``)."""
+        message = PacketOut(buffer_id=OFP_NO_BUFFER, in_port=OFPPort.NONE,
                             actions=[OutputAction(out_port)], data=data,
                             xid=self.take_xid())
         self.send(message)

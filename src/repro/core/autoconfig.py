@@ -297,11 +297,10 @@ class AutoConfigFramework:
             plane.restore_shard(event.node_a)
         elif event.action == FailureAction.SHARD_FAILOVER:
             plane.fail_shard(event.node_a)
-            plane.takeover(event.node_a, reason="injected failover")
+            plane.takeover(event.node_a)
         elif event.action == FailureAction.RESHARD:
             try:
-                plane.reshard(event.node_a, event.node_b,
-                              reason="injected reshard")
+                plane.reshard(event.node_a, event.node_b)
             except PartitionError as exc:
                 LOG.warning("framework: injected reshard rejected: %s", exc)
 

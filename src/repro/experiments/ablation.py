@@ -28,6 +28,11 @@ from repro.topology.graph import Topology
 
 LOG = logging.getLogger(__name__)
 
+#: Simulated-time deadline of each A1 and A3 run.
+DEADLINE = 3600.0
+#: The OSPF hello intervals A3 sweeps, in seconds.
+HELLO_INTERVALS = (1, 5, 10)
+
 
 def _measure(topology: Topology, config: FrameworkConfig, label: str,
              parameter: object, max_time: float) -> AblationResult:
@@ -39,8 +44,7 @@ def _measure(topology: Topology, config: FrameworkConfig, label: str,
                           milestones=result.milestones)
 
 
-def run_controller_split_ablation(num_switches: int = 16,
-                                  max_time: float = 3600.0) -> List[AblationResult]:
+def run_controller_split_ablation(num_switches: int = 16) -> List[AblationResult]:
     """A1: separate topology controller + FlowVisor vs a single controller."""
     results = []
     for use_flowvisor, label in ((True, "split (FlowVisor + 2 controllers)"),
@@ -48,7 +52,7 @@ def run_controller_split_ablation(num_switches: int = 16,
         config = FrameworkConfig(use_flowvisor=use_flowvisor, detect_edge_ports=False)
         results.append(_measure(ring_topology(num_switches), config,
                                 label="deployment", parameter=label,
-                                max_time=max_time))
+                                max_time=DEADLINE))
     return results
 
 
@@ -65,18 +69,16 @@ def run_vm_latency_ablation(boot_delays: Iterable[float] = (1.0, 5.0, 10.0, 30.0
     return results
 
 
-def run_ospf_timer_ablation(hello_intervals: Iterable[int] = (1, 5, 10),
-                            num_switches: int = 12,
-                            max_time: float = 3600.0) -> List[AblationResult]:
+def run_ospf_timer_ablation(num_switches: int = 12) -> List[AblationResult]:
     """A3: configuration time as a function of the OSPF hello interval."""
     results = []
-    for hello in hello_intervals:
+    for hello in HELLO_INTERVALS:
         config = FrameworkConfig(ospf_hello_interval=hello,
                                  ospf_dead_interval=4 * hello,
                                  detect_edge_ports=False)
         results.append(_measure(ring_topology(num_switches), config,
                                 label="hello_interval_s",
-                                parameter=hello, max_time=max_time))
+                                parameter=hello, max_time=DEADLINE))
     return results
 
 

@@ -259,18 +259,15 @@ class IPv4Network:
 
     __slots__ = ("network", "prefix_len", "_hash")
 
-    def __init__(self, value: Union[str, Tuple[IPv4Address, int]], prefix_len: int = None) -> None:
-        if isinstance(value, str) and prefix_len is None:
+    def __init__(self, value: Union[str, Tuple[IPv4Address, int]]) -> None:
+        if isinstance(value, tuple):
+            address, plen = IPv4Address(value[0]), int(value[1])
+        else:
             if "/" not in value:
                 raise AddressError(f"network needs a /prefix: {value!r}")
             addr_text, plen_text = value.split("/", 1)
             address = IPv4Address(addr_text)
             plen = int(plen_text)
-        elif isinstance(value, tuple):
-            address, plen = IPv4Address(value[0]), int(value[1])
-        else:
-            address = IPv4Address(value)
-            plen = int(prefix_len)
         if not 0 <= plen <= 32:
             raise AddressError(f"prefix length out of range: {plen}")
         self.prefix_len = plen

@@ -16,7 +16,7 @@ from repro.net.arp import ARP
 from repro.net.ethernet import Ethernet, EtherType
 from repro.net.ipv4 import IPProtocol, IPv4
 from repro.net.link import Interface
-from repro.net.packet import DecodeError, Header, as_bytes
+from repro.net.packet import DecodeError, as_bytes
 from repro.net.transport import ICMP, UDP
 from repro.sim import Simulator
 

@@ -76,7 +76,6 @@ class OSPFConfig:
     networks: List[OSPFNetworkStatement] = field(default_factory=list)
     hello_interval: int = 10
     dead_interval: int = 40
-    reference_bandwidth_mbps: int = 100
     #: ``redistribute bgp``: inject BGP-learned FIB routes into the area as
     #: AS-external prefixes (how interior routers of an AS learn routes the
     #: border routers picked up over eBGP).

@@ -14,9 +14,6 @@ ALL_SPF_ROUTERS = IPv4Address("224.0.0.5")
 #: Multicast MAC corresponding to 224.0.0.5.
 ALL_SPF_ROUTERS_MAC = "01:00:5e:00:00:05"
 
-#: IP protocol number of OSPF.
-OSPF_IP_PROTO = 89
-
 
 class OSPFPacketType:
     HELLO = 1
@@ -82,7 +79,6 @@ class DDFlags:
 #: Default protocol timers (seconds), matching Quagga's defaults.
 DEFAULT_HELLO_INTERVAL = 10
 DEFAULT_DEAD_INTERVAL = 40
-DEFAULT_RETRANSMIT_INTERVAL = 5
 #: SPF throttle (seconds): delay before a run and minimum gap between runs.
 SPF_DELAY = 1.0
 SPF_HOLDTIME = 5.0

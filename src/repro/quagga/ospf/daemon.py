@@ -307,16 +307,14 @@ class OSPFDaemon:
 
     def _flood(self, lsa: RouterLSA, exclude: Optional[OSPFInterface]) -> None:
         """Send an LS Update carrying ``lsa`` out of every interface but
-        ``exclude``; the update is encoded once per area, not per interface."""
-        wires: Dict[IPv4Address, bytes] = {}
+        ``exclude``; the update is encoded once, not per interface."""
+        wire: Optional[bytes] = None
         for interface in self.interfaces.values():
             if interface is exclude or not interface.floods:
                 continue
-            wire = wires.get(interface.area_id)
             if wire is None:
-                wire = wires[interface.area_id] = LSUpdatePacket(
-                    router_id=self.router_id, lsas=[lsa],
-                    area_id=interface.area_id).encode()
+                wire = LSUpdatePacket(router_id=self.router_id,
+                                      lsas=[lsa]).encode()
             self.send_bytes(interface.name, wire)
 
     # ------------------------------------------------------------- FSM events

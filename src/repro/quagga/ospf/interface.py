@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.quagga.ospf.constants import DDFlags, NeighborState
-from repro.quagga.ospf.lsdb import LSDB
 from repro.quagga.ospf.neighbor import Neighbor
 from repro.quagga.ospf.packets import (
     DBDescriptionPacket,
@@ -38,7 +37,7 @@ class OSPFInterface:
 
     def __init__(self, daemon: "OSPFDaemon", name: str, ip: IPv4Address,
                  prefix_len: int, cost: int, hello_interval: float,
-                 dead_interval: float, area_id: IPv4Address = IPv4Address(0)) -> None:
+                 dead_interval: float) -> None:
         self.daemon = daemon
         self.name = name
         self.ip = IPv4Address(ip)
@@ -46,7 +45,6 @@ class OSPFInterface:
         self.cost = cost
         self.hello_interval = hello_interval
         self.dead_interval = dead_interval
-        self.area_id = IPv4Address(area_id)
         #: Operational state: a downed interface sends no hellos, accepts no
         #: packets and contributes no links to the Router LSA.
         self.up = True
@@ -120,7 +118,6 @@ class OSPFInterface:
                 hello_interval=int(self.hello_interval),
                 dead_interval=int(self.dead_interval),
                 neighbors=[n.router_id for n in self.neighbors.values()],
-                area_id=self.area_id,
             )
             cached = self._hello_wire = (neighbor_ids, hello.encode())
         self.daemon.send_bytes(self.name, cached[1])
@@ -183,7 +180,6 @@ class OSPFInterface:
             dd_sequence=neighbor.dd_sequence,
             flags=DDFlags.INIT | DDFlags.MORE | DDFlags.MASTER,
             lsa_headers=[],
-            area_id=self.area_id,
         )
         self.daemon.send_packet(self.name, dd)
 
@@ -201,7 +197,6 @@ class OSPFInterface:
                 dd_sequence=neighbor.dd_sequence,
                 flags=DDFlags.MASTER if neighbor.is_master else 0,
                 lsa_headers=self.daemon.lsdb.headers,
-                area_id=self.area_id,
             )
             self.daemon.send_packet(self.name, summary)
         self._process_dd_headers(neighbor, dd)
@@ -220,7 +215,6 @@ class OSPFInterface:
                 router_id=self.daemon.router_id,
                 requests=[(h.ls_type, h.link_state_id, h.advertising_router)
                           for h in needed],
-                area_id=self.area_id,
             )
             if neighbor.state == NeighborState.EXCHANGE:
                 self._set_state(neighbor, NeighborState.LOADING)
@@ -244,8 +238,7 @@ class OSPFInterface:
             if lsa is not None:
                 lsas.append(lsa)
         if lsas:
-            update = LSUpdatePacket(router_id=self.daemon.router_id, lsas=lsas,
-                                    area_id=self.area_id)
+            update = LSUpdatePacket(router_id=self.daemon.router_id, lsas=lsas)
             self.daemon.send_packet(self.name, update)
 
     def _handle_ls_update(self, update: LSUpdatePacket) -> None:
@@ -259,8 +252,7 @@ class OSPFInterface:
             if changed:
                 self.daemon.on_lsa_installed(lsa, from_interface=self)
         if acked:
-            ack = LSAckPacket(router_id=self.daemon.router_id, lsa_headers=acked,
-                              area_id=self.area_id)
+            ack = LSAckPacket(router_id=self.daemon.router_id, lsa_headers=acked)
             self.daemon.send_packet(self.name, ack)
         if neighbor is not None:
             self._maybe_full(neighbor)

@@ -82,7 +82,6 @@ class MappingRecord(Message):
     shard: int = 0
     interface: str = ""       # VM interface name for address records
     address: Optional[str] = None   # textual IP for address records
-    num_ports: int = 0        # VM port count, replicated on "vm_mapped"
 
     VM_MAPPED = "vm_mapped"
     ADDRESS_ASSIGNED = "address_assigned"
@@ -128,7 +127,6 @@ class TakeoverAnnouncement(Message):
     from_shard: int
     to_shard: int
     datapaths: list     # dpids changing owner, ascending
-    reason: str = ""
     #: Fencing epoch: the coordinator stamps a strictly increasing value
     #: (>= 1) so a duplicated or stale announcement replayed by a lossy
     #: bus can never roll ownership backwards.  The default 0 is older

@@ -152,7 +152,7 @@ class RFServer:
             vm.start()
         self._share_mapping(MappingRecord(
             event=MappingRecord.VM_MAPPED, vm_id=vm_id, datapath_id=dpid,
-            shard=self.shard_id, num_ports=num_ports))
+            shard=self.shard_id))
         return vm
 
     def vm(self, vm_id: int) -> Optional[VirtualMachine]:

@@ -365,9 +365,9 @@ class ShardedControlPlane:
         """The failure detector tick: any master silent past the timeout
         loses its partition to its standby.  Idempotent — after a takeover
         the dead shard owns nothing, so it is not flagged again."""
-        for shard_id, silence in self.membership.tick(
+        for shard_id, _ in self.membership.tick(
                 self.sim.now, self.effective_failure_timeout):
-            self.takeover(shard_id, reason=f"no heartbeat for {silence:.1f}s")
+            self.takeover(shard_id)
 
     @property
     def stale_announcements(self) -> int:
@@ -375,7 +375,7 @@ class ShardedControlPlane:
         return self.membership.stale_announcements
 
     # ------------------------------------------------ takeover / re-balancing
-    def takeover(self, shard_id: int, reason: str = "") -> Optional[int]:
+    def takeover(self, shard_id: int) -> Optional[int]:
         """Hand a (dead) master's whole dpid partition to its standby.
 
         The change is announced on the shared mapping topic so every
@@ -392,12 +392,11 @@ class ShardedControlPlane:
             return None
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=shard_id,
-            to_shard=target, datapaths=datapaths, reason=reason,
+            to_shard=target, datapaths=datapaths,
             epoch=self.membership.announce()).to_json())
         return target
 
-    def reshard(self, datapath_id: int, to_shard: int,
-                reason: str = "rebalance") -> bool:
+    def reshard(self, datapath_id: int, to_shard: int) -> bool:
         """Live re-balancing: migrate one dpid onto a healthy shard.
 
         The switch's installed flows never leave its flow table — only
@@ -415,7 +414,7 @@ class ShardedControlPlane:
         self._announce_pub.publish(TakeoverAnnouncement(
             event=TakeoverAnnouncement.RESHARD, from_shard=from_shard,
             to_shard=to_shard, datapaths=[datapath_id],
-            reason=reason, epoch=self.membership.announce()).to_json())
+            epoch=self.membership.announce()).to_json())
         return True
 
     def _apply_takeover(self, announcement: TakeoverAnnouncement) -> None:

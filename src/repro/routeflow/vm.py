@@ -27,7 +27,6 @@ from repro.net.packet import DecodeError
 from repro.quagga.bgp import BGPDaemon, BGPSessionBroker
 from repro.quagga.configfile import (
     InterfaceConfig,
-    OSPFConfig,
     parse_bgpd_conf,
     parse_ospfd_conf,
     parse_zebra_conf,

@@ -21,6 +21,17 @@ from repro.topology.pan_european import link_delay_seconds
 #: RFC 6996 private-use range).
 BASE_ASN = 64512
 
+#: Every link takes :meth:`Topology.add_link`'s delay and bandwidth (1 ms,
+#: 1 Gb/s) except these: eBGP border links between ASes are twice as long,
+#: and the dumbbell's trunk has 5x the delay and a tenth of the bandwidth
+#: of its access links.  Waxman links follow fibre length instead.
+BORDER_DELAY = 0.002
+TRUNK_DELAY = 0.005
+TRUNK_BANDWIDTH_BPS = 1e8
+
+#: Side of the square Waxman switches are placed in.
+WAXMAN_REGION_KM = 3000.0
+
 
 def as_map_from_topology(topology: Topology) -> Dict[int, int]:
     """Extract the node -> AS assignment of a multi-AS topology.
@@ -42,8 +53,7 @@ def as_map_from_topology(topology: Topology) -> Dict[int, int]:
     return as_map
 
 
-def ring_topology(num_switches: int, delay: float = 0.001,
-                  bandwidth_bps: float = 1e9) -> Topology:
+def ring_topology(num_switches: int) -> Topology:
     """The ring topologies used for the paper's configuration-time figure."""
     if num_switches < 3:
         raise TopologyError("a ring needs at least 3 switches")
@@ -52,12 +62,11 @@ def ring_topology(num_switches: int, delay: float = 0.001,
         topology.add_node(node_id)
     for node_id in range(1, num_switches + 1):
         neighbor = node_id % num_switches + 1
-        topology.add_link(node_id, neighbor, delay=delay, bandwidth_bps=bandwidth_bps)
+        topology.add_link(node_id, neighbor)
     return topology
 
 
-def linear_topology(num_switches: int, delay: float = 0.001,
-                    bandwidth_bps: float = 1e9) -> Topology:
+def linear_topology(num_switches: int) -> Topology:
     """A chain of switches."""
     if num_switches < 2:
         raise TopologyError("a linear topology needs at least 2 switches")
@@ -65,12 +74,11 @@ def linear_topology(num_switches: int, delay: float = 0.001,
     for node_id in range(1, num_switches + 1):
         topology.add_node(node_id)
     for node_id in range(1, num_switches):
-        topology.add_link(node_id, node_id + 1, delay=delay, bandwidth_bps=bandwidth_bps)
+        topology.add_link(node_id, node_id + 1)
     return topology
 
 
-def star_topology(num_leaves: int, delay: float = 0.001,
-                  bandwidth_bps: float = 1e9) -> Topology:
+def star_topology(num_leaves: int) -> Topology:
     """One hub switch with ``num_leaves`` leaf switches."""
     if num_leaves < 1:
         raise TopologyError("a star needs at least one leaf")
@@ -78,12 +86,11 @@ def star_topology(num_leaves: int, delay: float = 0.001,
     hub = topology.add_node(1, name="hub")
     for leaf in range(2, num_leaves + 2):
         topology.add_node(leaf)
-        topology.add_link(hub.node_id, leaf, delay=delay, bandwidth_bps=bandwidth_bps)
+        topology.add_link(hub.node_id, leaf)
     return topology
 
 
-def tree_topology(depth: int, fanout: int, delay: float = 0.001,
-                  bandwidth_bps: float = 1e9) -> Topology:
+def tree_topology(depth: int, fanout: int) -> Topology:
     """A complete tree of switches with the given depth and fanout."""
     if depth < 1 or fanout < 1:
         raise TopologyError("tree depth and fanout must be at least 1")
@@ -96,16 +103,14 @@ def tree_topology(depth: int, fanout: int, delay: float = 0.001,
         for parent in frontier:
             for _ in range(fanout):
                 topology.add_node(next_id)
-                topology.add_link(parent, next_id, delay=delay,
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(parent, next_id)
                 new_frontier.append(next_id)
                 next_id += 1
         frontier = new_frontier
     return topology
 
 
-def full_mesh_topology(num_switches: int, delay: float = 0.001,
-                       bandwidth_bps: float = 1e9) -> Topology:
+def full_mesh_topology(num_switches: int) -> Topology:
     """Every switch connected to every other switch."""
     if num_switches < 2:
         raise TopologyError("a mesh needs at least 2 switches")
@@ -114,13 +119,12 @@ def full_mesh_topology(num_switches: int, delay: float = 0.001,
         topology.add_node(node_id)
     for node_a in range(1, num_switches + 1):
         for node_b in range(node_a + 1, num_switches + 1):
-            topology.add_link(node_a, node_b, delay=delay, bandwidth_bps=bandwidth_bps)
+            topology.add_link(node_a, node_b)
     return topology
 
 
 def random_topology(num_switches: int, extra_link_probability: float = 0.15,
-                    seed: int = 0, delay: float = 0.001,
-                    bandwidth_bps: float = 1e9) -> Topology:
+                    seed: int = 0) -> Topology:
     """A connected random topology: a random spanning tree plus extra links."""
     if num_switches < 2:
         raise TopologyError("a random topology needs at least 2 switches")
@@ -137,8 +141,7 @@ def random_topology(num_switches: int, extra_link_probability: float = 0.15,
     connected = [1]
     for node_id in range(2, num_switches + 1):
         parent = rng.choice(connected)
-        link = topology.add_link(parent, node_id, delay=delay,
-                                 bandwidth_bps=bandwidth_bps)
+        link = topology.add_link(parent, node_id)
         existing.add(link.canonical())
         connected.append(node_id)
     for node_a in range(1, num_switches + 1):
@@ -146,14 +149,12 @@ def random_topology(num_switches: int, extra_link_probability: float = 0.15,
             if (node_a, node_b) in existing:
                 continue
             if rng.random() < extra_link_probability:
-                topology.add_link(node_a, node_b, delay=delay,
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_a, node_b)
                 existing.add((node_a, node_b))
     return topology
 
 
-def fat_tree_topology(k: int = 4, delay: float = 0.001,
-                      bandwidth_bps: float = 1e9) -> Topology:
+def fat_tree_topology(k: int = 4) -> Topology:
     """A k-ary fat tree (the canonical datacenter fabric).
 
     ``(k/2)^2`` core switches connect ``k`` pods, each holding ``k/2``
@@ -185,16 +186,13 @@ def fat_tree_topology(k: int = 4, delay: float = 0.001,
             # Aggregation switch j of every pod serves core switches
             # j*half .. j*half+half-1, so each core sees one uplink per pod.
             for core in core_ids[agg_index * half:(agg_index + 1) * half]:
-                topology.add_link(core, agg, delay=delay,
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(core, agg)
             for edge in edge_ids:
-                topology.add_link(agg, edge, delay=delay,
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(agg, edge)
     return topology
 
 
-def torus_topology(rows: int, cols: int, wrap: bool = True,
-                   delay: float = 0.001, bandwidth_bps: float = 1e9) -> Topology:
+def torus_topology(rows: int, cols: int, wrap: bool = True) -> Topology:
     """A 2-D grid of switches, optionally wrapped into a torus.
 
     With ``wrap=True`` each row and column closes into a ring, giving every
@@ -216,27 +214,22 @@ def torus_topology(rows: int, cols: int, wrap: bool = True,
     for row in range(rows):
         for col in range(cols):
             if col + 1 < cols:
-                topology.add_link(node_id(row, col), node_id(row, col + 1),
-                                  delay=delay, bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_id(row, col), node_id(row, col + 1))
             if row + 1 < rows:
-                topology.add_link(node_id(row, col), node_id(row + 1, col),
-                                  delay=delay, bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_id(row, col), node_id(row + 1, col))
         if wrap and cols > 2:
-            topology.add_link(node_id(row, cols - 1), node_id(row, 0),
-                              delay=delay, bandwidth_bps=bandwidth_bps)
+            topology.add_link(node_id(row, cols - 1), node_id(row, 0))
     if wrap and rows > 2:
         for col in range(cols):
-            topology.add_link(node_id(rows - 1, col), node_id(0, col),
-                              delay=delay, bandwidth_bps=bandwidth_bps)
+            topology.add_link(node_id(rows - 1, col), node_id(0, col))
     return topology
 
 
 def waxman_topology(num_switches: int, alpha: float = 0.4, beta: float = 0.4,
-                    seed: int = 0, region_km: float = 3000.0,
-                    bandwidth_bps: float = 1e9) -> Topology:
+                    seed: int = 0) -> Topology:
     """A Waxman random geometric graph (the classic ISP/WAN model).
 
-    Switches are placed uniformly in a ``region_km`` x ``region_km`` square
+    Switches are placed uniformly in a :data:`WAXMAN_REGION_KM` square
     and each pair is linked with probability ``alpha * exp(-d / (beta * L))``
     where ``d`` is their distance and ``L`` the region diagonal.  Link delays
     follow fibre length.  Isolated components are stitched together through
@@ -250,8 +243,8 @@ def waxman_topology(num_switches: int, alpha: float = 0.4, beta: float = 0.4,
     topology = Topology(f"waxman-{num_switches}-seed{seed}")
     positions: List[Tuple[float, float]] = []
     for node_id in range(1, num_switches + 1):
-        x = rng.uniform(0.0, region_km)
-        y = rng.uniform(0.0, region_km)
+        x = rng.uniform(0.0, WAXMAN_REGION_KM)
+        y = rng.uniform(0.0, WAXMAN_REGION_KM)
         positions.append((x, y))
         topology.add_node(node_id, latitude=y, longitude=x)
 
@@ -264,13 +257,12 @@ def waxman_topology(num_switches: int, alpha: float = 0.4, beta: float = 0.4,
         # nodes (a zero-delay link would never be scheduled).
         return max(link_delay_seconds(km), 1e-5)
 
-    diagonal = math.hypot(region_km, region_km)
+    diagonal = math.hypot(WAXMAN_REGION_KM, WAXMAN_REGION_KM)
     for node_a in range(1, num_switches + 1):
         for node_b in range(node_a + 1, num_switches + 1):
             d = distance_km(node_a, node_b)
             if rng.random() < alpha * math.exp(-d / (beta * diagonal)):
-                topology.add_link(node_a, node_b, delay=fibre_delay(d),
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_a, node_b, delay=fibre_delay(d))
     # Stitch disconnected components through their closest node pair.  One
     # union-find pass finds the components; each is then merged into the
     # growing connected block, so the whole stitch is O(V^2) rather than a
@@ -297,15 +289,14 @@ def waxman_topology(num_switches: int, alpha: float = 0.4, beta: float = 0.4,
             ((a, b) for a in block for b in other),
             key=lambda pair: distance_km(pair[0], pair[1]))
         topology.add_link(node_a, node_b,
-                          delay=fibre_delay(distance_km(node_a, node_b)),
-                          bandwidth_bps=bandwidth_bps)
+                          delay=fibre_delay(distance_km(node_a, node_b)))
         block.extend(other)
     return topology
 
 
 def _add_as_members(topology: Topology, asn: int, as_label: str,
-                    node_ids: List[int], shape: str, rows: int, cols: int,
-                    delay: float, bandwidth_bps: float) -> None:
+                    node_ids: List[int], shape: str, rows: int,
+                    cols: int) -> None:
     """Populate one AS: add its nodes and intra-AS (IGP) links."""
     for index, node_id in enumerate(node_ids):
         topology.add_node(node_id, name=f"{as_label}r{index + 1}", asn=asn)
@@ -313,11 +304,9 @@ def _add_as_members(topology: Topology, asn: int, as_label: str,
     if shape == "ring":
         if size >= 3:
             for index in range(size):
-                topology.add_link(node_ids[index], node_ids[(index + 1) % size],
-                                  delay=delay, bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_ids[index], node_ids[(index + 1) % size])
         elif size == 2:
-            topology.add_link(node_ids[0], node_ids[1], delay=delay,
-                              bandwidth_bps=bandwidth_bps)
+            topology.add_link(node_ids[0], node_ids[1])
     elif shape == "torus":
         def grid(row: int, col: int) -> int:
             return node_ids[row * cols + col]
@@ -325,32 +314,25 @@ def _add_as_members(topology: Topology, asn: int, as_label: str,
         for row in range(rows):
             for col in range(cols):
                 if col + 1 < cols:
-                    topology.add_link(grid(row, col), grid(row, col + 1),
-                                      delay=delay, bandwidth_bps=bandwidth_bps)
+                    topology.add_link(grid(row, col), grid(row, col + 1))
                 if row + 1 < rows:
-                    topology.add_link(grid(row, col), grid(row + 1, col),
-                                      delay=delay, bandwidth_bps=bandwidth_bps)
+                    topology.add_link(grid(row, col), grid(row + 1, col))
             if cols > 2:
-                topology.add_link(grid(row, cols - 1), grid(row, 0),
-                                  delay=delay, bandwidth_bps=bandwidth_bps)
+                topology.add_link(grid(row, cols - 1), grid(row, 0))
         if rows > 2:
             for col in range(cols):
-                topology.add_link(grid(rows - 1, col), grid(0, col),
-                                  delay=delay, bandwidth_bps=bandwidth_bps)
+                topology.add_link(grid(rows - 1, col), grid(0, col))
     elif shape == "mesh":
         for a in range(size):
             for b in range(a + 1, size):
-                topology.add_link(node_ids[a], node_ids[b], delay=delay,
-                                  bandwidth_bps=bandwidth_bps)
+                topology.add_link(node_ids[a], node_ids[b])
     else:
         raise TopologyError(f"unknown AS shape {shape!r} (ring/torus/mesh)")
 
 
 def multi_as_topology(num_ases: int, as_size: int = 4, shape: str = "ring",
                       as_rows: Optional[int] = None,
-                      as_cols: Optional[int] = None,
-                      delay: float = 0.001, border_delay: float = 0.002,
-                      bandwidth_bps: float = 1e9) -> Topology:
+                      as_cols: Optional[int] = None) -> Topology:
     """A ring of autonomous systems stitched together by eBGP border links.
 
     Each AS is a ring (or, with ``shape="torus"`` and ``as_rows`` ×
@@ -379,8 +361,7 @@ def multi_as_topology(num_ases: int, as_size: int = 4, shape: str = "ring",
         node_ids = list(range(next_id, next_id + as_size))
         next_id += as_size
         _add_as_members(topology, BASE_ASN + index + 1, f"as{index + 1}-",
-                        node_ids, shape, as_rows or 0, as_cols or 0,
-                        delay, bandwidth_bps)
+                        node_ids, shape, as_rows or 0, as_cols or 0)
         members.append(node_ids)
     # Stitch the ASes into a ring of eBGP border links (a single link for
     # two ASes — a 2-AS "ring" would duplicate it).
@@ -388,15 +369,12 @@ def multi_as_topology(num_ases: int, as_size: int = 4, shape: str = "ring",
     for index in range(pairs):
         left = members[index]
         right = members[(index + 1) % num_ases]
-        topology.add_link(left[-1], right[0], delay=border_delay,
-                          bandwidth_bps=bandwidth_bps)
+        topology.add_link(left[-1], right[0], delay=BORDER_DELAY)
     return topology
 
 
 def transit_stub_topology(num_stubs: int, stub_size: int = 3,
-                          transit_size: int = 3, delay: float = 0.001,
-                          border_delay: float = 0.002,
-                          bandwidth_bps: float = 1e9) -> Topology:
+                          transit_size: int = 3) -> Topology:
     """An Internet-like transit/stub arrangement of autonomous systems.
 
     One transit (provider) AS — a full mesh of ``transit_size`` routers,
@@ -414,16 +392,15 @@ def transit_stub_topology(num_stubs: int, stub_size: int = 3,
     topology = Topology(f"transit-stub-{num_stubs}x{stub_size}")
     transit_ids = list(range(1, transit_size + 1))
     _add_as_members(topology, BASE_ASN, "transit-", transit_ids, "mesh",
-                    0, 0, delay, bandwidth_bps)
+                    0, 0)
     next_id = transit_size + 1
     for index in range(num_stubs):
         node_ids = list(range(next_id, next_id + stub_size))
         next_id += stub_size
         _add_as_members(topology, BASE_ASN + index + 1, f"stub{index + 1}-",
-                        node_ids, "ring", 0, 0, delay, bandwidth_bps)
+                        node_ids, "ring", 0, 0)
         home = transit_ids[index % transit_size]
-        topology.add_link(home, node_ids[0], delay=border_delay,
-                          bandwidth_bps=bandwidth_bps)
+        topology.add_link(home, node_ids[0], delay=BORDER_DELAY)
     return topology
 
 
@@ -440,9 +417,7 @@ def as_relationships_from_topology(topology: Topology) -> Dict[Tuple[int, int], 
 
 def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
                            core_ases: Optional[int] = None,
-                           transit_as_size: int = 3, stub_as_size: int = 1,
-                           delay: float = 0.001, border_delay: float = 0.002,
-                           bandwidth_bps: float = 1e9) -> Topology:
+                           transit_as_size: int = 3) -> Topology:
     """An Internet-like scale-free AS graph with commercial relationships.
 
     The AS-level graph follows preferential attachment (Barabási–Albert):
@@ -454,8 +429,8 @@ def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
     links are peer↔peer, so the provider relation is acyclic by
     construction and every AS reaches the core valley-free.
 
-    Core (transit) ASes are rings of ``transit_as_size`` routers; all other
-    ASes have ``stub_as_size`` routers.  Border links rotate over an AS's
+    Core (transit) ASes are rings of ``transit_as_size`` routers; every
+    other AS is a single router.  Border links rotate over an AS's
     member routers so eBGP sessions spread across them.  The resulting
     :class:`Topology` carries ``as_relationships`` (``(asn_a, asn_b) ->
     relationship of asn_b from asn_a's perspective``) and ``as_roles``
@@ -467,8 +442,8 @@ def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
         raise TopologyError("a scale-free AS graph needs at least 3 ASes")
     if attach < 1:
         raise TopologyError("attach must be at least 1")
-    if transit_as_size < 1 or stub_as_size < 1:
-        raise TopologyError("AS sizes must be at least 1")
+    if transit_as_size < 1:
+        raise TopologyError("transit_as_size must be at least 1")
     core = core_ases if core_ases is not None else max(2, round(num_ases * 0.06))
     if core >= num_ases:
         raise TopologyError("core_ases must leave room for at least one stub AS")
@@ -511,11 +486,11 @@ def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
     members: List[List[int]] = []
     next_id = 1
     for index in range(num_ases):
-        size = transit_as_size if index < core else stub_as_size
+        size = transit_as_size if index < core else 1
         node_ids = list(range(next_id, next_id + size))
         next_id += size
         _add_as_members(topology, BASE_ASN + index, f"as{index + 1}-",
-                        node_ids, "ring", 0, 0, delay, bandwidth_bps)
+                        node_ids, "ring", 0, 0)
         members.append(node_ids)
     border_slot = [0] * num_ases
     for index_a, index_b in as_links:
@@ -523,8 +498,7 @@ def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
         router_b = members[index_b][border_slot[index_b] % len(members[index_b])]
         border_slot[index_a] += 1
         border_slot[index_b] += 1
-        topology.add_link(router_a, router_b, delay=border_delay,
-                          bandwidth_bps=bandwidth_bps)
+        topology.add_link(router_a, router_b, delay=BORDER_DELAY)
 
     topology.as_relationships = relationships
     has_customers = {a for (a, b), rel in relationships.items() if rel == "customer"}
@@ -541,17 +515,14 @@ def scale_free_as_topology(num_ases: int, seed: int = 0, attach: int = 2,
 
 
 def dumbbell_topology(left_leaves: int, right_leaves: int,
-                      trunk_switches: int = 0, delay: float = 0.001,
-                      trunk_delay: float = 0.005,
-                      bandwidth_bps: float = 1e9,
-                      trunk_bandwidth_bps: float = 1e8) -> Topology:
+                      trunk_switches: int = 0) -> Topology:
     """Two access stars joined by a (longer, thinner) trunk path.
 
     Node 1 and node 2 are the left and right hub switches; an optional chain
     of ``trunk_switches`` sits between them on the bottleneck path, and the
-    leaf switches hang off their hub.  The trunk defaults to 10x less
-    bandwidth and 5x more delay than the access links, the classic shape for
-    congestion and failover studies.
+    leaf switches hang off their hub.  The trunk has 10x less bandwidth and
+    5x more delay than the access links, the classic shape for congestion
+    and failover studies.
     """
     if left_leaves < 1 or right_leaves < 1:
         raise TopologyError("a dumbbell needs at least one leaf on each side")
@@ -569,13 +540,12 @@ def dumbbell_topology(left_leaves: int, right_leaves: int,
         next_id += 1
     trunk_path.append(right_hub)
     for node_a, node_b in zip(trunk_path, trunk_path[1:]):
-        topology.add_link(node_a, node_b, delay=trunk_delay,
-                          bandwidth_bps=trunk_bandwidth_bps)
+        topology.add_link(node_a, node_b, delay=TRUNK_DELAY,
+                          bandwidth_bps=TRUNK_BANDWIDTH_BPS)
     for hub, leaves, side in ((left_hub, left_leaves, "l"),
                               (right_hub, right_leaves, "r")):
         for index in range(leaves):
             topology.add_node(next_id, name=f"leaf-{side}{index + 1}")
-            topology.add_link(hub, next_id, delay=delay,
-                              bandwidth_bps=bandwidth_bps)
+            topology.add_link(hub, next_id)
             next_id += 1
     return topology

@@ -114,7 +114,7 @@ def link_delay_seconds(distance_km: float) -> float:
     return (distance_km * FIBRE_DETOUR_FACTOR * 1000.0) / FIBRE_SPEED
 
 
-def pan_european_topology(bandwidth_bps: float = 1e9) -> Topology:
+def pan_european_topology() -> Topology:
     """Build the 28-node pan-European topology used by the paper's demo."""
     topology = Topology("pan-european-28")
     index: Dict[str, int] = {}
@@ -126,6 +126,5 @@ def pan_european_topology(bandwidth_bps: float = 1e9) -> Topology:
         info_a = PAN_EUROPEAN_CITIES[node_a - 1]
         info_b = PAN_EUROPEAN_CITIES[node_b - 1]
         distance = great_circle_km(info_a[1], info_a[2], info_b[1], info_b[2])
-        topology.add_link(node_a, node_b, delay=link_delay_seconds(distance),
-                          bandwidth_bps=bandwidth_bps)
+        topology.add_link(node_a, node_b, delay=link_delay_seconds(distance))
     return topology

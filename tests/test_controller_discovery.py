@@ -119,7 +119,7 @@ def record_probes(monkeypatch):
     """Every PACKET_OUT a controller sends, as (dpid, out port)."""
     sent = []
 
-    def send_packet_out(connection, data, out_port, in_port=None):
+    def send_packet_out(connection, data, out_port):
         sent.append((connection.datapath_id, out_port))
 
     monkeypatch.setattr(DatapathConnection, "send_packet_out", send_packet_out)

@@ -89,7 +89,6 @@ mapping_records = st.builds(
     shard=st.integers(min_value=0, max_value=64),
     interface=names,
     address=st.one_of(st.none(), ip_strings),
-    num_ports=st.integers(min_value=0, max_value=48),
 )
 
 heartbeats = st.builds(
@@ -106,7 +105,6 @@ takeovers = st.builds(
     from_shard=st.integers(min_value=0, max_value=64),
     to_shard=st.integers(min_value=0, max_value=64),
     datapaths=st.lists(small_ints, max_size=16),
-    reason=names,
 )
 
 port_statuses = st.builds(

@@ -134,7 +134,7 @@ class TestValleyFreePaths:
     def scale_free_run(self, request):
         topology = scale_free_as_topology(
             8, seed=request.param, attach=2, core_ases=2,
-            transit_as_size=2, stub_as_size=1)
+            transit_as_size=2)
         config = FrameworkConfig(
             detect_edge_ports=False, enable_bgp=True,
             as_map=as_map_from_topology(topology),

@@ -449,7 +449,7 @@ class TestTakeoverAndResharding:
         flows_before = sum(len(switch.flow_table)
                            for switch in network.switches.values())
         plane.fail_shard(0)
-        assert plane.takeover(0, reason="test") == 1
+        assert plane.takeover(0) == 1
         sim.run(until=sim.now + 10.0)
         assert plane.takeovers == 1
         assert plane.membership.role_of(0) == ShardRole.FAILED
@@ -733,14 +733,14 @@ class TestFailureDetectorOnLossyBus:
         plane = framework.control_plane
         partition = plane.membership.owned(0)
         plane.fail_shard(0)
-        plane.takeover(0, reason="test")
+        plane.takeover(0)
         sim.run(until=sim.now + 5.0)
         assert plane.takeovers == 1
         owned = plane.membership.owned(1)
         stale_before = plane.stale_announcements
         replay = TakeoverAnnouncement(
             event=TakeoverAnnouncement.TAKEOVER, from_shard=0, to_shard=1,
-            datapaths=list(partition), reason="replay", epoch=1)
+            datapaths=list(partition), epoch=1)
         framework.bus.publish("routeflow.mapping", replay.to_json(),
                               sender="plane")
         assert plane.takeovers == 1                  # not double-applied
@@ -760,7 +760,7 @@ class TestFailureDetectorOnLossyBus:
         assert plane.membership.owner_of(3) == 1
         rollback = TakeoverAnnouncement(
             event=TakeoverAnnouncement.RESHARD, from_shard=1, to_shard=0,
-            datapaths=[3], reason="delayed duplicate", epoch=1)
+            datapaths=[3], epoch=1)
         framework.bus.publish("routeflow.mapping", rollback.to_json(),
                               sender="plane")
         assert plane.membership.owner_of(3) == 1                # still with shard 1
